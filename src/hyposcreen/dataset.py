@@ -3,20 +3,20 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DataError,
-    EmptyFile,
+    MissingCell,
     MissingColumn,
-    MissingFile,
     NonNumericCell,
+    OutOfRange,
 )
 from .featurize import featurize_recording, load_index_map
-from .ingest import Manifest, load_recording
+from .ingest import Manifest, csv_rows, float_block, load_recording
 
 META_COLUMNS = ("participant_id", "label", "cohort", "sex", "age",
                 "ethnicity", "disease_duration")
@@ -134,47 +134,75 @@ def write_feature_table(ds: LabeledDataset, path) -> None:
 
 
 def read_feature_table(path) -> LabeledDataset:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
-    if len(rows) < 2:
-        raise EmptyFile(path)
-    header = [h.strip() for h in rows[0]]
-    pos = {h: i for i, h in enumerate(header)}
-    for col in ("participant_id", "label"):
-        if col not in pos:
-            raise MissingColumn(col)
-    meta_set = set(META_COLUMNS)
-    feat_cols = [(h, i) for i, h in enumerate(header) if h not in meta_set]
-    names = [h for h, _ in feat_cols]
+    """Read a feature table; columns are found by name, in any order.
 
-    X = np.empty((len(rows) - 1, len(names)))
-    y = np.empty(len(rows) - 1, dtype=np.int64)
-    pids = []
-    demo = {k: [] for k in DEMOGRAPHIC_COLUMNS}
-    for r, cells in enumerate(rows[1:]):
-        pids.append(cells[pos["participant_id"]])
+    Every column outside :data:`META_COLUMNS` is a feature.  Feature cells are
+    converted in one bulk pass; a table that fails it is read again by
+    :func:`_table_cells`, which raises for the first bad cell in row order.
+    """
+    with csv_rows(path) as (header, rows):
+        pos = {h: i for i, h in enumerate(header)}
+        for col in ("participant_id", "label"):
+            if col not in pos:
+                raise MissingColumn(col)
+        meta_set = set(META_COLUMNS)
+        feat_cols = [(h, i) for i, h in enumerate(header) if h not in meta_set]
+        meta = {c: [] for c in META_COLUMNS}
+
+        def with_meta():
+            for r, cells in enumerate(rows):
+                _read_meta(cells, r, pos, meta)
+                yield cells
+
         try:
-            y[r] = int(float(cells[pos["label"]]))
-        except ValueError:
-            raise NonNumericCell(r, "label") from None
-        for col in DEMOGRAPHIC_COLUMNS:
-            if col not in pos or pos[col] >= len(cells) or cells[pos[col]] == "":
-                demo[col].append(None)
-            elif col in CONTINUOUS_DEMOGRAPHICS:
-                try:
-                    demo[col].append(float(cells[pos[col]]))
-                except ValueError:
-                    raise NonNumericCell(r, col) from None
-            else:
-                demo[col].append(cells[pos[col]])
-        for j, (name, i) in enumerate(feat_cols):
+            X = float_block(with_meta(), [i for _, i in feat_cols])
+        except DataError:  # a bad meta cell; an earlier feature cell may be bad too
+            X = None
+    if X is None:
+        X, meta = _table_cells(path, pos, feat_cols)
+    return LabeledDataset(feature_names=[h for h, _ in feat_cols], X=X,
+                          y=meta["label"], participant_ids=meta["participant_id"],
+                          demographics={c: meta[c] for c in DEMOGRAPHIC_COLUMNS})
+
+
+def _read_meta(cells, r, pos, meta) -> None:
+    """Append row ``r``'s participant id, label and demographics to ``meta``."""
+    for col in ("participant_id", "label"):
+        if pos[col] >= len(cells):
+            raise MissingCell(r, col)
+    meta["participant_id"].append(cells[pos["participant_id"]])
+    try:
+        meta["label"].append(int(float(cells[pos["label"]])))
+    except ValueError:
+        raise NonNumericCell(r, "label") from None
+    for col in DEMOGRAPHIC_COLUMNS:
+        if col not in pos or pos[col] >= len(cells) or cells[pos[col]] == "":
+            meta[col].append(None)
+        elif col in CONTINUOUS_DEMOGRAPHICS:
             try:
-                X[r, j] = float(cells[i])
-            except (ValueError, IndexError):
-                raise NonNumericCell(r, name) from None
-    return LabeledDataset(feature_names=names, X=X, y=y,
-                          participant_ids=pids, demographics=demo)
+                v = float(cells[pos[col]])
+            except ValueError:
+                raise NonNumericCell(r, col) from None
+            if not math.isfinite(v):
+                raise OutOfRange(r, col, v)
+            meta[col].append(v)
+        else:
+            meta[col].append(cells[pos[col]])
+
+
+def _table_cells(path, pos, feat_cols) -> tuple[np.ndarray, dict]:
+    """Cell-by-cell read of a feature table; raises for the first bad cell."""
+    meta = {c: [] for c in META_COLUMNS}
+    values = []
+    with csv_rows(path) as (_, rows):
+        for r, cells in enumerate(rows):
+            _read_meta(cells, r, pos, meta)
+            for name, i in feat_cols:
+                try:
+                    v = float(cells[i])
+                except (ValueError, IndexError):
+                    raise NonNumericCell(r, name) from None
+                if not math.isfinite(v):
+                    raise OutOfRange(r, name, v)
+                values.append(v)
+    return np.array(values).reshape(len(meta["label"]), len(feat_cols)), meta

@@ -55,6 +55,13 @@ class NonNumericCell(DataError):
         self.col = col
 
 
+class MissingCell(DataError):
+    def __init__(self, row, col):
+        super().__init__(f"row {row} ends before column {col!r}")
+        self.row = row
+        self.col = col
+
+
 class OutOfRange(DataError):
     def __init__(self, row, col, value=None):
         super().__init__(f"out-of-range value at row {row}, column {col!r}"

@@ -10,7 +10,11 @@ irrelevant; columns are located by name.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,26 +184,75 @@ def parse_manifest(path, check_paths: bool = True) -> Manifest:
 
 # --- csv helpers ----------------------------------------------------------
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+@contextmanager
+def csv_rows(path):
+    """Open a csv and yield ``(header, rows)``.
+
+    ``header`` holds the stripped names of the first non-blank line; ``rows``
+    iterates over the data rows after it, skipping empty and whitespace-only
+    lines.  Raises :class:`MissingFile`, or :class:`EmptyFile` when no data
+    row follows the header.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingFile(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    if len(rows) < 2:
-        raise EmptyFile(path)
-    header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
+        rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
+        header = next(rows, None)
+        first = next(rows, None)
+        if first is None:
+            raise EmptyFile(path)
+        yield [h.strip() for h in header], itertools.chain((first,), rows)
+
+
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    with csv_rows(path) as (header, rows):
+        return header, list(rows)
+
+
+def float_block(rows, positions, width=None) -> np.ndarray | None:
+    """The cells at ``positions`` of every row as an (n, len(positions)) array.
+
+    Each cell goes through one ``float()``, as in a cell-by-cell loop, so the
+    values are the same.  Returns None when a row is not ``width`` cells long
+    (when given) or too short for ``positions``, or when a cell is rejected by
+    ``float()`` or is not finite: the caller then reads the file again cell by
+    cell to name the first bad cell.
+    """
+    k = len(positions)
+    # itemgetter of one position returns a bare string, not a tuple
+    pick = (operator.itemgetter(*positions) if k > 1
+            else lambda row: [row[p] for p in positions])
+    n = 0
+
+    def picked():
+        nonlocal n
+        for row in rows:
+            if width is not None and len(row) != width:
+                raise ValueError("row width differs from the header")
+            n += 1
+            yield pick(row)
+
+    try:
+        flat = np.fromiter(map(float, itertools.chain.from_iterable(picked())),
+                           dtype=float)
+    except (ValueError, IndexError):
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.reshape(n, k)
 
 
 def _cell_float(row_cells, row_idx, pos, name) -> float:
     if pos >= len(row_cells):
         raise MissingColumn(name)
     try:
-        return float(row_cells[pos])
+        v = float(row_cells[pos])
     except ValueError:
         raise NonNumericCell(row_idx, name) from None
+    if not math.isfinite(v):
+        raise OutOfRange(row_idx, name, v)
+    return v
 
 
 # --- AU csv ---------------------------------------------------------------
@@ -285,36 +338,49 @@ def _landmark_columns() -> list[str]:
 
 def parse_landmark_series(path, participant_id: str = "",
                           expression: str = "") -> RecordingSeries:
-    """Parse one landmark track into a (frames, 478, 3) array."""
-    header, data = _read_rows(path)
-    pos = {name: i for i, name in enumerate(header)}
-    if "frame" not in pos:
-        raise MissingColumn("frame")
-    cols = _landmark_columns()
-    for c in cols:
-        if c not in pos:
-            raise MissingColumn(c)
-    coord_pos = np.array([pos[c] for c in cols])
+    """Parse one landmark track into a (frames, 478, 3) array.
 
-    n = len(data)
-    frames = np.empty(n)
-    pts = np.empty((n, N_POINTS * 3))
-    width = len(header)
-    for r, cells in enumerate(data):
-        if len(cells) != width:
-            complete = int(np.sum(coord_pos < len(cells))) // 3
-            raise RaggedFrame(r, complete)
-        frames[r] = _cell_float(cells, r, pos["frame"], "frame")
-        for j, p in enumerate(coord_pos):
-            pts[r, j] = _cell_float(cells, r, p, cols[j])
+    The frame and coordinate cells are converted in one bulk pass.  A file
+    that fails it is read again by :func:`_landmark_cells`, which raises for
+    the first bad cell in row order.
+    """
+    names = ["frame"] + _landmark_columns()
+    with csv_rows(path) as (header, rows):
+        pos = {name: i for i, name in enumerate(header)}
+        for c in names:
+            if c not in pos:
+                raise MissingColumn(c)
+        wanted = [pos[c] for c in names]
+        block = float_block(rows, wanted, width=len(header))
+    if block is None:
+        block = _landmark_cells(path, wanted, names)
 
-    order = np.argsort(frames, kind="stable")
+    n = len(block)
+    order = np.argsort(block[:, 0], kind="stable")
     return RecordingSeries(
         participant_id=participant_id,
         expression=expression,
         frame_count=n,
-        landmarks=pts[order].reshape(n, N_POINTS, 3),
+        landmarks=block[order, 1:].reshape(n, N_POINTS, 3),
     )
+
+
+def _landmark_cells(path, positions, names) -> np.ndarray:
+    """Cell-by-cell read of the columns at ``positions`` (frame first).
+
+    Raises :class:`RaggedFrame` for a row whose width differs from the
+    header's, else the error of the row's first bad cell in ``names`` order.
+    """
+    header, data = _read_rows(path)
+    width = len(header)
+    out = np.empty((len(data), len(positions)))
+    for r, cells in enumerate(data):
+        if len(cells) != width:
+            complete = sum(p < len(cells) for p in positions[1:]) // 3
+            raise RaggedFrame(r, complete)
+        for j, p in enumerate(positions):
+            out[r, j] = _cell_float(cells, r, p, names[j])
+    return out
 
 
 def write_landmark_csv(series: RecordingSeries, path) -> None:

@@ -7,6 +7,7 @@ byte-level determinism.  Run with ``pytest -v`` for one pass/fail line per
 claim; each test also prints the measured values.
 """
 
+import csv
 import json
 import math
 import time
@@ -16,11 +17,19 @@ import numpy as np
 
 from hyposcreen.cli import main
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
-from hyposcreen.dataset import read_feature_table
+from hyposcreen.dataset import DEMOGRAPHIC_COLUMNS, META_COLUMNS, read_feature_table
+from hyposcreen.errors import (
+    EmptyFile,
+    MissingCell,
+    MissingColumn,
+    NonNumericCell,
+    OutOfRange,
+    RaggedFrame,
+)
 from hyposcreen.evaluate import auroc, run_cross_validation, verify_no_leakage
 from hyposcreen.explain import exact_shapley_oracle, pca_project, tree_shap
 from hyposcreen.featurize import feature_names
-from hyposcreen.ingest import EXPRESSIONS
+from hyposcreen.ingest import EXPRESSIONS, N_POINTS, parse_landmark_series
 from hyposcreen.model.binning import bin_matrix
 from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
 from hyposcreen.model.logistic import logistic_objective
@@ -347,6 +356,240 @@ def test_pca_matches_jacobi_eigensolver():
     assert worst_align <= 1e-8
     print(f"PASS pca oracle: {compared} instances, eigenvalue gap "
           f"{worst_lam:.2e}, alignment gap {worst_align:.2e} <= 1e-8")
+
+
+# Bulk csv readers replayed against cell-by-cell references.  The references
+# share nothing with the package but its exception classes and column names:
+# they find columns by name, skip blank lines, and report the first bad cell
+# in row order.
+
+_LANDMARK_NAMES = ["frame"] + [f"p{i:03d}_{ax}" for i in range(N_POINTS)
+                               for ax in ("x", "y", "z")]
+
+
+def _csv_data(path):
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+    if len(rows) < 2:
+        raise EmptyFile(path)
+    return [h.strip() for h in rows[0]], rows[1:]
+
+
+def _checked_float(text, r, name):
+    try:
+        v = float(text)
+    except ValueError:
+        raise NonNumericCell(r, name) from None
+    if not math.isfinite(v):
+        raise OutOfRange(r, name, v)
+    return v
+
+
+def _reference_landmarks(path):
+    header, data = _csv_data(path)
+    where = {h: i for i, h in enumerate(header)}
+    for name in _LANDMARK_NAMES:
+        if name not in where:
+            raise MissingColumn(name)
+    frames = []
+    for r, row in enumerate(data):
+        if len(row) != len(header):
+            have = sum(where[nm] < len(row) for nm in _LANDMARK_NAMES[1:])
+            raise RaggedFrame(r, have // 3)
+        values = [_checked_float(row[where[nm]], r, nm) for nm in _LANDMARK_NAMES]
+        frames.append(values)
+    frames = sorted(frames, key=lambda values: values[0])  # stable
+    return np.array([values[1:] for values in frames]).reshape(-1, N_POINTS, 3)
+
+
+def _reference_table(path):
+    header, data = _csv_data(path)
+    for name in ("participant_id", "label"):
+        if name not in header:
+            raise MissingColumn(name)
+    where = {h: i for i, h in enumerate(header)}
+    feats = [h for h in header if h not in META_COLUMNS]
+    pids, labels, X = [], [], []
+    demo = {c: [] for c in DEMOGRAPHIC_COLUMNS}
+    for r, row in enumerate(data):
+        for name in ("participant_id", "label"):
+            if where[name] >= len(row):
+                raise MissingCell(r, name)
+        pids.append(row[where["participant_id"]])
+        try:
+            labels.append(int(float(row[where["label"]])))
+        except ValueError:
+            raise NonNumericCell(r, "label") from None
+        for c in DEMOGRAPHIC_COLUMNS:
+            text = row[where[c]] if c in where and where[c] < len(row) else ""
+            if text == "":
+                demo[c].append(None)
+            elif c in ("age", "disease_duration"):
+                demo[c].append(_checked_float(text, r, c))
+            else:
+                demo[c].append(text)
+        values = []
+        for name in feats:
+            if where[name] >= len(row):
+                raise NonNumericCell(r, name)
+            values.append(_checked_float(row[where[name]], r, name))
+        X.append(values)
+    return feats, np.array(X).reshape(len(data), len(feats)), labels, pids, demo
+
+
+def _outcome(fn, path):
+    """("ok", result) or (exception type, the attributes that locate it)."""
+    try:
+        return "ok", fn(path)
+    except (NonNumericCell, OutOfRange, MissingCell) as exc:
+        return type(exc), (exc.row, exc.col)
+    except RaggedFrame as exc:
+        return type(exc), (exc.frame_idx, exc.point_count)
+    except MissingColumn as exc:
+        return type(exc), (exc.name,)
+
+
+def _cell_texts(values, rng):
+    """``repr`` of each value as a writer might spell it: padded, signed,
+    with ``_`` between digits, or plain."""
+    out = []
+    for v, kind, u in zip(values, rng.integers(6, size=len(values)),
+                          rng.random(len(values))):
+        text = repr(float(v))
+        if kind == 1:
+            text = " " + text + "  "
+        elif kind == 2 and not text.startswith("-"):
+            text = "+" + text
+        elif kind == 3:
+            digits = [i for i in range(1, len(text))
+                      if text[i - 1].isdigit() and text[i].isdigit()]
+            if digits:
+                i = digits[int(u * len(digits))]
+                text = text[:i] + "_" + text[i:]
+        out.append(text)
+    return out
+
+
+def _write_messy_csv(path, rows, rng):
+    """Quote some cells and put blank and whitespace-only lines between rows."""
+    lines = []
+    for row in rows:
+        while rng.random() < 0.2:
+            lines.append(["", "   ", ",  ,", "\t"][int(rng.integers(4))])
+        quote = rng.random(len(row)) < 0.1
+        lines.append(",".join(f'"{c}"' if q else c for c, q in zip(row, quote)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _corrupt(header, data, needed, rng, bad_values):
+    """Break one or two cells, rows or columns of a parsed csv in place."""
+    for _ in range(int(rng.integers(1, 3))):
+        kind = ("cell", "short", "long", "column", "nonfinite")[int(rng.integers(5))]
+        r = int(rng.integers(len(data)))
+        name = needed[int(rng.integers(len(needed)))]
+        if name not in header:
+            continue
+        if kind == "column":
+            drop = header.index(name)
+            for row in [header] + data:
+                if drop < len(row):
+                    del row[drop]
+        elif kind == "short":
+            del data[r][int(rng.integers(1, len(data[r]))):]
+        elif kind == "long":
+            data[r].append("0.5")
+        elif header.index(name) < len(data[r]):
+                pool = bad_values if kind == "cell" else ("nan", "inf", " -inf", "NaN")
+                data[r][header.index(name)] = pool[int(rng.integers(len(pool)))]
+
+
+def _check_against_reference(fast, slow, path, same):
+    got, want = _outcome(fast, path), _outcome(slow, path)
+    assert got[0] == want[0], (path.name, got[0], want[0])
+    if want[0] == "ok":
+        assert same(got[1], want[1]), path.name
+    else:
+        assert got[1] == want[1], (path.name, got[1], want[1])
+    return want[0]
+
+
+def test_landmark_bulk_parse_equals_cell_reference(tmp_path):
+    rng = np.random.default_rng(210)
+
+    def same(series, ref):
+        return (series.landmarks.dtype == ref.dtype
+                and np.array_equal(series.landmarks, ref))
+
+    outcomes = []
+    for i in range(120):
+        n = int(rng.integers(1, 4))
+        frames = rng.permutation(n)
+        if n > 1 and rng.random() < 0.3:
+            frames[0] = frames[1]  # a repeated frame keeps file order
+        header = list(_LANDMARK_NAMES) + ["face_id", "timestamp"][:int(rng.integers(3))]
+        rng.shuffle(header)
+        data = []
+        for f in frames:
+            cells = {"frame": str(f) if f < 10 or rng.random() < 0.5 else f"{f // 10}_{f % 10}",
+                     "face_id": "face a", "timestamp": f"00:00:{f:02d}"}
+            cells.update(zip(_LANDMARK_NAMES[1:],
+                             _cell_texts(rng.normal(size=3 * N_POINTS), rng)))
+            data.append([cells[h] for h in header])
+        path = tmp_path / f"lm{i}.csv"
+        _write_messy_csv(path, [header] + data, rng)
+        outcomes.append(_check_against_reference(parse_landmark_series,
+                                                 _reference_landmarks, path, same))
+        _corrupt(header, data, _LANDMARK_NAMES, rng, ("oops", "", "1.2.3", "0x1"))
+        bad = tmp_path / f"lm{i}_bad.csv"
+        _write_messy_csv(bad, [header] + data, rng)
+        outcomes.append(_check_against_reference(parse_landmark_series,
+                                                 _reference_landmarks, bad, same))
+    kinds = {k for k in outcomes if k != "ok"}
+    assert kinds == {NonNumericCell, OutOfRange, RaggedFrame, MissingColumn}
+    print(f"PASS landmark parse oracle: {len(outcomes)} files "
+          f"({outcomes.count('ok')} parsed, the rest rejected at the same "
+          f"cell as the reference)")
+
+
+def test_feature_table_bulk_read_equals_cell_reference(tmp_path):
+    rng = np.random.default_rng(211)
+
+    def same(ds, ref):
+        names, X, labels, pids, demo = ref
+        return (ds.feature_names == names and ds.X.dtype == X.dtype
+                and np.array_equal(ds.X, X) and ds.y.tolist() == labels
+                and ds.participant_ids == pids and ds.demographics == demo)
+
+    outcomes = []
+    for i in range(120):
+        n, d = int(rng.integers(1, 8)), int(rng.integers(0, 9))
+        feats = [f"f{j}" for j in range(d)]
+        demo = [c for c in DEMOGRAPHIC_COLUMNS if rng.random() < 0.6]
+        header = ["participant_id", "label"] + demo + feats
+        rng.shuffle(header)
+        data = []
+        for r in range(n):
+            cells = {"participant_id": f"p{r:03d}", "label": ("0", "1", "1.0")[r % 3],
+                     "cohort": "clinic", "sex": ("female", "male", "")[r % 3],
+                     "ethnicity": "group a", "age": ("63", "58.5", "")[r % 3],
+                     "disease_duration": _cell_texts([rng.uniform(0, 9)], rng)[0]}
+            cells.update(zip(feats, _cell_texts(rng.normal(size=d), rng)))
+            data.append([cells[h] for h in header])
+        path = tmp_path / f"t{i}.csv"
+        _write_messy_csv(path, [header] + data, rng)
+        outcomes.append(_check_against_reference(read_feature_table,
+                                                 _reference_table, path, same))
+        _corrupt(header, data, ["participant_id", "label"] + demo + feats, rng,
+                 ("oops", "", "1.2.3", "0x1"))
+        bad = tmp_path / f"t{i}_bad.csv"
+        _write_messy_csv(bad, [header] + data, rng)
+        outcomes.append(_check_against_reference(read_feature_table,
+                                                 _reference_table, bad, same))
+    kinds = {k for k in outcomes if k != "ok"}
+    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn}
+    print(f"PASS feature table oracle: {len(outcomes)} files "
+          f"({outcomes.count('ok')} read, the rest rejected at the same "
+          f"cell as the reference)")
 
 
 # --- numeric invariants ----------------------------------------------------------------

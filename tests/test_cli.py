@@ -213,6 +213,46 @@ def test_sweep_grid_produces_sorted_leaderboard(sim_table, tmp_path,
     assert all(len(r["config_id"]) == 10 for r in rows)
 
 
+def _set_cell(path, row, col, value):
+    """Overwrite one cell of a csv; ``row`` counts data rows from 0."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row + 1][rows[0].index(col)] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_featurize_rejects_non_finite_landmark(manifest_corpus, tmp_path, capsys):
+    _set_cell(manifest_corpus.parent / "p02_smile_lm.csv", 2, "p468_x", "nan")
+    rc = main(["featurize", "--manifest", str(manifest_corpus),
+               "--out", str(tmp_path / "features.csv")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "OutOfRange"
+    assert "row 2" in err["message"] and "'p468_x'" in err["message"]
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_train_and_predict_reject_non_finite_feature(sim_table, tmp_path,
+                                                     fast_config_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config",
+                 fast_config_path, "--out", str(model), "--seed", "1"]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(open(sim_table, "rb").read())
+    feature = read_feature_table(bad).feature_names[1]
+    _set_cell(bad, 4, feature, "inf")
+    capsys.readouterr()
+    for argv in (["train", "--features", str(bad), "--config", fast_config_path,
+                  "--out", str(tmp_path / "m2.json"), "--seed", "1"],
+                 ["predict", "--model", str(model), "--features", str(bad),
+                  "--out", str(tmp_path / "p.csv")]):
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "OutOfRange"
+        assert "row 4" in err["message"] and repr(feature) in err["message"]
+
+
 def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
     # argparse rejection: missing required --out
     assert main(["simulate", "--n", "5"]) == 2

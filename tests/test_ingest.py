@@ -96,18 +96,40 @@ def test_au_csv_rows_sorted_by_frame(tmp_path):
     ("2", "AU01_c", OutOfRange),
     ("oops", "AU01_r", NonNumericCell),
     ("1.2", "confidence", OutOfRange),
+    ("nan", "frame", OutOfRange),
 ])
 def test_au_csv_cell_validation(tmp_path, cell, col, exc):
     rng = np.random.default_rng(4)
     path = tmp_path / "a.csv"
     write_au_file(path, SMILE_AUS, 3, rng)
-    rows = list(csv.reader(open(path)))
+    _check_cell_rejected(path, lambda p: parse_au_csv(p, "smile"), cell, col, exc)
+
+
+@pytest.mark.parametrize("cell,col,exc", [
+    ("oops", "p000_x", NonNumericCell),
+    ("", "p321_y", NonNumericCell),
+    ("nan", "p468_x", OutOfRange),
+    ("-inf", "p477_z", OutOfRange),
+    ("inf", "frame", OutOfRange),
+    ("1e", "frame", NonNumericCell),
+])
+def test_landmark_csv_cell_validation(tmp_path, cell, col, exc):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "lm.csv"
+    write_landmark_file(path, 3, rng)
+    _check_cell_rejected(path, parse_landmark_series, cell, col, exc)
+
+
+def _check_cell_rejected(path, parse, cell, col, exc):
+    """Put ``cell`` in column ``col`` of data row 1; ``parse`` must name it."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     pos = rows[0].index(col)
     rows[2][pos] = cell
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     with pytest.raises(exc) as err:
-        parse_au_csv(path, "smile")
+        parse(path)
     assert err.value.row == 1  # 0-based data-row index
     assert err.value.col == col
 
