@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.  Every
 failure writes a single-line JSON record to stderr so callers can parse it.
-Worker-pool width is taken from the ``HYPOSCREEN_THREADS`` environment
-variable; all outputs are byte-identical regardless of its value.
+The ``HYPOSCREEN_THREADS`` environment variable sets how many worker threads
+run the repeated cross-validation of ``cv`` and ``sweep`` (default 1); all
+outputs are byte-identical regardless of its value.  The work holds the
+interpreter lock, so more threads make it slower, not faster.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -17,14 +18,21 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataset
 from .config import PipelineConfig, load_config
 from .dataset import CONTINUOUS_DEMOGRAPHICS, read_feature_table, write_feature_table
-from .ensemble import ensemble_predict, load_ensemble, save_ensemble, train_pipeline
-from .errors import DataError, HyposcreenError, MissingFeature, UsageError
+from .ensemble import (
+    ensemble_predict,
+    input_columns,
+    load_ensemble,
+    save_ensemble,
+    train_pipeline,
+)
+from .errors import DataError, HyposcreenError, MissingCell, MissingColumn, UsageError
 from .evaluate import run_cross_validation, summarize_bootstrap
 from .explain import pca_project, silhouette_score, tree_shap
 from .featurize import feature_names as canonical_feature_names
-from .ingest import EXPRESSIONS, parse_manifest
+from .ingest import EXPRESSIONS, cell_float, csv_rows, parse_manifest
 from .parallel import parallel_map
 from .preprocess import apply_scaler
 from .reports import (
@@ -61,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
 
 # --- shared helpers --------------------------------------------------------------
 
-def _load_dataset(path):
-    return read_feature_table(path)
-
-
 def _expression_columns(feature_cols) -> dict:
     """Map expression -> its columns, for tables with canonical names."""
     out = {}
@@ -89,23 +93,18 @@ def _apply_expression_filter(ds, config: PipelineConfig):
 
 
 def _read_predictions(path):
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"predictions file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if len(rows) < 2:
-        raise DataError(f"no prediction rows in {path}")
-    header = rows[0]
-    try:
-        pid_i = header.index("participant_id")
-        score_i = header.index("score")
-    except ValueError:
-        raise DataError("predictions need participant_id and score columns") from None
+    """Participant ids and finite scores of a predictions csv."""
     ids, scores = [], []
-    for cells in rows[1:]:
-        ids.append(cells[pid_i])
-        scores.append(float(cells[score_i]))
+    with csv_rows(path) as (header, rows):
+        pos = {h: i for i, h in enumerate(header)}
+        for col in ("participant_id", "score"):
+            if col not in pos:
+                raise MissingColumn(col)
+        for r, cells in enumerate(rows):
+            if pos["participant_id"] >= len(cells):
+                raise MissingCell(r, "participant_id")
+            ids.append(cells[pos["participant_id"]])
+            scores.append(cell_float(cells, r, pos["score"], "score"))
     return ids, np.array(scores)
 
 
@@ -116,13 +115,18 @@ def _parse_float_list(text: str) -> list:
         raise UsageError(f"cannot parse numeric list {text!r}") from None
 
 
-def _config_from(args) -> PipelineConfig:
-    cfg = load_config(getattr(args, "config", None))
-    return cfg
-
-
 def _seed_from(args, cfg: PipelineConfig) -> int:
     return cfg.seed if args.seed is None else args.seed
+
+
+def _repeated_cv(ds, cfg: PipelineConfig, folds: int, n_seeds: int, master: int):
+    """One full cross-validation per seed, and their bootstrap summary."""
+    def one(s: int):
+        return run_cross_validation(ds, cfg, k=folds,
+                                    seed=child_seed(master, "bootstrap", s))
+
+    results = parallel_map(one, range(n_seeds))
+    return results, summarize_bootstrap([r.pooled for r in results])
 
 
 # --- subcommand handlers ------------------------------------------------------------
@@ -130,24 +134,18 @@ def _seed_from(args, cfg: PipelineConfig) -> int:
 def _cmd_featurize(args) -> int:
     manifest = parse_manifest(args.manifest)
     expressions = args.expressions.split(",") if args.expressions else None
-    ds = build_feature_table_cli(manifest, expressions, args.index_map,
-                                 args.min_confidence)
+    ds = dataset.build_feature_table(manifest, expressions=expressions,
+                                     index_map_path=args.index_map,
+                                     min_confidence=args.min_confidence)
     write_feature_table(ds, args.out)
     print(f"featurized {ds.n_rows} participants x {len(ds.feature_names)} features"
           f" -> {args.out}")
     return 0
 
 
-def build_feature_table_cli(manifest, expressions, index_map, min_confidence):
-    from .dataset import build_feature_table
-    return build_feature_table(manifest, expressions=expressions,
-                               index_map_path=index_map,
-                               min_confidence=min_confidence)
-
-
 def _cmd_train(args) -> int:
-    cfg = _config_from(args)
-    ds = _apply_expression_filter(_load_dataset(args.features), cfg)
+    cfg = load_config(args.config)
+    ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     seed = _seed_from(args, cfg)
     ensemble, _ = train_pipeline(ds, cfg, seed=seed)
     save_ensemble(ensemble, args.out)
@@ -158,18 +156,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    cfg = _config_from(args)
-    ds = _apply_expression_filter(_load_dataset(args.features), cfg)
+    cfg = load_config(args.config)
+    ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     folds = args.folds or cfg.cv_folds
     n_seeds = args.seeds or cfg.bootstrap_seeds
     master = _seed_from(args, cfg)
-
-    def one(s: int):
-        return run_cross_validation(ds, cfg, k=folds,
-                                    seed=child_seed(master, "bootstrap", s))
-
-    results = parallel_map(one, range(n_seeds))
-    summary = summarize_bootstrap([r.pooled for r in results])
+    results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
     report = {
         "n_rows": ds.n_rows,
         "n_features": len(ds.feature_names),
@@ -200,7 +192,7 @@ def _cmd_cv(args) -> int:
 
 def _cmd_predict(args) -> int:
     ensemble = load_ensemble(args.model)
-    ds = _load_dataset(args.features)
+    ds = read_feature_table(args.features)
     scores = ensemble_predict(ensemble, ds.X, ds.feature_names)
     write_predictions_csv(ds.participant_ids, scores, args.out,
                           threshold=ensemble.threshold, labels=ds.y)
@@ -210,7 +202,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_bias(args) -> int:
     ids, scores = _read_predictions(args.preds)
-    ds = _load_dataset(args.features)
+    ds = read_feature_table(args.features)
     index = {pid: i for i, pid in enumerate(ds.participant_ids)}
     rows = []
     for pid in ids:
@@ -237,12 +229,8 @@ def _cmd_bias(args) -> int:
 
 def _cmd_explain(args) -> int:
     ensemble = load_ensemble(args.model)
-    ds = _load_dataset(args.features)
-    for nm in ensemble.feature_names:
-        if nm not in ds.feature_names:
-            raise MissingFeature(nm)
-    cols = [ds.feature_names.index(nm) for nm in ensemble.feature_names]
-    raw = ds.X[:, cols]
+    ds = read_feature_table(args.features)
+    raw = ds.X[:, input_columns(ensemble, ds.feature_names)]
     scaled = apply_scaler(ensemble.scaler, raw)
     model = ensemble.base_models[0]  # strongest candidate by inner-CV AUROC
     n_rows = ds.n_rows if args.max_rows is None else min(args.max_rows, ds.n_rows)
@@ -259,7 +247,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    ds = _load_dataset(args.features)
+    ds = read_feature_table(args.features)
     proj = pca_project(ds.X, n_components=2)
     write_projection_csv(ds.participant_ids, proj.coords, ds.y, args.out)
 
@@ -297,7 +285,7 @@ def _config_id(doc: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    base = _config_from(args)
+    base = load_config(args.config)
     if args.preset == "expressions":
         overrides = [{"expressions": list(sub)} for sub in EXPRESSION_SUBSETS]
     elif args.grid:
@@ -307,7 +295,7 @@ def _cmd_sweep(args) -> int:
             raise DataError("grid must be a list of config overrides")
     else:
         raise UsageError("sweep needs --grid or --preset")
-    ds_full = _load_dataset(args.features)
+    ds_full = read_feature_table(args.features)
     master = _seed_from(args, base)
 
     entries = []
@@ -318,10 +306,7 @@ def _cmd_sweep(args) -> int:
         ds = _apply_expression_filter(ds_full, cfg)
         folds = args.folds or cfg.cv_folds
         n_seeds = args.seeds or cfg.bootstrap_seeds
-        results = [run_cross_validation(ds, cfg, k=folds,
-                                        seed=child_seed(master, "bootstrap", s))
-                   for s in range(n_seeds)]
-        summary = summarize_bootstrap([r.pooled for r in results])
+        _, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
         au = summary.metrics.get("auroc") or {}
         acc = summary.metrics.get("accuracy") or {}
         entries.append({

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DataError
@@ -96,29 +96,7 @@ class PipelineConfig:
         return [self.candidate_params(e) for e in self.ensemble.grid]
 
     def to_dict(self) -> dict:
-        return {
-            "expressions": list(self.expressions),
-            "scaler": self.scaler,
-            "selection": {
-                "method": self.selection.method,
-                "n_target": self.selection.n_target,
-                "inner_folds": self.selection.inner_folds,
-                "improvement_eps": self.selection.improvement_eps,
-            },
-            "smote": {
-                "enabled": self.smote.enabled,
-                "k_neighbors": self.smote.k_neighbors,
-            },
-            "ensemble": {
-                "m": self.ensemble.m,
-                "inner_folds": self.ensemble.inner_folds,
-                "grid": [dict(g) for g in self.ensemble.grid],
-            },
-            "cv_folds": self.cv_folds,
-            "bootstrap_seeds": self.bootstrap_seeds,
-            "threshold": self.threshold,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":

@@ -16,7 +16,7 @@ from .errors import (
     OutOfRange,
 )
 from .featurize import featurize_recording, load_index_map
-from .ingest import Manifest, csv_rows, float_block, load_recording
+from .ingest import Manifest, cell_float, csv_rows, float_block, load_recording
 
 META_COLUMNS = ("participant_id", "label", "cohort", "sex", "age",
                 "ethnicity", "disease_duration")
@@ -77,17 +77,10 @@ def build_feature_table(manifest: Manifest, expressions=None,
                         min_confidence: float | None = None) -> LabeledDataset:
     """Featurize every participant in the manifest, in manifest order."""
     index_map = load_index_map(index_map_path)
-    by_pid = manifest.by_participant()
-    order = []
-    for e in manifest.entries:
-        if e.participant_id not in order:
-            order.append(e.participant_id)
-
     names = None
     rows, labels, pids = [], [], []
     demo = {k: [] for k in DEMOGRAPHIC_COLUMNS}
-    for pid in order:
-        entries = by_pid[pid]
+    for pid, entries in manifest.by_participant().items():
         series = {}
         for expr, entry in entries.items():
             series[expr] = load_recording(entry, manifest.base_dir,
@@ -167,25 +160,18 @@ def read_feature_table(path) -> LabeledDataset:
 
 def _read_meta(cells, r, pos, meta) -> None:
     """Append row ``r``'s participant id, label and demographics to ``meta``."""
-    for col in ("participant_id", "label"):
-        if pos[col] >= len(cells):
-            raise MissingCell(r, col)
+    if pos["participant_id"] >= len(cells):
+        raise MissingCell(r, "participant_id")
     meta["participant_id"].append(cells[pos["participant_id"]])
-    try:
-        meta["label"].append(int(float(cells[pos["label"]])))
-    except ValueError:
-        raise NonNumericCell(r, "label") from None
+    label = cell_float(cells, r, pos["label"], "label")
+    if label not in (0.0, 1.0):
+        raise OutOfRange(r, "label", label)
+    meta["label"].append(int(label))
     for col in DEMOGRAPHIC_COLUMNS:
         if col not in pos or pos[col] >= len(cells) or cells[pos[col]] == "":
             meta[col].append(None)
         elif col in CONTINUOUS_DEMOGRAPHICS:
-            try:
-                v = float(cells[pos[col]])
-            except ValueError:
-                raise NonNumericCell(r, col) from None
-            if not math.isfinite(v):
-                raise OutOfRange(r, col, v)
-            meta[col].append(v)
+            meta[col].append(cell_float(cells, r, pos[col], col))
         else:
             meta[col].append(cells[pos[col]])
 

@@ -96,17 +96,18 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
         raise MTooLarge(m, len(candidates))
     plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "stack-folds"))
 
+    def training_set(Xt, yt, *key):
+        if not smote_enabled:
+            return Xt, yt, 0
+        return balance_training_set(Xt, yt, k_neighbors=smote_k,
+                                    seed=child_seed(seed, *key))
+
     # per-fold training sets, oversampled independently of the held-out rows
     fold_train = []
     inner_synthetic = []
     for fold in range(plan.k):
         tr, _ = plan.fold_indices(fold)
-        if smote_enabled:
-            Xa, ya, n_syn = balance_training_set(
-                X[tr], y[tr], k_neighbors=smote_k,
-                seed=child_seed(seed, "stack-smote", fold))
-        else:
-            Xa, ya, n_syn = X[tr], y[tr], 0
+        Xa, ya, n_syn = training_set(X[tr], y[tr], "stack-smote", fold)
         fold_train.append((Xa, ya))
         inner_synthetic.append(int(n_syn))
 
@@ -124,11 +125,7 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
     kept = select_top_models(scores, m)
     meta = fit_logistic(oof[:, kept], y, l2_strength=1.0)
 
-    if smote_enabled:
-        Xf, yf, n_syn_final = balance_training_set(
-            X, y, k_neighbors=smote_k, seed=child_seed(seed, "final-smote"))
-    else:
-        Xf, yf, n_syn_final = X, y, 0
+    Xf, yf, n_syn_final = training_set(X, y, "final-smote")
     base_models = [fit_histgbm(Xf, yf, candidates[ci],
                                seed=child_seed(seed, "final", ci))
                    for ci in kept]
@@ -196,19 +193,22 @@ def train_pipeline(ds: LabeledDataset, config: PipelineConfig, seed: int = 0):
     return ensemble, audit
 
 
+def input_columns(ensemble: TrainedEnsemble, feature_names) -> list:
+    """Positions of the ensemble's features in ``feature_names``."""
+    feature_names = list(feature_names)
+    for nm in ensemble.feature_names:
+        if nm not in feature_names:
+            raise MissingFeature(nm)
+    return [feature_names.index(nm) for nm in ensemble.feature_names]
+
+
 def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names=None) -> np.ndarray:
     """Scale, subset, run the base models, and blend with the meta-layer."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if feature_names is not None:
-        feature_names = list(feature_names)
-        cols = []
-        for nm in ensemble.feature_names:
-            if nm not in feature_names:
-                raise MissingFeature(nm)
-            cols.append(feature_names.index(nm))
-        X = X[:, cols]
+        X = X[:, input_columns(ensemble, feature_names)]
     elif X.shape[1] != len(ensemble.feature_names):
         raise MissingFeature(
             f"expected {len(ensemble.feature_names)} columns, got {X.shape[1]}")

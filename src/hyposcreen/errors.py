@@ -250,12 +250,6 @@ class SingleCluster(DataError):
         super().__init__("silhouette requires at least two distinct labels")
 
 
-class NonConvergence(InternalError):
-    def __init__(self, iterations):
-        super().__init__(f"iteration failed to converge after {iterations} steps")
-        self.iterations = iterations
-
-
 class ReportError(DataError):
     def __init__(self, detail):
         super().__init__(f"cannot emit report: {detail}")

@@ -8,7 +8,7 @@ per-fold means are reported alongside.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -228,8 +228,7 @@ class BootstrapSummary:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"n_seeds": self.n_seeds, "level": self.level,
-                "metrics": self.metrics}
+        return asdict(self)
 
 
 def summarize_bootstrap(per_seed_metrics: list, level: float = 0.95) -> BootstrapSummary:

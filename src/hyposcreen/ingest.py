@@ -15,7 +15,7 @@ import json
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     DuplicateEntry,
     EmptyFile,
     LengthMismatch,
+    MissingCell,
     MissingColumn,
     MissingFile,
     NonNumericCell,
@@ -101,14 +102,7 @@ class ValidationReport:
     low_confidence_frames: int | None  # None when no confidence track
 
     def to_dict(self) -> dict:
-        return {
-            "participant_id": self.participant_id,
-            "expression": self.expression,
-            "frame_count": self.frame_count,
-            "active_fraction": dict(self.active_fraction),
-            "zero_active": list(self.zero_active),
-            "low_confidence_frames": self.low_confidence_frames,
-        }
+        return asdict(self)
 
 
 # --- manifest -------------------------------------------------------------
@@ -117,11 +111,11 @@ _REQUIRED_FIELDS = ("participant_id", "expression", "au_path", "landmark_path", 
 _OPTIONAL_FIELDS = ("cohort", "sex", "age", "ethnicity", "disease_duration")
 
 
-def parse_manifest(path, check_paths: bool = True) -> Manifest:
+def parse_manifest(path) -> Manifest:
     """Load and validate a manifest JSON file.
 
     Referenced csv paths are resolved relative to the manifest's directory
-    and must exist when ``check_paths`` is set.
+    and must exist.
     """
     path = Path(path)
     if not path.exists():
@@ -174,10 +168,9 @@ def parse_manifest(path, check_paths: bool = True) -> Manifest:
             ethnicity=raw.get("ethnicity"),
             disease_duration=None if dur is None else float(dur),
         )
-        if check_paths:
-            for p in (entry.au_path, entry.landmark_path):
-                if not (base / p).exists():
-                    raise MissingFile(base / p)
+        for p in (entry.au_path, entry.landmark_path):
+            if not (base / p).exists():
+                raise MissingFile(base / p)
         entries.append(entry)
     return Manifest(entries=entries, base_dir=base)
 
@@ -243,9 +236,10 @@ def float_block(rows, positions, width=None) -> np.ndarray | None:
     return flat.reshape(n, k)
 
 
-def _cell_float(row_cells, row_idx, pos, name) -> float:
+def cell_float(row_cells, row_idx, pos, name) -> float:
+    """The finite number in cell ``pos`` of data row ``row_idx``."""
     if pos >= len(row_cells):
-        raise MissingColumn(name)
+        raise MissingCell(row_idx, name)
     try:
         v = float(row_cells[pos])
     except ValueError:
@@ -282,18 +276,18 @@ def parse_au_csv(path, expression, participant_id: str = "") -> RecordingSeries:
     activation = {au: np.empty(n, dtype=np.uint8) for au in aus}
     conf = np.empty(n) if has_conf else None
     for r, cells in enumerate(data):
-        frames[r] = _cell_float(cells, r, pos["frame"], "frame")
+        frames[r] = cell_float(cells, r, pos["frame"], "frame")
         for au in aus:
-            v = _cell_float(cells, r, pos[au + "_r"], au + "_r")
+            v = cell_float(cells, r, pos[au + "_r"], au + "_r")
             if not 0.0 <= v <= 5.0:
                 raise OutOfRange(r, au + "_r", v)
             intensity[au][r] = v
-            a = _cell_float(cells, r, pos[au + "_c"], au + "_c")
+            a = cell_float(cells, r, pos[au + "_c"], au + "_c")
             if a not in (0.0, 1.0):
                 raise OutOfRange(r, au + "_c", a)
             activation[au][r] = int(a)
         if has_conf:
-            c = _cell_float(cells, r, pos["confidence"], "confidence")
+            c = cell_float(cells, r, pos["confidence"], "confidence")
             if not 0.0 <= c <= 1.0:
                 raise OutOfRange(r, "confidence", c)
             conf[r] = c
@@ -379,7 +373,7 @@ def _landmark_cells(path, positions, names) -> np.ndarray:
             complete = sum(p < len(cells) for p in positions[1:]) // 3
             raise RaggedFrame(r, complete)
         for j, p in enumerate(positions):
-            out[r, j] = _cell_float(cells, r, p, names[j])
+            out[r, j] = cell_float(cells, r, p, names[j])
     return out
 
 

@@ -5,15 +5,13 @@ from .histboost import (
     BoostedModel,
     Tree,
     fit_histgbm,
-    load_model,
     predict_proba,
     predict_raw,
-    save_model,
 )
 
 __all__ = [
     "LogisticModel", "fit_logistic", "logistic_objective", "predict_proba_logistic",
     "BinMapper", "bin_matrix", "fit_bins",
     "BoostParams", "BoostedModel", "Tree", "fit_histgbm",
-    "predict_raw", "predict_proba", "save_model", "load_model",
+    "predict_raw", "predict_proba",
 ]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,16 +52,7 @@ class BoostParams:
             raise DegenerateParams("feature_fraction must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "learning_rate": self.learning_rate,
-            "max_leaves": self.max_leaves,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "l2_leaf": self.l2_leaf,
-            "max_bins": self.max_bins,
-            "feature_fraction": self.feature_fraction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostParams":
@@ -318,17 +308,3 @@ def predict_raw(model: BoostedModel, X) -> np.ndarray:
 
 def predict_proba(model: BoostedModel, X) -> np.ndarray:
     return sigmoid(predict_raw(model, X))
-
-
-def save_model(model: BoostedModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
-
-
-def load_model(path) -> BoostedModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(str(exc)) from exc
-    return BoostedModel.from_dict(doc)

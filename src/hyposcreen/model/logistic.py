@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, EmptyMatrix, SingleClass
-from ..util import sigmoid
+from ..util import expit, sigmoid
 
 
 @dataclass
@@ -36,16 +36,6 @@ class LogisticModel:
                    n_iterations=int(d["n_iterations"]))
 
 
-def _expit(z: np.ndarray) -> np.ndarray:
-    # unclipped, for exact gradients
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def logistic_objective(weights, intercept, X, y, l2_strength):
     """Penalized negative log-likelihood and its gradient.
 
@@ -57,7 +47,7 @@ def logistic_objective(weights, intercept, X, y, l2_strength):
     z = X @ w + intercept
     value = float(np.sum(np.logaddexp(0.0, z) - y * z)
                   + 0.5 * l2_strength * np.dot(w, w))
-    p = _expit(z)
+    p = expit(z)
     grad_w = X.T @ (p - y) + l2_strength * w
     grad_b = float(np.sum(p - y))
     return value, grad_w, grad_b
@@ -95,7 +85,7 @@ def fit_logistic(X, y, l2_strength: float = 1.0, tol: float = 1e-8,
             it -= 1
             break
         z = X @ w + b
-        p = _expit(z)
+        p = expit(z)
         r = p * (1.0 - p)
         Xa = np.hstack([X, np.ones((n, 1))])
         H = (Xa * r[:, None]).T @ Xa

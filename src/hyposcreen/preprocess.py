@@ -86,15 +86,9 @@ def apply_scaler(scaler: FittedScaler, X: np.ndarray,
         raise WidthMismatch(len(scaler.feature_names), X.shape[1])
     if scaler.kind == "none":
         return X.copy()
-    if scaler.kind == "minmax":
-        span = scaler.hi - scaler.lo
-        safe = np.where(span == 0.0, 1.0, span)
-        out = (X - scaler.lo) / safe
-        out[:, span == 0.0] = 0.0
-        return out
-    sd = np.where(scaler.hi == 0.0, 1.0, scaler.hi)
-    out = (X - scaler.lo) / sd
-    out[:, scaler.hi == 0.0] = 0.0
+    scale = scaler.hi - scaler.lo if scaler.kind == "minmax" else scaler.hi
+    out = (X - scaler.lo) / np.where(scale == 0.0, 1.0, scale)
+    out[:, scale == 0.0] = 0.0
     return out
 
 

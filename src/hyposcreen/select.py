@@ -8,7 +8,7 @@ addition walks a one-shot global importance ranking best-first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,7 @@ class FeatureRanking:
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "selected": list(self.selected),
-                "scores": {k: float(v) for k, v in self.scores.items()},
-                "trace": list(self.trace)}
+        return asdict(self)
 
 
 def rank_features_lr(X, y, feature_names, n_target: int | None = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -377,9 +377,7 @@ class RateCI:
     preconditions_met: bool
 
     def to_dict(self) -> dict:
-        return {"point": self.point, "lo": self.lo, "hi": self.hi,
-                "half_width": self.half_width,
-                "preconditions_met": self.preconditions_met}
+        return asdict(self)
 
 
 def _z_for_level(level: float) -> float:
@@ -436,15 +434,7 @@ class BiasReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "group_column": self.group_column,
-            "group_kind": self.group_kind,
-            "groups": self.groups,
-            "comparisons": self.comparisons,
-            "homogeneity": self.homogeneity,
-            "rank_association": self.rank_association,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _error_indicators(labels: np.ndarray, predicted: np.ndarray):

@@ -32,21 +32,20 @@ def child_seed(master: int, *keys) -> int:
     return int(ss.generate_state(1)[0]) % _SEED_MOD
 
 
-def rng_for(master: int, *keys) -> np.random.Generator:
-    """Generator seeded from :func:`child_seed`."""
-    return np.random.default_rng(child_seed(master, *keys))
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, strictly inside (0, 1)."""
+def expit(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, unclipped for exact gradients."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    # keep probabilities strictly inside the open interval
-    return np.clip(out, 1e-15, 1.0 - 1e-15)
+    return out
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """:func:`expit` clipped strictly inside (0, 1)."""
+    return np.clip(expit(z), 1e-15, 1.0 - 1e-15)
 
 
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:

@@ -416,10 +416,10 @@ def _reference_table(path):
             if where[name] >= len(row):
                 raise MissingCell(r, name)
         pids.append(row[where["participant_id"]])
-        try:
-            labels.append(int(float(row[where["label"]])))
-        except ValueError:
-            raise NonNumericCell(r, "label") from None
+        label = _checked_float(row[where["label"]], r, "label")
+        if label not in (0.0, 1.0):
+            raise OutOfRange(r, "label", label)
+        labels.append(int(label))
         for c in DEMOGRAPHIC_COLUMNS:
             text = row[where[c]] if c in where and where[c] < len(row) else ""
             if text == "":

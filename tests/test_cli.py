@@ -192,18 +192,24 @@ def test_bias_command_categorical_and_binned(sim_table, tmp_path,
 
 
 def test_sweep_grid_produces_sorted_leaderboard(sim_table, tmp_path,
-                                                fast_config_path, capsys):
+                                                fast_config_path, monkeypatch,
+                                                capsys):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps([
         {"scaler": "minmax"},
         {"scaler": "standard"},
     ]))
-    board_path = tmp_path / "board.csv"
-    assert main(["sweep", "--features", sim_table, "--config",
-                 fast_config_path, "--grid", str(grid_path), "--folds", "3",
-                 "--seeds", "1", "--seed", "4", "--out",
-                 str(board_path)]) == 0
-    assert "best:" in capsys.readouterr().out
+    boards = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("HYPOSCREEN_THREADS", threads)
+        board_path = tmp_path / f"board{threads}.csv"
+        assert main(["sweep", "--features", sim_table, "--config",
+                     fast_config_path, "--grid", str(grid_path), "--folds", "3",
+                     "--seeds", "2", "--seed", "4", "--out",
+                     str(board_path)]) == 0
+        assert "best:" in capsys.readouterr().out
+        boards.append(board_path.read_bytes())
+    assert boards[0] == boards[1]
     with open(board_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -251,6 +257,27 @@ def test_train_and_predict_reject_non_finite_feature(sim_table, tmp_path,
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "OutOfRange"
         assert "row 4" in err["message"] and repr(feature) in err["message"]
+
+
+@pytest.mark.parametrize("bad_row, error, column", [
+    ("p03,high", "NonNumericCell", "score"),
+    ("p03", "MissingCell", "score"),
+    ("p03,nan", "OutOfRange", "score"),
+])
+def test_bias_rejects_bad_prediction_rows(sim_table, tmp_path, capsys, bad_row,
+                                          error, column):
+    ids = read_feature_table(sim_table).participant_ids[:6]
+    rows = [f"{pid},0.{i}" for i, pid in enumerate(ids)]
+    rows[3] = bad_row.replace("p03", ids[3])
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "\n".join(rows) + "\n")
+    rc = main(["bias", "--preds", str(preds), "--features", sim_table,
+               "--group", "sex", "--out", str(tmp_path / "bias.json")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == error
+    assert "row 3" in err["message"] and repr(column) in err["message"]
+    assert not (tmp_path / "bias.json").exists()
 
 
 def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):

@@ -13,7 +13,14 @@ from hyposcreen.dataset import (
     read_feature_table,
     write_feature_table,
 )
-from hyposcreen.errors import DataError, EmptyFile, MissingColumn, MissingFile, NonNumericCell
+from hyposcreen.errors import (
+    DataError,
+    EmptyFile,
+    MissingColumn,
+    MissingFile,
+    NonNumericCell,
+    OutOfRange,
+)
 from hyposcreen.featurize import feature_names
 from hyposcreen.ingest import parse_manifest
 
@@ -142,3 +149,14 @@ def test_read_feature_table_errors(tmp_path):
     with pytest.raises(NonNumericCell):
         read_feature_table(p4)
     assert "age" in CONTINUOUS_DEMOGRAPHICS
+
+
+@pytest.mark.parametrize("label", ["0.5", "inf", "nan", "2", "-1"])
+def test_read_feature_table_label_must_be_binary(tmp_path, label):
+    path = tmp_path / "t.csv"
+    path.write_text(f"participant_id,label,f0\na,1.0,1.0\nb,0.0,2.0\nc,{label},3.0\n")
+    with pytest.raises(OutOfRange) as err:
+        read_feature_table(path)
+    assert (err.value.row, err.value.col) == (2, "label")
+    path.write_text("participant_id,label,f0\na,1.0,1.0\nb,0.0,2.0\nc,1,3.0\n")
+    assert read_feature_table(path).y.tolist() == [1, 0, 1]

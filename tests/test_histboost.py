@@ -11,10 +11,8 @@ from hyposcreen.model.histboost import (
     BoostedModel,
     build_histograms,
     fit_histgbm,
-    load_model,
     predict_proba,
     predict_raw,
-    save_model,
 )
 from hyposcreen.util import sigmoid
 
@@ -242,24 +240,18 @@ def test_feature_fraction_subsampling_is_deterministic():
     assert used  # it still found splits on the sampled features
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip():
     rng = np.random.default_rng(60)
     X = rng.normal(size=(80, 3))
     y = (rng.random(80) < sigmoid(X[:, 1])).astype(float)
     model = fit_histgbm(X, y, BoostParams(n_trees=4, min_samples_leaf=5), seed=3)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
+    doc = json.loads(json.dumps(model.to_dict(), sort_keys=True))
+    back = BoostedModel.from_dict(doc)
     assert np.array_equal(predict_raw(back, X), predict_raw(model, X))
-    doc = json.loads(path.read_text())
     assert doc["schema_version"] == 1 and doc["kind"] == "histgbm"
-    doc["schema_version"] = 99
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ArtifactError):
-        load_model(bad)
-    with pytest.raises(ArtifactError):
-        load_model(tmp_path / "missing.json")
+    for key, bad in (("schema_version", 99), ("kind", "forest")):
+        with pytest.raises(ArtifactError):
+            BoostedModel.from_dict({**doc, key: bad})
 
 
 def test_fit_errors_and_param_validation():

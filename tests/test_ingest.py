@@ -10,6 +10,7 @@ from hyposcreen.errors import (
     DuplicateEntry,
     EmptyFile,
     LengthMismatch,
+    MissingCell,
     MissingColumn,
     MissingFile,
     NonNumericCell,
@@ -146,6 +147,17 @@ def test_au_csv_missing_column(tmp_path):
     with pytest.raises(MissingColumn) as err:
         parse_au_csv(path, "smile")
     assert err.value.name == "AU12_c"
+
+
+def test_au_csv_short_row(tmp_path):
+    path = tmp_path / "a.csv"
+    write_au_file(path, SMILE_AUS, 3, np.random.default_rng(4))
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3])  # frame, AU01_r, AU01_c
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MissingCell) as err:
+        parse_au_csv(path, "smile")
+    assert (err.value.row, err.value.col) == (1, "AU06_r")
 
 
 def test_au_csv_empty_and_missing(tmp_path):

@@ -1,0 +1,50 @@
+"""The benchmark's tracer must find and wrap every traced name.
+
+``perfbench/trace_cli.py`` replaces module attributes (``cli.parallel_map``,
+``dataset.build_feature_table`` ...) with timed wrappers.  A deleted name
+makes it fail, and a name that its caller binds at import time yields no
+span; either way this test fails before the benchmark does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hyposcreen.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _traced(tmp_path, tag, args) -> set:
+    spans = tmp_path / f"{tag}_spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), HYPOSCREEN_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_cli.py"), str(spans),
+         "--"] + args, cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {span[1] for span in json.loads(spans.read_text())["spans"]}
+
+
+def test_trace_cli_records_every_layer_of_cv_and_featurize(tmp_path,
+                                                           manifest_corpus):
+    table = tmp_path / "table.csv"
+    assert main(["simulate", "--n", "12", "--dims", "3", "--seed", "1",
+                 "--out", str(table)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "selection": {"method": "none"},
+        "smote": {"k_neighbors": 3},
+        "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+            {"n_trees": 3, "max_leaves": 4, "min_samples_leaf": 4}]}}))
+    cv = _traced(tmp_path, "cv", [
+        "cv", "--features", str(table), "--config", str(config), "--folds", "2",
+        "--seeds", "1", "--out", str(tmp_path / "cv.json")])
+    featurize = _traced(tmp_path, "featurize", [
+        "featurize", "--manifest", str(manifest_corpus),
+        "--out", str(tmp_path / "features.csv")])
+    assert {"parallel.map", "evaluate.cv", "histboost.fit",
+            "preprocess.scaler"} <= cv
+    assert "dataset.build" in featurize

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyposcreen.parallel import ENV_VAR, parallel_map, worker_count
-from hyposcreen.util import child_seed, log_loss, rng_for, sigmoid
+from hyposcreen.util import child_seed, log_loss, sigmoid
 
 
 def test_child_seed_is_pure():
@@ -31,14 +31,6 @@ def test_child_seed_distinguishes_key_paths():
 def test_child_seed_range(master, key):
     s = child_seed(master, key)
     assert 0 <= s < 2**31 - 1
-
-
-def test_rng_for_reproducible_stream():
-    a = rng_for(7, "x").random(8)
-    b = rng_for(7, "x").random(8)
-    c = rng_for(7, "y").random(8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_sigmoid_matches_closed_form_and_stays_open():
