@@ -28,7 +28,14 @@ from .ensemble import (
     save_ensemble,
     train_pipeline,
 )
-from .errors import DataError, HyposcreenError, MissingCell, MissingColumn, UsageError
+from .errors import (
+    DataError,
+    DuplicateEntry,
+    HyposcreenError,
+    MissingCell,
+    MissingColumn,
+    UsageError,
+)
 from .evaluate import run_cross_validation, summarize_bootstrap
 from .explain import pca_project, silhouette_score, tree_shap
 from .featurize import feature_names as canonical_feature_names
@@ -93,8 +100,9 @@ def _apply_expression_filter(ds, config: PipelineConfig):
 
 
 def _read_predictions(path):
-    """Participant ids and finite scores of a predictions csv."""
+    """Participant ids, each listed once, and finite scores of a predictions csv."""
     ids, scores = [], []
+    seen = set()
     with csv_rows(path) as (header, rows):
         pos = {h: i for i, h in enumerate(header)}
         for col in ("participant_id", "score"):
@@ -103,7 +111,11 @@ def _read_predictions(path):
         for r, cells in enumerate(rows):
             if pos["participant_id"] >= len(cells):
                 raise MissingCell(r, "participant_id")
-            ids.append(cells[pos["participant_id"]])
+            pid = cells[pos["participant_id"]]
+            if pid in seen:
+                raise DuplicateEntry(pid, "predictions row")
+            seen.add(pid)
+            ids.append(pid)
             scores.append(cell_float(cells, r, pos["score"], "score"))
     return ids, np.array(scores)
 
@@ -117,6 +129,17 @@ def _parse_float_list(text: str) -> list:
 
 def _seed_from(args, cfg: PipelineConfig) -> int:
     return cfg.seed if args.seed is None else args.seed
+
+
+def _cv_counts(args, cfg: PipelineConfig) -> tuple[int, int]:
+    """``--folds`` and ``--seeds``, each defaulting to the config's value."""
+    folds = cfg.cv_folds if args.folds is None else args.folds
+    n_seeds = cfg.bootstrap_seeds if args.seeds is None else args.seeds
+    if folds < 2:
+        raise UsageError(f"--folds must be at least 2, got {folds}")
+    if n_seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {n_seeds}")
+    return folds, n_seeds
 
 
 def _repeated_cv(ds, cfg: PipelineConfig, folds: int, n_seeds: int, master: int):
@@ -158,8 +181,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     cfg = load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
-    folds = args.folds or cfg.cv_folds
-    n_seeds = args.seeds or cfg.bootstrap_seeds
+    folds, n_seeds = _cv_counts(args, cfg)
     master = _seed_from(args, cfg)
     results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
     report = {
@@ -304,8 +326,7 @@ def _cmd_sweep(args) -> int:
         merged.update(over)
         cfg = PipelineConfig.from_dict(merged)
         ds = _apply_expression_filter(ds_full, cfg)
-        folds = args.folds or cfg.cv_folds
-        n_seeds = args.seeds or cfg.bootstrap_seeds
+        folds, n_seeds = _cv_counts(args, cfg)
         _, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
         au = summary.metrics.get("auroc") or {}
         acc = summary.metrics.get("accuracy") or {}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +11,6 @@ from .errors import (
     DataError,
     MissingCell,
     MissingColumn,
-    NonNumericCell,
     OutOfRange,
 )
 from .featurize import featurize_recording, load_index_map
@@ -184,11 +182,5 @@ def _table_cells(path, pos, feat_cols) -> tuple[np.ndarray, dict]:
         for r, cells in enumerate(rows):
             _read_meta(cells, r, pos, meta)
             for name, i in feat_cols:
-                try:
-                    v = float(cells[i])
-                except (ValueError, IndexError):
-                    raise NonNumericCell(r, name) from None
-                if not math.isfinite(v):
-                    raise OutOfRange(r, name, v)
-                values.append(v)
+                values.append(cell_float(cells, r, i, name))
     return np.array(values).reshape(len(meta["label"]), len(feat_cols)), meta

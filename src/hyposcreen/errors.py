@@ -37,8 +37,8 @@ class SchemaViolation(DataError):
 
 
 class DuplicateEntry(DataError):
-    def __init__(self, key):
-        super().__init__(f"duplicate manifest entry for {key!r}")
+    def __init__(self, key, what="manifest entry"):
+        super().__init__(f"duplicate {what} for {key!r}")
         self.key = key
 
 

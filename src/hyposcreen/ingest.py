@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import operator
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -334,8 +335,9 @@ def parse_landmark_series(path, participant_id: str = "",
                           expression: str = "") -> RecordingSeries:
     """Parse one landmark track into a (frames, 478, 3) array.
 
-    The frame and coordinate cells are converted in one bulk pass.  A file
-    that fails it is read again by :func:`_landmark_cells`, which raises for
+    The cells are converted by numpy's C parser (:func:`_loadtxt_block`).  A
+    file it refuses goes through the ``float()`` bulk pass, and a file that
+    fails that too is read again by :func:`_landmark_cells`, which raises for
     the first bad cell in row order.
     """
     names = ["frame"] + _landmark_columns()
@@ -345,7 +347,9 @@ def parse_landmark_series(path, participant_id: str = "",
             if c not in pos:
                 raise MissingColumn(c)
         wanted = [pos[c] for c in names]
-        block = float_block(rows, wanted, width=len(header))
+        block = _loadtxt_block(path, wanted, len(header))
+        if block is None:
+            block = float_block(rows, wanted, width=len(header))
     if block is None:
         block = _landmark_cells(path, wanted, names)
 
@@ -357,6 +361,48 @@ def parse_landmark_series(path, participant_id: str = "",
         frame_count=n,
         landmarks=block[order, 1:].reshape(n, N_POINTS, 3),
     )
+
+
+# numpy's number parser strips these (the ASCII file, group, record and unit
+# separators) around a cell as whitespace; ``float()`` rejects them.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+# np.loadtxt opens a path with one of these suffixes through a decompressor;
+# csv_rows reads every path as plain text.
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+
+
+def _loadtxt_block(path, positions, width) -> np.ndarray | None:
+    """The columns at ``positions`` of every row after the first line, as
+    converted by ``np.loadtxt``.
+
+    numpy converts a cell with the same correctly rounded routine as
+    ``float()``, so the values are the same; it accepts fewer spellings (no
+    quotes, ``1_0`` or non-ASCII digits, no whitespace-only line, no blank
+    line before the header).  Returns None when numpy raises or warns, when
+    the file holds no row, when a row is not ``width`` cells long, when the
+    file holds a character only numpy takes for padding or has a suffix numpy
+    decompresses, or when a value at ``positions`` is not finite: the caller
+    then reads the file through the ``float()`` path, which accepts and
+    rejects exactly what it did before.
+    """
+    if Path(path).suffix in _DECOMPRESSED_SUFFIXES:
+        return None
+    try:
+        with open(path) as fh:  # decoded as csv_rows and np.loadtxt decode it
+            text = fh.read()
+        if any(c in text for c in _NOT_FLOAT_SPACE):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a path, not a file object: numpy then reads it in large chunks
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               dtype=float, ndmin=2)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    if len(table) == 0 or table.shape[1] != width:
+        return None
+    block = table[:, positions]
+    return block if np.isfinite(block).all() else None
 
 
 def _landmark_cells(path, positions, names) -> np.ndarray:

@@ -14,7 +14,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+import hyposcreen.ingest as ingest
 from hyposcreen.cli import main
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import DEMOGRAPHIC_COLUMNS, META_COLUMNS, read_feature_table
@@ -431,7 +433,7 @@ def _reference_table(path):
         values = []
         for name in feats:
             if where[name] >= len(row):
-                raise NonNumericCell(r, name)
+                raise MissingCell(r, name)
             values.append(_checked_float(row[where[name]], r, name))
         X.append(values)
     return feats, np.array(X).reshape(len(data), len(feats)), labels, pids, demo
@@ -513,13 +515,12 @@ def _check_against_reference(fast, slow, path, same):
     return want[0]
 
 
+def _same_landmarks(series, ref):
+    return series.landmarks.dtype == ref.dtype and np.array_equal(series.landmarks, ref)
+
+
 def test_landmark_bulk_parse_equals_cell_reference(tmp_path):
     rng = np.random.default_rng(210)
-
-    def same(series, ref):
-        return (series.landmarks.dtype == ref.dtype
-                and np.array_equal(series.landmarks, ref))
-
     outcomes = []
     for i in range(120):
         n = int(rng.integers(1, 4))
@@ -538,17 +539,177 @@ def test_landmark_bulk_parse_equals_cell_reference(tmp_path):
         path = tmp_path / f"lm{i}.csv"
         _write_messy_csv(path, [header] + data, rng)
         outcomes.append(_check_against_reference(parse_landmark_series,
-                                                 _reference_landmarks, path, same))
+                                                 _reference_landmarks, path,
+                                                 _same_landmarks))
         _corrupt(header, data, _LANDMARK_NAMES, rng, ("oops", "", "1.2.3", "0x1"))
         bad = tmp_path / f"lm{i}_bad.csv"
         _write_messy_csv(bad, [header] + data, rng)
         outcomes.append(_check_against_reference(parse_landmark_series,
-                                                 _reference_landmarks, bad, same))
+                                                 _reference_landmarks, bad,
+                                                 _same_landmarks))
     kinds = {k for k in outcomes if k != "ok"}
     assert kinds == {NonNumericCell, OutOfRange, RaggedFrame, MissingColumn}
     print(f"PASS landmark parse oracle: {len(outcomes)} files "
           f"({outcomes.count('ok')} parsed, the rest rejected at the same "
           f"cell as the reference)")
+
+
+# The landmark reader converts a file with numpy's C parser first and takes the
+# ``float()`` passes only for a file that parser refuses.  The next three tests
+# replay that split: clean files the C pass must serve alone, files only
+# ``float()`` accepts, and bad files that must fail as the reference fails.
+
+class _FallbackUsed(Exception):
+    pass
+
+
+def _plain_texts(values, rng):
+    """Spellings numpy's parser accepts: ``repr``, short, exponent, padded
+    with blanks and signed."""
+    out = []
+    for v, kind in zip(values.tolist(), rng.integers(6, size=len(values))):
+        text = (repr(v), f"{v:.3g}", f"{v:.6f}", f"{v:e}", repr(v), f"{v:.1f}")[kind]
+        if rng.random() < 0.05:
+            text = " \t" + text + " "
+        elif rng.random() < 0.05 and not text.startswith("-"):
+            text = "+" + text
+        out.append(text)
+    return out
+
+
+def _landmark_lines(rng, n, extra=()):
+    """Header and data lines of a landmark csv: shuffled header, frames out
+    of order with one sometimes repeated, coordinates over twelve decades."""
+    frames = rng.permutation(n)
+    if n > 1 and rng.random() < 0.3:
+        frames[0] = frames[1]
+    header = list(_LANDMARK_NAMES) + list(extra)
+    rng.shuffle(header)
+    lines = [header]
+    for f in frames:
+        values = rng.normal(size=3 * N_POINTS) * 10.0 ** float(rng.integers(-6, 6))
+        cells = dict(zip(_LANDMARK_NAMES[1:], _plain_texts(values, rng)))
+        cells["frame"] = str(f) if rng.random() < 0.7 else repr(float(f))
+        cells["confidence"] = repr(float(rng.random()))
+        cells["face_id"] = "face a"
+        lines.append([cells[h] for h in header])
+    return lines
+
+
+def _write_lines(path, lines, rng, eol="\n"):
+    """Join the cells with commas and put empty lines between some rows."""
+    text = []
+    for cells in lines:
+        text.append(",".join(cells))
+        while len(text) > 1 and rng.random() < 0.15:
+            text.append("")
+    path.write_bytes((eol.join(text) + eol).encode())
+
+
+def test_landmark_c_pass_alone_serves_clean_files(tmp_path, monkeypatch):
+    rng = np.random.default_rng(212)
+
+    def fallback(*args, **kwargs):
+        raise _FallbackUsed
+    monkeypatch.setattr(ingest, "float_block", fallback)
+    monkeypatch.setattr(ingest, "_landmark_cells", fallback)
+    served = declined = 0
+    for i in range(120):
+        lines = _landmark_lines(rng, 1 + i % 4, ["confidence"][:int(rng.integers(2))])
+        path = tmp_path / f"clean{i}.csv"
+        _write_lines(path, lines, rng, ("\n", "\r\n")[i % 2])
+        want = _reference_landmarks(path)
+        assert _same_landmarks(parse_landmark_series(path), want), path.name
+        served += 1
+        # the C pass must decline a non-finite landmark value, and rows as
+        # wide as one another but not as wide as the header, though numpy
+        # reads both
+        if i % 2:
+            r = int(rng.integers(1, len(lines)))
+            c = lines[0].index(_LANDMARK_NAMES[int(rng.integers(len(_LANDMARK_NAMES)))])
+            lines[r][c] = ("nan", "-inf", "1e400")[i % 3]
+        elif i % 4:
+            lines[0].append("note")
+        else:
+            for row in lines[1:]:
+                row.append("0.5")
+        bad = tmp_path / f"declined{i}.csv"
+        _write_lines(bad, lines, rng)
+        with pytest.raises(_FallbackUsed):
+            parse_landmark_series(bad)
+        declined += 1
+    print(f"PASS landmark C pass: {served} clean files served bit for bit with "
+          f"both float() passes disabled, {declined} declined")
+
+
+@pytest.mark.parametrize("variant", [
+    "underscore", "fullwidth", "arabic_indic", "whitespace_line", "comma_line",
+    "blank_before_header", "blank_line_before_header", "quoted", "text_column",
+    "gz_suffix", "xz_suffix"])
+def test_landmark_cells_only_float_accepts_match_reference(tmp_path, variant):
+    rng = np.random.default_rng(213)
+    extra = ["face_id"] if variant == "text_column" else []
+    lines = _landmark_lines(rng, 3, extra)
+    header = lines[0]
+    cell = header.index("p100_y")
+    before = ""
+    if variant == "underscore":
+        lines[2][cell], lines[1][header.index("frame")] = "1_0.2_5", "1_0"
+    elif variant == "fullwidth":
+        lines[1][cell] = "１.５"
+    elif variant == "arabic_indic":
+        lines[3][cell] = "-١٢.٥"
+    elif variant == "quoted":
+        lines[2] = [f'"{c}"' if j % 5 == 0 else c for j, c in enumerate(lines[2])]
+    elif variant == "blank_before_header":
+        before = "\n"
+    elif variant == "blank_line_before_header":
+        before = "  \t\n"
+    elif variant in ("whitespace_line", "comma_line"):
+        lines.insert(2, [" \t "] if variant == "whitespace_line" else [" ", "", "  "])
+    # np.loadtxt would decompress a path named like this; the file is plain text
+    suffix = {"gz_suffix": ".gz", "xz_suffix": ".xz"}.get(variant, "")
+    path = tmp_path / f"{variant}.csv{suffix}"
+    path.write_text(before + "\n".join(",".join(cells) for cells in lines) + "\n")
+    kind = _check_against_reference(parse_landmark_series, _reference_landmarks,
+                                    path, _same_landmarks)
+    assert kind == "ok"
+
+
+@pytest.mark.parametrize("variant", [
+    "nan", "inf", "1e400", "nan_frame", "ragged_row", "empty_cell",
+    "rows_wider_than_header", "header_wider_than_rows", "separator_padding"])
+def test_landmark_bad_files_fail_as_reference(tmp_path, variant):
+    rng = np.random.default_rng(214)
+    kinds = set()
+    for i in range(6):
+        lines = _landmark_lines(rng, 4)
+        header = lines[0]
+        r, c = int(rng.integers(1, 5)), int(rng.integers(len(header)))
+        if variant in ("nan", "inf", "1e400"):
+            lines[r][c] = {"nan": "NaN", "inf": "-inf", "1e400": "1e400"}[variant]
+        elif variant == "nan_frame":
+            lines[r][header.index("frame")] = "nan"
+        elif variant == "ragged_row":
+            del lines[r][int(rng.integers(1, len(header))):]
+        elif variant == "empty_cell":
+            lines[r][c] = ""
+        elif variant == "rows_wider_than_header":
+            for row in lines[1:]:
+                row.append("0.5")
+        elif variant == "header_wider_than_rows":
+            header.append("note")
+        else:  # numpy takes U+001C..U+001F for padding, float() does not
+            lines[r][c] = chr(0x1C + i % 4) + lines[r][c]
+        path = tmp_path / f"{variant}{i}.csv"
+        _write_lines(path, lines, rng)
+        kinds.add(_check_against_reference(parse_landmark_series,
+                                           _reference_landmarks, path,
+                                           _same_landmarks))
+    expected = {"ragged_row": RaggedFrame, "rows_wider_than_header": RaggedFrame,
+                "header_wider_than_rows": RaggedFrame, "empty_cell": NonNumericCell,
+                "separator_padding": NonNumericCell}.get(variant, OutOfRange)
+    assert kinds == {expected}
 
 
 def test_feature_table_bulk_read_equals_cell_reference(tmp_path):

@@ -280,6 +280,41 @@ def test_bias_rejects_bad_prediction_rows(sim_table, tmp_path, capsys, bad_row,
     assert not (tmp_path / "bias.json").exists()
 
 
+def test_bias_rejects_participant_listed_twice(sim_table, tmp_path, capsys):
+    ids = read_feature_table(sim_table).participant_ids[:4]
+    rows = [f"{pid},0.{i}" for i, pid in enumerate(ids)] + [f"{ids[2]},0.9"]
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "\n".join(rows) + "\n")
+    rc = main(["bias", "--preds", str(preds), "--features", sim_table,
+               "--group", "sex", "--out", str(tmp_path / "bias.json")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DuplicateEntry"
+    assert "predictions" in err["message"] and repr(ids[2]) in err["message"]
+    assert not (tmp_path / "bias.json").exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "sweep"])
+def test_cv_and_sweep_reject_too_few_folds_or_seeds(sim_table, tmp_path,
+                                                     fast_config_path, capsys,
+                                                     command):
+    grid = tmp_path / "grid.json"
+    grid.write_text("[{}]")
+    out = tmp_path / "out"
+    extra = ["--grid", str(grid)] if command == "sweep" else []
+    for flags, named in ((["--folds", "0", "--seeds", "0"], "--folds"),
+                         (["--folds", "1"], "--folds"),
+                         (["--seeds", "0"], "--seeds"),
+                         (["--folds", "3", "--seeds", "-1"], "--seeds")):
+        rc = main([command, "--features", sim_table, "--config",
+                   fast_config_path, "--out", str(out)] + extra + flags)
+        assert rc == 2, flags
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert named in err["message"], (flags, err["message"])
+        assert not out.exists()
+
+
 def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
     # argparse rejection: missing required --out
     assert main(["simulate", "--n", "5"]) == 2

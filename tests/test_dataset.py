@@ -16,6 +16,7 @@ from hyposcreen.dataset import (
 from hyposcreen.errors import (
     DataError,
     EmptyFile,
+    MissingCell,
     MissingColumn,
     MissingFile,
     NonNumericCell,
@@ -149,6 +150,11 @@ def test_read_feature_table_errors(tmp_path):
     with pytest.raises(NonNumericCell):
         read_feature_table(p4)
     assert "age" in CONTINUOUS_DEMOGRAPHICS
+    p5 = tmp_path / "shortrow.csv"
+    p5.write_text("participant_id,label,f0,f1\na,1,1.0,2.0\nb,0,3.0\n")
+    with pytest.raises(MissingCell) as err:
+        read_feature_table(p5)
+    assert (err.value.row, err.value.col) == (1, "f1")
 
 
 @pytest.mark.parametrize("label", ["0.5", "inf", "nan", "2", "-1"])
