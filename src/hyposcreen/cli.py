@@ -223,6 +223,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bias(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:  # also false for nan
+        raise UsageError(f"--threshold must be a number in [0, 1], "
+                         f"got {args.threshold}")
     ids, scores = _read_predictions(args.preds)
     ds = read_feature_table(args.features)
     index = {pid: i for i, pid in enumerate(ds.participant_ids)}
@@ -237,8 +240,7 @@ def _cmd_bias(args) -> int:
         raise UsageError(f"column {args.group!r} is continuous; pass --bins")
     bins = _parse_float_list(args.bins) if args.bins else None
     report = build_bias_report(labels, scores, demographics, args.group,
-                               threshold=args.threshold, bin_edges=bins,
-                               seed=args.seed or 0)
+                               threshold=args.threshold, bin_edges=bins)
     write_json(report.to_dict(), args.out)
     flagged = sum(1 for c in report.comparisons
                   if c["result"].get("p_value") is not None
@@ -250,6 +252,8 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    if args.max_rows is not None and args.max_rows < 1:
+        raise UsageError(f"--max-rows must be at least 1, got {args.max_rows}")
     ensemble = load_ensemble(args.model)
     ds = read_feature_table(args.features)
     raw = ds.X[:, input_columns(ensemble, ds.feature_names)]
@@ -405,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--bins", default=None,
                    help="comma-separated edges for continuous columns")
     b.add_argument("--threshold", type=float, default=0.5)
-    b.add_argument("--seed", type=int, default=None)
     b.set_defaults(func=_cmd_bias)
 
     e = sub.add_parser("explain", help="per-row SHAP attributions")

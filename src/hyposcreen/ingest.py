@@ -204,14 +204,14 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
         return header, list(rows)
 
 
-def float_block(rows, positions, width=None) -> np.ndarray | None:
+def float_block(rows, positions) -> np.ndarray | None:
     """The cells at ``positions`` of every row as an (n, len(positions)) array.
 
     Each cell goes through one ``float()``, as in a cell-by-cell loop, so the
-    values are the same.  Returns None when a row is not ``width`` cells long
-    (when given) or too short for ``positions``, or when a cell is rejected by
-    ``float()`` or is not finite: the caller then reads the file again cell by
-    cell to name the first bad cell.
+    values are the same.  Returns None when a row is too short for
+    ``positions``, or when a cell is rejected by ``float()`` or is not finite:
+    the caller then reads the file again cell by cell to name the first bad
+    cell.
     """
     k = len(positions)
     # itemgetter of one position returns a bare string, not a tuple
@@ -222,8 +222,6 @@ def float_block(rows, positions, width=None) -> np.ndarray | None:
     def picked():
         nonlocal n
         for row in rows:
-            if width is not None and len(row) != width:
-                raise ValueError("row width differs from the header")
             n += 1
             yield pick(row)
 
@@ -336,20 +334,17 @@ def parse_landmark_series(path, participant_id: str = "",
     """Parse one landmark track into a (frames, 478, 3) array.
 
     The cells are converted by numpy's C parser (:func:`_loadtxt_block`).  A
-    file it refuses goes through the ``float()`` bulk pass, and a file that
-    fails that too is read again by :func:`_landmark_cells`, which raises for
-    the first bad cell in row order.
+    file it refuses is read cell by cell by :func:`_landmark_cells`, which
+    raises for the first bad cell in row order.
     """
     names = ["frame"] + _landmark_columns()
-    with csv_rows(path) as (header, rows):
+    with csv_rows(path) as (header, _):
         pos = {name: i for i, name in enumerate(header)}
-        for c in names:
-            if c not in pos:
-                raise MissingColumn(c)
-        wanted = [pos[c] for c in names]
-        block = _loadtxt_block(path, wanted, len(header))
-        if block is None:
-            block = float_block(rows, wanted, width=len(header))
+    for c in names:
+        if c not in pos:
+            raise MissingColumn(c)
+    wanted = [pos[c] for c in names]
+    block = _loadtxt_block(path, wanted, len(header))
     if block is None:
         block = _landmark_cells(path, wanted, names)
 

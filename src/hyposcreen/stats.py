@@ -2,8 +2,8 @@
 
 Implements the comparison tests directly (no stats dependency): pooled
 two-proportion z-test, log-space Fisher exact test, Spearman rank correlation
-with exact small-n permutation, chi-square homogeneity with an in-house
-regularized incomplete gamma, and normal-approximation rate intervals.
+exact over every rank permutation up to n = 9, chi-square homogeneity with an
+in-house regularized incomplete gamma, and 95% Wald rate intervals.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class TestResult:
                 "p_value": self.p_value,
                 "preconditions_met": self.preconditions_met,
                 "notes": self.notes}
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def _norm_sf(z: float) -> float:
@@ -147,8 +143,11 @@ def fisher_exact(a: int, b: int, c: int, d: int) -> TestResult:
 
 # --- incomplete gamma (chi-square survival) ----------------------------------------
 
-def gamma_p_series(a: float, x: float, tol: float = 1e-15,
-                   max_iter: int = 10000) -> float:
+GAMMA_TOL = 1e-15
+GAMMA_MAX_ITER = 10000
+
+
+def gamma_p_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by power series."""
     if x < 0 or a <= 0:
         raise DataError("gamma arguments out of range")
@@ -157,17 +156,16 @@ def gamma_p_series(a: float, x: float, tol: float = 1e-15,
     term = 1.0 / a
     total = term
     k = a
-    for _ in range(max_iter):
+    for _ in range(GAMMA_MAX_ITER):
         k += 1.0
         term *= x / k
         total += term
-        if abs(term) < abs(total) * tol:
+        if abs(term) < abs(total) * GAMMA_TOL:
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def gamma_q_contfrac(a: float, x: float, tol: float = 1e-15,
-                     max_iter: int = 10000) -> float:
+def gamma_q_contfrac(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by continued fraction."""
     if x <= 0 or a <= 0:
         raise DataError("gamma arguments out of range")
@@ -176,7 +174,7 @@ def gamma_q_contfrac(a: float, x: float, tol: float = 1e-15,
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, GAMMA_MAX_ITER):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -188,7 +186,7 @@ def gamma_q_contfrac(a: float, x: float, tol: float = 1e-15,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < GAMMA_TOL:
             break
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
@@ -274,8 +272,11 @@ def _betai(a: float, b: float, x: float) -> float:
     return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 300,
-            tol: float = 3e-16) -> float:
+BETACF_TOL = 3e-16
+BETACF_MAX_ITER = 300
+
+
+def _betacf(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -284,7 +285,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300,
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, BETACF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -305,21 +306,36 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 300,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < BETACF_TOL:
             break
     return h
 
 
-EXACT_PERMUTATION_LIMIT = 7
-MC_PERMUTATION_DRAWS = 100_000
+EXACT_PERMUTATION_LIMIT = 9
 
 
-def spearman(x, y, seed: int = 0) -> TestResult:
+def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Share of all n! pairings of the ranks whose |rho| reaches the observed.
+
+    Doubled average ranks are integers and keep their sum under permutation,
+    so each pairing's centred cross product is an exact integer and a pairing
+    tied with the observed one counts exactly.
+    """
+    n = rx.shape[0]
+    xc = (2.0 * rx - (n + 1)).astype(np.int64)
+    yc = (2.0 * ry - (n + 1)).astype(np.int64)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8, count=math.factorial(n) * n).reshape(-1, n)
+    cross = np.abs(yc[perms] @ xc)
+    return np.count_nonzero(cross >= abs(int(yc @ xc))) / cross.shape[0]
+
+
+def spearman(x, y) -> TestResult:
     """Spearman rho on average ranks.
 
-    p-value: t-approximation for n >= 10; below that, exact enumeration of
-    rank permutations (n <= 7) or a seeded 1e5-draw Monte-Carlo permutation
-    test.
+    p-value: exact enumeration of every rank permutation for n <= 9, the
+    t-approximation from n = 10.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -336,32 +352,16 @@ def spearman(x, y, seed: int = 0) -> TestResult:
     ry = average_ranks(y)
     rho = _pearson(rx, ry)
     notes: dict = {"n": n}
-    if n >= 10:
+    if n > EXACT_PERMUTATION_LIMIT:
         if abs(rho) >= 1.0:
             p = 0.0
         else:
             t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
             p = 2.0 * _t_sf(abs(t), n - 2)
         notes["method"] = "t_approximation"
-    elif n <= EXACT_PERMUTATION_LIMIT:
-        hits = 0
-        total = 0
-        target = abs(rho) - RELATIVE_TIE_SLACK
-        for perm in itertools.permutations(range(n)):
-            r = _pearson(rx, ry[list(perm)])
-            hits += abs(r) >= target
-            total += 1
-        p = hits / total
-        notes["method"] = "exact_permutation"
     else:
-        rng = np.random.default_rng(seed)
-        target = abs(rho) - RELATIVE_TIE_SLACK
-        hits = 0
-        for _ in range(MC_PERMUTATION_DRAWS):
-            r = _pearson(rx, ry[rng.permutation(n)])
-            hits += abs(r) >= target
-        p = (hits + 1) / (MC_PERMUTATION_DRAWS + 1)
-        notes["method"] = "monte_carlo_permutation"
+        p = _exact_permutation_p(rx, ry)
+        notes["method"] = "exact_permutation"
     return TestResult(test="spearman", statistic=float(rho),
                       p_value=float(min(p, 1.0)), notes=notes)
 
@@ -380,41 +380,23 @@ class RateCI:
         return asdict(self)
 
 
-def _z_for_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise DataError("level must be in (0, 1)")
-    if abs(level - 0.95) < 1e-12:
-        return 1.96  # reporting convention for the default level
-    target = (1.0 + level) / 2.0
-    lo, hi = 0.0, 40.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if _norm_cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+WALD_Z = 1.96  # the 95% level, by reporting convention
 
 
-def normal_approx_ci(event_count: float, n: float, level: float = 0.95,
-                     truncate: bool = False) -> RateCI:
-    """Wald interval p +- z * sqrt(p(1-p)/n).
+def normal_approx_ci(event_count: float, n: float) -> RateCI:
+    """95% Wald interval p +- 1.96 * sqrt(p(1-p)/n).
 
-    By default the interval is reported as computed (it can poke outside
-    [0, 1] near the boundaries); ``truncate`` clips it.
+    The interval is reported as computed: it can poke outside [0, 1] near
+    the boundaries.
     """
     if n <= 0:
         raise DataError("n must be positive")
     if not 0 <= event_count <= n:
         raise DataError("event count must lie in [0, n]")
     p = event_count / n
-    z = _z_for_level(level)
-    half = z * math.sqrt(p * (1.0 - p) / n)
-    lo, hi = p - half, p + half
-    if truncate:
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
+    half = WALD_Z * math.sqrt(p * (1.0 - p) / n)
     ok = (n * p >= 5.0) and (n * (1.0 - p) >= 5.0)
-    return RateCI(point=float(p), lo=float(lo), hi=float(hi),
+    return RateCI(point=float(p), lo=float(p - half), hi=float(p + half),
                   half_width=float(half), preconditions_met=ok)
 
 
@@ -452,8 +434,7 @@ def _bin_label(lo, hi, last: bool) -> str:
 
 
 def build_bias_report(labels, scores, demographics: dict, group: str,
-                      threshold: float = 0.5, bin_edges=None,
-                      level: float = 0.95, seed: int = 0) -> BiasReport:
+                      threshold: float = 0.5, bin_edges=None) -> BiasReport:
     """Subgroup error rates with CIs, pairwise tests, and homogeneity checks.
 
     Categorical columns are grouped by value; continuous columns require
@@ -517,7 +498,7 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
             if denom == 0:
                 entry["rates"][rt] = None
                 continue
-            ci = normal_approx_ci(events, denom, level=level)
+            ci = normal_approx_ci(events, denom)
             entry["rates"][rt] = {"events": events, "n": denom,
                                   **ci.to_dict()}
         groups_out[name] = entry
@@ -569,7 +550,7 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
                 rank_association[rt] = {"note": "too few rows"}
                 continue
             try:
-                res = spearman(numeric[rows], err[rows].astype(float), seed=seed)
+                res = spearman(numeric[rows], err[rows].astype(float))
                 rank_association[rt] = res.to_dict()
             except ConstantInput:
                 rank_association[rt] = {"note": "error indicator is constant"}

@@ -294,6 +294,42 @@ def test_bias_rejects_participant_listed_twice(sim_table, tmp_path, capsys):
     assert not (tmp_path / "bias.json").exists()
 
 
+def test_bias_rejects_threshold_outside_unit_interval_and_seed(sim_table,
+                                                               tmp_path,
+                                                               capsys):
+    ids = read_feature_table(sim_table).participant_ids[:6]
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "\n".join(
+        f"{pid},0.{i}" for i, pid in enumerate(ids)) + "\n")
+    out = tmp_path / "bias.json"
+    args = ["bias", "--preds", str(preds), "--features", sim_table,
+            "--group", "sex", "--out", str(out)]
+    for flags in (["--threshold", "nan"], ["--threshold", "2"],
+                  ["--threshold", "-1"], ["--threshold", "inf"],
+                  ["--threshold", "1.0001"], ["--seed", "3"]):
+        assert main(args + flags) == 2, flags
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "UsageError" and flags[0] in err["message"]
+        assert not out.exists()
+    for edge in ("0", "1"):
+        assert main(args + ["--threshold", edge]) == 0
+
+
+def test_explain_rejects_max_rows_below_one(sim_table, tmp_path,
+                                            fast_config_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config",
+                 fast_config_path, "--out", str(model), "--seed", "1"]) == 0
+    out = tmp_path / "shap.csv"
+    for max_rows in ("0", "-1"):
+        rc = main(["explain", "--model", str(model), "--features", sim_table,
+                   "--out", str(out), "--max-rows", max_rows])
+        assert rc == 2, max_rows
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "UsageError" and "--max-rows" in err["message"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["cv", "sweep"])
 def test_cv_and_sweep_reject_too_few_folds_or_seeds(sim_table, tmp_path,
                                                      fast_config_path, capsys,
