@@ -14,12 +14,11 @@ import argparse
 import hashlib
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import dataset
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, read_json
 from .dataset import CONTINUOUS_DEMOGRAPHICS, read_feature_table, write_feature_table
 from .ensemble import (
     ensemble_predict,
@@ -315,10 +314,14 @@ def _cmd_sweep(args) -> int:
     if args.preset == "expressions":
         overrides = [{"expressions": list(sub)} for sub in EXPRESSION_SUBSETS]
     elif args.grid:
-        doc = json.loads(Path(args.grid).read_text())
-        overrides = doc["configs"] if isinstance(doc, dict) else doc
+        doc = read_json(args.grid, "grid")
+        overrides = doc.get("configs") if isinstance(doc, dict) else doc
         if not isinstance(overrides, list):
-            raise DataError("grid must be a list of config overrides")
+            raise DataError("grid must be a list of config overrides, "
+                            "or an object whose 'configs' is one")
+        for i, over in enumerate(overrides):
+            if not isinstance(over, dict):
+                raise DataError(f"grid entry {i} must be an object, got {over!r}")
     else:
         raise UsageError("sweep needs --grid or --preset")
     ds_full = read_feature_table(args.features)

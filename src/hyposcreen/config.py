@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .errors import DataError
@@ -21,6 +21,37 @@ DEFAULT_GRID = [
     for ml in (7, 15, 31)
     for msl in (10, 20)
 ]
+
+# the JSON type a value must have, by the type of the field's default;
+# bool comes first because it is a subclass of int
+_JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+               (str, "a string"), (list, "a list"))
+
+
+def _typed(key: str, value, default):
+    """``value`` if it has the JSON type of ``default``; else a DataError
+    naming ``key``.  A number field also takes an integer."""
+    kind, name = next(t for t in _JSON_TYPES if isinstance(default, t[0]))
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise DataError(f"{key} must be {name}, got {value!r}")
+    return value
+
+
+def _assign(target, doc, where: str) -> None:
+    """Set the fields of dataclass ``target`` from the JSON object ``doc``."""
+    unknown = set(doc) - set(target.__dataclass_fields__)
+    if unknown:
+        raise DataError(f"unknown {where} keys {sorted(unknown)}")
+    for key, value in doc.items():
+        default = getattr(target, key)
+        name = key if where == "config" else f"{where}.{key}"
+        if is_dataclass(default):
+            if not isinstance(value, dict):
+                raise DataError(f"{name} must be an object, got {value!r}")
+            _assign(default, value, name)
+        else:
+            setattr(target, key, _typed(name, value, default))
 
 
 @dataclass
@@ -85,11 +116,14 @@ class PipelineConfig:
 
     @staticmethod
     def candidate_params(entry: dict) -> BoostParams:
+        if not isinstance(entry, dict):
+            raise DataError(f"ensemble.grid entries must be objects, got {entry!r}")
         base = BoostParams().to_dict()
         unknown = set(entry) - set(base)
         if unknown:
             raise DataError(f"unknown booster parameters {sorted(unknown)}")
-        base.update(entry)
+        for key, value in entry.items():
+            base[key] = _typed(f"booster parameter {key}", value, base[key])
         return BoostParams.from_dict(base)
 
     def candidates(self) -> list:
@@ -102,41 +136,29 @@ class PipelineConfig:
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         if not isinstance(doc, dict):
             raise DataError("config must be a JSON object")
-        known = set(cls().to_dict())
-        unknown = set(doc) - known
-        if unknown:
-            raise DataError(f"unknown config keys {sorted(unknown)}")
         cfg = cls()
-        for section, klass in (("selection", SelectionConfig),
-                               ("smote", SmoteConfig),
-                               ("ensemble", EnsembleConfig)):
-            if section in doc:
-                sub = doc[section]
-                base = getattr(cfg, section)
-                fields = set(base.__dataclass_fields__)
-                bad = set(sub) - fields
-                if bad:
-                    raise DataError(f"unknown {section} keys {sorted(bad)}")
-                for k, v in sub.items():
-                    setattr(base, k, v)
-        for key in known - {"selection", "smote", "ensemble"}:
-            if key in doc:
-                setattr(cfg, key, doc[key])
+        _assign(cfg, doc, "config")
         cfg.validate()
         return cfg
+
+
+def read_json(path, what: str):
+    """The parsed JSON document at ``path``; ``what`` names it in errors."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_config(path=None) -> PipelineConfig:
     """Read a config JSON file; with no path, full defaults."""
     if path is None:
         return PipelineConfig()
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config is not valid JSON: {exc}") from exc
-    return PipelineConfig.from_dict(doc)
+    return PipelineConfig.from_dict(read_json(path, "config"))
 
 
 def save_config(cfg: PipelineConfig, path) -> None:

@@ -117,8 +117,7 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
         for fold in range(plan.k):
             _, ev = plan.fold_indices(fold)
             Xa, ya = fold_train[fold]
-            model = fit_histgbm(Xa, ya, params,
-                                seed=child_seed(seed, "cand", ci, fold))
+            model = fit_histgbm(Xa, ya, params)
             oof[ev, ci] = predict_proba(model, X[ev])
         scores.append(auroc(oof[:, ci], y))
 
@@ -126,9 +125,7 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
     meta = fit_logistic(oof[:, kept], y, l2_strength=1.0)
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")
-    base_models = [fit_histgbm(Xf, yf, candidates[ci],
-                               seed=child_seed(seed, "final", ci))
-                   for ci in kept]
+    base_models = [fit_histgbm(Xf, yf, candidates[ci]) for ci in kept]
     base_info = [{"candidate_index": int(ci),
                   "params": candidates[ci].to_dict(),
                   "oof_auroc": float(scores[ci])} for ci in kept]

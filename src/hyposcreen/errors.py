@@ -136,11 +136,6 @@ class WidthMismatch(DataError):
         self.got = got
 
 
-class ColumnMismatch(DataError):
-    def __init__(self, detail):
-        super().__init__(f"feature columns do not match scaler: {detail}")
-
-
 class TooFewMinority(DataError):
     def __init__(self, count):
         super().__init__(f"minority class has {count} rows; "

@@ -18,6 +18,7 @@ from .preprocess import FoldPlan, stratified_kfold
 from .util import child_seed
 
 METRIC_KEYS = ("accuracy", "sensitivity", "specificity", "ppv", "npv", "f1", "auroc")
+BOOTSTRAP_LEVEL = 0.95  # coverage of the percentile interval over seeds
 
 
 @dataclass
@@ -161,7 +162,7 @@ def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
     """
     from .ensemble import ensemble_predict, train_pipeline  # deferred: cycle
 
-    k = k or config.cv_folds
+    k = config.cv_folds if k is None else k
     plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
     n = ds.n_rows
     identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
@@ -211,12 +212,12 @@ def verify_no_leakage(audit: list) -> bool:
 
 # --- bootstrap ---------------------------------------------------------------------
 
-def percentile_interval(values, level: float = 0.95) -> tuple:
-    """Percentile interval with linear interpolation between order statistics."""
+def percentile_interval(values) -> tuple:
+    """95% percentile interval, interpolating between order statistics."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise DataError("no values to summarize")
-    alpha = (1.0 - level) / 2.0 * 100.0
+    alpha = (1.0 - BOOTSTRAP_LEVEL) / 2.0 * 100.0
     lo, hi = np.percentile(values, [alpha, 100.0 - alpha])
     return float(lo), float(hi)
 
@@ -231,18 +232,18 @@ class BootstrapSummary:
         return asdict(self)
 
 
-def summarize_bootstrap(per_seed_metrics: list, level: float = 0.95) -> BootstrapSummary:
+def summarize_bootstrap(per_seed_metrics: list) -> BootstrapSummary:
     """Aggregate per-seed metric dicts into mean, percentile CI, half-width."""
     if not per_seed_metrics:
         raise DataError("no per-seed metrics to summarize")
-    out = BootstrapSummary(n_seeds=len(per_seed_metrics), level=level)
+    out = BootstrapSummary(n_seeds=len(per_seed_metrics), level=BOOTSTRAP_LEVEL)
     keys = per_seed_metrics[0].keys()
     for key in keys:
         vals = [m[key] for m in per_seed_metrics if m.get(key) is not None]
         if not vals:
             out.metrics[key] = None
             continue
-        lo, hi = percentile_interval(vals, level)
+        lo, hi = percentile_interval(vals)
         out.metrics[key] = {
             "mean": float(np.mean(vals)),
             "ci_lo": lo,

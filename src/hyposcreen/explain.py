@@ -24,6 +24,9 @@ from .model.binning import bin_matrix
 from .model.histboost import BoostedModel, Tree, predict_raw
 
 EXACT_LIMIT = 15
+# power iteration stops when successive unit vectors agree up to sign
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 50000
 
 
 @dataclass
@@ -202,17 +205,17 @@ class Projection2D:
     dropped_columns: list       # constant columns excluded before analysis
 
 
-def _power_iteration(C: np.ndarray, tol: float = 1e-10, max_iter: int = 50000):
+def _power_iteration(C: np.ndarray):
     rng = np.random.default_rng(0x5EED)  # fixed start keeps output deterministic
     v = rng.standard_normal(C.shape[0])
     v /= np.linalg.norm(v)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = C @ v
         nrm = np.linalg.norm(w)
         if nrm < 1e-300:
             return v, 0.0
         w /= nrm
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
+        if np.linalg.norm(w - v) < POWER_TOL or np.linalg.norm(w + v) < POWER_TOL:
             v = w
             break
         v = w

@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ArtifactError, DataError, DegenerateParams, EmptyMatrix, SingleClass
-from ..util import child_seed, log_loss, sigmoid
+from ..util import log_loss, sigmoid
 from .binning import BinMapper, bin_matrix, fit_bins
 
 SCHEMA_VERSION = 1
+L2_LEAF = 1.0  # ridge penalty on leaf values
 
 
 @dataclass
@@ -26,11 +27,8 @@ class BoostParams:
     n_trees: int = 200
     learning_rate: float = 0.1
     max_leaves: int = 31
-    max_depth: int | None = None  # None = unbounded
     min_samples_leaf: int = 20
-    l2_leaf: float = 1.0
     max_bins: int = 255
-    feature_fraction: float = 1.0
 
     def validate(self) -> None:
         if self.n_trees < 1:
@@ -40,22 +38,18 @@ class BoostParams:
                 f"learning_rate must be in (0, 1], got {self.learning_rate}")
         if self.max_leaves < 2:
             raise DegenerateParams(f"max_leaves must be >= 2, got {self.max_leaves}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DegenerateParams("max_depth must be >= 1 or None")
         if self.min_samples_leaf < 1:
             raise DegenerateParams("min_samples_leaf must be >= 1")
-        if self.l2_leaf < 0:
-            raise DegenerateParams("l2_leaf must be >= 0")
         if not 2 <= self.max_bins <= 255:
             raise DegenerateParams(f"max_bins must be in [2, 255], got {self.max_bins}")
-        if not 0.0 < self.feature_fraction <= 1.0:
-            raise DegenerateParams("feature_fraction must be in (0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostParams":
+        # other keys are ignored, so artifacts that still carry the retired
+        # max_depth, l2_leaf and feature_fraction settings load unchanged
         return cls(**{k: d[k] for k in cls().to_dict() if k in d})
 
 
@@ -148,14 +142,12 @@ def build_histograms(binned: np.ndarray, idx: np.ndarray, g: np.ndarray,
     return G, H, C
 
 
-def _grow_tree(binned, g, h, params: BoostParams, active: np.ndarray,
-               n_bins: np.ndarray, stride: int) -> Tree:
+def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
+               stride: int) -> Tree:
     n = binned.shape[0]
-    lam = params.l2_leaf
     min_leaf = params.min_samples_leaf
     # split candidate b is valid for feature f only when b < n_bins[f] - 1
     bins_ok = np.arange(stride - 1)[None, :] < (n_bins[:, None] - 1)
-    bins_ok &= active[:, None]
 
     feature, split_bin = [], []
     left, right, value, cover = [], [], [], []
@@ -167,7 +159,7 @@ def _grow_tree(binned, g, h, params: BoostParams, active: np.ndarray,
         right.append(-1)
         gt = float(np.sum(g[idx]))
         ht = float(np.sum(h[idx]))
-        denom = ht + lam
+        denom = ht + L2_LEAF
         value.append(0.0 if denom <= 0.0 else -gt / denom)
         cover.append(int(idx.size))
         return len(feature) - 1
@@ -180,9 +172,9 @@ def _grow_tree(binned, g, h, params: BoostParams, active: np.ndarray,
         Ht = H.sum(axis=1, keepdims=True)
         Ct = C.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (GL * GL / (HL + lam)
-                          + (Gt - GL) ** 2 / (Ht - HL + lam)
-                          - Gt * Gt / (Ht + lam))
+            gain = 0.5 * (GL * GL / (HL + L2_LEAF)
+                          + (Gt - GL) ** 2 / (Ht - HL + L2_LEAF)
+                          - Gt * Gt / (Ht + L2_LEAF))
         valid = bins_ok & (CL >= min_leaf) & (Ct - CL >= min_leaf)
         gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
         pos = int(np.argmax(gain))  # first max: lowest feature, then lowest bin
@@ -192,24 +184,22 @@ def _grow_tree(binned, g, h, params: BoostParams, active: np.ndarray,
     heap = []
     tiebreak = itertools.count()
 
-    def consider(node_id, idx, hists, depth) -> None:
-        if params.max_depth is not None and depth >= params.max_depth:
-            return
+    def consider(node_id, idx, hists) -> None:
         if idx.size < 2 * min_leaf:
             return
         gain, f, b = best_split(*hists)
         if gain > 0.0:
             heapq.heappush(heap, (-gain, next(tiebreak), node_id, idx, hists,
-                                  depth, f, b))
+                                  f, b))
 
     idx_all = np.arange(n)
     root_hists = build_histograms(binned, idx_all, g, h, stride)
     root = new_node(idx_all)
-    consider(root, idx_all, root_hists, 0)
+    consider(root, idx_all, root_hists)
 
     n_leaves = 1
     while heap and n_leaves < params.max_leaves:
-        _, _, node_id, idx, (G, H, C), depth, f, b = heapq.heappop(heap)
+        _, _, node_id, idx, (G, H, C), f, b = heapq.heappop(heap)
         go_left = binned[idx, f] <= b
         li, ri = idx[go_left], idx[~go_left]
         # accumulate the smaller child, subtract for the sibling
@@ -227,8 +217,8 @@ def _grow_tree(binned, g, h, params: BoostParams, active: np.ndarray,
         right[node_id] = rid
         value[node_id] = 0.0
         n_leaves += 1
-        consider(lid, li, (Gl, Hl, Cl), depth + 1)
-        consider(rid, ri, (Gr, Hr, Cr), depth + 1)
+        consider(lid, li, (Gl, Hl, Cl))
+        consider(rid, ri, (Gr, Hr, Cr))
 
     return Tree(feature=np.array(feature, dtype=np.int64),
                 split_bin=np.array(split_bin, dtype=np.int64),
@@ -252,8 +242,7 @@ def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_histgbm(X, y, params: BoostParams | None = None,
-                seed: int = 0) -> BoostedModel:
+def fit_histgbm(X, y, params: BoostParams | None = None) -> BoostedModel:
     """Fit the boosted classifier; records training log-loss per round."""
     params = params or BoostParams()
     params.validate()
@@ -276,19 +265,13 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
     base_score = float(np.log(p_mean / (1.0 - p_mean)))
     raw = np.full(n, base_score)
 
-    n_active = max(1, int(np.ceil(params.feature_fraction * d)))
     trees = []
     losses = []
-    for t in range(params.n_trees):
+    for _ in range(params.n_trees):
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        active = np.ones(d, dtype=bool)
-        if n_active < d:
-            rng = np.random.default_rng(child_seed(seed, "tree", t))
-            active = np.zeros(d, dtype=bool)
-            active[np.sort(rng.choice(d, size=n_active, replace=False))] = True
-        tree = _grow_tree(binned, g, h, params, active, n_bins, stride)
+        tree = _grow_tree(binned, g, h, params, n_bins, stride)
         trees.append(tree)
         raw = raw + params.learning_rate * _tree_outputs(tree, binned)
         losses.append(log_loss(y, sigmoid(raw)))

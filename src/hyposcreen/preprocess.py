@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     ClassTooSmall,
-    ColumnMismatch,
     DataError,
     EmptyMatrix,
     SingleClass,
@@ -72,16 +71,11 @@ def fit_scaler(kind: str, X: np.ndarray, feature_names) -> FittedScaler:
     return FittedScaler(kind=kind, feature_names=list(feature_names), lo=lo, hi=hi)
 
 
-def apply_scaler(scaler: FittedScaler, X: np.ndarray,
-                 feature_names=None) -> np.ndarray:
+def apply_scaler(scaler: FittedScaler, X: np.ndarray) -> np.ndarray:
     """Transform with train-time parameters; constant columns map to 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if feature_names is not None and list(feature_names) != scaler.feature_names:
-        raise ColumnMismatch(
-            f"got {list(feature_names)[:4]}..., fitted on "
-            f"{scaler.feature_names[:4]}...")
     if X.shape[1] != len(scaler.feature_names):
         raise WidthMismatch(len(scaler.feature_names), X.shape[1])
     if scaler.kind == "none":

@@ -39,14 +39,13 @@ class FeatureRanking:
         return asdict(self)
 
 
-def rank_features_lr(X, y, feature_names, n_target: int | None = None,
-                     l2_strength: float = 1.0) -> FeatureRanking:
+def rank_features_lr(X, y, feature_names, n_target: int | None = None) -> FeatureRanking:
     """Rank by |logistic coefficient| on the scaled matrix, descending;
     ties break lexicographically by feature name."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != len(feature_names):
         raise DataError("matrix width and feature_names disagree")
-    model = fit_logistic(X, y, l2_strength=l2_strength)
+    model = fit_logistic(X, y, l2_strength=1.0)
     mags = np.abs(model.weights)
     order = sorted(range(len(feature_names)),
                    key=lambda i: (-mags[i], feature_names[i]))
@@ -59,22 +58,22 @@ def rank_features_lr(X, y, feature_names, n_target: int | None = None,
     )
 
 
-def _subset_auroc(X, y, cols, params, plan, seed) -> float:
+def _subset_auroc(X, y, cols, params, plan) -> float:
     """Pooled out-of-fold AUROC of a booster restricted to ``cols``."""
     oof = np.empty(y.shape[0])
     sub = X[:, cols]
     for fold in range(plan.k):
         tr, ev = plan.fold_indices(fold)
-        model = fit_histgbm(sub[tr], y[tr], params,
-                            seed=child_seed(seed, "inner", fold))
+        model = fit_histgbm(sub[tr], y[tr], params)
         oof[ev] = predict_proba(model, sub[ev])
     return auroc(oof, y)
 
 
-def _importance(X, y, cols, feature_names, params, seed) -> np.ndarray:
-    """Mean |SHAP| per column of the subset, from a full-data fit."""
+def _importance(X, y, cols, params, seed) -> np.ndarray:
+    """Mean |SHAP| per column of the subset, from a full-data fit; ``seed``
+    picks the rows explained when there are more than ``SHAP_ROW_CAP``."""
     sub = X[:, cols]
-    model = fit_histgbm(sub, y, params, seed=seed)
+    model = fit_histgbm(sub, y, params)
     rows = sub
     if rows.shape[0] > SHAP_ROW_CAP:
         idx = np.random.default_rng(child_seed(seed, "rows")).choice(
@@ -99,15 +98,15 @@ def boost_rfe(X, y, feature_names, n_target: int,
     plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "folds"))
     current = list(range(len(feature_names)))
     trace = []
-    score = _subset_auroc(X, y, current, params, plan, seed)
+    score = _subset_auroc(X, y, current, params, plan)
     step = 0
     while len(current) > n_target:
-        imps = _importance(X, y, current, feature_names, params,
+        imps = _importance(X, y, current, params,
                            child_seed(seed, "shap", step))
         drop_pos = min(range(len(current)),
                        key=lambda j: (imps[j], feature_names[current[j]]))
         candidate = current[:drop_pos] + current[drop_pos + 1:]
-        cand_score = _subset_auroc(X, y, candidate, params, plan, seed)
+        cand_score = _subset_auroc(X, y, candidate, params, plan)
         accepted = cand_score >= score - improvement_eps
         trace.append({"step": step, "action": "drop",
                       "feature": feature_names[current[drop_pos]],
@@ -118,7 +117,7 @@ def boost_rfe(X, y, feature_names, n_target: int,
         current = candidate
         score = cand_score
         step += 1
-    final_imps = _importance(X, y, current, feature_names, params,
+    final_imps = _importance(X, y, current, params,
                              child_seed(seed, "shap-final"))
     return FeatureRanking(
         method="boost_rfe",
@@ -144,19 +143,19 @@ def boost_rfa(X, y, feature_names, n_target: int,
         raise DataError("n_target must be >= 1")
     plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "folds"))
     all_cols = list(range(len(feature_names)))
-    imps = _importance(X, y, all_cols, feature_names, params,
+    imps = _importance(X, y, all_cols, params,
                        child_seed(seed, "shap-global"))
     ranking = sorted(all_cols, key=lambda i: (-imps[i], feature_names[i]))
 
     current = [ranking[0]]
-    score = _subset_auroc(X, y, current, params, plan, seed)
+    score = _subset_auroc(X, y, current, params, plan)
     trace = [{"step": 0, "action": "seed", "feature": feature_names[ranking[0]],
               "auroc_after": score, "accepted": True}]
     for step, cand in enumerate(ranking[1:], start=1):
         if len(current) >= n_target:
             break
         candidate = current + [cand]
-        cand_score = _subset_auroc(X, y, candidate, params, plan, seed)
+        cand_score = _subset_auroc(X, y, candidate, params, plan)
         accepted = cand_score > score + improvement_eps
         trace.append({"step": step, "action": "add",
                       "feature": feature_names[cand],
@@ -176,8 +175,7 @@ def boost_rfa(X, y, feature_names, n_target: int,
 def select_features(X, y, feature_names, method: str, n_target: int,
                     inner_folds: int = DEFAULT_INNER_FOLDS,
                     improvement_eps: float = DEFAULT_EPS,
-                    seed: int = 0,
-                    params: BoostParams | None = None) -> FeatureRanking:
+                    seed: int = 0) -> FeatureRanking:
     """Dispatch on method name; ``none`` keeps every feature."""
     if method == "none":
         return FeatureRanking(method="none", selected=list(feature_names))
@@ -185,8 +183,8 @@ def select_features(X, y, feature_names, method: str, n_target: int,
         return rank_features_lr(X, y, feature_names, n_target=n_target)
     if method == "boost_rfe":
         return boost_rfe(X, y, feature_names, n_target, inner_folds,
-                         improvement_eps, seed, params)
+                         improvement_eps, seed)
     if method == "boost_rfa":
         return boost_rfa(X, y, feature_names, n_target, inner_folds,
-                         improvement_eps, seed, params)
+                         improvement_eps, seed)
     raise DataError(f"unknown selection method {method!r}")

@@ -390,3 +390,63 @@ def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
     # sweep without a grid source is a usage problem
     assert main(["sweep", "--features", sim_table,
                  "--out", str(tmp_path / "b.csv")]) == 2
+
+
+@pytest.mark.parametrize("grid_text, message", [
+    (None, "grid file not found"),
+    ("[{\"scaler\": ", "grid is not valid JSON"),
+    ("{\"overrides\": [{}]}", "grid must be a list of config overrides"),
+    ("[{}, 5]", "grid entry 1 must be an object"),
+], ids=["missing-file", "invalid-json", "object-without-configs",
+        "non-object-entry"])
+def test_sweep_rejects_bad_grid_with_exit_3(sim_table, tmp_path,
+                                            fast_config_path, capsys,
+                                            grid_text, message):
+    grid = tmp_path / "grid.json"
+    if grid_text is not None:
+        grid.write_text(grid_text)
+    out = tmp_path / "board.csv"
+    rc = main(["sweep", "--features", sim_table, "--config", fast_config_path,
+               "--grid", str(grid), "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert message in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"cv_folds": "3"}, "cv_folds"),
+    ({"selection": 5}, "selection"),
+    ({"ensemble": {"m": 1, "grid": [{"n_trees": "5"}]}}, "n_trees"),
+])
+def test_train_rejects_config_value_of_wrong_type(sim_table, tmp_path, capsys,
+                                                  override, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FAST_CONFIG, **override}))
+    out = tmp_path / "model.json"
+    rc = main(["train", "--features", sim_table, "--config", str(config),
+               "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert key in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("feature_fraction", 0.5), ("max_depth", 3), ("l2_leaf", 1.0)])
+def test_train_rejects_retired_booster_parameters(sim_table, tmp_path, capsys,
+                                                  key, value):
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["ensemble"]["grid"][0][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "model.json"
+    rc = main(["train", "--features", sim_table, "--config", str(config),
+               "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert "unknown booster parameters" in err["message"]
+    assert key in err["message"]
+    assert not out.exists()

@@ -124,3 +124,37 @@ def test_packaged_default_config_matches_code_defaults():
             "default_config.json").read_text()
     assert PipelineConfig.from_dict(json.loads(text)).to_dict() == \
         PipelineConfig().to_dict()
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"cv_folds": "3"}, "cv_folds must be an integer"),
+    ({"cv_folds": 3.0}, "cv_folds must be an integer"),
+    ({"cv_folds": True}, "cv_folds must be an integer"),
+    ({"threshold": "0.5"}, "threshold must be a number"),
+    ({"threshold": False}, "threshold must be a number"),
+    ({"scaler": 5}, "scaler must be a string"),
+    ({"expressions": "smile"}, "expressions must be a list"),
+    ({"selection": 5}, "selection must be an object"),
+    ({"smote": [True]}, "smote must be an object"),
+    ({"selection": {"n_target": "30"}}, "selection.n_target must be an integer"),
+    ({"selection": {"improvement_eps": None}},
+     "selection.improvement_eps must be a number"),
+    ({"smote": {"enabled": 1}}, "smote.enabled must be a boolean"),
+    ({"ensemble": {"grid": 5}}, "ensemble.grid must be a list"),
+    ({"ensemble": {"m": 1, "grid": [5]}}, "ensemble.grid entries must be objects"),
+    ({"ensemble": {"m": 1, "grid": [{"n_trees": "5"}]}},
+     "booster parameter n_trees must be an integer"),
+    ({"ensemble": {"m": 1, "grid": [{"learning_rate": True}]}},
+     "booster parameter learning_rate must be a number"),
+])
+def test_values_of_the_wrong_json_type_are_rejected_by_key(doc, named):
+    with pytest.raises(DataError, match=named):
+        PipelineConfig.from_dict(doc)
+
+
+def test_number_fields_accept_integers():
+    cfg = PipelineConfig.from_dict({
+        "threshold": 1, "selection": {"improvement_eps": 0},
+        "ensemble": {"m": 1, "grid": [{"learning_rate": 1}]}})
+    assert cfg.threshold == 1
+    assert cfg.candidates()[0].learning_rate == 1

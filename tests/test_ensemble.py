@@ -137,6 +137,32 @@ def test_save_load_round_trip_preserves_predictions_exactly(tmp_path):
         load_ensemble(tmp_path / "absent.json")
 
 
+def test_artifact_with_retired_booster_settings_predicts_identically(tmp_path):
+    # artifacts written before max_depth, l2_leaf and feature_fraction were
+    # retired carry them in every params object, at their only values
+    ds = _dataset(seed=127)
+    ensemble, _ = train_pipeline(ds, _config(), seed=4)
+    path = tmp_path / "model.json"
+    save_ensemble(ensemble, path)
+    doc = json.loads(path.read_text())
+    retired = {"max_depth": None, "l2_leaf": 1.0, "feature_fraction": 1.0}
+    params = [m["params"] for m in doc["base_models"]]
+    params += [info["params"] for info in doc["base_info"]]
+    for p in params:
+        assert not set(retired) & set(p)
+        p.update(retired)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, sort_keys=True))
+
+    X_test = np.random.default_rng(128).normal(size=(40, 5))
+    expect = ensemble_predict(ensemble, X_test, ds.feature_names)
+    loaded = load_ensemble(old)
+    assert np.array_equal(ensemble_predict(loaded, X_test, ds.feature_names),
+                          expect)
+    assert [m.params for m in loaded.base_models] == \
+        [m.params for m in ensemble.base_models]
+
+
 def test_ensemble_predict_maps_columns_by_name():
     ds = _dataset(seed=124)
     ensemble, _ = train_pipeline(ds, _config(), seed=1)

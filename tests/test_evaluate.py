@@ -124,11 +124,11 @@ def test_row_identity_hash_prefix():
 
 def test_percentile_interval_checkpoint():
     values = np.arange(1.0, 41.0)
-    lo, hi = percentile_interval(values, 0.95)
+    lo, hi = percentile_interval(values)
     assert math.isclose(lo, 1.975, abs_tol=1e-12)
     assert math.isclose(hi, 39.025, abs_tol=1e-12)
     with pytest.raises(DataError):
-        percentile_interval(np.array([]), 0.95)
+        percentile_interval(np.array([]))
 
 
 def test_summarize_bootstrap_handles_missing_metrics():
@@ -137,7 +137,7 @@ def test_summarize_bootstrap_handles_missing_metrics():
         {"auroc": 0.9, "sensitivity": 0.5},
         {"auroc": 0.7, "sensitivity": 0.7},
     ]
-    summary = summarize_bootstrap(reports, level=0.95)
+    summary = summarize_bootstrap(reports)
     entry = summary.metrics["auroc"]
     assert math.isclose(entry["mean"], 0.8)
     assert entry["n_defined"] == 3
@@ -235,3 +235,9 @@ def test_cross_validation_rejects_class_smaller_than_fold_count():
     ds = _tiny_dataset(n_pos=2, n_neg=16)
     with pytest.raises(DataError):
         run_cross_validation(ds, _tiny_config(), seed=0)
+
+
+def test_run_cross_validation_rejects_zero_folds():
+    # k=0 is an explicit fold count, not a request for config.cv_folds
+    with pytest.raises(DataError, match="at least 2 folds"):
+        run_cross_validation(_tiny_dataset(), _tiny_config(), k=0, seed=0)

@@ -30,7 +30,8 @@ def _fit_small_model(rng, d, n=90, n_trees=3, max_leaves=6, msl=5,
         y[0] = 1.0 - y[0]
     params = BoostParams(n_trees=n_trees, max_leaves=max_leaves,
                          min_samples_leaf=msl, max_bins=max_bins)
-    return fit_histgbm(X, y, params, seed=int(rng.integers(1 << 30))), X
+    rng.integers(1 << 30)  # unused; keeps the later draws of this stream fixed
+    return fit_histgbm(X, y, params), X
 
 
 # --- TreeSHAP vs exact enumeration --------------------------------------------------
@@ -62,7 +63,7 @@ def test_tree_shap_with_repeated_feature_on_deep_paths():
         y = ((np.sin(2.0 * X[:, 0]) + 0.2 * X[:, 1]) > 0).astype(float)
         model = fit_histgbm(X, y, BoostParams(n_trees=2, max_leaves=16,
                                               min_samples_leaf=3,
-                                              max_bins=32), seed=7)
+                                              max_bins=32))
         depths_reuse = any(
             len({int(f) for f in t.feature if f >= 0}) <
             int(np.sum(t.feature >= 0))

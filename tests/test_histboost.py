@@ -128,8 +128,8 @@ def test_first_split_matches_exhaustive_oracle():
         if y.min() == y.max():
             continue
         params = BoostParams(n_trees=1, max_leaves=2, min_samples_leaf=5,
-                             l2_leaf=1.0, max_bins=16)
-        model = fit_histgbm(X, y, params, seed=trial)
+                             max_bins=16)
+        model = fit_histgbm(X, y, params)
         tree = model.trees[0]
 
         p0 = sigmoid(np.full(n, model.base_score))
@@ -173,7 +173,7 @@ def test_prediction_matches_naive_tree_walk():
     y = (rng.random(150) < sigmoid(X[:, 0] - X[:, 1])).astype(float)
     params = BoostParams(n_trees=12, max_leaves=8, min_samples_leaf=4,
                          max_bins=32)
-    model = fit_histgbm(X, y, params, seed=0)
+    model = fit_histgbm(X, y, params)
     X_test = rng.normal(size=(120, 5)) * 1.5
     fast = predict_raw(model, X_test)
     slow = _naive_walk(model, X_test)
@@ -186,7 +186,7 @@ def test_training_log_loss_is_non_increasing():
     X = rng.normal(size=(200, 4))
     y = (rng.random(200) < sigmoid(0.8 * X[:, 0])).astype(float)
     model = fit_histgbm(X, y, BoostParams(n_trees=40, max_leaves=8,
-                                          min_samples_leaf=5), seed=1)
+                                          min_samples_leaf=5))
     losses = np.array(model.train_loss)
     assert losses.shape == (40,)
     assert np.all(np.diff(losses) <= 1e-9)
@@ -196,7 +196,7 @@ def test_base_score_is_log_odds_of_prevalence():
     rng = np.random.default_rng(57)
     X = rng.normal(size=(40, 2))
     y = np.array([1.0] * 10 + [0.0] * 30)
-    model = fit_histgbm(X, y, BoostParams(n_trees=1, min_samples_leaf=5), seed=0)
+    model = fit_histgbm(X, y, BoostParams(n_trees=1, min_samples_leaf=5))
     assert math.isclose(model.base_score, math.log(0.25 / 0.75), rel_tol=1e-12)
 
 
@@ -204,21 +204,13 @@ def test_structure_respects_limits():
     rng = np.random.default_rng(58)
     X = rng.normal(size=(300, 6))
     y = (rng.random(300) < sigmoid(X[:, 0] + 0.5 * X[:, 2])).astype(float)
-    params = BoostParams(n_trees=5, max_leaves=6, max_depth=3,
-                         min_samples_leaf=7)
-    model = fit_histgbm(X, y, params, seed=2)
+    params = BoostParams(n_trees=5, max_leaves=6, min_samples_leaf=7)
+    model = fit_histgbm(X, y, params)
     for tree in model.trees:
         leaves = tree.feature < 0
         assert int(leaves.sum()) <= 6
         if tree.n_nodes > 1:
             assert np.all(tree.cover[leaves] >= 7)
-        # depth bound, checked by walking parents
-        depth = {0: 0}
-        for node in range(tree.n_nodes):
-            if tree.feature[node] >= 0:
-                depth[int(tree.left[node])] = depth[node] + 1
-                depth[int(tree.right[node])] = depth[node] + 1
-                assert depth[node] < 3
         # internal consistency: children partition the parent cover
         for node in range(tree.n_nodes):
             if tree.feature[node] >= 0:
@@ -226,25 +218,11 @@ def test_structure_respects_limits():
                         + tree.cover[tree.right[node]]) == tree.cover[node]
 
 
-def test_feature_fraction_subsampling_is_deterministic():
-    rng = np.random.default_rng(59)
-    X = rng.normal(size=(120, 8))
-    y = (rng.random(120) < sigmoid(X[:, 3])).astype(float)
-    params = BoostParams(n_trees=6, max_leaves=4, min_samples_leaf=5,
-                         feature_fraction=0.5)
-    a = fit_histgbm(X, y, params, seed=7)
-    b = fit_histgbm(X, y, params, seed=7)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(),
-                                                                 sort_keys=True)
-    used = {int(f) for t in a.trees for f in t.feature if f >= 0}
-    assert used  # it still found splits on the sampled features
-
-
 def test_save_load_round_trip():
     rng = np.random.default_rng(60)
     X = rng.normal(size=(80, 3))
     y = (rng.random(80) < sigmoid(X[:, 1])).astype(float)
-    model = fit_histgbm(X, y, BoostParams(n_trees=4, min_samples_leaf=5), seed=3)
+    model = fit_histgbm(X, y, BoostParams(n_trees=4, min_samples_leaf=5))
     doc = json.loads(json.dumps(model.to_dict(), sort_keys=True))
     back = BoostedModel.from_dict(doc)
     assert np.array_equal(predict_raw(back, X), predict_raw(model, X))
@@ -261,7 +239,6 @@ def test_fit_errors_and_param_validation():
     with pytest.raises(DataError):
         fit_histgbm(X, np.array([0.0, 1.0]))
     for bad in (dict(n_trees=0), dict(learning_rate=0.0), dict(max_leaves=1),
-                dict(min_samples_leaf=0), dict(l2_leaf=-1.0), dict(max_bins=300),
-                dict(feature_fraction=0.0), dict(max_depth=0)):
+                dict(min_samples_leaf=0), dict(max_bins=300)):
         with pytest.raises(DegenerateParams):
             BoostParams(**bad).validate()
