@@ -309,6 +309,17 @@ def _config_id(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:10]
 
 
+def _merged(base: dict, over: dict) -> dict:
+    """``base`` with ``over`` applied: an object merges key by key into the
+    object it overrides, and any other value, a list included, replaces."""
+    out = dict(base)
+    for key, value in over.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merged(out[key], value)
+        out[key] = value
+    return out
+
+
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     if args.preset == "expressions":
@@ -329,9 +340,7 @@ def _cmd_sweep(args) -> int:
 
     entries = []
     for over in overrides:
-        merged = base.to_dict()
-        merged.update(over)
-        cfg = PipelineConfig.from_dict(merged)
+        cfg = PipelineConfig.from_dict(_merged(base.to_dict(), over))
         ds = _apply_expression_filter(ds_full, cfg)
         folds, n_seeds = _cv_counts(args, cfg)
         _, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import (
     DataError,
+    DuplicateEntry,
     MissingCell,
     MissingColumn,
     OutOfRange,
@@ -130,6 +131,9 @@ def read_feature_table(path) -> LabeledDataset:
     Every column outside :data:`META_COLUMNS` is a feature.  Feature cells are
     converted in one bulk pass; a table that fails it is read again by
     :func:`_table_cells`, which raises for the first bad cell in row order.
+    A table whose cells are all good but which lists a participant twice
+    raises :class:`DuplicateEntry` for the first id seen again: folds are
+    assigned by row, so one participant would sit on both sides of a split.
     """
     with csv_rows(path) as (header, rows):
         pos = {h: i for i, h in enumerate(header)}
@@ -151,6 +155,11 @@ def read_feature_table(path) -> LabeledDataset:
             X = None
     if X is None:
         X, meta = _table_cells(path, pos, feat_cols)
+    seen = set()
+    for pid in meta["participant_id"]:
+        if pid in seen:
+            raise DuplicateEntry(pid, "feature-table row")
+        seen.add(pid)
     return LabeledDataset(feature_names=[h for h, _ in feat_cols], X=X,
                           y=meta["label"], participant_ids=meta["participant_id"],
                           demographics={c: meta[c] for c in DEMOGRAPHIC_COLUMNS})

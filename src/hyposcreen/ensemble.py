@@ -111,13 +111,16 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
         fold_train.append((Xa, ya))
         inner_synthetic.append(int(n_syn))
 
+    # candidates that differ only in a max_leaves cap their trees never reach
+    # share one grown model (see fit_histgbm)
+    memo = {}
     oof = np.empty((n, len(candidates)))
     scores = []
     for ci, params in enumerate(candidates):
         for fold in range(plan.k):
             _, ev = plan.fold_indices(fold)
             Xa, ya = fold_train[fold]
-            model = fit_histgbm(Xa, ya, params)
+            model = fit_histgbm(Xa, ya, params, memo=memo)
             oof[ev, ci] = predict_proba(model, X[ev])
         scores.append(auroc(oof[:, ci], y))
 
@@ -125,7 +128,7 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
     meta = fit_logistic(oof[:, kept], y, l2_strength=1.0)
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")
-    base_models = [fit_histgbm(Xf, yf, candidates[ci]) for ci in kept]
+    base_models = [fit_histgbm(Xf, yf, candidates[ci], memo=memo) for ci in kept]
     base_info = [{"candidate_index": int(ci),
                   "params": candidates[ci].to_dict(),
                   "oof_auroc": float(scores[ci])} for ci in kept]

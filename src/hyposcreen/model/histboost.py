@@ -4,10 +4,26 @@ Trees are grown best-first on histograms of gradient/hessian sums.  One
 sibling's histogram is always derived by subtracting the other's from the
 parent's, which halves the accumulation work.  Split ties are broken toward
 the lower feature index, then the lower bin, so fits are fully deterministic.
+
+A caller that fits several candidates on one training set can pass
+``fit_histgbm`` a memo dict, and a model grown earlier is then returned
+instead of being grown again when it is provably the same model.  The
+boosted trees depend only on the binned codes, the bin counts, ``y`` and the
+parameters, and ``max_leaves`` only truncates best-first growth: the heap
+pops the same nodes in the same order under any cap, and the cap stops the
+popping.  A model whose trees all ended with an empty heap, the widest with
+``widest`` leaves, is therefore the same model under every cap
+``>= widest``; one in which some tree stopped at its cap ``c`` (so
+``widest == c``) is the same model only under cap ``c``.  Each tree's
+gradients come from the trees before it, so the argument carries from tree
+to tree.  The memo key is a digest of the data and of every parameter but
+``max_leaves``, so a memo shared too widely still returns no model grown on
+other data.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 from dataclasses import asdict, dataclass
@@ -142,8 +158,25 @@ def build_histograms(binned: np.ndarray, idx: np.ndarray, g: np.ndarray,
     return G, H, C
 
 
+@dataclass(frozen=True)
+class _Grown:
+    """The trees and losses of one fit, with what decides which leaf caps
+    they serve: the cap they were grown with, the most leaves in any tree,
+    and whether some tree stopped at the cap with splits left to make."""
+
+    trees: tuple
+    losses: tuple
+    cap: int
+    widest: int
+    capped: bool
+
+    def serves(self, cap: int) -> bool:
+        return self.widest <= cap and (not self.capped or cap <= self.cap)
+
+
 def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
-               stride: int) -> Tree:
+               stride: int) -> tuple[Tree, bool]:
+    """One tree, and whether ``max_leaves`` stopped it with splits left."""
     n = binned.shape[0]
     min_leaf = params.min_samples_leaf
     # split candidate b is valid for feature f only when b < n_bins[f] - 1
@@ -220,12 +253,13 @@ def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
         consider(lid, li, (Gl, Hl, Cl))
         consider(rid, ri, (Gr, Hr, Cr))
 
-    return Tree(feature=np.array(feature, dtype=np.int64),
+    tree = Tree(feature=np.array(feature, dtype=np.int64),
                 split_bin=np.array(split_bin, dtype=np.int64),
                 left=np.array(left, dtype=np.int64),
                 right=np.array(right, dtype=np.int64),
                 value=np.array(value, dtype=float),
                 cover=np.array(cover, dtype=float))
+    return tree, bool(heap)
 
 
 def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
@@ -242,8 +276,45 @@ def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_histgbm(X, y, params: BoostParams | None = None) -> BoostedModel:
-    """Fit the boosted classifier; records training log-loss per round."""
+def _memo_key(codes: np.ndarray, n_bins: np.ndarray, y: np.ndarray,
+              params: BoostParams) -> str:
+    """Digest of everything a fit depends on except ``max_leaves``."""
+    rest = {k: v for k, v in params.to_dict().items() if k != "max_leaves"}
+    digest = hashlib.sha256(repr((codes.shape, sorted(rest.items()))).encode())
+    for a in (codes, n_bins, y):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _boost(codes, y, params: BoostParams, n_bins, base_score: float) -> _Grown:
+    binned = codes.astype(np.int64)
+    stride = int(n_bins.max())
+    raw = np.full(binned.shape[0], base_score)
+    trees, losses = [], []
+    capped = False
+    for _ in range(params.n_trees):
+        p = sigmoid(raw)
+        g = p - y
+        h = p * (1.0 - p)
+        tree, stopped = _grow_tree(binned, g, h, params, n_bins, stride)
+        capped = capped or stopped
+        trees.append(tree)
+        raw = raw + params.learning_rate * _tree_outputs(tree, binned)
+        losses.append(log_loss(y, sigmoid(raw)))
+    widest = max(int(np.sum(t.feature < 0)) for t in trees)
+    return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,
+                  widest=widest, capped=capped)
+
+
+def fit_histgbm(X, y, params: BoostParams | None = None,
+                memo: dict | None = None) -> BoostedModel:
+    """Fit the boosted classifier; records training log-loss per round.
+
+    ``memo`` is a dict the caller owns and passes to every fit whose model
+    may be reused; it maps a digest of the data and parameters to the models
+    grown under it (see the module docstring).  The returned model always
+    carries this call's ``params`` and bin thresholds.
+    """
     params = params or BoostParams()
     params.validate()
     X = np.asarray(X, dtype=float)
@@ -255,29 +326,22 @@ def fit_histgbm(X, y, params: BoostParams | None = None) -> BoostedModel:
     if np.unique(y).size < 2:
         raise SingleClass()
 
-    n, d = X.shape
     mapper = fit_bins(X, params.max_bins)
     n_bins = mapper.n_bins
-    stride = int(n_bins.max())
-    binned = bin_matrix(mapper, X).astype(np.int64)
+    codes = bin_matrix(mapper, X)
 
     p_mean = float(np.mean(y))
     base_score = float(np.log(p_mean / (1.0 - p_mean)))
-    raw = np.full(n, base_score)
 
-    trees = []
-    losses = []
-    for _ in range(params.n_trees):
-        p = sigmoid(raw)
-        g = p - y
-        h = p * (1.0 - p)
-        tree = _grow_tree(binned, g, h, params, n_bins, stride)
-        trees.append(tree)
-        raw = raw + params.learning_rate * _tree_outputs(tree, binned)
-        losses.append(log_loss(y, sigmoid(raw)))
-
+    grown_here = ([] if memo is None
+                  else memo.setdefault(_memo_key(codes, n_bins, y, params), []))
+    grown = next((e for e in grown_here if e.serves(params.max_leaves)), None)
+    if grown is None:
+        grown = _boost(codes, y, params, n_bins, base_score)
+        grown_here.append(grown)
     return BoostedModel(params=params, mapper=mapper, base_score=base_score,
-                        trees=trees, train_loss=losses, n_features=d)
+                        trees=list(grown.trees), train_loss=list(grown.losses),
+                        n_features=X.shape[1])
 
 
 def predict_raw(model: BoostedModel, X) -> np.ndarray:

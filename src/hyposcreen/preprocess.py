@@ -16,6 +16,7 @@ from .errors import (
     ClassTooSmall,
     DataError,
     EmptyMatrix,
+    OutOfRange,
     SingleClass,
     TooFewMinority,
     WidthMismatch,
@@ -61,6 +62,10 @@ def fit_scaler(kind: str, X: np.ndarray, feature_names) -> FittedScaler:
         raise EmptyMatrix()
     if X.shape[1] != len(feature_names):
         raise WidthMismatch(len(feature_names), X.shape[1])
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = (int(v) for v in bad[0])
+        raise OutOfRange(r, feature_names[c], X[r, c])
     if kind == "minmax":
         lo, hi = X.min(axis=0), X.max(axis=0)
     elif kind == "standard":

@@ -303,6 +303,51 @@ def test_boosted_prediction_equals_naive_tree_walk():
           f"{worst:.2e} <= 1e-12")
 
 
+def _model_json(model) -> str:
+    return json.dumps(model.to_dict(), sort_keys=True)
+
+
+def test_memoized_fits_equal_independent_fits():
+    """Fits through one shared memo, in random order, serialize exactly as
+    independent fits: a model is reused only under caps it provably serves."""
+    rng = np.random.default_rng(211)
+    jobs = []
+    for t in range(100):
+        n, d = int(rng.integers(30, 301)), int(rng.integers(1, 13))
+        X = rng.normal(size=(n, d))
+        if t % 2:
+            X = np.round(X, 1)  # ties
+        y = (rng.random(n) < sigmoid(1.5 * X[:, 0])).astype(float)
+        y[:2] = (0.0, 1.0)
+        shared = {"n_trees": int(rng.integers(1, 6)),
+                  "max_bins": int(rng.integers(2, 256))}
+        leaf_minima = rng.choice(np.arange(1, 61), size=2, replace=False)
+        for lr in rng.uniform(0.05, 1.0, size=2):
+            for leaves in (2, 3, 7, 15, 31):
+                for msl in leaf_minima:
+                    jobs.append((X, y, BoostParams(
+                        learning_rate=float(lr), max_leaves=leaves,
+                        min_samples_leaf=int(msl), **shared)))
+    memo = {}
+    for i in rng.permutation(len(jobs)):
+        X, y, params = jobs[i]
+        assert (_model_json(fit_histgbm(X, y, params, memo=memo))
+                == _model_json(fit_histgbm(X, y, params))), params
+    grown = sum(len(v) for v in memo.values())
+    assert grown < len(jobs)  # some fits were reused
+
+    # one memo, other data: each call gets its own model; 2X + 1 bins like X,
+    # so it may reuse X's trees but must carry its own thresholds
+    X, y, params = jobs[0]
+    memo = {}
+    fit_histgbm(X, y, params, memo=memo)
+    for X2, y2 in ((X, 1.0 - y), (X[::-1] + 1.0, y), (2.0 * X + 1.0, y)):
+        assert (_model_json(fit_histgbm(X2, y2, params, memo=memo))
+                == _model_json(fit_histgbm(X2, y2, params)))
+    print(f"PASS memoized booster oracle: {len(jobs)} fits over 100 tables, "
+          f"{grown} grown, every model identical to an independent fit")
+
+
 def _jacobi_eigh(A, sweeps=60):
     A = A.copy()
     d = A.shape[0]

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from hyposcreen.cli import main
+from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table
 from hyposcreen.ensemble import ensemble_predict, load_ensemble, train_pipeline
-from hyposcreen.config import load_config
+from hyposcreen.config import PipelineConfig, load_config
 
 FAST_CONFIG = {
     "scaler": "minmax",
@@ -413,6 +413,32 @@ def test_sweep_rejects_bad_grid_with_exit_3(sim_table, tmp_path,
     assert err["error"] == "DataError"
     assert message in err["message"]
     assert not out.exists()
+
+
+def test_sweep_override_merges_into_base_sections(sim_table, tmp_path):
+    base = json.loads(json.dumps(FAST_CONFIG))
+    base["selection"] = {"method": "boost_rfe", "n_target": 3}
+    base["smote"] = {"enabled": False, "k_neighbors": 3}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base))
+    new_grid = [{"n_trees": 5, "max_leaves": 3, "min_samples_leaf": 4}]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"selection": {"n_target": 2},
+                                 "smote": {"k_neighbors": 4},
+                                 "ensemble": {"grid": new_grid}}]))
+    out = tmp_path / "board.csv"
+    assert main(["sweep", "--features", sim_table, "--config", str(config),
+                 "--grid", str(grid), "--folds", "2", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    expected = json.loads(json.dumps(base))
+    expected["selection"]["n_target"] = 2
+    expected["smote"]["k_neighbors"] = 4
+    expected["ensemble"]["grid"] = new_grid  # a list is replaced whole
+    with open(out, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["selection"] == "boost_rfe"
+    assert row["config_id"] == _config_id(
+        PipelineConfig.from_dict(expected).to_dict())
 
 
 @pytest.mark.parametrize("override, key", [

@@ -13,8 +13,10 @@ from hyposcreen.dataset import (
     read_feature_table,
     write_feature_table,
 )
+from hyposcreen.cli import main
 from hyposcreen.errors import (
     DataError,
+    DuplicateEntry,
     EmptyFile,
     MissingCell,
     MissingColumn,
@@ -166,3 +168,19 @@ def test_read_feature_table_label_must_be_binary(tmp_path, label):
     assert (err.value.row, err.value.col) == (2, "label")
     path.write_text("participant_id,label,f0\na,1.0,1.0\nb,0.0,2.0\nc,1,3.0\n")
     assert read_feature_table(path).y.tolist() == [1, 0, 1]
+
+
+def test_read_feature_table_rejects_a_participant_listed_twice(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("participant_id,label,f0\n"
+                    + "".join(f"{pid},{i % 2},{i}.0\n"
+                              for i, pid in enumerate("abcdbefa")))
+    with pytest.raises(DuplicateEntry) as err:
+        read_feature_table(path)
+    assert err.value.key == "b"
+    assert "feature-table row" in str(err.value)
+    assert main(["train", "--features", str(path),
+                 "--out", str(tmp_path / "model.json")]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == (
+        "DuplicateEntry")
+    assert not (tmp_path / "model.json").exists()

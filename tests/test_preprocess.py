@@ -7,6 +7,7 @@ from hyposcreen.errors import (
     ClassTooSmall,
     DataError,
     EmptyMatrix,
+    OutOfRange,
     SingleClass,
     TooFewMinority,
     WidthMismatch,
@@ -82,6 +83,13 @@ def test_scaler_errors():
         fit_scaler("minmax", np.zeros((0, 2)), ["a", "b"])
     with pytest.raises(WidthMismatch):
         fit_scaler("minmax", X, ["a"])
+    for kind in ("minmax", "standard", "none"):
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.zeros((3, 2))
+            bad[2, 1] = value
+            with pytest.raises(OutOfRange) as err:
+                fit_scaler(kind, bad, ["a", "b"])
+            assert (err.value.row, err.value.col) == (2, "b")
     scaler = fit_scaler("minmax", np.arange(6.0).reshape(3, 2), ["a", "b"])
     with pytest.raises(WidthMismatch):
         apply_scaler(scaler, np.zeros((2, 3)))
