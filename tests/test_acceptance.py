@@ -16,11 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hyposcreen.cli as cli
 import hyposcreen.ingest as ingest
 from hyposcreen.cli import main
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import DEMOGRAPHIC_COLUMNS, META_COLUMNS, read_feature_table
 from hyposcreen.errors import (
+    DuplicateEntry,
     EmptyFile,
     MissingCell,
     MissingColumn,
@@ -31,7 +33,13 @@ from hyposcreen.errors import (
 from hyposcreen.evaluate import auroc, run_cross_validation, verify_no_leakage
 from hyposcreen.explain import exact_shapley_oracle, pca_project, tree_shap
 from hyposcreen.featurize import feature_names
-from hyposcreen.ingest import EXPRESSIONS, N_POINTS, parse_landmark_series
+from hyposcreen.ingest import (
+    EXPRESSION_AUS,
+    EXPRESSIONS,
+    N_POINTS,
+    parse_au_csv,
+    parse_landmark_series,
+)
 from hyposcreen.model.binning import bin_matrix
 from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
 from hyposcreen.model.logistic import logistic_objective
@@ -493,6 +501,10 @@ def _outcome(fn, path):
         return type(exc), (exc.frame_idx, exc.point_count)
     except MissingColumn as exc:
         return type(exc), (exc.name,)
+    except DuplicateEntry as exc:
+        return type(exc), (exc.key,)
+    except EmptyFile as exc:
+        return type(exc), ()
 
 
 def _cell_texts(values, rng):
@@ -516,13 +528,13 @@ def _cell_texts(values, rng):
     return out
 
 
-def _write_messy_csv(path, rows, rng):
+def _write_messy_csv(path, rows, rng, quote_rate=0.1):
     """Quote some cells and put blank and whitespace-only lines between rows."""
     lines = []
     for row in rows:
         while rng.random() < 0.2:
             lines.append(["", "   ", ",  ,", "\t"][int(rng.integers(4))])
-        quote = rng.random(len(row)) < 0.1
+        quote = rng.random(len(row)) < quote_rate
         lines.append(",".join(f'"{c}"' if q else c for c, q in zip(row, quote)))
     path.write_text("\n".join(lines) + "\n")
 
@@ -541,7 +553,8 @@ def _corrupt(header, data, needed, rng, bad_values):
                 if drop < len(row):
                     del row[drop]
         elif kind == "short":
-            del data[r][int(rng.integers(1, len(data[r]))):]
+            if len(data[r]) > 1:  # an earlier cut may have left one cell
+                del data[r][int(rng.integers(1, len(data[r]))):]
         elif kind == "long":
             data[r].append("0.5")
         elif header.index(name) < len(data[r]):
@@ -796,6 +809,176 @@ def test_feature_table_bulk_read_equals_cell_reference(tmp_path):
           f"({outcomes.count('ok')} read, the rest rejected at the same "
           f"cell as the reference)")
 
+
+_AU_LIMITS = {"_r": (0.0, 5.0), "_c": (0.0, 1.0), "confidence": (0.0, 1.0)}
+
+
+def _reference_au(path, expression):
+    header, data = _csv_data(path)
+    where = {h: i for i, h in enumerate(header)}
+    names = ["frame"] + [au + s for au in EXPRESSION_AUS[expression]
+                         for s in ("_r", "_c")]
+    for name in names:
+        if name not in where:
+            raise MissingColumn(name)
+    if "confidence" in where:
+        names.append("confidence")
+    frames = []
+    for r, row in enumerate(data):
+        values = []
+        for name in names:
+            if where[name] >= len(row):
+                raise MissingCell(r, name)
+            v = _checked_float(row[where[name]], r, name)
+            kind = name if name == "confidence" else name[-2:]
+            if kind in _AU_LIMITS:
+                lo, hi = _AU_LIMITS[kind]
+                if not lo <= v <= hi or (kind == "_c" and v not in (lo, hi)):
+                    raise OutOfRange(r, name, v)
+            values.append(v)
+        frames.append(values)
+    frames = sorted(frames, key=lambda values: values[0])  # stable
+    return {name: np.array([values[j] for values in frames])
+            for j, name in enumerate(names)}
+
+
+def _same_au(series, ref):
+    tracks = [(series.au_intensity[au], ref[au + "_r"], np.float64)
+              for au in series.au_intensity]
+    tracks += [(series.au_activation[au], ref[au + "_c"], np.uint8)
+               for au in series.au_activation]
+    if "confidence" in ref:
+        tracks.append((series.confidence, ref["confidence"], np.float64))
+    elif series.confidence is not None:
+        return False
+    return (series.frame_count == len(ref["frame"])
+            and all(got.dtype == dtype and np.array_equal(got, want)
+                    for got, want, dtype in tracks))
+
+
+def _au_texts(names, rng):
+    """One row of AU cells: intensities over [0, 5] with both ends, 0/1
+    activations in several spellings, a confidence in [0, 1]."""
+    cells = {}
+    for name in names:
+        if name.endswith("_r"):
+            v = (0.0, 5.0, float(rng.uniform(0, 5)))[int(rng.integers(3))]
+            cells[name] = _cell_texts([v], rng)[0]
+        elif name.endswith("_c"):
+            cells[name] = ("0", "1", "1.0", " 0", "+1", "0e0")[int(rng.integers(6))]
+        elif name == "confidence":
+            cells[name] = _cell_texts([rng.random()], rng)[0]
+    return cells
+
+
+def test_au_parse_equals_cell_reference(tmp_path):
+    rng = np.random.default_rng(215)
+    outcomes = []
+    for i in range(120):
+        expression = EXPRESSIONS[i % 3]
+        aus = EXPRESSION_AUS[expression]
+        n = int(rng.integers(1, 6))
+        frames = rng.permutation(n)
+        if n > 1 and rng.random() < 0.3:
+            frames[0] = frames[1]  # a repeated frame keeps file order
+        header = ["frame"] + [au + s for au in aus for s in ("_r", "_c")]
+        header += ["confidence", "face_id", "AU23_r"][:int(rng.integers(4))]
+        rng.shuffle(header)
+        data = []
+        for f in frames:
+            cells = _au_texts(header, rng)
+            cells.update({"frame": str(f) if rng.random() < 0.7 else repr(float(f)),
+                          "face_id": "face a", "AU23_r": "7.5"})
+            data.append([cells[h] for h in header])
+        quote_rate = 0.1 if i % 2 else 0.0
+        path = tmp_path / f"au{i}.csv"
+        _write_messy_csv(path, [header] + data, rng, quote_rate)
+
+        def parse(p):
+            return parse_au_csv(p, expression)
+
+        def reference(p):
+            return _reference_au(p, expression)
+        outcomes.append(_check_against_reference(parse, reference, path, _same_au))
+        _corrupt(header, data, [h for h in header if h not in ("face_id", "AU23_r")],
+                 rng, ("oops", "", "1.2.3", "0x1", "5.5", "-0.1", "0.5", "3"))
+        bad = tmp_path / f"au{i}_bad.csv"
+        _write_messy_csv(bad, [header] + data, rng, quote_rate)
+        outcomes.append(_check_against_reference(parse, reference, bad, _same_au))
+    kinds = {k for k in outcomes if k != "ok"}
+    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn}
+    print(f"PASS AU parse oracle: {len(outcomes)} files "
+          f"({outcomes.count('ok')} parsed, the rest rejected at the same "
+          f"cell as the reference)")
+
+
+def _reference_predictions(path):
+    header, data = _csv_data(path)
+    for name in ("participant_id", "score"):
+        if name not in header:
+            raise MissingColumn(name)
+    where = {h: i for i, h in enumerate(header)}
+    ids, scores = [], []
+    for r, row in enumerate(data):
+        for name in ("participant_id", "score"):
+            if where[name] >= len(row):
+                raise MissingCell(r, name)
+        ids.append(row[where["participant_id"]])
+        scores.append(_checked_float(row[where["score"]], r, "score"))
+    seen = set()
+    for pid in ids:
+        if pid in seen:
+            raise DuplicateEntry(pid, "predictions row")
+        seen.add(pid)
+    return ids, np.array(scores)
+
+
+def _same_predictions(got, ref):
+    return (got[0] == ref[0] and got[1].dtype == ref[1].dtype
+            and np.array_equal(got[1], ref[1]))
+
+
+def test_predictions_read_equals_cell_reference(tmp_path):
+    # A corrupted copy holds either one repeated id or bad cells with every
+    # id distinct, never both: which of two such faults is named first is
+    # not part of the contract this oracle pins.
+    rng = np.random.default_rng(216)
+    outcomes = []
+    for i in range(120):
+        n = int(rng.integers(1, 8))
+        header = ["participant_id", "score"] + ["label", "fold", "note"][:int(rng.integers(4))]
+        rng.shuffle(header)
+        data = []
+        for r in range(n):
+            cells = {"participant_id": (f"p{r:03d}", f"id {r}", f" P-{r} ")[r % 3],
+                     "label": str(r % 2), "fold": str(r % 3), "note": "seen twice"}
+            cells["score"] = _cell_texts([rng.random() * 10.0 ** float(rng.integers(-3, 3))],
+                                         rng)[0]
+            data.append([cells[h] for h in header])
+        quote_rate = 0.1 if i % 2 else 0.0
+        path = tmp_path / f"preds{i}.csv"
+        _write_messy_csv(path, [header] + data, rng, quote_rate)
+        outcomes.append(_check_against_reference(cli._read_predictions,
+                                                 _reference_predictions, path,
+                                                 _same_predictions))
+        if n > 1 and rng.random() < 0.25:
+            first, again = sorted(rng.choice(n, size=2, replace=False))
+            col = header.index("participant_id")
+            data[again][col] = data[first][col]
+        else:
+            _corrupt(header, data, ["participant_id", "score"], rng,
+                     ("oops", "", "1.2.3", "0x1"))
+        bad = tmp_path / f"preds{i}_bad.csv"
+        _write_messy_csv(bad, [header] + data, rng, quote_rate)
+        outcomes.append(_check_against_reference(cli._read_predictions,
+                                                 _reference_predictions, bad,
+                                                 _same_predictions))
+    kinds = {k for k in outcomes if k != "ok"} - {EmptyFile}  # a row cut blank
+    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn,
+                     DuplicateEntry}
+    print(f"PASS predictions oracle: {len(outcomes)} files "
+          f"({outcomes.count('ok')} read, the rest rejected at the same "
+          f"cell as the reference)")
 
 # --- numeric invariants ----------------------------------------------------------------
 
