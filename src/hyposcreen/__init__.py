@@ -2,9 +2,18 @@
 
 Turns per-frame action-unit and landmark series into participant-level
 feature vectors, trains a stacked gradient-boosting screen with leak-free
-cross-validation, and reports calibrated metrics, subgroup bias statistics,
+cross-validation, and reports screening metrics, subgroup bias statistics,
 and exact tree attributions.
 """
+
+import os
+
+# A threaded BLAS splits sums differently, so wide matrix products, solves
+# and eigendecompositions would change in their last bits with the thread
+# count.  One thread keeps outputs fixed; it cannot reach a process that
+# imported numpy before this package.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .config import DEFAULT_GRID, PipelineConfig, load_config, save_config
 from .dataset import (

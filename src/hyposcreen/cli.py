@@ -27,18 +27,11 @@ from .ensemble import (
     save_ensemble,
     train_pipeline,
 )
-from .errors import (
-    DataError,
-    DuplicateEntry,
-    HyposcreenError,
-    MissingCell,
-    MissingColumn,
-    UsageError,
-)
+from .errors import DataError, HyposcreenError, UsageError
 from .evaluate import run_cross_validation, summarize_bootstrap
 from .explain import pca_project, silhouette_score, tree_shap
 from .featurize import feature_names as canonical_feature_names
-from .ingest import EXPRESSIONS, cell_float, csv_rows, parse_manifest
+from .ingest import EXPRESSIONS, Column, CsvSpec, parse_manifest, read_columns
 from .parallel import parallel_map
 from .preprocess import apply_scaler
 from .reports import (
@@ -98,25 +91,15 @@ def _apply_expression_filter(ds, config: PipelineConfig):
     return ds.column_subset(wanted)
 
 
+_PREDICTIONS_SPEC = CsvSpec((
+    Column("participant_id", number=False, unique="predictions row"),
+    Column("score")))
+
+
 def _read_predictions(path):
     """Participant ids, each listed once, and finite scores of a predictions csv."""
-    ids, scores = [], []
-    seen = set()
-    with csv_rows(path) as (header, rows):
-        pos = {h: i for i, h in enumerate(header)}
-        for col in ("participant_id", "score"):
-            if col not in pos:
-                raise MissingColumn(col)
-        for r, cells in enumerate(rows):
-            if pos["participant_id"] >= len(cells):
-                raise MissingCell(r, "participant_id")
-            pid = cells[pos["participant_id"]]
-            if pid in seen:
-                raise DuplicateEntry(pid, "predictions row")
-            seen.add(pid)
-            ids.append(pid)
-            scores.append(cell_float(cells, r, pos["score"], "score"))
-    return ids, np.array(scores)
+    _, block, cells = read_columns(path, _PREDICTIONS_SPEC)
+    return cells["participant_id"], block[:, 0]
 
 
 def _parse_float_list(text: str) -> list:

@@ -7,15 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateEntry,
-    MissingCell,
-    MissingColumn,
-    OutOfRange,
-)
+from .errors import DataError
 from .featurize import featurize_recording, load_index_map
-from .ingest import Manifest, cell_float, csv_rows, float_block, load_recording
+from .ingest import (
+    Column,
+    CsvSpec,
+    Manifest,
+    is_binary,
+    load_recording,
+    read_columns,
+)
 
 META_COLUMNS = ("participant_id", "label", "cohort", "sex", "age",
                 "ethnicity", "disease_duration")
@@ -125,71 +126,25 @@ def write_feature_table(ds: LabeledDataset, path) -> None:
             w.writerow(row)
 
 
+_TABLE_SPEC = CsvSpec(
+    (Column("participant_id", number=False, unique="feature-table row"),
+     Column("label", rule=is_binary))
+    + tuple(Column(c, number=c in CONTINUOUS_DEMOGRAPHICS, optional=True,
+                   blank=True) for c in DEMOGRAPHIC_COLUMNS),
+    rest=True)
+
+
 def read_feature_table(path) -> LabeledDataset:
     """Read a feature table; columns are found by name, in any order.
 
-    Every column outside :data:`META_COLUMNS` is a feature.  Feature cells are
-    converted in one bulk pass; a table that fails it is read again by
-    :func:`_table_cells`, which raises for the first bad cell in row order.
-    A table whose cells are all good but which lists a participant twice
-    raises :class:`DuplicateEntry` for the first id seen again: folds are
-    assigned by row, so one participant would sit on both sides of a split.
+    Every column outside :data:`META_COLUMNS` is a feature.  A table whose
+    cells are all good but which lists a participant twice raises
+    :class:`DuplicateEntry` for the first id seen again: folds are assigned
+    by row, so one participant would sit on both sides of a split.
     """
-    with csv_rows(path) as (header, rows):
-        pos = {h: i for i, h in enumerate(header)}
-        for col in ("participant_id", "label"):
-            if col not in pos:
-                raise MissingColumn(col)
-        meta_set = set(META_COLUMNS)
-        feat_cols = [(h, i) for i, h in enumerate(header) if h not in meta_set]
-        meta = {c: [] for c in META_COLUMNS}
-
-        def with_meta():
-            for r, cells in enumerate(rows):
-                _read_meta(cells, r, pos, meta)
-                yield cells
-
-        try:
-            X = float_block(with_meta(), [i for _, i in feat_cols])
-        except DataError:  # a bad meta cell; an earlier feature cell may be bad too
-            X = None
-    if X is None:
-        X, meta = _table_cells(path, pos, feat_cols)
-    seen = set()
-    for pid in meta["participant_id"]:
-        if pid in seen:
-            raise DuplicateEntry(pid, "feature-table row")
-        seen.add(pid)
-    return LabeledDataset(feature_names=[h for h, _ in feat_cols], X=X,
-                          y=meta["label"], participant_ids=meta["participant_id"],
-                          demographics={c: meta[c] for c in DEMOGRAPHIC_COLUMNS})
-
-
-def _read_meta(cells, r, pos, meta) -> None:
-    """Append row ``r``'s participant id, label and demographics to ``meta``."""
-    if pos["participant_id"] >= len(cells):
-        raise MissingCell(r, "participant_id")
-    meta["participant_id"].append(cells[pos["participant_id"]])
-    label = cell_float(cells, r, pos["label"], "label")
-    if label not in (0.0, 1.0):
-        raise OutOfRange(r, "label", label)
-    meta["label"].append(int(label))
-    for col in DEMOGRAPHIC_COLUMNS:
-        if col not in pos or pos[col] >= len(cells) or cells[pos[col]] == "":
-            meta[col].append(None)
-        elif col in CONTINUOUS_DEMOGRAPHICS:
-            meta[col].append(cell_float(cells, r, pos[col], col))
-        else:
-            meta[col].append(cells[pos[col]])
-
-
-def _table_cells(path, pos, feat_cols) -> tuple[np.ndarray, dict]:
-    """Cell-by-cell read of a feature table; raises for the first bad cell."""
-    meta = {c: [] for c in META_COLUMNS}
-    values = []
-    with csv_rows(path) as (_, rows):
-        for r, cells in enumerate(rows):
-            _read_meta(cells, r, pos, meta)
-            for name, i in feat_cols:
-                values.append(cell_float(cells, r, i, name))
-    return np.array(values).reshape(len(meta["label"]), len(feat_cols)), meta
+    names, block, cells = read_columns(path, _TABLE_SPEC)
+    return LabeledDataset(
+        feature_names=names[1:], X=np.ascontiguousarray(block[:, 1:]),
+        y=block[:, 0].astype(np.int64), participant_ids=cells["participant_id"],
+        demographics={c: cells.get(c, [None] * len(block))
+                      for c in DEMOGRAPHIC_COLUMNS})

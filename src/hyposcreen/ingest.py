@@ -13,11 +13,11 @@ import csv
 import itertools
 import json
 import math
-import operator
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def parse_manifest(path) -> Manifest:
     return Manifest(entries=entries, base_dir=base)
 
 
-# --- csv helpers ----------------------------------------------------------
+# --- csv reader ------------------------------------------------------------
 
 @contextmanager
 def csv_rows(path):
@@ -199,56 +199,195 @@ def csv_rows(path):
         yield [h.strip() for h in header], itertools.chain((first,), rows)
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    with csv_rows(path) as (header, rows):
-        return header, list(rows)
+def is_binary(v):
+    """Value rule, for one value or an array: ``v`` is 0 or 1."""
+    return (v == 0.0) | (v == 1.0)
 
 
-def float_block(rows, positions) -> np.ndarray | None:
-    """The cells at ``positions`` of every row as an (n, len(positions)) array.
+@dataclass(frozen=True)
+class Column:
+    """One column of a csv format, found by its header name.
 
-    Each cell goes through one ``float()``, as in a cell-by-cell loop, so the
-    values are the same.  Returns None when a row is too short for
-    ``positions``, or when a cell is rejected by ``float()`` or is not finite:
-    the caller then reads the file again cell by cell to name the first bad
-    cell.
+    A ``number`` cell must hold a finite ``float()`` that passes ``rule``;
+    other cells are text.  An ``optional`` column may be missing from the
+    header.  A ``blank`` column reads an empty or missing cell as None.  A
+    value seen twice in a ``unique`` column raises :class:`DuplicateEntry`.
     """
-    k = len(positions)
-    # itemgetter of one position returns a bare string, not a tuple
-    pick = (operator.itemgetter(*positions) if k > 1
-            else lambda row: [row[p] for p in positions])
-    n = 0
 
-    def picked():
-        nonlocal n
-        for row in rows:
-            n += 1
-            yield pick(row)
+    name: str
+    number: bool = True
+    rule: Callable | None = None
+    optional: bool = False
+    blank: bool = False
+    unique: str | None = None
 
+
+@dataclass(frozen=True)
+class CsvSpec:
+    """A csv format: its columns in check order; with ``rest``, then every
+    header column it does not name, as a number.  ``ragged(r, present)`` is
+    the error for data row ``r`` if its width differs from the header's;
+    ``present`` says which columns the row reaches.
+    """
+
+    columns: tuple[Column, ...]
+    rest: bool = False
+    ragged: Callable | None = None
+
+
+def read_columns(path, spec: CsvSpec):
+    """``(names, block, cells)``: the columns of ``spec`` in the csv at ``path``.
+
+    ``block`` holds the non-blank number columns ``names``, one row per data
+    row; ``cells`` maps every other column to its list of values.  A file
+    that :func:`_bulk_pass` declines is read by :func:`_cell_pass`, which
+    raises for the first bad cell in row order, then in spec order.  Repeats
+    in a ``unique`` column are checked after every cell.
+    """
+    with csv_rows(path) as (header, _):
+        pass
+    pos = {name: i for i, name in enumerate(header)}
+    for col in spec.columns:
+        if col.name not in pos and not col.optional:
+            raise MissingColumn(col.name)
+    columns = [(col, pos[col.name]) for col in spec.columns if col.name in pos]
+    if spec.rest:
+        named = {col.name for col in spec.columns}
+        columns += [(Column(h), i) for i, h in enumerate(header) if h not in named]
+    table = (_bulk_pass(path, header, columns)
+             or _cell_pass(path, len(header), columns, spec.ragged))
+    for col, _ in columns:
+        if col.unique:
+            seen = set()
+            for value in table[2][col.name]:
+                if value in seen:
+                    raise DuplicateEntry(value, col.unique)
+                seen.add(value)
+    return table
+
+
+def _in_block(col: Column) -> bool:
+    return col.number and not col.blank
+
+
+def _cell(cells, r: int, col: Column, pos: int):
+    """The value of cell ``pos`` of data row ``r``, checked against ``col``."""
+    if pos >= len(cells) or (col.blank and cells[pos] == ""):
+        if col.blank:
+            return None
+        raise MissingCell(r, col.name)
+    if not col.number:
+        return cells[pos]
     try:
-        flat = np.fromiter(map(float, itertools.chain.from_iterable(picked())),
-                           dtype=float)
-    except (ValueError, IndexError):
-        return None
-    if not np.isfinite(flat).all():
-        return None
-    return flat.reshape(n, k)
-
-
-def cell_float(row_cells, row_idx, pos, name) -> float:
-    """The finite number in cell ``pos`` of data row ``row_idx``."""
-    if pos >= len(row_cells):
-        raise MissingCell(row_idx, name)
-    try:
-        v = float(row_cells[pos])
+        v = float(cells[pos])
     except ValueError:
-        raise NonNumericCell(row_idx, name) from None
-    if not math.isfinite(v):
-        raise OutOfRange(row_idx, name, v)
+        raise NonNumericCell(r, col.name) from None
+    if not math.isfinite(v) or (col.rule is not None and not col.rule(v)):
+        raise OutOfRange(r, col.name, v)
     return v
 
 
+def _cell_pass(path, width: int, columns, ragged):
+    """Cell-by-cell read of ``columns``, ``(Column, position)`` pairs."""
+    values = _row_values(path, width, columns, ragged)
+    picks = [j for j, (col, _) in enumerate(columns) if _in_block(col)]
+    block = np.array([[row[j] for j in picks] for row in values], dtype=float)
+    return ([columns[j][0].name for j in picks],
+            block.reshape(len(values), len(picks)), _cell_lists(columns, values))
+
+
+def _row_values(path, width: int, columns, ragged) -> list[list]:
+    """Each data row's checked values of ``columns``, rows in file order."""
+    values = []
+    with csv_rows(path) as (_, rows):
+        for r, cells in enumerate(rows):
+            if ragged is not None and len(cells) != width:
+                raise ragged(r, [p < len(cells) for _, p in columns])
+            values.append([_cell(cells, r, col, p) for col, p in columns])
+    return values
+
+
+def _cell_lists(columns, values) -> dict[str, list]:
+    return {col.name: [row[j] for row in values]
+            for j, (col, _) in enumerate(columns) if not _in_block(col)}
+
+
+# Characters whose cells numpy's parser and ``float()`` split or strip
+# differently: a quote (numpy takes it as text, csv as quoting) and the ASCII
+# file, group, record and unit separators (numpy strips them as whitespace).
+_DECLINED = '"\x1c\x1d\x1e\x1f'
+# np.loadtxt opens a path with one of these suffixes through a decompressor;
+# csv_rows reads every path as plain text.
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+
+
+def _bulk_pass(path, header, columns):
+    """The result of :func:`_cell_pass` with the number columns converted by
+    ``np.loadtxt``, or None to decline the file.
+
+    numpy converts a cell with the same correctly rounded routine as
+    ``float()``, so the values are the same; it accepts fewer spellings (no
+    ``1_0`` or non-ASCII digits, no whitespace-only line).  It parses every
+    column, the rest through a dummy converter, so it refuses rows of
+    differing widths; csv then reads the text and blank columns.  The pass
+    declines when numpy raises or warns, when the rows are not as wide as the
+    header, when the file holds a character of :data:`_DECLINED`, a blank
+    line before the header or a suffix numpy decompresses, or when a cell
+    fails its column's checks.
+    """
+    if Path(path).suffix in _DECOMPRESSED_SUFFIXES:
+        return None
+    try:
+        with open(path) as fh:  # decoded as csv_rows and np.loadtxt decode it
+            text = fh.read()
+    except ValueError:  # UnicodeDecodeError
+        return None
+    if (any(c in text for c in _DECLINED)
+            or [h.strip() for h in text[:text.find("\n")].split(",")] != header):
+        return None
+    del text
+    numbers = [(col, p) for col, p in columns if _in_block(col)]
+    wanted = [p for _, p in numbers]
+    skipped = set(range(len(header))) - set(wanted)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a path, not a file object: numpy then reads it in large chunks
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               dtype=float, ndmin=2,
+                               converters=dict.fromkeys(skipped, lambda _: 0.0)
+                               or None)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != len(header):
+        return None
+    block = table[:, wanted]
+    del table
+    if not np.isfinite(block).all() or not all(
+            col.rule(block[:, j]).all()
+            for j, (col, _) in enumerate(numbers) if col.rule is not None):
+        return None
+    others = [(col, p) for col, p in columns if not _in_block(col)]
+    try:
+        values = _row_values(path, len(header), others, None) if others else []
+    except DataError:
+        return None
+    if others and len(values) != len(block):
+        return None
+    return [col.name for col, _ in numbers], block, _cell_lists(others, values)
+
+
 # --- AU csv ---------------------------------------------------------------
+
+def _au_spec(expression) -> CsvSpec:
+    columns = [Column("frame")]
+    for au in EXPRESSION_AUS[expression]:
+        columns += [Column(au + "_r", rule=lambda v: (0.0 <= v) & (v <= 5.0)),
+                    Column(au + "_c", rule=is_binary)]
+    columns.append(Column("confidence", rule=lambda v: (0.0 <= v) & (v <= 1.0),
+                          optional=True))
+    return CsvSpec(tuple(columns))
+
 
 def parse_au_csv(path, expression, participant_id: str = "") -> RecordingSeries:
     """Parse one AU track.  Intensities must lie in [0, 5], activations in {0, 1}.
@@ -259,46 +398,20 @@ def parse_au_csv(path, expression, participant_id: str = "") -> RecordingSeries:
     if expression not in EXPRESSION_AUS:
         raise DataError(f"unknown expression {expression!r}")
     aus = EXPRESSION_AUS[expression]
-    header, data = _read_rows(path)
-    pos = {name: i for i, name in enumerate(header)}
-    if "frame" not in pos:
-        raise MissingColumn("frame")
-    for au in aus:
-        for suffix in ("_r", "_c"):
-            if au + suffix not in pos:
-                raise MissingColumn(au + suffix)
-    has_conf = "confidence" in pos
+    names, block, _ = read_columns(path, _au_spec(expression))
+    col = {name: j for j, name in enumerate(names)}
+    order = np.argsort(block[:, 0], kind="stable")
 
-    n = len(data)
-    frames = np.empty(n)
-    intensity = {au: np.empty(n) for au in aus}
-    activation = {au: np.empty(n, dtype=np.uint8) for au in aus}
-    conf = np.empty(n) if has_conf else None
-    for r, cells in enumerate(data):
-        frames[r] = cell_float(cells, r, pos["frame"], "frame")
-        for au in aus:
-            v = cell_float(cells, r, pos[au + "_r"], au + "_r")
-            if not 0.0 <= v <= 5.0:
-                raise OutOfRange(r, au + "_r", v)
-            intensity[au][r] = v
-            a = cell_float(cells, r, pos[au + "_c"], au + "_c")
-            if a not in (0.0, 1.0):
-                raise OutOfRange(r, au + "_c", a)
-            activation[au][r] = int(a)
-        if has_conf:
-            c = cell_float(cells, r, pos["confidence"], "confidence")
-            if not 0.0 <= c <= 1.0:
-                raise OutOfRange(r, "confidence", c)
-            conf[r] = c
+    def track(name):
+        return block[order, col[name]]
 
-    order = np.argsort(frames, kind="stable")
     return RecordingSeries(
         participant_id=participant_id,
         expression=expression,
-        frame_count=n,
-        au_intensity={au: intensity[au][order] for au in aus},
-        au_activation={au: activation[au][order] for au in aus},
-        confidence=conf[order] if has_conf else None,
+        frame_count=len(order),
+        au_intensity={au: track(au + "_r") for au in aus},
+        au_activation={au: track(au + "_c").astype(np.uint8) for au in aus},
+        confidence=track("confidence") if "confidence" in col else None,
     )
 
 
@@ -329,25 +442,19 @@ def _landmark_columns() -> list[str]:
     return [f"p{i:03d}_{ax}" for i in range(N_POINTS) for ax in _AXES]
 
 
+_LANDMARK_SPEC = CsvSpec(
+    tuple(Column(name) for name in ["frame"] + _landmark_columns()),
+    ragged=lambda r, present: RaggedFrame(r, sum(present[1:]) // 3))
+
+
 def parse_landmark_series(path, participant_id: str = "",
                           expression: str = "") -> RecordingSeries:
     """Parse one landmark track into a (frames, 478, 3) array.
 
-    The cells are converted by numpy's C parser (:func:`_loadtxt_block`).  A
-    file it refuses is read cell by cell by :func:`_landmark_cells`, which
-    raises for the first bad cell in row order.
+    A row whose width differs from the header's raises :class:`RaggedFrame`
+    with the number of complete points it holds.
     """
-    names = ["frame"] + _landmark_columns()
-    with csv_rows(path) as (header, _):
-        pos = {name: i for i, name in enumerate(header)}
-    for c in names:
-        if c not in pos:
-            raise MissingColumn(c)
-    wanted = [pos[c] for c in names]
-    block = _loadtxt_block(path, wanted, len(header))
-    if block is None:
-        block = _landmark_cells(path, wanted, names)
-
+    _, block, _ = read_columns(path, _LANDMARK_SPEC)
     n = len(block)
     order = np.argsort(block[:, 0], kind="stable")
     return RecordingSeries(
@@ -356,66 +463,6 @@ def parse_landmark_series(path, participant_id: str = "",
         frame_count=n,
         landmarks=block[order, 1:].reshape(n, N_POINTS, 3),
     )
-
-
-# numpy's number parser strips these (the ASCII file, group, record and unit
-# separators) around a cell as whitespace; ``float()`` rejects them.
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
-# np.loadtxt opens a path with one of these suffixes through a decompressor;
-# csv_rows reads every path as plain text.
-_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
-
-
-def _loadtxt_block(path, positions, width) -> np.ndarray | None:
-    """The columns at ``positions`` of every row after the first line, as
-    converted by ``np.loadtxt``.
-
-    numpy converts a cell with the same correctly rounded routine as
-    ``float()``, so the values are the same; it accepts fewer spellings (no
-    quotes, ``1_0`` or non-ASCII digits, no whitespace-only line, no blank
-    line before the header).  Returns None when numpy raises or warns, when
-    the file holds no row, when a row is not ``width`` cells long, when the
-    file holds a character only numpy takes for padding or has a suffix numpy
-    decompresses, or when a value at ``positions`` is not finite: the caller
-    then reads the file through the ``float()`` path, which accepts and
-    rejects exactly what it did before.
-    """
-    if Path(path).suffix in _DECOMPRESSED_SUFFIXES:
-        return None
-    try:
-        with open(path) as fh:  # decoded as csv_rows and np.loadtxt decode it
-            text = fh.read()
-        if any(c in text for c in _NOT_FLOAT_SPACE):
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # a path, not a file object: numpy then reads it in large chunks
-            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               dtype=float, ndmin=2)
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-        return None
-    if len(table) == 0 or table.shape[1] != width:
-        return None
-    block = table[:, positions]
-    return block if np.isfinite(block).all() else None
-
-
-def _landmark_cells(path, positions, names) -> np.ndarray:
-    """Cell-by-cell read of the columns at ``positions`` (frame first).
-
-    Raises :class:`RaggedFrame` for a row whose width differs from the
-    header's, else the error of the row's first bad cell in ``names`` order.
-    """
-    header, data = _read_rows(path)
-    width = len(header)
-    out = np.empty((len(data), len(positions)))
-    for r, cells in enumerate(data):
-        if len(cells) != width:
-            complete = sum(p < len(cells) for p in positions[1:]) // 3
-            raise RaggedFrame(r, complete)
-        for j, p in enumerate(positions):
-            out[r, j] = cell_float(cells, r, p, names[j])
-    return out
 
 
 def write_landmark_csv(series: RecordingSeries, path) -> None:

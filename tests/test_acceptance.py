@@ -10,8 +10,12 @@ claim; each test also prints the measured values.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,8 @@ from hyposcreen.stats import fisher_exact, normal_approx_ci, z_two_proportions_f
 from hyposcreen.util import sigmoid
 
 from hyposcreen.dataset import LabeledDataset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _best_of_three(fn):
@@ -668,8 +674,7 @@ def test_landmark_c_pass_alone_serves_clean_files(tmp_path, monkeypatch):
 
     def fallback(*args, **kwargs):
         raise _FallbackUsed
-    monkeypatch.setattr(ingest, "float_block", fallback)
-    monkeypatch.setattr(ingest, "_landmark_cells", fallback)
+    monkeypatch.setattr(ingest, "_cell_pass", fallback)
     served = declined = 0
     for i in range(120):
         lines = _landmark_lines(rng, 1 + i % 4, ["confidence"][:int(rng.integers(2))])
@@ -696,7 +701,102 @@ def test_landmark_c_pass_alone_serves_clean_files(tmp_path, monkeypatch):
             parse_landmark_series(bad)
         declined += 1
     print(f"PASS landmark C pass: {served} clean files served bit for bit with "
-          f"both float() passes disabled, {declined} declined")
+          f"the cell pass disabled, {declined} declined")
+
+
+def _same_table(ds, ref):
+    names, X, labels, pids, demo = ref
+    return (ds.feature_names == names and ds.X.dtype == X.dtype
+            and np.array_equal(ds.X, X) and ds.y.tolist() == labels
+            and ds.participant_ids == pids and ds.demographics == demo)
+
+
+def _clean_au_lines(rng, expression, n):
+    aus = EXPRESSION_AUS[expression]
+    header = ["frame"] + [au + s for au in aus for s in ("_r", "_c")]
+    header += ["confidence", "face_id"][:int(rng.integers(3))]
+    rng.shuffle(header)
+    lines = [header]
+    for f in rng.permutation(n):
+        cells = dict(zip([au + "_r" for au in aus],
+                         _plain_texts(rng.uniform(0, 5, size=len(aus)), rng)))
+        cells.update({au + "_c": ("0", "1", "1.0")[int(rng.integers(3))] for au in aus})
+        cells.update(frame=str(f), confidence=_plain_texts(rng.random(1), rng)[0],
+                     face_id="face a")
+        lines.append([cells[h] for h in header])
+    return lines
+
+
+def _clean_table_lines(rng, n):
+    d = int(rng.integers(0, 6))
+    demo = [c for c in DEMOGRAPHIC_COLUMNS if rng.random() < 0.6]
+    header = ["participant_id", "label"] + demo + [f"f{j}" for j in range(d)]
+    rng.shuffle(header)
+    lines = [header]
+    for r in range(n):
+        cells = {"participant_id": f"p{r:03d}", "label": ("0", "1", "1.0")[r % 3],
+                 "cohort": "clinic", "sex": ("female", "male", "")[r % 3],
+                 "ethnicity": "group a", "age": ("63", "", "58.5")[r % 3],
+                 "disease_duration": _plain_texts(rng.uniform(0, 9, size=1), rng)[0]}
+        cells.update(zip([f"f{j}" for j in range(d)],
+                         _plain_texts(rng.normal(size=d), rng)))
+        lines.append([cells[h] for h in header])
+    return lines
+
+
+def _clean_prediction_lines(rng, n):
+    header = ["participant_id", "score"] + ["label", "note"][:int(rng.integers(3))]
+    rng.shuffle(header)
+    lines = [header]
+    for r, score in enumerate(_plain_texts(rng.random(n), rng)):
+        cells = {"participant_id": f"p{r:03d}", "score": score, "label": str(r % 2),
+                 "note": "case b"}
+        lines.append([cells[h] for h in header])
+    return lines
+
+
+def test_c_pass_alone_serves_clean_au_table_and_prediction_files(tmp_path,
+                                                                 monkeypatch):
+    rng = np.random.default_rng(217)
+
+    def fallback(*args, **kwargs):
+        raise _FallbackUsed
+    monkeypatch.setattr(ingest, "_cell_pass", fallback)
+    formats = {
+        "au": (lambda p: parse_au_csv(p, "disgust"),
+               lambda p: _reference_au(p, "disgust"), _same_au,
+               lambda n: _clean_au_lines(rng, "disgust", n),
+               ("AU07_r", "5.5"), ("AU09_c", "0.5"), ("confidence", "1.25")),
+        "table": (read_feature_table, _reference_table, _same_table,
+                  lambda n: _clean_table_lines(rng, n),
+                  ("label", "2"), ("label", "-inf"), ("participant_id", '"p,1"')),
+        "predictions": (cli._read_predictions, _reference_predictions,
+                        _same_predictions, lambda n: _clean_prediction_lines(rng, n),
+                        ("score", "nan"), ("score", "1_0"),
+                        ("score", '"0.5"')),
+    }
+    served = declined = 0
+    for kind, (read, reference, same, make, *faults) in formats.items():
+        for i in range(30):
+            lines = make(2 + i % 4)
+            path = tmp_path / f"{kind}{i}.csv"
+            _write_lines(path, lines, rng, ("\n", "\r\n")[i % 2])
+            assert same(read(path), reference(path)), path.name
+            served += 1
+            # the C pass must decline a cell that fails its column's checks,
+            # a quote, and a row wider than the header
+            name, text = faults[i % 3]
+            if name in lines[0]:
+                lines[1 + i % (len(lines) - 1)][lines[0].index(name)] = text
+            else:
+                lines[-1].append("0.5")
+            bad = tmp_path / f"{kind}{i}_declined.csv"
+            _write_lines(bad, lines, rng)
+            with pytest.raises(_FallbackUsed):
+                read(bad)
+            declined += 1
+    print(f"PASS C pass: {served} clean AU, feature-table and predictions files "
+          f"served bit for bit with the cell pass disabled, {declined} declined")
 
 
 @pytest.mark.parametrize("variant", [
@@ -946,14 +1046,16 @@ def test_predictions_read_equals_cell_reference(tmp_path):
     outcomes = []
     for i in range(120):
         n = int(rng.integers(1, 8))
-        header = ["participant_id", "score"] + ["label", "fold", "note"][:int(rng.integers(4))]
+        extra = ["label", "fold", "note"][:int(rng.integers(4))]
+        header = ["participant_id", "score"] + extra
         rng.shuffle(header)
         data = []
         for r in range(n):
             cells = {"participant_id": (f"p{r:03d}", f"id {r}", f" P-{r} ")[r % 3],
                      "label": str(r % 2), "fold": str(r % 3), "note": "seen twice"}
-            cells["score"] = _cell_texts([rng.random() * 10.0 ** float(rng.integers(-3, 3))],
-                                         rng)[0]
+            score = rng.random()
+            score *= 10.0 ** float(rng.integers(-3, 3))
+            cells["score"] = _cell_texts([score], rng)[0]
             data.append([cells[h] for h in header])
         quote_rate = 0.1 if i % 2 else 0.0
         path = tmp_path / f"preds{i}.csv"
@@ -1142,3 +1244,42 @@ def test_byte_identical_outputs_across_runs_and_worker_counts(tmp_path,
     assert single_a == pooled
     print("PASS determinism: model, predictions, cv report, roc csv/svg, "
           "audit log byte-identical across repeat runs and 1 vs 4 workers")
+
+
+def test_byte_identical_outputs_across_blas_thread_counts(tmp_path):
+    # At 126 features the logistic Newton solves of lr_coef selection and the
+    # PCA of project are wide enough for a threaded BLAS to change last bits;
+    # an unset variable means one thread per core, and "2" forces threading
+    # on a one-core host too.
+    table = tmp_path / "table.csv"
+    assert main(["simulate", "--n", "200", "--dims", "126", "--seed", "1",
+                 "--out", str(table)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "selection": {"method": "lr_coef", "n_target": 10},
+        "smote": {"enabled": False},
+        "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+            {"n_trees": 3, "max_leaves": 4, "min_samples_leaf": 10}]}}))
+    script = ("import sys\n"
+              "from hyposcreen.cli import main\n"
+              "train, project = sys.argv[1:8], sys.argv[8:]\n"
+              "sys.exit(main(train) or main(project))\n")
+    outputs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        model, coords = tmp_path / f"model_{threads}.json", tmp_path / f"coords_{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             "train", "--features", str(table), "--config", str(config),
+             "--out", str(model), "project", "--features", str(table),
+             "--out", str(coords)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = (model.read_bytes(), coords.read_bytes())
+    assert outputs[None] == outputs["1"] == outputs["2"]
+    print("PASS determinism: train artifact and project coordinates "
+          "byte-identical with OPENBLAS_NUM_THREADS unset, 1 and 2")

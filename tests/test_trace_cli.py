@@ -57,4 +57,13 @@ def test_trace_cli_records_every_layer_of_cv_and_featurize(tmp_path,
             "preprocess.scaler"} <= cv.keys()
     fits = trainings * (len(grid) * inner_folds + m)
     assert (cv["histboost.fit"], cv["binning.fit"]) == (fits, fits)
-    assert "dataset.build" in featurize
+    assert {"dataset.build", "ingest.au_parse",
+            "ingest.landmark_parse"} <= featurize.keys()
+    ids = [line.split(",")[0] for line in table.read_text().splitlines()[1:]]
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n"
+                     + "".join(f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    bias = _traced(tmp_path, "bias", [
+        "bias", "--preds", str(preds), "--features", str(table), "--group", "sex",
+        "--out", str(tmp_path / "bias.json")])
+    assert {"dataset.read", "stats.bias"} <= bias.keys()
