@@ -254,16 +254,16 @@ def read_columns(path, spec: CsvSpec):
     if spec.rest:
         named = {col.name for col in spec.columns}
         columns += [(Column(h), i) for i, h in enumerate(header) if h not in named]
-    table = (_bulk_pass(path, header, columns)
-             or _cell_pass(path, len(header), columns, spec.ragged))
+    names, block, cells = (_bulk_pass(path, header, columns)
+                           or _cell_pass(path, len(header), columns, spec.ragged))
     for col, _ in columns:
         if col.unique:
             seen = set()
-            for value in table[2][col.name]:
+            for value in cells[col.name]:
                 if value in seen:
                     raise DuplicateEntry(value, col.unique)
                 seen.add(value)
-    return table
+    return names, block, cells
 
 
 def _in_block(col: Column) -> bool:
