@@ -41,7 +41,6 @@ from .evaluate import (
     verify_no_leakage,
 )
 from .explain import (
-    exact_shapley_oracle,
     mean_abs_shap,
     pca_project,
     silhouette_score,
@@ -97,7 +96,6 @@ __all__ = [
     "classification_metrics",
     "confusion_counts",
     "ensemble_predict",
-    "exact_shapley_oracle",
     "feature_names",
     "featurize_recording",
     "fisher_exact",

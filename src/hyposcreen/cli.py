@@ -243,8 +243,9 @@ def _cmd_explain(args) -> int:
     model = ensemble.base_models[0]  # strongest candidate by inner-CV AUROC
     n_rows = ds.n_rows if args.max_rows is None else min(args.max_rows, ds.n_rows)
     rows = []
+    memo = {}  # attributions per tree decision pattern, shared by the rows
     for i in range(n_rows):
-        attribution = tree_shap(model, scaled[i])
+        attribution = tree_shap(model, scaled[i], memo)
         for j, nm in enumerate(ensemble.feature_names):
             rows.append((ds.participant_ids[i], nm,
                          attribution.phi[j], raw[i, j]))

@@ -224,12 +224,6 @@ class EmptySubgroup(DataError):
 
 # --- explanation ---------------------------------------------------------
 
-class TooManyFeatures(DataError):
-    def __init__(self, d, limit):
-        super().__init__(f"exact enumeration over {d} features exceeds limit {limit}")
-        self.d = d
-
-
 class TooFewRows(DataError):
     def __init__(self, n, need):
         super().__init__(f"need at least {need} rows, got {n}")

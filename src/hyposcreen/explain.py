@@ -1,29 +1,19 @@
-"""Model explanation and embedding: TreeSHAP, exact Shapley, PCA, silhouette.
+"""Model explanation and embedding: TreeSHAP, PCA, silhouette.
 
 The SHAP implementation is the polynomial path-dependent algorithm over the
 booster's binned trees, with branch probabilities taken from training covers.
-``exact_shapley_oracle`` evaluates the same value function by full coalition
-enumeration and exists to cross-check the fast path on small models.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    SingleCluster,
-    TooFewColumns,
-    TooFewRows,
-    TooManyFeatures,
-)
+from .errors import DataError, SingleCluster, TooFewColumns, TooFewRows
 from .model.binning import bin_matrix
 from .model.histboost import BoostedModel, Tree, predict_raw
 
-EXACT_LIMIT = 15
 # power iteration stops when successive unit vectors agree up to sign
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 50000
@@ -118,79 +108,48 @@ def _tree_expectation(tree: Tree) -> float:
                  / tree.cover[0])
 
 
-def tree_shap(model: BoostedModel, row) -> ShapAttribution:
-    """Per-feature attributions for one row; sums to the raw margin score."""
+def tree_shap(model: BoostedModel, row, memo: dict | None = None) -> ShapAttribution:
+    """Per-feature attributions for one row; sums to the raw margin score.
+
+    A tree's attributions read the row only through the side it takes at each
+    internal node, so they are a function of that decision pattern.  ``memo``
+    is a dict the caller owns and passes to every call whose trees may
+    repeat, also across models that share ``Tree`` objects; a pattern seen
+    before is then served with the same bits.  It holds each tree's
+    internal-node index and expectation, and one vector of ``n_features``
+    floats per (tree, distinct pattern), so at most one per tree and row.
+    """
     row = np.asarray(row, dtype=float)
     if row.ndim != 1:
         raise DataError("tree_shap explains one row at a time")
+    memo = {} if memo is None else memo
     x_bin = bin_matrix(model.mapper, row[None, :]).astype(np.int64)[0]
     phi = np.zeros(model.n_features)
     base = model.base_score
     lr = model.params.learning_rate
     for tree in model.trees:
-        tree_phi = np.zeros(model.n_features)
-        _shap_tree(tree, x_bin, tree_phi)
+        if tree not in memo:
+            memo[tree] = (np.flatnonzero(tree.feature >= 0), _tree_expectation(tree))
+        internal, expectation = memo[tree]
+        key = (tree, (x_bin[tree.feature[internal]]
+                      <= tree.split_bin[internal]).tobytes())
+        tree_phi = memo.get(key)
+        if tree_phi is None:
+            tree_phi = memo[key] = np.zeros(model.n_features)
+            _shap_tree(tree, x_bin, tree_phi)
         phi += lr * tree_phi
-        base += lr * _tree_expectation(tree)
+        base += lr * expectation
     raw = float(predict_raw(model, row[None, :])[0])
     return ShapAttribution(base_value=float(base), phi=phi, raw_prediction=raw)
-
-
-# --- exact enumeration oracle ---------------------------------------------------
-
-def _walk_conditional(tree: Tree, x_bin: np.ndarray, mask: int) -> float:
-    """Cover-weighted expectation conditioning on the features in ``mask``."""
-    def rec(node):
-        f = int(tree.feature[node])
-        if f < 0:
-            return float(tree.value[node])
-        left, right = int(tree.left[node]), int(tree.right[node])
-        if (mask >> f) & 1:
-            nxt = left if x_bin[f] <= tree.split_bin[node] else right
-            return rec(nxt)
-        cl, cr = float(tree.cover[left]), float(tree.cover[right])
-        return (rec(left) * cl + rec(right) * cr) / (cl + cr)
-
-    return rec(0)
-
-
-def exact_shapley_oracle(model: BoostedModel, row) -> ShapAttribution:
-    """Shapley values of the cover-weighted value function by full coalition
-    enumeration.  Exponential in feature count; guarded at 15 features."""
-    d = model.n_features
-    if d > EXACT_LIMIT:
-        raise TooManyFeatures(d, EXACT_LIMIT)
-    row = np.asarray(row, dtype=float)
-    x_bin = bin_matrix(model.mapper, row[None, :]).astype(np.int64)[0]
-    lr = model.params.learning_rate
-
-    v = np.empty(1 << d)
-    for mask in range(1 << d):
-        total = model.base_score
-        for tree in model.trees:
-            total += lr * _walk_conditional(tree, x_bin, mask)
-        v[mask] = total
-
-    fact = [math.factorial(i) for i in range(d + 1)]
-    phi = np.zeros(d)
-    for mask in range(1 << d):
-        s = bin(mask).count("1")
-        for i in range(d):
-            if (mask >> i) & 1:
-                continue
-            weight = fact[s] * fact[d - s - 1] / fact[d]
-            phi[i] += weight * (v[mask | (1 << i)] - v[mask])
-    base = float(v[0])
-    return ShapAttribution(base_value=base, phi=phi,
-                           raw_prediction=float(base + phi.sum()))
 
 
 def mean_abs_shap(model: BoostedModel, X) -> np.ndarray:
     """Global importance: mean |attribution| per feature over the given rows."""
     X = np.asarray(X, dtype=float)
     total = np.zeros(model.n_features)
+    memo = {}
     for i in range(X.shape[0]):
-        total += np.abs(tree_shap(model, X[i]).phi)
+        total += np.abs(tree_shap(model, X[i], memo).phi)
     return total / max(1, X.shape[0])
 
 
@@ -264,28 +223,41 @@ def pca_project(X, n_components: int = 2) -> Projection2D:
 # --- silhouette -------------------------------------------------------------------
 
 def silhouette_score(points, labels) -> float:
-    """Mean (b - a) / max(a, b) over points; singleton-cluster points score 0."""
+    """Mean (b - a) / max(a, b) over points; singleton-cluster points score 0.
+
+    The points are ordered by label, stably, so each label's distances form
+    one block of columns; each point's sum over a block then adds the same
+    terms in the same order as a sum over that label's points would.
+    """
     P = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     if P.ndim != 2 or P.shape[0] < 3:
         raise TooFewRows(0 if P.ndim != 2 else P.shape[0], 3)
     if P.shape[0] != labels.shape[0]:
         raise DataError("points and labels differ in length")
-    uniq = np.unique(labels)
+    uniq, group = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise SingleCluster()
-    diff = P[:, None, :] - P[None, :, :]
-    D = np.sqrt(np.sum(diff * diff, axis=2))
-    scores = np.empty(P.shape[0])
-    for i in range(P.shape[0]):
-        own = labels == labels[i]
-        n_own = int(np.sum(own))
-        if n_own == 1:
-            scores[i] = 0.0
-            continue
-        a = float(np.sum(D[i, own]) / (n_own - 1))  # excludes self (distance 0)
-        b = min(float(np.mean(D[i, labels == other]))
-                for other in uniq if other != labels[i])
-        m = max(a, b)
-        scores[i] = 0.0 if m == 0.0 else (b - a) / m
+    order = np.argsort(group, kind="stable")
+    Q, group = P[order], group[order]
+    n = Q.shape[0]
+    D = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for c in range(Q.shape[1]):
+        np.subtract.outer(Q[:, c], Q[:, c], out=diff)
+        D += np.multiply(diff, diff, out=diff)
+    np.sqrt(D, out=D)
+    sizes = np.bincount(group)
+    ends = np.cumsum(sizes)
+    sums = np.column_stack([D[:, e - k:e].sum(axis=1) for k, e in zip(sizes, ends)])
+    rows = np.arange(n)
+    own = sizes[group]
+    means = sums / sizes
+    means[rows, group] = np.inf
+    b = means.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, group] / (own - 1)  # excludes self (distance 0)
+        m = np.maximum(a, b)
+        scores = np.empty(n)
+        scores[order] = np.where((own == 1) | (m == 0.0), 0.0, (b - a) / m)
     return float(np.mean(scores))

@@ -242,11 +242,16 @@ def read_columns(path, spec: CsvSpec):
     row; ``cells`` maps every other column to its list of values.  A file
     that :func:`_bulk_pass` declines is read by :func:`_cell_pass`, which
     raises for the first bad cell in row order, then in spec order.  Repeats
-    in a ``unique`` column are checked after every cell.
+    in a ``unique`` column are checked after every cell.  A header that names
+    a column twice raises :class:`DuplicateEntry` before any row is read.
     """
     with csv_rows(path) as (header, _):
         pass
-    pos = {name: i for i, name in enumerate(header)}
+    pos = {}
+    for i, name in enumerate(header):
+        if name in pos:
+            raise DuplicateEntry(name, "header column")
+        pos[name] = i
     for col in spec.columns:
         if col.name not in pos and not col.optional:
             raise MissingColumn(col.name)
@@ -289,27 +294,18 @@ def _cell(cells, r: int, col: Column, pos: int):
 
 def _cell_pass(path, width: int, columns, ragged):
     """Cell-by-cell read of ``columns``, ``(Column, position)`` pairs."""
-    values = _row_values(path, width, columns, ragged)
-    picks = [j for j, (col, _) in enumerate(columns) if _in_block(col)]
-    block = np.array([[row[j] for j in picks] for row in values], dtype=float)
-    return ([columns[j][0].name for j in picks],
-            block.reshape(len(values), len(picks)), _cell_lists(columns, values))
-
-
-def _row_values(path, width: int, columns, ragged) -> list[list]:
-    """Each data row's checked values of ``columns``, rows in file order."""
     values = []
     with csv_rows(path) as (_, rows):
         for r, cells in enumerate(rows):
             if ragged is not None and len(cells) != width:
                 raise ragged(r, [p < len(cells) for _, p in columns])
             values.append([_cell(cells, r, col, p) for col, p in columns])
-    return values
-
-
-def _cell_lists(columns, values) -> dict[str, list]:
-    return {col.name: [row[j] for row in values]
-            for j, (col, _) in enumerate(columns) if not _in_block(col)}
+    picks = [j for j, (col, _) in enumerate(columns) if _in_block(col)]
+    block = np.array([[row[j] for j in picks] for row in values], dtype=float)
+    return ([columns[j][0].name for j in picks],
+            block.reshape(len(values), len(picks)),
+            {col.name: [row[j] for row in values]
+             for j, (col, _) in enumerate(columns) if not _in_block(col)})
 
 
 # Characters whose cells numpy's parser and ``float()`` split or strip
@@ -322,18 +318,19 @@ _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
 
 
 def _bulk_pass(path, header, columns):
-    """The result of :func:`_cell_pass` with the number columns converted by
-    ``np.loadtxt``, or None to decline the file.
+    """The result of :func:`_cell_pass` from one ``np.loadtxt`` call, or None
+    to decline the file.
 
     numpy converts a cell with the same correctly rounded routine as
     ``float()``, so the values are the same; it accepts fewer spellings (no
     ``1_0`` or non-ASCII digits, no whitespace-only line).  It parses every
-    column, the rest through a dummy converter, so it refuses rows of
-    differing widths; csv then reads the text and blank columns.  The pass
-    declines when numpy raises or warns, when the rows are not as wide as the
-    header, when the file holds a character of :data:`_DECLINED`, a blank
-    line before the header or a suffix numpy decompresses, or when a cell
-    fails its column's checks.
+    column, so it refuses rows of differing widths.  The text and blank
+    columns go through converters that keep each cell's text as csv reads it,
+    which :func:`_cell` then checks; the other unnamed columns through a
+    dummy converter.  The pass declines when numpy raises or warns, when the
+    rows are not as wide as the header, when the file holds a character of
+    :data:`_DECLINED`, a blank line before the header or a suffix numpy
+    decompresses, or when a cell fails its column's checks.
     """
     if Path(path).suffix in _DECOMPRESSED_SUFFIXES:
         return None
@@ -347,16 +344,17 @@ def _bulk_pass(path, header, columns):
         return None
     del text
     numbers = [(col, p) for col, p in columns if _in_block(col)]
+    others = [(col, p) for col, p in columns if not _in_block(col)]
     wanted = [p for _, p in numbers]
-    skipped = set(range(len(header))) - set(wanted)
+    texts = {p: [] for _, p in others}
+    converters = dict.fromkeys(set(range(len(header))) - set(wanted), lambda _: 0.0)
+    converters.update({p: _keeper(texts[p]) for p in texts})
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # a path, not a file object: numpy then reads it in large chunks
             table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               dtype=float, ndmin=2,
-                               converters=dict.fromkeys(skipped, lambda _: 0.0)
-                               or None)
+                               dtype=float, ndmin=2, converters=converters or None)
     except (ValueError, Warning):
         return None
     if table.shape[1] != len(header):
@@ -367,14 +365,22 @@ def _bulk_pass(path, header, columns):
             col.rule(block[:, j]).all()
             for j, (col, _) in enumerate(numbers) if col.rule is not None):
         return None
-    others = [(col, p) for col, p in columns if not _in_block(col)]
+    if any(len(t) != len(block) for t in texts.values()):
+        return None
     try:
-        values = _row_values(path, len(header), others, None) if others else []
+        cells = {col.name: [_cell((t,), r, col, 0) for r, t in enumerate(texts[p])]
+                 for col, p in others}
     except DataError:
         return None
-    if others and len(values) != len(block):
-        return None
-    return [col.name for col, _ in numbers], block, _cell_lists(others, values)
+    return [col.name for col, _ in numbers], block, cells
+
+
+def _keeper(out: list):
+    """A ``np.loadtxt`` converter that appends each cell's text to ``out``."""
+    def convert(text):
+        out.append(text)
+        return 0.0
+    return convert
 
 
 # --- AU csv ---------------------------------------------------------------

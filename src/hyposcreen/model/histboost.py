@@ -263,6 +263,7 @@ def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
 
 
 def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
+    """Each row's leaf value; only nodes that some row reaches are visited."""
     out = np.empty(binned.shape[0])
     stack = [(0, np.arange(binned.shape[0]))]
     while stack:
@@ -271,8 +272,10 @@ def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
             out[idx] = tree.value[node]
             continue
         go_left = binned[idx, tree.feature[node]] <= tree.split_bin[node]
-        stack.append((int(tree.left[node]), idx[go_left]))
-        stack.append((int(tree.right[node]), idx[~go_left]))
+        for child, rows in ((tree.left[node], idx[go_left]),
+                            (tree.right[node], idx[~go_left])):
+            if rows.size:
+                stack.append((int(child), rows))
     return out
 
 

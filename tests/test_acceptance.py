@@ -35,7 +35,7 @@ from hyposcreen.errors import (
     RaggedFrame,
 )
 from hyposcreen.evaluate import auroc, run_cross_validation, verify_no_leakage
-from hyposcreen.explain import exact_shapley_oracle, pca_project, tree_shap
+from hyposcreen.explain import pca_project, tree_shap
 from hyposcreen.featurize import feature_names
 from hyposcreen.ingest import (
     EXPRESSION_AUS,
@@ -50,6 +50,8 @@ from hyposcreen.model.logistic import logistic_objective
 from hyposcreen.preprocess import smote_oversample, stratified_kfold
 from hyposcreen.stats import fisher_exact, normal_approx_ci, z_two_proportions_from_rates
 from hyposcreen.util import sigmoid
+
+from shap_oracle import exact_shapley_oracle
 
 from hyposcreen.dataset import LabeledDataset
 
@@ -758,6 +760,7 @@ def _clean_prediction_lines(rng, n):
 def test_c_pass_alone_serves_clean_au_table_and_prediction_files(tmp_path,
                                                                  monkeypatch):
     rng = np.random.default_rng(217)
+    cell_pass = ingest._cell_pass
 
     def fallback(*args, **kwargs):
         raise _FallbackUsed
@@ -795,8 +798,38 @@ def test_c_pass_alone_serves_clean_au_table_and_prediction_files(tmp_path,
             with pytest.raises(_FallbackUsed):
                 read(bad)
             declined += 1
+
+    # text cells as csv reads them: padded ids, blank numbers, CRLF endings;
+    # the C pass alone must read them as the cell pass alone does
+    table = tmp_path / "padded_table.csv"
+    table.write_bytes(b"participant_id,label,sex,disease_duration,age,f0\r\n"
+                      b"  p001 ,1, female ,,63,0.5\r\n"
+                      b"p002,0,,2.5,,-1e-3\r\n"
+                      b"\r\n"
+                      b" p 003,1,male,, 58 ,+7\r\n")
+    preds = tmp_path / "padded_preds.csv"
+    preds.write_bytes(b"note,participant_id,score\r\n"
+                      b" x ,  p001 ,0.25\r\n"
+                      b",p002,1\r\n")
+    checks = ((read_feature_table, table, _same_table_reads),
+              (cli._read_predictions, preds, _same_predictions))
+    bulk_reads = [read(path) for read, path, _ in checks]
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_cell_pass", cell_pass)
+        m.setattr(ingest, "_bulk_pass", lambda *args: None)
+        cell_reads = [read(path) for read, path, _ in checks]
+    for (_, path, same), got, want in zip(checks, bulk_reads, cell_reads):
+        assert same(got, want), path.name
+    assert bulk_reads[0].participant_ids == ["  p001 ", "p002", " p 003"]
+    assert bulk_reads[0].demographics["disease_duration"] == [None, 2.5, None]
     print(f"PASS C pass: {served} clean AU, feature-table and predictions files "
-          f"served bit for bit with the cell pass disabled, {declined} declined")
+          f"served bit for bit with the cell pass disabled, {declined} declined; "
+          f"padded text cells read as the cell pass reads them")
+
+
+def _same_table_reads(ds, ref):
+    return _same_table(ds, (ref.feature_names, ref.X, ref.y.tolist(),
+                            ref.participant_ids, ref.demographics))
 
 
 @pytest.mark.parametrize("variant", [

@@ -239,6 +239,59 @@ def test_featurize_rejects_non_finite_landmark(manifest_corpus, tmp_path, capsys
     assert not (tmp_path / "features.csv").exists()
 
 
+def _repeat_column(path, col, value=None):
+    """Append a second column named ``col``: a copy, or ``value`` in every row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(col)
+    for r, row in enumerate(rows):
+        row.append(row[j] if r == 0 or value is None else value)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize("kind, col", [("au", "AU06_r"), ("landmark", "p468_x")])
+def test_featurize_rejects_header_naming_a_column_twice(manifest_corpus, tmp_path,
+                                                        capsys, kind, col):
+    suffix = {"au": "au", "landmark": "lm"}[kind]
+    _repeat_column(manifest_corpus.parent / f"p02_smile_{suffix}.csv", col)
+    rc = main(["featurize", "--manifest", str(manifest_corpus),
+               "--out", str(tmp_path / "features.csv")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DuplicateEntry"
+    assert "header column" in err["message"] and repr(col) in err["message"]
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_project_rejects_feature_table_naming_a_column_twice(tmp_path, capsys):
+    # the second label column used to win without a word
+    table = tmp_path / "table.csv"
+    table.write_text("participant_id,label,f0,f0,label\n"
+                     "a,1,1.0,2.0,0\nb,0,3.0,4.0,1\nc,1,5.0,6.0,0\n")
+    rc = main(["project", "--features", str(table), "--out", str(tmp_path / "c.csv")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DuplicateEntry"
+    assert "header column" in err["message"] and "'f0'" in err["message"]
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_bias_rejects_predictions_naming_a_column_twice(sim_table, tmp_path, capsys):
+    ids = read_feature_table(sim_table).participant_ids[:4]
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n"
+                     + "".join(f"{pid},0.{i}\n" for i, pid in enumerate(ids)))
+    _repeat_column(preds, "score", "0.9")
+    rc = main(["bias", "--preds", str(preds), "--features", sim_table,
+               "--group", "sex", "--out", str(tmp_path / "bias.json")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DuplicateEntry"
+    assert "header column" in err["message"] and "'score'" in err["message"]
+    assert not (tmp_path / "bias.json").exists()
+
+
 def test_train_and_predict_reject_non_finite_feature(sim_table, tmp_path,
                                                      fast_config_path, capsys):
     model = tmp_path / "model.json"

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hyposcreen.errors import (
-    DataError,
-    SingleCluster,
-    TooFewColumns,
-    TooFewRows,
-    TooManyFeatures,
-)
+from hyposcreen.ensemble import fit_stacking_ensemble
+from hyposcreen.errors import DataError, SingleCluster, TooFewColumns, TooFewRows
 from hyposcreen.explain import (
-    exact_shapley_oracle,
     mean_abs_shap,
     pca_project,
     silhouette_score,
@@ -19,6 +13,8 @@ from hyposcreen.explain import (
 )
 from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
 from hyposcreen.util import sigmoid
+
+from shap_oracle import exact_shapley_oracle
 
 
 def _fit_small_model(rng, d, n=90, n_trees=3, max_leaves=6, msl=5,
@@ -103,15 +99,64 @@ def test_base_value_is_cover_weighted_expectation():
 def test_mean_abs_shap_matches_rowwise_mean():
     rng = np.random.default_rng(104)
     model, X = _fit_small_model(rng, 5)
-    rows = X[:12]
+    rows = np.concatenate([X[:12], X[:12]])  # repeated rows hit the memo
     manual = np.mean([np.abs(tree_shap(model, r).phi) for r in rows], axis=0)
-    assert np.allclose(mean_abs_shap(model, rows), manual, atol=1e-12)
+    assert np.array_equal(mean_abs_shap(model, rows), manual)
+
+
+def _same_attribution(a, b) -> bool:
+    return (np.array_equal(a.phi, b.phi) and a.base_value == b.base_value
+            and a.raw_prediction == b.raw_prediction)
+
+
+def test_memoized_tree_shap_equals_fresh_calls_bit_for_bit():
+    rng = np.random.default_rng(110)
+    calls = reused = 0
+    for t in range(8):
+        d = int(rng.integers(1, 4))  # few features: repeats on deep paths
+        X = rng.normal(size=(240, d))
+        if t % 2:
+            X = np.round(X, 1)
+        y = ((np.sin(2.0 * X[:, 0]) + 0.3 * X[:, -1]) > 0).astype(float)
+        model = fit_histgbm(X, y, BoostParams(
+            n_trees=int(rng.integers(1, 6)), learning_rate=float(rng.uniform(0.05, 1.0)),
+            max_leaves=int(rng.integers(4, 24)), min_samples_leaf=int(rng.integers(2, 9)),
+            max_bins=int(rng.integers(4, 64))))
+        reused += any(len({int(f) for f in tr.feature if f >= 0}) < int(np.sum(tr.feature >= 0))
+                      for tr in model.trees)
+        rows = np.concatenate([X[:60], rng.normal(size=(60, d)) * 2.0, X[:30]])
+        memo = {}
+        for row in rng.permutation(rows):
+            assert _same_attribution(tree_shap(model, row, memo), tree_shap(model, row))
+            calls += 1
+        patterns = sum(1 for k in memo if isinstance(k, tuple))
+        assert patterns < len(rows) * len(model.trees)  # some patterns repeat
+    assert reused >= 4  # models whose trees split on one feature more than once
+    print(f"memoized TreeSHAP: {calls} calls equal to fresh calls bit for bit")
+
+
+def test_one_shap_memo_serves_ensemble_models_that_share_trees():
+    rng = np.random.default_rng(111)
+    X = rng.normal(size=(48, 3))
+    y = np.array([1] * 18 + [0] * 30)
+    X[:, 0] += 1.2 * y
+    # caps that no tree reaches: the candidates share their grown trees
+    candidates = [BoostParams(n_trees=6, learning_rate=0.3, max_leaves=leaves,
+                              min_samples_leaf=8) for leaves in (8, 16, 31)]
+    base_models, *_ = fit_stacking_ensemble(X, y, candidates, m=3, inner_folds=3,
+                                            smote_k=3, seed=2)
+    trees = [t for m in base_models for t in m.trees]
+    assert len({id(t) for t in trees}) < len(trees)
+    memo = {}
+    for row in np.concatenate([X, rng.normal(size=(20, 3))]):
+        for model in base_models:
+            assert _same_attribution(tree_shap(model, row, memo), tree_shap(model, row))
 
 
 def test_exact_oracle_guards_wide_models():
     rng = np.random.default_rng(105)
     model, X = _fit_small_model(rng, 16, n=120)
-    with pytest.raises(TooManyFeatures):
+    with pytest.raises(ValueError):
         exact_shapley_oracle(model, X[0])
     with pytest.raises(DataError):
         tree_shap(model, X[:2])
@@ -244,6 +289,40 @@ def test_silhouette_against_naive_oracle():
             scores.append(0.0 if m == 0.0 else (b - a) / m)
         assert math.isclose(silhouette_score(pts, labels),
                             sum(scores) / n, abs_tol=1e-12)
+
+
+def _silhouette_loop(points, labels) -> float:
+    """The per-point loop ``silhouette_score`` used before it summed distances
+    per label for all points at once."""
+    P = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    diff = P[:, None, :] - P[None, :, :]
+    D = np.sqrt(np.sum(diff * diff, axis=2))
+    scores = np.empty(P.shape[0])
+    for i in range(P.shape[0]):
+        own = labels == labels[i]
+        n_own = int(np.sum(own))
+        if n_own == 1:
+            scores[i] = 0.0
+            continue
+        a = float(np.sum(D[i, own]) / (n_own - 1))
+        b = min(float(np.mean(D[i, labels == other]))
+                for other in uniq if other != labels[i])
+        m = max(a, b)
+        scores[i] = 0.0 if m == 0.0 else (b - a) / m
+    return float(np.mean(scores))
+
+
+def test_silhouette_matches_point_loop_on_large_string_labelled_set():
+    rng = np.random.default_rng(112)
+    pts = rng.normal(size=(1200, 2)) * [3.0, 0.5]
+    labels = rng.choice(np.array(["case", "control", "other"]), size=1200)
+    labels[[5, 600]] = ["solo a", "solo b"]  # singleton clusters score 0
+    pts[7] = pts[8]
+    labels[8] = labels[7]  # a zero distance inside a cluster
+    # the same terms summed in the same order: equal, not merely close
+    assert silhouette_score(pts, labels) == _silhouette_loop(pts, labels)
 
 
 def test_silhouette_singletons_and_errors():

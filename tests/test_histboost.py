@@ -181,6 +181,24 @@ def test_prediction_matches_naive_tree_walk():
     assert np.allclose(predict_proba(model, X_test), sigmoid(fast), atol=1e-15)
 
 
+def test_one_row_predictions_equal_batch_rows_bit_for_bit():
+    rng = np.random.default_rng(56)
+    for t in range(6):
+        d = int(rng.integers(1, 6))
+        X = rng.normal(size=(200, d))
+        y = (rng.random(200) < sigmoid(2.0 * X[:, 0])).astype(float)
+        model = fit_histgbm(X, y, BoostParams(
+            n_trees=int(rng.integers(1, 15)), learning_rate=float(rng.uniform(0.05, 1.0)),
+            max_leaves=int(rng.integers(2, 20)), min_samples_leaf=int(rng.integers(1, 10)),
+            max_bins=int(rng.integers(2, 64))))
+        X_test = np.concatenate([X[:40], rng.normal(size=(40, d)) * 2.0])
+        batch = predict_raw(model, X_test)
+        for i in range(X_test.shape[0]):
+            one = predict_raw(model, X_test[i:i + 1])
+            assert one.shape == (1,) and one[0] == batch[i]
+    assert predict_raw(model, X_test[:0]).shape == (0,)
+
+
 def test_training_log_loss_is_non_increasing():
     rng = np.random.default_rng(56)
     X = rng.normal(size=(200, 4))
