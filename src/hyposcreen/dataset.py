@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DuplicateEntry
 from .featurize import featurize_recording, load_index_map
 from .ingest import (
     Column,
@@ -17,6 +17,7 @@ from .ingest import (
     load_recording,
     read_columns,
 )
+from .util import require_binary, require_finite
 
 META_COLUMNS = ("participant_id", "label", "cohort", "sex", "age",
                 "ethnicity", "disease_duration")
@@ -35,14 +36,24 @@ class LabeledDataset:
     demographics: dict[str, list] = field(default_factory=dict)
 
     def __post_init__(self):
+        """A non-finite cell or a label outside {0, 1} raises
+        :class:`OutOfRange`, an id listed twice :class:`DuplicateEntry`."""
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if self.X.ndim != 2:
             raise DataError("feature matrix must be 2-D")
-        if self.X.shape[0] != self.y.shape[0]:
+        if self.X.shape[0] != y.shape[0]:
             raise DataError("feature matrix and labels disagree on row count")
         if self.X.shape[1] != len(self.feature_names):
             raise DataError("feature matrix and names disagree on column count")
+        require_finite(self.X, self.feature_names)
+        require_binary(y)
+        self.y = y.astype(np.int64)
+        seen = set()
+        for pid in self.participant_ids:
+            if pid in seen:
+                raise DuplicateEntry(pid, "participant id")
+            seen.add(pid)
         for col in DEMOGRAPHIC_COLUMNS:
             self.demographics.setdefault(col, [None] * len(self.y))
 

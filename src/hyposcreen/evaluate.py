@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import DataError, SingleClass
 from .preprocess import FoldPlan, stratified_kfold
-from .util import child_seed
+from .util import child_seed, require_finite
 
 METRIC_KEYS = ("accuracy", "sensitivity", "specificity", "ppv", "npv", "f1", "auroc")
 BOOTSTRAP_LEVEL = 0.95  # coverage of the percentile interval over seeds
@@ -81,29 +81,24 @@ def classification_metrics(counts: ConfusionCounts) -> dict:
 
 def roc_curve(scores, labels) -> list:
     """(fpr, tpr, threshold) points from (0,0) to (1,1), one step per unique
-    score, descending.  Tied scores collapse into a single point."""
+    score, descending.  Tied scores collapse into a single point, whose
+    threshold is the first of the tied scores in the stable descending
+    order.  A non-finite score raises :class:`OutOfRange`."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    require_finite(scores[:, None], ["score"])
     pos_total = int(np.sum(labels == 1))
     neg_total = int(np.sum(labels != 1))
     if pos_total == 0 or neg_total == 0:
         raise SingleClass()
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    is_pos = (labels[order] == 1)
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    n = s.shape[0]
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp += int(np.sum(is_pos[i:j]))
-        fp += (j - i) - int(np.sum(is_pos[i:j]))
-        points.append((fp / neg_total, tp / pos_total, float(s[i])))
-        i = j
-    return points
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.shape[0] - 1)
+    starts = np.append(0, ends[:-1] + 1)
+    tp = np.cumsum(labels[order] == 1)[ends]
+    fp = ends + 1 - tp
+    return [(0.0, 0.0, float("inf"))] + list(zip(
+        (fp / neg_total).tolist(), (tp / pos_total).tolist(), s[starts].tolist()))
 
 
 def auroc_from_points(points) -> float:

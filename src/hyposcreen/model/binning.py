@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, EmptyMatrix, WidthMismatch
+from ..util import require_finite
 
 
 @dataclass(eq=False)
@@ -33,23 +34,28 @@ class BinMapper:
 def fit_bins(X, max_bins: int = 255) -> BinMapper:
     """Thresholds at midpoints of distinct values, or at empirical quantiles
     of the distinct values once a feature exceeds ``max_bins`` of them.
+
+    One sort of the transposed matrix serves every column: a threshold sits
+    wherever a sorted value differs from the one before it, halfway between
+    the two.  A non-finite cell raises :class:`OutOfRange`.
     """
     if not 2 <= max_bins <= 255:
         raise DataError(f"max_bins must be in [2, 255], got {max_bins}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyMatrix()
-    thresholds = []
-    for f in range(X.shape[1]):
-        d = np.unique(X[:, f])
-        m = d.size
-        if m <= 1:
-            thresholds.append(np.empty(0))
-        elif m <= max_bins:
-            thresholds.append((d[1:] + d[:-1]) / 2.0)
-        else:
-            ranks = np.unique((np.arange(1, max_bins) * m) // max_bins)
-            thresholds.append((d[ranks - 1] + d[ranks]) / 2.0)
+    require_finite(X, range(X.shape[1]))
+    S = X.T.copy()  # a copy even where X.T is already contiguous (one column)
+    S.sort(axis=1)
+    step = S[:, 1:] != S[:, :-1]
+    mids = ((S[:, 1:] + S[:, :-1]) / 2.0)[step]  # row-major: column by column
+    counts = step.sum(axis=1)
+    thresholds = np.split(mids, np.cumsum(counts))[:-1]
+    for f, m in enumerate(counts + 1):
+        if m > max_bins:
+            # the ranks rise by at least m // max_bins >= 1 a step: all distinct
+            ranks = (np.arange(1, max_bins) * m) // max_bins
+            thresholds[f] = thresholds[f][ranks - 1]
     return BinMapper(thresholds=thresholds, max_bins=max_bins)
 
 

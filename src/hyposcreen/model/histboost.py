@@ -9,16 +9,18 @@ A caller that fits several candidates on one training set can pass
 ``fit_histgbm`` a memo dict, and a model grown earlier is then returned
 instead of being grown again when it is provably the same model.  The
 boosted trees depend only on the binned codes, the bin counts, ``y`` and the
-parameters, and ``max_leaves`` only truncates best-first growth: the heap
+parameters (the float matrix and ``max_bins`` fix the codes and counts), and
+``max_leaves`` only truncates best-first growth: the heap
 pops the same nodes in the same order under any cap, and the cap stops the
 popping.  A model whose trees all ended with an empty heap, the widest with
 ``widest`` leaves, is therefore the same model under every cap
 ``>= widest``; one in which some tree stopped at its cap ``c`` (so
 ``widest == c``) is the same model only under cap ``c``.  Each tree's
 gradients come from the trees before it, so the argument carries from tree
-to tree.  The memo key is a digest of the data and of every parameter but
-``max_leaves``, so a memo shared too widely still returns no model grown on
-other data.
+to tree.  The memo key is a digest of the float matrix, ``y`` and every
+parameter but ``max_leaves``, so a memo shared too widely still returns no
+model grown on other data, and a fit the memo serves bins nothing but its
+thresholds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ArtifactError, DataError, DegenerateParams, EmptyMatrix, SingleClass
-from ..util import log_loss, sigmoid
+from ..util import log_loss, require_binary, sigmoid
 from .binning import BinMapper, bin_matrix, fit_bins
 
 SCHEMA_VERSION = 1
@@ -175,8 +177,9 @@ class _Grown:
 
 
 def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
-               stride: int) -> tuple[Tree, bool]:
-    """One tree, and whether ``max_leaves`` stopped it with splits left."""
+               stride: int) -> tuple[Tree, bool, np.ndarray]:
+    """One tree, whether ``max_leaves`` stopped it with splits left, and each
+    training row's leaf value, from the row sets the growth partitioned."""
     n = binned.shape[0]
     min_leaf = params.min_samples_leaf
     # split candidate b is valid for feature f only when b < n_bins[f] - 1
@@ -184,6 +187,7 @@ def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
 
     feature, split_bin = [], []
     left, right, value, cover = [], [], [], []
+    leaf_rows = {}  # node id -> training rows, for the current leaves
 
     def new_node(idx) -> int:
         feature.append(-1)
@@ -195,6 +199,7 @@ def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
         denom = ht + L2_LEAF
         value.append(0.0 if denom <= 0.0 else -gt / denom)
         cover.append(int(idx.size))
+        leaf_rows[len(feature) - 1] = idx
         return len(feature) - 1
 
     def best_split(G, H, C):
@@ -249,6 +254,7 @@ def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
         left[node_id] = lid
         right[node_id] = rid
         value[node_id] = 0.0
+        del leaf_rows[node_id]
         n_leaves += 1
         consider(lid, li, (Gl, Hl, Cl))
         consider(rid, ri, (Gr, Hr, Cr))
@@ -259,7 +265,10 @@ def _grow_tree(binned, g, h, params: BoostParams, n_bins: np.ndarray,
                 right=np.array(right, dtype=np.int64),
                 value=np.array(value, dtype=float),
                 cover=np.array(cover, dtype=float))
-    return tree, bool(heap)
+    out = np.empty(n)
+    for node_id, idx in leaf_rows.items():
+        out[idx] = value[node_id]
+    return tree, bool(heap), out
 
 
 def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
@@ -279,12 +288,11 @@ def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
     return out
 
 
-def _memo_key(codes: np.ndarray, n_bins: np.ndarray, y: np.ndarray,
-              params: BoostParams) -> str:
+def _memo_key(X: np.ndarray, y: np.ndarray, params: BoostParams) -> str:
     """Digest of everything a fit depends on except ``max_leaves``."""
     rest = {k: v for k, v in params.to_dict().items() if k != "max_leaves"}
-    digest = hashlib.sha256(repr((codes.shape, sorted(rest.items()))).encode())
-    for a in (codes, n_bins, y):
+    digest = hashlib.sha256(repr((X.shape, sorted(rest.items()))).encode())
+    for a in (X, y):
         digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
 
@@ -299,10 +307,10 @@ def _boost(codes, y, params: BoostParams, n_bins, base_score: float) -> _Grown:
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree, stopped = _grow_tree(binned, g, h, params, n_bins, stride)
+        tree, stopped, out = _grow_tree(binned, g, h, params, n_bins, stride)
         capped = capped or stopped
         trees.append(tree)
-        raw = raw + params.learning_rate * _tree_outputs(tree, binned)
+        raw = raw + params.learning_rate * out
         losses.append(log_loss(y, sigmoid(raw)))
     widest = max(int(np.sum(t.feature < 0)) for t in trees)
     return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,
@@ -316,7 +324,8 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
     ``memo`` is a dict the caller owns and passes to every fit whose model
     may be reused; it maps a digest of the data and parameters to the models
     grown under it (see the module docstring).  The returned model always
-    carries this call's ``params`` and bin thresholds.
+    carries this call's ``params`` and bin thresholds.  A label outside
+    {0, 1} or a non-finite cell raises :class:`OutOfRange`.
     """
     params = params or BoostParams()
     params.validate()
@@ -326,21 +335,19 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
         raise EmptyMatrix()
     if X.shape[0] != y.shape[0]:
         raise DataError("row count of X and y differ")
+    require_binary(y)
     if np.unique(y).size < 2:
         raise SingleClass()
 
     mapper = fit_bins(X, params.max_bins)
-    n_bins = mapper.n_bins
-    codes = bin_matrix(mapper, X)
-
     p_mean = float(np.mean(y))
     base_score = float(np.log(p_mean / (1.0 - p_mean)))
 
     grown_here = ([] if memo is None
-                  else memo.setdefault(_memo_key(codes, n_bins, y, params), []))
+                  else memo.setdefault(_memo_key(X, y, params), []))
     grown = next((e for e in grown_here if e.serves(params.max_leaves)), None)
     if grown is None:
-        grown = _boost(codes, y, params, n_bins, base_score)
+        grown = _boost(bin_matrix(mapper, X), y, params, mapper.n_bins, base_score)
         grown_here.append(grown)
     return BoostedModel(params=params, mapper=mapper, base_score=base_score,
                         trees=list(grown.trees), train_loss=list(grown.losses),

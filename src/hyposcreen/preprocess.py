@@ -16,11 +16,11 @@ from .errors import (
     ClassTooSmall,
     DataError,
     EmptyMatrix,
-    OutOfRange,
     SingleClass,
     TooFewMinority,
     WidthMismatch,
 )
+from .util import require_finite
 
 SCALER_KINDS = ("minmax", "standard", "none")
 
@@ -62,10 +62,7 @@ def fit_scaler(kind: str, X: np.ndarray, feature_names) -> FittedScaler:
         raise EmptyMatrix()
     if X.shape[1] != len(feature_names):
         raise WidthMismatch(len(feature_names), X.shape[1])
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = (int(v) for v in bad[0])
-        raise OutOfRange(r, feature_names[c], X[r, c])
+    require_finite(X, feature_names)
     if kind == "minmax":
         lo, hi = X.min(axis=0), X.max(axis=0)
     elif kind == "standard":

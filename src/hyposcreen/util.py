@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OutOfRange
+
 _SEED_MOD = 2**31 - 1
 
 
@@ -53,3 +55,19 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     p = np.clip(np.asarray(p, dtype=float), 1e-15, 1.0 - 1e-15)
     y = np.asarray(y, dtype=float)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def require_finite(X: np.ndarray, names) -> None:
+    """Raise :class:`OutOfRange` for the first non-finite cell of the 2-D
+    ``X``, in row-major order; ``names[c]`` names column ``c``."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = (int(v) for v in np.argwhere(~finite)[0])
+        raise OutOfRange(r, names[c], X[r, c])
+
+
+def require_binary(y: np.ndarray) -> None:
+    """Raise :class:`OutOfRange` for the first label of ``y`` not 0 or 1."""
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise OutOfRange(int(bad[0]), "label", y[bad[0]])

@@ -55,6 +55,27 @@ def test_labeled_dataset_fills_demographics_and_validates():
                        y=np.array([0]), participant_ids=["x"])
 
 
+def test_labeled_dataset_rejects_bad_cells_labels_and_ids():
+    def make(X=np.zeros((3, 2)), y=(0, 1, 0), ids=("a", "b", "c")):
+        return LabeledDataset(feature_names=["f0", "f1"], X=X, y=np.array(y),
+                              participant_ids=list(ids))
+
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((3, 2))
+        X[1, 1] = bad
+        with pytest.raises(OutOfRange) as err:
+            make(X=X)
+        assert (err.value.row, err.value.col) == (1, "f1")
+    for y in ((0, 0.5, 1), (0, 1, 2), (-1, 0, 1)):
+        with pytest.raises(OutOfRange) as err:
+            make(y=y)
+        assert err.value.col == "label"
+    with pytest.raises(DuplicateEntry) as err:
+        make(ids=("a", "b", "a"))
+    assert err.value.key == "a"
+    assert make(y=(1.0, 0.0, True)).y.dtype == np.int64
+
+
 def test_subset_and_column_subset():
     ds = _tiny_dataset()
     sub = ds.subset([4, 0])

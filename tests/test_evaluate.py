@@ -6,7 +6,7 @@ import pytest
 
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
-from hyposcreen.errors import DataError, SingleClass
+from hyposcreen.errors import DataError, OutOfRange, SingleClass
 from hyposcreen.evaluate import (
     auroc,
     auroc_from_points,
@@ -77,6 +77,57 @@ def test_roc_curve_shape_and_trapezoid_equivalence():
         assert math.isclose(auroc_from_points(pts),
                             _mann_whitney_oracle(scores, labels),
                             abs_tol=1e-12)
+
+
+def _roc_loop(scores, labels):
+    """The tie-group loop that the one-cumsum ``roc_curve`` replaced."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pos_total = int(np.sum(labels == 1))
+    neg_total = int(np.sum(labels != 1))
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    is_pos = (labels[order] == 1)
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    n = s.shape[0]
+    while i < n:
+        j = i
+        while j < n and s[j] == s[i]:
+            j += 1
+        tp += int(np.sum(is_pos[i:j]))
+        fp += (j - i) - int(np.sum(is_pos[i:j]))
+        points.append((fp / neg_total, tp / pos_total, float(s[i])))
+        i = j
+    return points
+
+
+def test_roc_curve_equals_tie_group_loop_bit_for_bit():
+    rng = np.random.default_rng(72)
+    for trial in range(300):
+        n = int(rng.integers(2, 400))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        rng.shuffle(labels)
+        levels = int(rng.integers(1, 12))
+        scores = rng.integers(-levels, levels + 1, size=n) / levels
+        if trial % 3 == 0:
+            scores = np.where(scores == 0, rng.choice([-0.0, 0.0], size=n), scores)
+        elif trial % 3 == 1:
+            scores = np.where(rng.random(n) < 0.5, scores, rng.random(n))
+        got = roc_curve(scores, labels)
+        want = _roc_loop(scores, labels)
+        assert [tuple(map(float.hex, p)) for p in got] == \
+            [tuple(map(float.hex, p)) for p in want]
+        assert auroc_from_points(got) == auroc_from_points(want)
+
+
+def test_roc_rejects_a_non_finite_score():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfRange) as err:
+            auroc([0.2, bad, 0.9], [0, 1, 1])
+        assert (err.value.row, err.value.col) == (1, "score")
 
 
 def test_confusion_and_metrics_hand_example():

@@ -1,10 +1,18 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hyposcreen.errors import ArtifactError, DataError, DegenerateParams, SingleClass
+from hyposcreen.errors import (
+    ArtifactError,
+    DataError,
+    DegenerateParams,
+    OutOfRange,
+    SingleClass,
+)
+from hyposcreen.model import histboost
 from hyposcreen.model.binning import BinMapper, bin_matrix, fit_bins
 from hyposcreen.model.histboost import (
     BoostParams,
@@ -14,7 +22,7 @@ from hyposcreen.model.histboost import (
     predict_proba,
     predict_raw,
 )
-from hyposcreen.util import sigmoid
+from hyposcreen.util import log_loss, sigmoid
 
 
 # --- binning -------------------------------------------------------------------
@@ -47,6 +55,59 @@ def test_fit_bins_with_heavy_ties_matches_sorted_oracle():
     assert np.allclose(mapper.thresholds[0], (d[ranks - 1] + d[ranks]) / 2.0)
 
 
+def _unique_loop_bins(X, max_bins):
+    """The per-column ``np.unique`` thresholds that the one-sort fit replaced."""
+    thresholds = []
+    for f in range(X.shape[1]):
+        d = np.unique(X[:, f])
+        m = d.size
+        if m <= 1:
+            thresholds.append(np.empty(0))
+        elif m <= max_bins:
+            thresholds.append((d[1:] + d[:-1]) / 2.0)
+        else:
+            ranks = np.unique((np.arange(1, max_bins) * m) // max_bins)
+            thresholds.append((d[ranks - 1] + d[ranks]) / 2.0)
+    return thresholds
+
+
+def _bin_oracle_cases(rng):
+    n = 300
+    yield rng.integers(-5, 6, size=(n, 4)).astype(float)           # heavy ties
+    signed_zeros = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n, 3))
+    yield signed_zeros
+    yield np.concatenate([np.full((n, 1), 3.5), np.full((n, 1), -0.0),
+                          rng.normal(size=(n, 1))], axis=1)       # constant columns
+    yield rng.normal(size=(n, 5))                                 # all distinct
+    base = rng.normal(size=(1, 3))
+    steps = rng.integers(0, 40, size=(n, 3))
+    adjacent = base.repeat(n, axis=0)
+    for _ in range(40):                                           # neighbouring floats
+        adjacent = np.where(steps > 0, np.nextafter(adjacent, np.inf), adjacent)
+        steps = steps - 1
+    yield adjacent
+    yield np.round(rng.normal(size=(n, 3)) * 1e3) / 1e3 * np.array([1.0, 1e-300, 1e300])
+    yield rng.normal(size=(1, 4))                                 # one row
+    yield np.empty((5, 0))                                        # no columns
+
+
+def test_one_sort_fit_bins_equals_unique_loop_bit_for_bit():
+    rng = np.random.default_rng(59)
+    cases = list(_bin_oracle_cases(rng))
+    cases.append(rng.normal(size=(50, 1)))                         # X.T is contiguous
+    for X in cases:
+        X_before = X.copy()
+        for max_bins in range(2, 256):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fit_bins(X, max_bins).thresholds
+            want = _unique_loop_bins(X, max_bins)
+            assert np.array_equal(X, X_before)   # the input is not sorted in place
+            assert len(got) == len(want) == X.shape[1]
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_bin_matrix_value_equal_to_threshold_goes_left():
     mapper = BinMapper(thresholds=[np.array([1.0, 2.0])], max_bins=255)
     X = np.array([[0.5], [1.0], [1.5], [2.0], [2.5]])
@@ -61,6 +122,13 @@ def test_fit_bins_constant_column_and_errors():
         fit_bins(np.zeros((2, 1)), max_bins=1)
     with pytest.raises(DataError):
         fit_bins(np.zeros((0, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((4, 3))
+        X[2, 1] = bad
+        X[3, 0] = np.nan
+        with pytest.raises(OutOfRange) as err:
+            fit_bins(X)
+        assert (err.value.row, err.value.col) == (2, 1)
 
 
 def test_bin_mapper_round_trip():
@@ -199,6 +267,54 @@ def test_one_row_predictions_equal_batch_rows_bit_for_bit():
     assert predict_raw(model, X_test[:0]).shape == (0,)
 
 
+def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
+    rng = np.random.default_rng(62)
+    for t in range(30):
+        n, d = int(rng.integers(10, 300)), int(rng.integers(1, 6))
+        binned = rng.integers(0, 8, size=(n, d)) * (rng.random((n, d)) < 0.7)
+        n_bins = np.maximum(binned.max(axis=0) + 1, 1).astype(np.int64)
+        g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
+        params = BoostParams(max_leaves=int(rng.integers(2, 40)),
+                             min_samples_leaf=int(rng.integers(1, 12)))
+        tree, _, out = histboost._grow_tree(binned, g, h, params, n_bins,
+                                            int(n_bins.max()))
+        assert np.array_equal(out, histboost._tree_outputs(tree, binned))
+
+
+def test_boosted_training_margins_equal_predict_raw_bit_for_bit():
+    rng = np.random.default_rng(63)
+    for t in range(6):
+        n, d = int(rng.integers(30, 200)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        y = (rng.random(n) < sigmoid(2.0 * X[:, 0])).astype(float)
+        y[:2] = [0.0, 1.0]
+        model = fit_histgbm(X, y, BoostParams(
+            n_trees=int(rng.integers(1, 12)), max_leaves=int(rng.integers(2, 16)),
+            min_samples_leaf=int(rng.integers(1, 8)), max_bins=int(rng.integers(2, 64))))
+        # each round's loss is taken from the margins _boost accumulated
+        for k in range(1, len(model.trees) + 1):
+            first_k = BoostedModel(params=model.params, mapper=model.mapper,
+                                   base_score=model.base_score, trees=model.trees[:k],
+                                   train_loss=[], n_features=d)
+            margins = predict_raw(first_k, X)
+            assert log_loss(y, sigmoid(margins)) == model.train_loss[k - 1]
+
+
+def test_memo_hit_bins_no_matrix(monkeypatch):
+    calls = []
+    real = histboost.bin_matrix
+    monkeypatch.setattr(histboost, "bin_matrix",
+                        lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(64)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] > 0).astype(float)
+    memo = {}
+    fits = [fit_histgbm(X, y, BoostParams(n_trees=3, max_leaves=cap), memo=memo)
+            for cap in (31, 63)]
+    assert len(calls) == 1
+    assert fits[0].trees == fits[1].trees
+
+
 def test_training_log_loss_is_non_increasing():
     rng = np.random.default_rng(56)
     X = rng.normal(size=(200, 4))
@@ -256,6 +372,16 @@ def test_fit_errors_and_param_validation():
         fit_histgbm(X, np.ones(20))
     with pytest.raises(DataError):
         fit_histgbm(X, np.array([0.0, 1.0]))
+    with pytest.raises(OutOfRange) as err:
+        fit_histgbm(X[:6], np.array([0, 2, 0, 2, 2, 0]))
+    assert (err.value.row, err.value.col) == (1, "label")
+    with pytest.raises(OutOfRange):
+        fit_histgbm(X[:4], np.array([0.0, 1.0, np.nan, 1.0]))
+    X_bad = X.copy()
+    X_bad[5, 1] = np.nan
+    with pytest.raises(OutOfRange) as err:
+        fit_histgbm(X_bad, (np.arange(20) % 2).astype(float))
+    assert (err.value.row, err.value.col) == (5, 1)
     for bad in (dict(n_trees=0), dict(learning_rate=0.0), dict(max_leaves=1),
                 dict(min_samples_leaf=0), dict(max_bins=300)):
         with pytest.raises(DegenerateParams):
