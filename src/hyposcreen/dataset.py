@@ -8,7 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DuplicateEntry
-from .featurize import featurize_recording, load_index_map
+from .featurize import (
+    canonical_expressions,
+    featurize_recording,
+    load_index_map,
+    used_points,
+)
 from .ingest import (
     Column,
     CsvSpec,
@@ -44,6 +49,8 @@ class LabeledDataset:
             raise DataError("feature matrix must be 2-D")
         if self.X.shape[0] != y.shape[0]:
             raise DataError("feature matrix and labels disagree on row count")
+        if self.X.shape[0] != len(self.participant_ids):
+            raise DataError("feature matrix and participant ids disagree on row count")
         if self.X.shape[1] != len(self.feature_names):
             raise DataError("feature matrix and names disagree on column count")
         require_finite(self.X, self.feature_names)
@@ -86,16 +93,24 @@ class LabeledDataset:
 def build_feature_table(manifest: Manifest, expressions=None,
                         index_map_path=None,
                         min_confidence: float | None = None) -> LabeledDataset:
-    """Featurize every participant in the manifest, in manifest order."""
+    """Featurize every participant in the manifest, in manifest order.
+
+    Only the recordings of the requested ``expressions`` are read, and of
+    their landmark tracks only the x/y columns of the index map's points.
+    Labels and demographics come from the manifest: a participant whose
+    entries disagree on the label raises :class:`DataError`, whichever
+    expressions are requested.
+    """
     index_map = load_index_map(index_map_path)
+    points = used_points(index_map)
+    expressions = canonical_expressions(expressions)
     names = None
     rows, labels, pids = [], [], []
     demo = {k: [] for k in DEMOGRAPHIC_COLUMNS}
     for pid, entries in manifest.by_participant().items():
-        series = {}
-        for expr, entry in entries.items():
-            series[expr] = load_recording(entry, manifest.base_dir,
-                                          min_confidence=min_confidence)
+        series = {expr: load_recording(entry, manifest.base_dir,
+                                       min_confidence=min_confidence, points=points)
+                  for expr, entry in entries.items() if expr in expressions}
         vec = featurize_recording(series, index_map, expressions=expressions)
         if names is None:
             names = list(vec.values)

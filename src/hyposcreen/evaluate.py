@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import DataError, SingleClass
 from .preprocess import FoldPlan, stratified_kfold
-from .util import child_seed, require_finite
+from .util import child_seed, require_binary, require_finite
 
 METRIC_KEYS = ("accuracy", "sensitivity", "specificity", "ppv", "npv", "f1", "auroc")
 BOOTSTRAP_LEVEL = 0.95  # coverage of the percentile interval over seeds
@@ -36,11 +36,13 @@ class ConfusionCounts:
 
 def confusion_counts(scores, labels, threshold: float = 0.5) -> ConfusionCounts:
     """Counts at a fixed threshold; a row is called positive when
-    ``score >= threshold``."""
+    ``score >= threshold``.  A label other than 0 or 1 raises
+    :class:`OutOfRange`."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape[0] != labels.shape[0]:
         raise DataError("scores and labels differ in length")
+    require_binary(labels)
     if scores.shape[0] == 0:
         raise DataError("no rows to score")
     pred = scores >= threshold
@@ -83,10 +85,12 @@ def roc_curve(scores, labels) -> list:
     """(fpr, tpr, threshold) points from (0,0) to (1,1), one step per unique
     score, descending.  Tied scores collapse into a single point, whose
     threshold is the first of the tied scores in the stable descending
-    order.  A non-finite score raises :class:`OutOfRange`."""
+    order.  A non-finite score or a label other than 0 or 1 raises
+    :class:`OutOfRange`."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     require_finite(scores[:, None], ["score"])
+    require_binary(labels)
     pos_total = int(np.sum(labels == 1))
     neg_total = int(np.sum(labels != 1))
     if pos_total == 0 or neg_total == 0:

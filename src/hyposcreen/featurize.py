@@ -25,9 +25,8 @@ from .errors import (
     DegenerateIrisDistance,
     EmptySeries,
     IncompleteExpression,
-    IndexOutOfRange,
 )
-from .ingest import EXPRESSION_AUS, EXPRESSIONS, RecordingSeries
+from .ingest import EXPRESSION_AUS, EXPRESSIONS, N_POINTS, RecordingSeries, point_indices
 
 # Geometric attributes in canonical order.
 ATTRIBUTES = (
@@ -127,6 +126,16 @@ def load_index_map(path=None) -> dict:
     return doc
 
 
+def used_points(index_map: dict, n_points: int = N_POINTS) -> list[int]:
+    """The distinct points the iris and attribute groups of ``index_map``
+    name, ascending; the first index outside ``[0, n_points)``, in map
+    order, raises :class:`IndexOutOfRange`."""
+    used = list(index_map["iris"]["right"]) + list(index_map["iris"]["left"])
+    for groups in index_map["attributes"].values():
+        used += list(groups[0]) + list(groups[1])
+    return point_indices(used, n_points)
+
+
 def _centroid(xy: np.ndarray, ids) -> np.ndarray:
     return xy[:, list(ids), :].mean(axis=1)
 
@@ -140,14 +149,7 @@ def attribute_series(landmarks: np.ndarray, index_map: dict) -> dict[str, np.nda
     lm = np.asarray(landmarks, dtype=float)
     if lm.ndim != 3 or lm.shape[2] != 3:
         raise DataError("landmarks must have shape (frames, points, 3)")
-    n_points = lm.shape[1]
-    used = list(index_map["iris"]["right"]) + list(index_map["iris"]["left"])
-    for groups in index_map["attributes"].values():
-        used += list(groups[0]) + list(groups[1])
-    for i in used:
-        if not 0 <= int(i) < n_points:
-            raise IndexOutOfRange(int(i), n_points)
-
+    used_points(index_map, lm.shape[1])
     xy = lm[:, :, :2]
     iris = _centroid(xy, index_map["iris"]["right"]) - _centroid(
         xy, index_map["iris"]["left"])

@@ -10,6 +10,7 @@ irrelevant; columns are located by name.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ from .errors import (
     DataError,
     DuplicateEntry,
     EmptyFile,
+    IndexOutOfRange,
     LengthMismatch,
     MissingCell,
     MissingColumn,
@@ -212,6 +214,9 @@ class Column:
     other cells are text.  An ``optional`` column may be missing from the
     header.  A ``blank`` column reads an empty or missing cell as None.  A
     value seen twice in a ``unique`` column raises :class:`DuplicateEntry`.
+    A column that is not ``read`` must be in the header, and it counts
+    towards the ``ragged`` rule, but its cells are neither converted nor
+    checked.
     """
 
     name: str
@@ -220,6 +225,7 @@ class Column:
     optional: bool = False
     blank: bool = False
     unique: str | None = None
+    read: bool = True
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ def read_columns(path, spec: CsvSpec):
     """``(names, block, cells)``: the columns of ``spec`` in the csv at ``path``.
 
     ``block`` holds the non-blank number columns ``names``, one row per data
-    row; ``cells`` maps every other column to its list of values.  A file
+    row; ``cells`` maps every other read column to its list of values.  A file
     that :func:`_bulk_pass` declines is read by :func:`_cell_pass`, which
     raises for the first bad cell in row order, then in spec order.  Repeats
     in a ``unique`` column are checked after every cell.  A header that names
@@ -259,9 +265,12 @@ def read_columns(path, spec: CsvSpec):
     if spec.rest:
         named = {col.name for col in spec.columns}
         columns += [(Column(h), i) for i, h in enumerate(header) if h not in named]
-    names, block, cells = (_bulk_pass(path, header, columns)
-                           or _cell_pass(path, len(header), columns, spec.ragged))
-    for col, _ in columns:
+    ragged = spec.ragged and (
+        lambda r, n_cells: spec.ragged(r, [p < n_cells for _, p in columns]))
+    read = [(col, p) for col, p in columns if col.read]
+    names, block, cells = (_bulk_pass(path, header, read)
+                           or _cell_pass(path, len(header), read, ragged))
+    for col, _ in read:
         if col.unique:
             seen = set()
             for value in cells[col.name]:
@@ -293,12 +302,13 @@ def _cell(cells, r: int, col: Column, pos: int):
 
 
 def _cell_pass(path, width: int, columns, ragged):
-    """Cell-by-cell read of ``columns``, ``(Column, position)`` pairs."""
+    """Cell-by-cell read of ``columns``, ``(Column, position)`` pairs;
+    ``ragged(r, n_cells)`` is the error for a row that is not ``width`` wide."""
     values = []
     with csv_rows(path) as (_, rows):
         for r, cells in enumerate(rows):
             if ragged is not None and len(cells) != width:
-                raise ragged(r, [p < len(cells) for _, p in columns])
+                raise ragged(r, len(cells))
             values.append([_cell(cells, r, col, p) for col, p in columns])
     picks = [j for j, (col, _) in enumerate(columns) if _in_block(col)]
     block = np.array([[row[j] for j in picks] for row in values], dtype=float)
@@ -323,43 +333,53 @@ def _bulk_pass(path, header, columns):
 
     numpy converts a cell with the same correctly rounded routine as
     ``float()``, so the values are the same; it accepts fewer spellings (no
-    ``1_0`` or non-ASCII digits, no whitespace-only line).  It parses every
-    column, so it refuses rows of differing widths.  The text and blank
-    columns go through converters that keep each cell's text as csv reads it,
-    which :func:`_cell` then checks; the other unnamed columns through a
-    dummy converter.  The pass declines when numpy raises or warns, when the
-    rows are not as wide as the header, when the file holds a character of
-    :data:`_DECLINED`, a blank line before the header or a suffix numpy
-    decompresses, or when a cell fails its column's checks.
+    ``1_0`` or non-ASCII digits, no whitespace-only line).  It parses only
+    the ``columns`` (``usecols``) and takes any row that reaches them, so the
+    pass first counts the commas of every line itself: like numpy, it splits
+    the decoded text on ``"\\n"`` alone and skips only empty lines.  The text
+    and blank columns go through converters that keep each cell's text as
+    csv reads it, which :func:`_cell` then checks.  The pass declines when
+    numpy raises or warns, when a line is not as wide as the header or numpy
+    returns another number of rows than the lines counted, when the file
+    holds a character of :data:`_DECLINED`, a blank line before the header
+    or a suffix numpy decompresses, or when a cell fails its column's
+    checks.
     """
     if Path(path).suffix in _DECOMPRESSED_SUFFIXES:
         return None
+    n_rows = 0
     try:
-        with open(path) as fh:  # decoded as csv_rows and np.loadtxt decode it
-            text = fh.read()
+        # decoded as csv_rows and np.loadtxt decode it, "\r\n" and "\r" read as "\n"
+        with open(path) as fh:
+            for i, line in enumerate(fh):
+                if any(c in line for c in _DECLINED):
+                    return None
+                if i == 0:
+                    if [h.strip() for h in line.split(",")] != header:
+                        return None
+                elif line != "\n":
+                    if line.count(",") != len(header) - 1:
+                        return None
+                    n_rows += 1
     except ValueError:  # UnicodeDecodeError
         return None
-    if (any(c in text for c in _DECLINED)
-            or [h.strip() for h in text[:text.find("\n")].split(",")] != header):
-        return None
-    del text
     numbers = [(col, p) for col, p in columns if _in_block(col)]
     others = [(col, p) for col, p in columns if not _in_block(col)]
-    wanted = [p for _, p in numbers]
     texts = {p: [] for _, p in others}
-    converters = dict.fromkeys(set(range(len(header))) - set(wanted), lambda _: 0.0)
-    converters.update({p: _keeper(texts[p]) for p in texts})
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # a path, not a file object: numpy then reads it in large chunks
+            # a path, not a file object: numpy then reads it in large chunks;
+            # converter keys are header positions, not usecols positions
             table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               dtype=float, ndmin=2, converters=converters or None)
+                               dtype=float, ndmin=2,
+                               usecols=[p for _, p in numbers] + list(texts),
+                               converters={p: _keeper(texts[p]) for p in texts})
     except (ValueError, Warning):
         return None
-    if table.shape[1] != len(header):
+    if len(table) != n_rows:
         return None
-    block = table[:, wanted]
+    block = np.ascontiguousarray(table[:, :len(numbers)])
     del table
     if not np.isfinite(block).all() or not all(
             col.rule(block[:, j]).all()
@@ -448,26 +468,51 @@ def _landmark_columns() -> list[str]:
     return [f"p{i:03d}_{ax}" for i in range(N_POINTS) for ax in _AXES]
 
 
-_LANDMARK_SPEC = CsvSpec(
-    tuple(Column(name) for name in ["frame"] + _landmark_columns()),
-    ragged=lambda r, present: RaggedFrame(r, sum(present[1:]) // 3))
+@functools.lru_cache(maxsize=4)
+def _landmark_spec(points: tuple[int, ...] | None) -> CsvSpec:
+    """``frame`` and every landmark column; with ``points``, only ``frame``
+    and the x/y columns of those points are read."""
+    keep = None if points is None else {f"p{i:03d}_{ax}" for i in points for ax in "xy"}
+    return CsvSpec(
+        (Column("frame"),) + tuple(Column(name, read=keep is None or name in keep)
+                                   for name in _landmark_columns()),
+        ragged=lambda r, present: RaggedFrame(r, sum(present[1:]) // 3))
+
+
+def point_indices(points, n_points: int = N_POINTS) -> list[int]:
+    """The distinct ``points`` in ascending order; the first one outside
+    ``[0, n_points)`` raises :class:`IndexOutOfRange`."""
+    for i in points:
+        if not 0 <= int(i) < n_points:
+            raise IndexOutOfRange(int(i), n_points)
+    return sorted({int(i) for i in points})
 
 
 def parse_landmark_series(path, participant_id: str = "",
-                          expression: str = "") -> RecordingSeries:
+                          expression: str = "", points=None) -> RecordingSeries:
     """Parse one landmark track into a (frames, 478, 3) array.
 
     A row whose width differs from the header's raises :class:`RaggedFrame`
-    with the number of complete points it holds.
+    with the number of complete points it holds.  With ``points``, only
+    ``frame`` and the x/y columns of those points are converted and checked;
+    every other cell of ``landmarks`` is NaN.  The header must still name
+    all 478 x 3 columns, and every row must still be as wide as the header.
     """
-    _, block, _ = read_columns(path, _LANDMARK_SPEC)
+    if points is not None:
+        points = tuple(point_indices(points))
+    _, block, _ = read_columns(path, _landmark_spec(points))
     n = len(block)
     order = np.argsort(block[:, 0], kind="stable")
+    if points is None:
+        landmarks = block[order, 1:].reshape(n, N_POINTS, 3)
+    else:
+        landmarks = np.full((n, N_POINTS, 3), np.nan)
+        landmarks[:, list(points), :2] = block[order, 1:].reshape(n, len(points), 2)
     return RecordingSeries(
         participant_id=participant_id,
         expression=expression,
         frame_count=n,
-        landmarks=block[order, 1:].reshape(n, N_POINTS, 3),
+        landmarks=landmarks,
     )
 
 
@@ -500,11 +545,14 @@ def merge_series(au: RecordingSeries, lm: RecordingSeries) -> RecordingSeries:
 
 
 def load_recording(entry: ManifestEntry, base_dir,
-                   min_confidence: float | None = None) -> RecordingSeries:
+                   min_confidence: float | None = None,
+                   points=None) -> RecordingSeries:
+    """One recording's AU and landmark tracks; ``points`` as for
+    :func:`parse_landmark_series`."""
     base = Path(base_dir)
     au = parse_au_csv(base / entry.au_path, entry.expression, entry.participant_id)
     lm = parse_landmark_series(base / entry.landmark_path,
-                               entry.participant_id, entry.expression)
+                               entry.participant_id, entry.expression, points=points)
     series = merge_series(au, lm)
     if min_confidence is not None:
         series = filter_low_confidence(series, min_confidence)

@@ -26,6 +26,7 @@ from hyposcreen.cli import main
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import DEMOGRAPHIC_COLUMNS, META_COLUMNS, read_feature_table
 from hyposcreen.errors import (
+    DataError,
     DuplicateEntry,
     EmptyFile,
     MissingCell,
@@ -900,6 +901,99 @@ def test_landmark_bad_files_fail_as_reference(tmp_path, variant):
                 "header_wider_than_rows": RaggedFrame, "empty_cell": NonNumericCell,
                 "separator_padding": NonNumericCell}.get(variant, OutOfRange)
     assert kinds == {expected}
+
+
+# With ``points``, the landmark reader converts only ``frame`` and the x/y
+# columns of those points, and checks the rest of the header and the width of
+# every row as a full read does.  The narrow read is replayed against the full
+# read: the same bits where it reads and NaN elsewhere, the same error for a
+# bad read cell, row or header, and no error for a bad cell it does not read.
+
+def _raised(read):
+    """``(type, message)`` of the error ``read()`` raises, or None."""
+    try:
+        read()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_landmark_narrow_read_equals_full_read(tmp_path):
+    rng = np.random.default_rng(218)
+    faults = ("read_cell", "frame_cell", "ragged_row", "wider_row", "wider_rows",
+              "narrower_rows", "missing_name", "duplicated_name")
+    raised = set()
+    for i in range(64):
+        asked = rng.choice(N_POINTS, size=int(rng.integers(1, 40))).tolist()
+        read = sorted(set(asked))
+        lines = _landmark_lines(rng, 1 + i % 4, ["confidence", "face_id"][:i % 3])
+        header = lines[0]
+
+        def write(path, lines):
+            if i % 4 == 3:  # quoted cells and whitespace-only lines: the cell pass
+                _write_messy_csv(path, lines, rng)
+            else:
+                _write_lines(path, lines, rng, ("\n", "\r\n")[i % 2])
+
+        path = tmp_path / f"lm{i}.csv"
+        write(path, lines)
+        full = parse_landmark_series(path).landmarks
+        narrow = parse_landmark_series(path, points=asked).landmarks
+        assert narrow.shape == full.shape and narrow.dtype == full.dtype
+        assert narrow[:, read, :2].tobytes() == full[:, read, :2].tobytes(), path.name
+        unread = np.ones(full.shape, dtype=bool)
+        unread[:, read, :2] = False
+        assert np.isnan(narrow[unread]).all(), path.name
+
+        # a bad cell in a column the narrow read skips fails only the full read
+        skipped = [n for n in _LANDMARK_NAMES[1:]
+                   if n.endswith("_z") or int(n[1:4]) not in read]
+        name = "p000_z" if i % 2 else skipped[int(rng.integers(len(skipped)))]
+        bad_lines = [list(row) for row in lines]
+        bad_lines[int(rng.integers(1, len(lines)))][header.index(name)] = (
+            "oops", "nan", "", "1e400")[i % 4]
+        bad = tmp_path / f"lm{i}_skipped.csv"
+        write(bad, bad_lines)
+        assert _raised(lambda: parse_landmark_series(bad)) is not None
+        got = parse_landmark_series(bad, points=read).landmarks
+        assert got.tobytes() == narrow.tobytes(), bad.name
+
+        # a bad read cell, row or header fails both reads with the same error
+        fault = faults[i % len(faults)]
+        r = int(rng.integers(1, len(lines)))
+        if fault == "read_cell":
+            p, ax = read[int(rng.integers(len(read)))], "xy"[i % 2]
+            lines[r][header.index(f"p{p:03d}_{ax}")] = ("oops", "nan", "-inf", "")[i % 4]
+        elif fault == "frame_cell":
+            lines[r][header.index("frame")] = ("x1", "inf")[i % 2]
+        elif fault == "ragged_row":
+            del lines[r][int(rng.integers(1, len(header))):]
+        elif fault == "wider_row":
+            lines[r].append("0.5")
+        elif fault == "wider_rows":
+            for row in lines[1:]:
+                row.append("0.5")
+        elif fault == "narrower_rows":
+            header.append("note")
+        elif fault == "missing_name":
+            drop = header.index(_LANDMARK_NAMES[int(rng.integers(1, len(_LANDMARK_NAMES)))])
+            for row in lines:
+                del row[drop]
+        else:
+            j = int(rng.integers(len(header)))
+            for row in lines:
+                row.append(row[j])
+        bad = tmp_path / f"lm{i}_{fault}.csv"
+        write(bad, lines)
+        want = _raised(lambda: parse_landmark_series(bad))
+        assert want is not None, bad.name
+        assert _raised(lambda: parse_landmark_series(bad, points=asked)) == want, bad.name
+        raised.add(want[0])
+    assert raised == {NonNumericCell, OutOfRange, RaggedFrame, MissingColumn,
+                      DuplicateEntry}
+    print("PASS landmark narrow read: 64 files read bit for bit where read and NaN "
+          "elsewhere, 64 bad cells in skipped columns passed over, 64 bad files "
+          "rejected with the full read's error")
 
 
 def test_feature_table_bulk_read_equals_cell_reference(tmp_path):

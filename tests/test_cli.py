@@ -8,6 +8,8 @@ from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table
 from hyposcreen.ensemble import ensemble_predict, load_ensemble, train_pipeline
 from hyposcreen.config import PipelineConfig, load_config
+from hyposcreen.featurize import featurize_recording, load_index_map, used_points
+from hyposcreen.ingest import load_recording, parse_manifest
 
 FAST_CONFIG = {
     "scaler": "minmax",
@@ -237,6 +239,80 @@ def test_featurize_rejects_non_finite_landmark(manifest_corpus, tmp_path, capsys
     assert err["error"] == "OutOfRange"
     assert "row 2" in err["message"] and "'p468_x'" in err["message"]
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_featurize_reads_only_the_requested_expressions(manifest_corpus, tmp_path,
+                                                       capsys):
+    def featurize(out, *extra):
+        return main(["featurize", "--manifest", str(manifest_corpus),
+                     "--out", str(out), *extra])
+
+    assert featurize(tmp_path / "before.csv", "--expressions", "smile") == 0
+    _set_cell(manifest_corpus.parent / "p02_surprise_lm.csv", 1, "p468_x", "oops")
+    assert featurize(tmp_path / "after.csv", "--expressions", "smile") == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+    capsys.readouterr()
+    assert featurize(tmp_path / "all.csv") == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "NonNumericCell" and "'p468_x'" in err["message"]
+
+
+def _write_index_map(path, shift=0, **attributes):
+    """The packaged index map with every point moved ``shift`` places down
+    the mesh, then ``attributes`` replaced."""
+    def move(ids):
+        return [(i - shift) % 478 for i in ids]
+
+    doc = load_index_map()
+    doc["iris"] = {side: move(ids) for side, ids in doc["iris"].items()}
+    doc["attributes"] = {name: [move(a), move(b)]
+                         for name, (a, b) in doc["attributes"].items()}
+    doc["attributes"].update(attributes)
+    path.write_text(json.dumps(doc))
+    return doc
+
+
+def test_featurize_rejects_an_index_map_point_out_of_range(manifest_corpus, tmp_path,
+                                                           capsys):
+    index_map = tmp_path / "map.json"
+    _write_index_map(index_map, mouth_open=[[478], [14]])
+    # the map is checked before any recording is read
+    _set_cell(manifest_corpus.parent / "p01_smile_lm.csv", 0, "p014_x", "oops")
+    rc = main(["featurize", "--manifest", str(manifest_corpus), "--out",
+               str(tmp_path / "features.csv"), "--index-map", str(index_map)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "IndexOutOfRange" and "478" in err["message"]
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_featurize_reads_the_columns_of_a_custom_index_map(manifest_corpus, tmp_path,
+                                                           capsys):
+    index_map = tmp_path / "map.json"
+    doc = _write_index_map(index_map, shift=100)
+    assert 368 in used_points(doc) and 368 not in used_points(load_index_map())
+    out = tmp_path / "features.csv"
+    rc = main(["featurize", "--manifest", str(manifest_corpus), "--out", str(out),
+               "--index-map", str(index_map)])
+    assert rc == 0
+    # the same values as featurizing full reads of every recording
+    manifest = parse_manifest(manifest_corpus)
+    want = [featurize_recording({e: load_recording(entry, manifest.base_dir)
+                                 for e, entry in entries.items()}, doc).values
+            for entries in manifest.by_participant().values()]
+    got = read_feature_table(out)
+    assert np.array_equal(got.X, [[v[n] for n in got.feature_names] for v in want])
+    # a bad cell in a column of the custom map's points fails, and only there
+    _set_cell(manifest_corpus.parent / "p03_disgust_lm.csv", 2, "p368_y", "oops")
+    assert main(["featurize", "--manifest", str(manifest_corpus),
+                 "--out", str(tmp_path / "default.csv")]) == 0
+    capsys.readouterr()
+    rc = main(["featurize", "--manifest", str(manifest_corpus), "--out",
+               str(tmp_path / "custom.csv"), "--index-map", str(index_map)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "NonNumericCell"
+    assert "row 2" in err["message"] and "'p368_y'" in err["message"]
 
 
 def _repeat_column(path, col, value=None):

@@ -13,6 +13,7 @@ from hyposcreen.dataset import (
     read_feature_table,
     write_feature_table,
 )
+import hyposcreen.dataset as dataset
 from hyposcreen.cli import main
 from hyposcreen.errors import (
     DataError,
@@ -24,7 +25,7 @@ from hyposcreen.errors import (
     NonNumericCell,
     OutOfRange,
 )
-from hyposcreen.featurize import feature_names
+from hyposcreen.featurize import feature_names, load_index_map, used_points
 from hyposcreen.ingest import parse_manifest
 
 
@@ -76,6 +77,13 @@ def test_labeled_dataset_rejects_bad_cells_labels_and_ids():
     assert make(y=(1.0, 0.0, True)).y.dtype == np.int64
 
 
+def test_labeled_dataset_rejects_ids_of_the_wrong_length():
+    # subset([0, 2]) used to die with IndexError on such a dataset
+    with pytest.raises(DataError, match="participant ids"):
+        LabeledDataset(feature_names=["a"], X=np.zeros((3, 1)), y=[0, 1, 0],
+                       participant_ids=["x"])
+
+
 def test_subset_and_column_subset():
     ds = _tiny_dataset()
     sub = ds.subset([4, 0])
@@ -101,6 +109,31 @@ def test_build_feature_table_from_manifest(manifest_corpus):
 
     smaller = build_feature_table(manifest, expressions=["smile", "surprise"])
     assert smaller.X.shape == (4, 84)
+
+
+@pytest.mark.parametrize("min_confidence", [None, 0.75])
+def test_narrow_landmark_read_writes_the_full_read_table(manifest_corpus, tmp_path,
+                                                        monkeypatch, min_confidence):
+    manifest = parse_manifest(manifest_corpus)
+    load = dataset.load_recording
+    asked = []
+
+    def full_read(entry, base_dir, min_confidence=None, points=None):
+        asked.append(points)
+        return load(entry, base_dir, min_confidence)
+
+    paths = {}
+    for kind in ("narrow", "full"):
+        with monkeypatch.context() as m:
+            if kind == "full":
+                m.setattr(dataset, "load_recording", full_read)
+            paths[kind] = tmp_path / f"{kind}.csv"
+            write_feature_table(build_feature_table(manifest,
+                                                    min_confidence=min_confidence),
+                                paths[kind])
+    assert asked == [used_points(load_index_map())] * 12
+    assert len(asked[0]) == 22
+    assert paths["narrow"].read_bytes() == paths["full"].read_bytes()
 
 
 def test_build_feature_table_conflicting_labels(manifest_corpus):

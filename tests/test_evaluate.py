@@ -130,6 +130,15 @@ def test_roc_rejects_a_non_finite_score():
         assert (err.value.row, err.value.col) == (1, "score")
 
 
+def test_roc_and_confusion_counts_reject_a_non_binary_label():
+    with pytest.raises(OutOfRange) as err:
+        auroc([0.1, 0.9, 0.5], [2, 1, 7])
+    assert (err.value.row, err.value.col) == (0, "label")
+    with pytest.raises(OutOfRange) as err:
+        confusion_counts([0.1, 0.9], [2, 1])
+    assert (err.value.row, err.value.col) == (0, "label")
+
+
 def test_confusion_and_metrics_hand_example():
     labels = np.array([1, 1, 1, 0, 0, 0, 0])
     scores = np.array([0.9, 0.6, 0.4, 0.7, 0.3, 0.2, 0.1])
