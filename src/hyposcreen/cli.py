@@ -6,34 +6,27 @@ The ``HYPOSCREEN_THREADS`` environment variable sets how many worker threads
 run the repeated cross-validation of ``cv`` and ``sweep`` (default 1); all
 outputs are byte-identical regardless of its value.  The work holds the
 interpreter lock, so more threads make it slower, not faster.
+
+A command imports only the modules it runs: every command loads
+``dataset``, ``errors``, ``featurize``, ``ingest``, ``reports`` and
+``util``, and the names this module takes from any other module are
+imported on first use.  ``featurize`` never loads the model layers, and
+``bias`` and ``project`` never load the ensemble.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
-
-import numpy as np
+from importlib import import_module
 
 from . import dataset
-from .config import PipelineConfig, load_config, read_json
 from .dataset import CONTINUOUS_DEMOGRAPHICS, read_feature_table, write_feature_table
-from .ensemble import (
-    ensemble_predict,
-    input_columns,
-    load_ensemble,
-    save_ensemble,
-    train_pipeline,
-)
 from .errors import DataError, HyposcreenError, UsageError
-from .evaluate import run_cross_validation, summarize_bootstrap
-from .explain import pca_project, silhouette_score, tree_shap
 from .featurize import feature_names as canonical_feature_names
 from .ingest import EXPRESSIONS, Column, CsvSpec, parse_manifest, read_columns
-from .parallel import parallel_map
-from .preprocess import apply_scaler
 from .reports import (
     write_json,
     write_json_lines,
@@ -44,9 +37,49 @@ from .reports import (
     write_roc_svg,
     write_shap_csv,
 )
-from .stats import build_bias_report
-from .synth import generate_synthetic_dataset
 from .util import child_seed
+
+# Every other name is imported on first access (PEP 562), so a command
+# compiles only the modules it runs.  name -> the module it comes from; a
+# name equal to its module is the module itself.
+_LAZY = {
+    name: module
+    for module, names in {
+        "hashlib": ("hashlib",),
+        ".config": ("PipelineConfig", "load_config", "read_json"),
+        ".ensemble": ("ensemble_predict", "input_columns", "load_ensemble",
+                      "save_ensemble", "train_pipeline"),
+        ".evaluate": ("run_cross_validation", "summarize_bootstrap"),
+        ".explain": ("pca_project", "silhouette_score", "tree_shap"),
+        ".parallel": ("parallel_map",),
+        ".preprocess": ("apply_scaler",),
+        ".stats": ("build_bias_report",),
+        ".synth": ("generate_synthetic_dataset",),
+    }.items()
+    for name in names
+}
+
+# The handlers reach those names through this module object, never as bare
+# globals: a global lookup does not consult ``__getattr__``, and a wrapper
+# set on the module (a tracer, a test spy) must intercept the call.  Under
+# ``python -m`` this module is ``__main__``.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = import_module(_LAZY[name], __package__)
+    value = source if _LAZY[name] == name else getattr(source, name)
+    # Bind what the source module defines, as an import-time binding would:
+    # a wrapper set on the source attribute since then (a tracer's span over
+    # ``ensemble.train_pipeline``) serves that module's callers, and wrapping
+    # it again here would count each call twice.
+    while hasattr(value, "__wrapped__"):
+        value = value.__wrapped__
+    globals()[name] = value
+    return value
+
 
 EXPRESSION_SUBSETS = (
     ("smile",), ("disgust",), ("surprise",),
@@ -104,9 +137,12 @@ def _read_predictions(path):
 
 def _parse_float_list(text: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError(f"cannot parse numeric list {text!r}") from None
+    if any(math.isnan(v) for v in values):
+        raise UsageError(f"numeric list {text!r} holds a NaN")
+    return values
 
 
 def _seed_from(args, cfg: PipelineConfig) -> int:
@@ -127,11 +163,11 @@ def _cv_counts(args, cfg: PipelineConfig) -> tuple[int, int]:
 def _repeated_cv(ds, cfg: PipelineConfig, folds: int, n_seeds: int, master: int):
     """One full cross-validation per seed, and their bootstrap summary."""
     def one(s: int):
-        return run_cross_validation(ds, cfg, k=folds,
-                                    seed=child_seed(master, "bootstrap", s))
+        return _cli.run_cross_validation(ds, cfg, k=folds,
+                                         seed=child_seed(master, "bootstrap", s))
 
-    results = parallel_map(one, range(n_seeds))
-    return results, summarize_bootstrap([r.pooled for r in results])
+    results = _cli.parallel_map(one, range(n_seeds))
+    return results, _cli.summarize_bootstrap([r.pooled for r in results])
 
 
 # --- subcommand handlers ------------------------------------------------------------
@@ -149,11 +185,11 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     seed = _seed_from(args, cfg)
-    ensemble, _ = train_pipeline(ds, cfg, seed=seed)
-    save_ensemble(ensemble, args.out)
+    ensemble, _ = _cli.train_pipeline(ds, cfg, seed=seed)
+    _cli.save_ensemble(ensemble, args.out)
     print(f"trained stacking ensemble: kept {len(ensemble.base_models)} of "
           f"{len(cfg.ensemble.grid)} candidates, "
           f"{len(ensemble.feature_names)} features -> {args.out}")
@@ -161,7 +197,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     folds, n_seeds = _cv_counts(args, cfg)
     master = _seed_from(args, cfg)
@@ -195,9 +231,9 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ensemble = load_ensemble(args.model)
+    ensemble = _cli.load_ensemble(args.model)
     ds = read_feature_table(args.features)
-    scores = ensemble_predict(ensemble, ds.X, ds.feature_names)
+    scores = _cli.ensemble_predict(ensemble, ds.X, ds.feature_names)
     write_predictions_csv(ds.participant_ids, scores, args.out,
                           threshold=ensemble.threshold, labels=ds.y)
     print(f"scored {ds.n_rows} rows -> {args.out}")
@@ -218,11 +254,15 @@ def _cmd_bias(args) -> int:
         rows.append(index[pid])
     labels = ds.y[rows]
     demographics = {k: [v[i] for i in rows] for k, v in ds.demographics.items()}
-    if args.group in CONTINUOUS_DEMOGRAPHICS and not args.bins:
-        raise UsageError(f"column {args.group!r} is continuous; pass --bins")
+    if args.group in CONTINUOUS_DEMOGRAPHICS:
+        if not args.bins:
+            raise UsageError(f"column {args.group!r} is continuous; pass --bins")
+    elif args.bins and args.group in demographics:
+        raise UsageError(f"column {args.group!r} is categorical; --bins applies "
+                         f"only to {', '.join(CONTINUOUS_DEMOGRAPHICS)}")
     bins = _parse_float_list(args.bins) if args.bins else None
-    report = build_bias_report(labels, scores, demographics, args.group,
-                               threshold=args.threshold, bin_edges=bins)
+    report = _cli.build_bias_report(labels, scores, demographics, args.group,
+                                    threshold=args.threshold, bin_edges=bins)
     write_json(report.to_dict(), args.out)
     flagged = sum(1 for c in report.comparisons
                   if c["result"].get("p_value") is not None
@@ -236,16 +276,16 @@ def _cmd_bias(args) -> int:
 def _cmd_explain(args) -> int:
     if args.max_rows is not None and args.max_rows < 1:
         raise UsageError(f"--max-rows must be at least 1, got {args.max_rows}")
-    ensemble = load_ensemble(args.model)
+    ensemble = _cli.load_ensemble(args.model)
     ds = read_feature_table(args.features)
-    raw = ds.X[:, input_columns(ensemble, ds.feature_names)]
-    scaled = apply_scaler(ensemble.scaler, raw)
+    raw = ds.X[:, _cli.input_columns(ensemble, ds.feature_names)]
+    scaled = _cli.apply_scaler(ensemble.scaler, raw)
     model = ensemble.base_models[0]  # strongest candidate by inner-CV AUROC
     n_rows = ds.n_rows if args.max_rows is None else min(args.max_rows, ds.n_rows)
     rows = []
     memo = {}  # attributions per tree decision pattern, shared by the rows
     for i in range(n_rows):
-        attribution = tree_shap(model, scaled[i], memo)
+        attribution = _cli.tree_shap(model, scaled[i], memo)
         for j, nm in enumerate(ensemble.feature_names):
             rows.append((ds.participant_ids[i], nm,
                          attribution.phi[j], raw[i, j]))
@@ -257,13 +297,13 @@ def _cmd_explain(args) -> int:
 
 def _cmd_project(args) -> int:
     ds = read_feature_table(args.features)
-    proj = pca_project(ds.X, n_components=2)
+    proj = _cli.pca_project(ds.X, n_components=2)
     write_projection_csv(ds.participant_ids, proj.coords, ds.y, args.out)
 
     def sil(matrix) -> str:
         try:
-            coords = pca_project(matrix, n_components=2).coords
-            return f"{silhouette_score(coords, ds.y):.4f}"
+            coords = _cli.pca_project(matrix, n_components=2).coords
+            return f"{_cli.silhouette_score(coords, ds.y):.4f}"
         except HyposcreenError as exc:
             return f"undefined ({type(exc).__name__})"
 
@@ -277,7 +317,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    ds = generate_synthetic_dataset(
+    ds = _cli.generate_synthetic_dataset(
         n_per_class=args.n, delta=args.delta, dims=args.dims,
         informative_dims=args.informative, seed=args.seed or 0,
         subgroup_column=args.subgroup_column,
@@ -290,7 +330,7 @@ def _cmd_simulate(args) -> int:
 
 def _config_id(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:10]
+    return _cli.hashlib.sha256(blob).hexdigest()[:10]
 
 
 def _merged(base: dict, over: dict) -> dict:
@@ -305,11 +345,11 @@ def _merged(base: dict, over: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    base = load_config(args.config)
+    base = _cli.load_config(args.config)
     if args.preset == "expressions":
         overrides = [{"expressions": list(sub)} for sub in EXPRESSION_SUBSETS]
     elif args.grid:
-        doc = read_json(args.grid, "grid")
+        doc = _cli.read_json(args.grid, "grid")
         overrides = doc.get("configs") if isinstance(doc, dict) else doc
         if not isinstance(overrides, list):
             raise DataError("grid must be a list of config overrides, "
@@ -324,7 +364,7 @@ def _cmd_sweep(args) -> int:
 
     entries = []
     for over in overrides:
-        cfg = PipelineConfig.from_dict(_merged(base.to_dict(), over))
+        cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
         ds = _apply_expression_filter(ds_full, cfg)
         folds, n_seeds = _cv_counts(args, cfg)
         _, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)

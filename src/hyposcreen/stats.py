@@ -458,9 +458,13 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
     notes: dict = {}
     if continuous:
         edges = [float(e) for e in bin_edges]
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+        if len(edges) < 2 or not all(b > a for a, b in zip(edges, edges[1:])):
             raise DataError("bin_edges must be strictly increasing, length >= 2")
-        numeric = np.array([math.nan if v is None else float(v) for v in values])
+        try:
+            numeric = np.array([math.nan if v is None else float(v) for v in values])
+        except ValueError:
+            raise DataError(f"column {group!r} is not numeric; bin_edges need a "
+                            f"continuous column") from None
         assignment = np.full(labels.shape[0], -1)
         for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             last = i == len(edges) - 2

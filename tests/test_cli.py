@@ -193,6 +193,42 @@ def test_bias_command_categorical_and_binned(sim_table, tmp_path,
     assert set(report["groups"]) == {"[35, 60)", "[60, 86]"}
 
 
+
+def _bias_inputs(sim_table, tmp_path):
+    ids = read_feature_table(sim_table).participant_ids
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "".join(
+        f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    return ["bias", "--preds", str(preds), "--features", sim_table]
+
+
+@pytest.mark.parametrize("group", ["ethnicity", "sex", "cohort"])
+def test_bias_rejects_bins_on_a_categorical_column(sim_table, tmp_path, capsys,
+                                                   group):
+    out = tmp_path / "bias.json"
+    rc = main(_bias_inputs(sim_table, tmp_path)
+              + ["--group", group, "--bins", "1,2", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "UsageError"
+    assert repr(group) in err["message"]
+    assert "age" in err["message"] and "disease_duration" in err["message"]
+    assert not out.exists()
+
+
+def test_bias_rejects_nan_bin_edges_and_keeps_infinite_outer_edges(
+        sim_table, tmp_path, capsys):
+    args = _bias_inputs(sim_table, tmp_path) + ["--group", "age"]
+    out = tmp_path / "bias.json"
+    for bins in ("35,nan,86", "nan,86", "35,NaN", "-nan,35,86"):
+        assert main(args + [f"--bins={bins}", "--out", str(out)]) == 2, bins
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "UsageError" and repr(bins) in err["message"]
+        assert not out.exists()
+    assert main(args + ["--bins=-inf,60,inf", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report["groups"]) == {"[-inf, 60)", "[60, inf]"}
+
 def test_sweep_grid_produces_sorted_leaderboard(sim_table, tmp_path,
                                                 fast_config_path, monkeypatch,
                                                 capsys):

@@ -1,0 +1,147 @@
+"""Each command imports only the modules it runs.
+
+``hyposcreen`` and ``hyposcreen.cli`` import most modules on first use of a
+name (PEP 562).  These tests run commands in fresh interpreters, as
+``python -m hyposcreen.cli`` does, and read ``sys.modules`` afterwards.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hyposcreen
+import hyposcreen.cli as cli
+from hyposcreen.dataset import read_feature_table
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs the cli as ``__main__`` the way ``python -m`` does, then writes the
+# exit code and the names in ``sys.modules`` to the file named first
+PROBE = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["hyposcreen"] + sys.argv[2:]
+try:
+    runpy.run_module("hyposcreen.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+MODEL_LAYERS = ("hyposcreen.ensemble", "hyposcreen.model")
+
+
+def _modules_after(tmp_path, args) -> set:
+    out = tmp_path / f"{args[0]}_modules.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(out)] + args,
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["code"] == 0, proc.stderr
+    return set(doc["modules"])
+
+
+def _loaded(modules: set, prefixes) -> list:
+    return sorted(m for m in modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+
+def test_featurize_imports_no_model_statistics_or_pool_module(tmp_path,
+                                                              manifest_corpus):
+    modules = _modules_after(tmp_path, [
+        "featurize", "--manifest", str(manifest_corpus),
+        "--out", str(tmp_path / "features.csv")])
+    assert {"hyposcreen.dataset", "hyposcreen.featurize",
+            "hyposcreen.ingest"} <= modules
+    assert _loaded(modules, MODEL_LAYERS + (
+        "hyposcreen.stats", "hyposcreen.explain", "hyposcreen.select",
+        "hyposcreen.evaluate", "hyposcreen.config", "hyposcreen.parallel",
+        "concurrent.futures")) == []
+
+
+def test_score_side_commands_import_only_what_they_run(tmp_path):
+    table = str(tmp_path / "table.csv")
+    assert cli.main(["simulate", "--n", "12", "--dims", "3", "--seed", "1",
+                     "--out", table]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "selection": {"method": "none"}, "smote": {"k_neighbors": 3},
+        "ensemble": {"m": 1, "inner_folds": 2,
+                     "grid": [{"n_trees": 3, "min_samples_leaf": 4}]}}))
+    model, preds = str(tmp_path / "model.json"), str(tmp_path / "preds.csv")
+    # the model commands load the model layers, through ``__main__``
+    for args in (["train", "--features", table, "--config", str(config),
+                  "--out", model],
+                 ["predict", "--model", model, "--features", table, "--out", preds],
+                 ["explain", "--model", model, "--features", table,
+                  "--out", str(tmp_path / "shap.csv"), "--max-rows", "3"]):
+        assert "hyposcreen.ensemble" in _modules_after(tmp_path, args)
+    bias = _modules_after(tmp_path, [
+        "bias", "--preds", preds, "--features", table, "--group", "age",
+        "--bins", "0,50,200", "--out", str(tmp_path / "bias.json")])
+    assert "hyposcreen.stats" in bias
+    assert _loaded(bias, MODEL_LAYERS) == []
+    project = _modules_after(tmp_path, [
+        "project", "--features", table, "--out", str(tmp_path / "coords.csv")])
+    assert "hyposcreen.explain" in project
+    assert _loaded(project, ("hyposcreen.ensemble", "hyposcreen.select")) == []
+
+
+def test_bias_calls_the_name_set_on_the_cli_module(tmp_path, monkeypatch):
+    table = str(tmp_path / "table.csv")
+    assert cli.main(["simulate", "--n", "12", "--dims", "3", "--seed", "1",
+                     "--out", table]) == 0
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "".join(
+        f"{pid},0.{i % 10}\n"
+        for i, pid in enumerate(read_feature_table(table).participant_ids)))
+    real = cli.build_bias_report
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_bias_report", spy)
+    assert cli.main(["bias", "--preds", str(preds), "--features", table,
+                     "--group", "sex", "--out", str(tmp_path / "bias.json")]) == 0
+    assert calls == ["sex"]
+
+
+def test_lazy_cli_names_are_the_source_definitions():
+    # ``cli`` unwraps ``__wrapped__`` chains so that a tracer's wrapper on the
+    # source module is not wrapped twice; no name may carry a decorator that
+    # the unwrapping would strip
+    for name, module in cli._LAZY.items():
+        source = importlib.import_module(module, "hyposcreen")
+        assert getattr(cli, name) is (source if module == name
+                                      else getattr(source, name)), name
+
+
+def test_every_public_name_resolves_and_is_listed():
+    for name in hyposcreen.__all__:
+        assert getattr(hyposcreen, name) is not None, name
+    assert set(hyposcreen.__all__) <= set(dir(hyposcreen))
+    assert hyposcreen.tree_shap is importlib.import_module("hyposcreen.explain").tree_shap
+    for module in (hyposcreen, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name  # noqa: B018
+
+
+def test_package_import_pins_blas_and_imports_no_submodule():
+    code = ("import os, sys; import hyposcreen; print(sorted(m for m in sys.modules "
+            "if m.startswith('hyposcreen'))); print([os.environ[v] for v in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="4")
+    env.pop("OMP_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['hyposcreen']", "['1', '1', '1']"]

@@ -413,3 +413,20 @@ def test_bias_report_bin_validation_and_errors():
     with pytest.raises(DataError):
         build_bias_report(labels, scores, {"age": [1.0]}, "age",
                           bin_edges=[0, 2])
+
+
+def test_bias_report_rejects_nan_edges_and_text_values_when_binned():
+    labels = np.array([0, 1, 0, 1])
+    scores = np.array([0.1, 0.9, 0.2, 0.8])
+    demo = {"age": [41.0, 42.0, 43.0, 44.0]}
+    for edges in ([35, math.nan, 86], [math.nan, 50], [35, math.nan],
+                  [35, 50, math.nan, 86]):
+        with pytest.raises(DataError, match="strictly increasing") as info:
+            build_bias_report(labels, scores, demo, "age", bin_edges=edges)
+        assert type(info.value) is DataError, edges
+    report = build_bias_report(labels, scores, demo, "age",
+                               bin_edges=[-math.inf, 42.5, math.inf])
+    assert [g["n"] for g in report.groups.values()] == [2, 2]
+    with pytest.raises(DataError, match="not numeric"):
+        build_bias_report(labels, scores, {"ethnicity": ["a", "b", "a", None]},
+                          "ethnicity", bin_edges=[1, 2])
