@@ -37,7 +37,8 @@ _SOURCES = {
         "featurize": ("au_statistics", "feature_names", "featurize_recording",
                       "shannon_entropy"),
         "ingest": ("Manifest", "RecordingSeries", "load_recording", "parse_manifest"),
-        "model": ("BoostParams", "fit_histgbm", "fit_logistic", "predict_proba"),
+        "model.histboost": ("BoostParams", "fit_histgbm", "predict_proba"),
+        "model.logistic": ("fit_logistic",),
         "preprocess": ("apply_scaler", "balance_training_set", "fit_scaler",
                        "smote_oversample", "stratified_kfold"),
         "select": ("select_features",),

@@ -188,7 +188,7 @@ def _cmd_train(args) -> int:
     cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     seed = _seed_from(args, cfg)
-    ensemble, _ = _cli.train_pipeline(ds, cfg, seed=seed)
+    ensemble = _cli.train_pipeline(ds, cfg, seed=seed)
     _cli.save_ensemble(ensemble, args.out)
     print(f"trained stacking ensemble: kept {len(ensemble.base_models)} of "
           f"{len(cfg.ensemble.grid)} candidates, "
@@ -234,8 +234,8 @@ def _cmd_predict(args) -> int:
     ensemble = _cli.load_ensemble(args.model)
     ds = read_feature_table(args.features)
     scores = _cli.ensemble_predict(ensemble, ds.X, ds.feature_names)
-    write_predictions_csv(ds.participant_ids, scores, args.out,
-                          threshold=ensemble.threshold, labels=ds.y)
+    write_predictions_csv(ds.participant_ids, scores, ds.y, args.out,
+                          ensemble.threshold)
     print(f"scored {ds.n_rows} rows -> {args.out}")
     return 0
 
@@ -297,12 +297,12 @@ def _cmd_explain(args) -> int:
 
 def _cmd_project(args) -> int:
     ds = read_feature_table(args.features)
-    proj = _cli.pca_project(ds.X, n_components=2)
+    proj = _cli.pca_project(ds.X)
     write_projection_csv(ds.participant_ids, proj.coords, ds.y, args.out)
 
     def sil(matrix) -> str:
         try:
-            coords = _cli.pca_project(matrix, n_components=2).coords
+            coords = _cli.pca_project(matrix).coords
             return f"{_cli.silhouette_score(coords, ds.y):.4f}"
         except HyposcreenError as exc:
             return f"undefined ({type(exc).__name__})"
@@ -443,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--group", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--bins", default=None,
-                   help="comma-separated edges for continuous columns")
+                   help="comma-separated edges for continuous columns; a list "
+                        "that starts with '-' needs the = form, "
+                        "e.g. --bins=-inf,60,inf")
     b.add_argument("--threshold", type=float, default=0.5)
     b.set_defaults(func=_cmd_bias)
 

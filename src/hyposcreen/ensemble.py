@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
 from .dataset import LabeledDataset
 from .errors import ArtifactError, MissingFeature, MTooLarge
 from .evaluate import auroc
@@ -35,7 +34,6 @@ class TrainedEnsemble:
     base_models: list
     base_info: list               # candidate index, params, oof auroc per kept model
     meta: LogisticModel
-    m: int
     threshold: float
     provenance: dict = field(default_factory=dict)
 
@@ -48,7 +46,7 @@ class TrainedEnsemble:
             "base_models": [m.to_dict() for m in self.base_models],
             "base_info": list(self.base_info),
             "meta": self.meta.to_dict(),
-            "m": int(self.m),
+            "m": len(self.base_models),
             "threshold": float(self.threshold),
             "provenance": self.provenance,
         }
@@ -66,7 +64,6 @@ class TrainedEnsemble:
             base_models=[BoostedModel.from_dict(m) for m in d["base_models"]],
             base_info=list(d["base_info"]),
             meta=LogisticModel.from_dict(d["meta"]),
-            m=int(d["m"]),
             threshold=float(d["threshold"]),
             provenance=dict(d.get("provenance", {})),
         )
@@ -75,8 +72,6 @@ class TrainedEnsemble:
 def select_top_models(scored, m: int) -> list:
     """Indices of the m best (by score, descending); ties keep the earlier
     candidate."""
-    if m > len(scored):
-        raise MTooLarge(m, len(scored))
     order = sorted(range(len(scored)), key=lambda i: (-scored[i], i))
     return order[:m]
 
@@ -125,7 +120,7 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
         scores.append(auroc(oof[:, ci], y))
 
     kept = select_top_models(scores, m)
-    meta = fit_logistic(oof[:, kept], y, l2_strength=1.0)
+    meta = fit_logistic(oof[:, kept], y)
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")
     base_models = [fit_histgbm(Xf, yf, candidates[ci], memo=memo) for ci in kept]
@@ -144,12 +139,13 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
     return base_models, base_info, meta, provenance
 
 
-def train_pipeline(ds: LabeledDataset, config: PipelineConfig, seed: int = 0):
-    """Scale, select, oversample, and fit the stacked ensemble on ``ds``.
+def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble:
+    """Scale, select, oversample, and fit the stacked ensemble on ``ds``
+    under a ``PipelineConfig``.
 
     The declared order is scale -> select -> oversample; the scaler stored in
-    the artifact is restricted to the selected features.  Returns the
-    ensemble and a small audit dict (synthetic and scaler-fit row counts).
+    the artifact is restricted to the selected features, and its provenance
+    records the training rows and the synthetic rows of the final refit.
     """
     names = ds.feature_names
     scaler_full = fit_scaler(config.scaler, ds.X, names)
@@ -178,19 +174,15 @@ def train_pipeline(ds: LabeledDataset, config: PipelineConfig, seed: int = 0):
                      "k_neighbors": config.smote.k_neighbors}
     prov["train_rows"] = int(ds.n_rows)
     prov["pipeline_seed"] = int(seed)
-    ensemble = TrainedEnsemble(
+    return TrainedEnsemble(
         scaler=scaler_full.restrict(selected),
         feature_names=list(selected),
         base_models=base_models,
         base_info=base_info,
         meta=meta,
-        m=config.ensemble.m,
         threshold=config.threshold,
         provenance=prov,
     )
-    audit = {"n_synthetic": prov["final_synthetic_count"],
-             "scaler_fit_rows": int(ds.n_rows)}
-    return ensemble, audit
 
 
 def input_columns(ensemble: TrainedEnsemble, feature_names) -> list:
@@ -202,16 +194,14 @@ def input_columns(ensemble: TrainedEnsemble, feature_names) -> list:
     return [feature_names.index(nm) for nm in ensemble.feature_names]
 
 
-def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names=None) -> np.ndarray:
-    """Scale, subset, run the base models, and blend with the meta-layer."""
+def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names) -> np.ndarray:
+    """Pick the ensemble's features by name from ``X``, whose columns
+    ``feature_names`` names, scale, run the base models, and blend with the
+    meta-layer."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if feature_names is not None:
-        X = X[:, input_columns(ensemble, feature_names)]
-    elif X.shape[1] != len(ensemble.feature_names):
-        raise MissingFeature(
-            f"expected {len(ensemble.feature_names)} columns, got {X.shape[1]}")
+    X = X[:, input_columns(ensemble, feature_names)]
     Xs = apply_scaler(ensemble.scaler, X)
     base = np.column_stack([predict_proba(m, Xs) for m in ensemble.base_models])
     return predict_proba_logistic(ensemble.meta, base)

@@ -170,21 +170,22 @@ def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
     audit = []
     for fold in range(k):
         tr, ev = plan.fold_indices(fold)
-        pipeline, train_audit = train_pipeline(
-            ds.subset(tr), config, seed=child_seed(seed, "fold", fold))
+        pipeline = train_pipeline(ds.subset(tr), config,
+                                  seed=child_seed(seed, "fold", fold))
         scores = ensemble_predict(pipeline, ds.X[ev], ds.feature_names)
         oof[ev] = scores
         fold_metrics.append(_metrics_with_auroc(scores, ds.y[ev],
                                                 config.threshold))
         train_ids = [identities[i] for i in tr]
+        n_synthetic = pipeline.provenance["final_synthetic_count"]
         audit.append({
             "fold": fold,
             "eval_ids": [identities[i] for i in ev],
             "train_ids": train_ids,
             "scaler_fit_ids": train_ids,
             "synthetic_ids": [f"synthetic|fold{fold}|{i}"
-                              for i in range(train_audit["n_synthetic"])],
-            "n_synthetic": train_audit["n_synthetic"],
+                              for i in range(n_synthetic)],
+            "n_synthetic": n_synthetic,
         })
 
     pooled = _metrics_with_auroc(oof, ds.y, config.threshold)

@@ -157,9 +157,9 @@ def mean_abs_shap(model: BoostedModel, X) -> np.ndarray:
 
 @dataclass
 class Projection2D:
-    coords: np.ndarray          # (n, n_components)
+    coords: np.ndarray          # (n, 2)
     explained: np.ndarray       # fraction of total variance per component
-    components: np.ndarray      # (kept_columns, n_components) loadings
+    components: np.ndarray      # (kept_columns, 2) loadings
     kept_columns: list          # indices into the original columns
     dropped_columns: list       # constant columns excluded before analysis
 
@@ -182,8 +182,8 @@ def _power_iteration(C: np.ndarray):
     return v, lam
 
 
-def pca_project(X, n_components: int = 2) -> Projection2D:
-    """Project standardized columns onto leading eigenvectors of the
+def pca_project(X) -> Projection2D:
+    """Project standardized columns onto the two leading eigenvectors of the
     correlation matrix (power iteration with deflation).
 
     The sign of each component is fixed so its largest-magnitude loading is
@@ -195,8 +195,8 @@ def pca_project(X, n_components: int = 2) -> Projection2D:
     sd = X.std(axis=0)
     kept = [int(i) for i in np.where(sd > 0.0)[0]]
     dropped = [int(i) for i in np.where(sd == 0.0)[0]]
-    if len(kept) < n_components:
-        raise TooFewColumns(len(kept), n_components)
+    if len(kept) < 2:
+        raise TooFewColumns(len(kept), 2)
     Z = (X[:, kept] - X[:, kept].mean(axis=0)) / sd[kept]
     n = X.shape[0]
     C = Z.T @ Z / n
@@ -204,7 +204,7 @@ def pca_project(X, n_components: int = 2) -> Projection2D:
 
     comps = []
     lams = []
-    for _ in range(n_components):
+    for _ in range(2):
         v, lam = _power_iteration(C)
         peak = int(np.argmax(np.abs(v)))
         if v[peak] < 0:

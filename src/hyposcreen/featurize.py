@@ -42,25 +42,24 @@ ATTRIBUTES = (
 STATS = ("mean", "variance", "entropy")
 
 AU_DOMAIN = (0.0, 5.0)
-DEFAULT_BINS = 10
+ENTROPY_BINS = 10
 IRIS_EPS = 1e-9
 
 
 # --- entropy ----------------------------------------------------------------
 
-def shannon_entropy(values, bins: int = DEFAULT_BINS, domain=None) -> float:
-    """Entropy (natural log) of an equal-width histogram of ``values``.
+def shannon_entropy(values, domain=None) -> float:
+    """Entropy (natural log) of an ``ENTROPY_BINS``-bin equal-width
+    histogram of ``values``.
 
     ``domain=None`` uses the observed min..max (a constant series has zero
     entropy by definition); a ``(lo, hi)`` pair fixes the histogram support,
     with values outside it clipped into the edge bins.  Empty bins contribute
-    nothing, so the result lies in [0, ln(bins)].
+    nothing, so the result lies in [0, ln(ENTROPY_BINS)].
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise EmptySeries()
-    if bins < 2:
-        raise DataError(f"need at least 2 bins, got {bins}")
     if domain is None:
         lo, hi = float(np.min(v)), float(np.max(v))
         if lo == hi:
@@ -69,9 +68,9 @@ def shannon_entropy(values, bins: int = DEFAULT_BINS, domain=None) -> float:
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DegenerateDomain(lo, hi)
-    idx = np.floor((v - lo) / (hi - lo) * bins).astype(np.int64)
-    idx = np.clip(idx, 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
+    idx = np.floor((v - lo) / (hi - lo) * ENTROPY_BINS).astype(np.int64)
+    idx = np.clip(idx, 0, ENTROPY_BINS - 1)
+    counts = np.bincount(idx, minlength=ENTROPY_BINS)
     p = counts[counts > 0] / v.size
     return float(-np.sum(p * np.log(p)))
 
@@ -87,7 +86,7 @@ class AuStats:
     missing: bool  # no active frames; the three statistics default to 0
 
 
-def au_statistics(intensity, activation, bins: int = DEFAULT_BINS) -> AuStats:
+def au_statistics(intensity, activation) -> AuStats:
     """Summaries of one AU over its active frames on the fixed [0, 5] domain."""
     intensity = np.asarray(intensity, dtype=float)
     activation = np.asarray(activation)
@@ -101,7 +100,7 @@ def au_statistics(intensity, activation, bins: int = DEFAULT_BINS) -> AuStats:
     return AuStats(
         mean=float(np.mean(active)),
         variance=float(np.var(active)),
-        entropy=shannon_entropy(active, bins=bins, domain=AU_DOMAIN),
+        entropy=shannon_entropy(active, domain=AU_DOMAIN),
         n_active=int(active.size),
         missing=False,
     )
@@ -166,13 +165,13 @@ def attribute_series(landmarks: np.ndarray, index_map: dict) -> dict[str, np.nda
     return out
 
 
-def attribute_statistics(values, bins: int = DEFAULT_BINS) -> tuple[float, float, float]:
+def attribute_statistics(values) -> tuple[float, float, float]:
     """(mean, population variance, observed-range entropy) of one attribute."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise EmptySeries("attribute series")
     return (float(np.mean(v)), float(np.var(v)),
-            shannon_entropy(v, bins=bins, domain=None))
+            shannon_entropy(v))
 
 
 # --- assembly ------------------------------------------------------------------
@@ -207,8 +206,7 @@ def feature_names(expressions=None) -> list[str]:
 
 def featurize_recording(series_by_expression: dict[str, RecordingSeries],
                         index_map: dict | None = None,
-                        expressions=None,
-                        bins: int = DEFAULT_BINS) -> FeatureVector:
+                        expressions=None) -> FeatureVector:
     """Assemble one participant's feature vector from their recordings."""
     if index_map is None:
         index_map = load_index_map()
@@ -224,8 +222,7 @@ def featurize_recording(series_by_expression: dict[str, RecordingSeries],
         for au in EXPRESSION_AUS[expr]:
             if au not in series.au_intensity:
                 raise IncompleteExpression(expr, f"AU track {au} missing")
-            st = au_statistics(series.au_intensity[au],
-                               series.au_activation[au], bins=bins)
+            st = au_statistics(series.au_intensity[au], series.au_activation[au])
             if st.missing:
                 missing.append(f"{expr}_au_{au}")
             values[f"{expr}_au_{au}_mean"] = st.mean
@@ -235,7 +232,7 @@ def featurize_recording(series_by_expression: dict[str, RecordingSeries],
             raise IncompleteExpression(expr, "no landmark track")
         attrs = attribute_series(series.landmarks, index_map)
         for attr in ATTRIBUTES:
-            m, v, h = attribute_statistics(attrs[attr], bins=bins)
+            m, v, h = attribute_statistics(attrs[attr])
             values[f"{expr}_lm_{attr}_mean"] = m
             values[f"{expr}_lm_{attr}_variance"] = v
             values[f"{expr}_lm_{attr}_entropy"] = h

@@ -9,12 +9,15 @@ import numpy as np
 from ..errors import DataError, EmptyMatrix, SingleClass
 from ..util import expit, sigmoid
 
+L2_STRENGTH = 1.0  # ridge penalty on the weights, not the intercept
+TOL = 1e-8  # converged once the gradient's infinity norm is below this
+MAX_ITER = 100  # Newton steps before the best iterate is returned
+
 
 @dataclass
 class LogisticModel:
     weights: np.ndarray
     intercept: float
-    l2_strength: float
     converged: bool
     n_iterations: int
 
@@ -22,7 +25,7 @@ class LogisticModel:
         return {
             "weights": [float(w) for w in self.weights],
             "intercept": float(self.intercept),
-            "l2_strength": float(self.l2_strength),
+            "l2_strength": L2_STRENGTH,
             "converged": bool(self.converged),
             "n_iterations": int(self.n_iterations),
         }
@@ -31,7 +34,6 @@ class LogisticModel:
     def from_dict(cls, d: dict) -> "LogisticModel":
         return cls(weights=np.array(d["weights"], dtype=float),
                    intercept=float(d["intercept"]),
-                   l2_strength=float(d["l2_strength"]),
                    converged=bool(d["converged"]),
                    n_iterations=int(d["n_iterations"]))
 
@@ -53,13 +55,13 @@ def logistic_objective(weights, intercept, X, y, l2_strength):
     return value, grad_w, grad_b
 
 
-def fit_logistic(X, y, l2_strength: float = 1.0, tol: float = 1e-8,
-                 max_iter: int = 100) -> LogisticModel:
-    """Newton iteration with step halving; converged when the gradient's
-    infinity norm drops below ``tol``.
+def fit_logistic(X, y) -> LogisticModel:
+    """Newton iteration with step halving on the objective penalized by
+    ``L2_STRENGTH``; converged when the gradient's infinity norm drops below
+    ``TOL``.
 
-    If the budget runs out the best iterate seen is returned with
-    ``converged=False`` rather than raising.
+    If the ``MAX_ITER`` budget runs out the best iterate seen is returned
+    with ``converged=False`` rather than raising.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -69,18 +71,16 @@ def fit_logistic(X, y, l2_strength: float = 1.0, tol: float = 1e-8,
         raise DataError("row count of X and y differ")
     if np.unique(y).size < 2:
         raise SingleClass()
-    if l2_strength < 0:
-        raise DataError("l2_strength must be >= 0")
 
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    obj, gw, gb = logistic_objective(w, b, X, y, l2_strength)
+    obj, gw, gb = logistic_objective(w, b, X, y, L2_STRENGTH)
     best = (obj, w.copy(), b)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < tol:
+    for it in range(1, MAX_ITER + 1):
+        if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < TOL:
             converged = True
             it -= 1
             break
@@ -89,7 +89,7 @@ def fit_logistic(X, y, l2_strength: float = 1.0, tol: float = 1e-8,
         r = p * (1.0 - p)
         Xa = np.hstack([X, np.ones((n, 1))])
         H = (Xa * r[:, None]).T @ Xa
-        H[np.arange(d), np.arange(d)] += l2_strength
+        H[np.arange(d), np.arange(d)] += L2_STRENGTH
         H[np.arange(d + 1), np.arange(d + 1)] += 1e-10  # keep solvable
         g = np.concatenate([gw, [gb]])
         try:
@@ -102,7 +102,7 @@ def fit_logistic(X, y, l2_strength: float = 1.0, tol: float = 1e-8,
             w_new = w + step * delta[:d]
             b_new = b + step * delta[d]
             obj_new, gw_new, gb_new = logistic_objective(
-                w_new, b_new, X, y, l2_strength)
+                w_new, b_new, X, y, L2_STRENGTH)
             if obj_new <= obj:
                 break
             step *= 0.5
@@ -111,12 +111,12 @@ def fit_logistic(X, y, l2_strength: float = 1.0, tol: float = 1e-8,
         w, b, obj, gw, gb = w_new, b_new, obj_new, gw_new, gb_new
         if obj < best[0]:
             best = (obj, w.copy(), b)
-    if not converged and max(np.max(np.abs(gw), initial=0.0), abs(gb)) < tol:
+    if not converged and max(np.max(np.abs(gw), initial=0.0), abs(gb)) < TOL:
         converged = True
     if not converged:
         _, w, b = best
-    return LogisticModel(weights=w, intercept=b, l2_strength=l2_strength,
-                         converged=converged, n_iterations=it)
+    return LogisticModel(weights=w, intercept=b, converged=converged,
+                         n_iterations=it)
 
 
 def predict_proba_logistic(model: LogisticModel, X) -> np.ndarray:

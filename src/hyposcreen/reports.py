@@ -70,19 +70,13 @@ def write_roc_svg(points, path) -> None:
         fh.write(roc_svg_text(points))
 
 
-def write_predictions_csv(participant_ids, scores, path, threshold: float = 0.5,
-                          labels=None) -> None:
+def write_predictions_csv(participant_ids, scores, labels, path,
+                          threshold: float) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["participant_id", "score", "predicted_label"]
-        if labels is not None:
-            header.append("label")
-        w.writerow(header)
-        for i, (pid, s) in enumerate(zip(participant_ids, scores)):
-            row = [pid, repr(float(s)), int(float(s) >= threshold)]
-            if labels is not None:
-                row.append(int(labels[i]))
-            w.writerow(row)
+        w.writerow(["participant_id", "score", "predicted_label", "label"])
+        for pid, s, lab in zip(participant_ids, scores, labels):
+            w.writerow([pid, repr(float(s)), int(float(s) >= threshold), int(lab)])
 
 
 def write_shap_csv(rows, path) -> None:

@@ -45,7 +45,7 @@ def rank_features_lr(X, y, feature_names, n_target: int | None = None) -> Featur
     X = np.asarray(X, dtype=float)
     if X.shape[1] != len(feature_names):
         raise DataError("matrix width and feature_names disagree")
-    model = fit_logistic(X, y, l2_strength=1.0)
+    model = fit_logistic(X, y)
     mags = np.abs(model.weights)
     order = sorted(range(len(feature_names)),
                    key=lambda i: (-mags[i], feature_names[i]))

@@ -141,7 +141,9 @@ def test_separable_simulation_recovers_closed_form_auroc(tmp_path):
 
 
 def test_null_simulation_auroc_is_near_chance(tmp_path):
-    t0 = time.perf_counter()
+    # CPU time of this process: the work runs in-process on one BLAS thread,
+    # so other load on the host cannot push it past the bound
+    t0 = time.process_time()
     cfg = PipelineConfig(
         scaler="minmax",
         selection=SelectionConfig(method="none"),
@@ -156,12 +158,12 @@ def test_null_simulation_auroc_is_near_chance(tmp_path):
     for s in range(20):
         ds = _sim_table(tmp_path, f"null{s}", 500, 0.0, 100 + s)
         aurocs.append(run_cross_validation(ds, cfg, seed=s).pooled["auroc"])
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert all(0.42 <= a <= 0.58 for a in aurocs)
     assert elapsed < 30.0
     print(f"PASS null simulation: auroc range [{min(aurocs):.3f}, "
           f"{max(aurocs):.3f}] within [0.42, 0.58] over 20 seeds "
-          f"in {elapsed:.1f}s")
+          f"in {elapsed:.1f}s of CPU")
 
 
 # --- fast-path / oracle equivalences ---------------------------------------------------
@@ -406,7 +408,7 @@ def test_pca_matches_jacobi_eigensolver():
         lams, vecs = _jacobi_eigh(Z.T @ Z / n)
         if lams[0] - lams[1] < 0.05 or lams[1] - lams[2] < 0.05:
             continue
-        proj = pca_project(X, n_components=2)
+        proj = pca_project(X)
         got = proj.explained * d
         worst_lam = max(worst_lam, abs(got[0] - lams[0]),
                         abs(got[1] - lams[1]))

@@ -89,7 +89,7 @@ def test_train_then_predict_matches_in_process_pipeline(sim_table, tmp_path,
 
     ds = read_feature_table(sim_table)
     cfg = load_config(fast_config_path)
-    ensemble, _ = train_pipeline(ds, cfg, seed=5)
+    ensemble = train_pipeline(ds, cfg, seed=5)
     expected = ensemble_predict(ensemble, ds.X, ds.feature_names)
 
     with open(preds_path, newline="") as fh:
@@ -225,6 +225,13 @@ def test_bias_rejects_nan_bin_edges_and_keeps_infinite_outer_edges(
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "UsageError" and repr(bins) in err["message"]
         assert not out.exists()
+    # argparse reads a separate "-inf,60,inf" as an option, so a list that
+    # starts with "-" needs the = form
+    assert main(args + ["--bins", "-inf,60,inf", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "UsageError",
+                   "message": "argument --bins: expected one argument"}
+    assert not out.exists()
     assert main(args + ["--bins=-inf,60,inf", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report["groups"]) == {"[-inf, 60)", "[60, inf]"}

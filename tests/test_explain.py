@@ -200,7 +200,7 @@ def test_pca_against_jacobi_oracle():
         d = int(rng.integers(3, 8))
         mix = rng.normal(size=(d, d))
         X = rng.normal(size=(n, d)) @ mix
-        proj = pca_project(X, n_components=2)
+        proj = pca_project(X)
         Z = (X - X.mean(axis=0)) / X.std(axis=0)
         C = Z.T @ Z / n
         lams, vecs = _jacobi_eigh(C)

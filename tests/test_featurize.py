@@ -47,9 +47,9 @@ def test_entropy_matches_oracle_over_random_series():
         lo, hi = float(v.min()), float(v.max())
         if lo == hi:
             continue
-        got = shannon_entropy(v, bins=10)
+        got = shannon_entropy(v)
         assert abs(got - entropy_oracle(v, 10, lo, hi)) < 1e-12
-        got_fixed = shannon_entropy(v, bins=10, domain=(-3.0, 7.0))
+        got_fixed = shannon_entropy(v, domain=(-3.0, 7.0))
         assert abs(got_fixed - entropy_oracle(v, 10, -3.0, 7.0)) < 1e-12
 
 
@@ -66,21 +66,19 @@ def test_entropy_frozen_values():
     one_bin = shannon_entropy([5.0, 5.0], domain=(0.0, 5.0))
     assert one_bin == 0.0
     # out-of-domain values clip into the edge bins
-    assert math.isclose(shannon_entropy([-1.0, 9.9], bins=10, domain=(0.0, 5.0)),
+    assert math.isclose(shannon_entropy([-1.0, 9.9], domain=(0.0, 5.0)),
                         math.log(2.0), rel_tol=1e-12)
 
 
 def test_entropy_bounds_and_errors():
     rng = np.random.default_rng(12)
     v = rng.uniform(0, 5, size=50)
-    h = shannon_entropy(v, bins=10)
+    h = shannon_entropy(v)
     assert 0.0 <= h <= math.log(10.0) + 1e-12
     with pytest.raises(EmptySeries):
         shannon_entropy([])
     with pytest.raises(DegenerateDomain):
         shannon_entropy([1.0, 2.0], domain=(3.0, 3.0))
-    with pytest.raises(DataError):
-        shannon_entropy([1.0, 2.0], bins=1)
 
 
 def test_entropy_is_permutation_invariant():

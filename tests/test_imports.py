@@ -77,12 +77,15 @@ def test_score_side_commands_import_only_what_they_run(tmp_path):
                      "grid": [{"n_trees": 3, "min_samples_leaf": 4}]}}))
     model, preds = str(tmp_path / "model.json"), str(tmp_path / "preds.csv")
     # the model commands load the model layers, through ``__main__``
-    for args in (["train", "--features", table, "--config", str(config),
-                  "--out", model],
-                 ["predict", "--model", model, "--features", table, "--out", preds],
+    assert "hyposcreen.ensemble" in _modules_after(tmp_path, [
+        "train", "--features", table, "--config", str(config), "--out", model])
+    # scoring a saved artifact reads no pipeline config
+    for args in (["predict", "--model", model, "--features", table, "--out", preds],
                  ["explain", "--model", model, "--features", table,
                   "--out", str(tmp_path / "shap.csv"), "--max-rows", "3"]):
-        assert "hyposcreen.ensemble" in _modules_after(tmp_path, args)
+        modules = _modules_after(tmp_path, args)
+        assert "hyposcreen.ensemble" in modules
+        assert "hyposcreen.config" not in modules, args[0]
     bias = _modules_after(tmp_path, [
         "bias", "--preds", preds, "--features", table, "--group", "age",
         "--bins", "0,50,200", "--out", str(tmp_path / "bias.json")])

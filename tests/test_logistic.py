@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyposcreen.errors import DataError, EmptyMatrix, SingleClass
+from hyposcreen.model import logistic
 from hyposcreen.model.logistic import (
     LogisticModel,
     fit_logistic,
@@ -49,7 +50,7 @@ def test_gradient_matches_central_differences():
 
 def test_fit_converges_and_reaches_stationary_point():
     X, y = _problem(42)
-    model = fit_logistic(X, y, l2_strength=1.0)
+    model = fit_logistic(X, y)
     assert model.converged
     _, gw, gb = logistic_objective(model.weights, model.intercept, X, y, 1.0)
     assert max(float(np.max(np.abs(gw))), abs(gb)) < 1e-8
@@ -58,7 +59,7 @@ def test_fit_converges_and_reaches_stationary_point():
 def test_fit_never_increases_objective():
     X, y = _problem(43)
     start, _, _ = logistic_objective(np.zeros(X.shape[1]), 0.0, X, y, 1.0)
-    model = fit_logistic(X, y, l2_strength=1.0)
+    model = fit_logistic(X, y)
     end, _, _ = logistic_objective(model.weights, model.intercept, X, y, 1.0)
     assert end <= start + 1e-12
 
@@ -69,23 +70,17 @@ def test_intercept_is_not_penalized():
     X = np.zeros((50, 2))
     X[:, 0] = 1e-12  # keep columns non-degenerate but useless
     y = np.array([1.0] * 40 + [0.0] * 10)
-    model = fit_logistic(X, y, l2_strength=1.0)
+    model = fit_logistic(X, y)
     assert abs(model.intercept - math.log(4.0)) < 1e-6
     assert np.all(np.abs(model.weights) < 1e-6)
 
 
-def test_stronger_penalty_shrinks_weights():
-    X, y = _problem(44, scale=2.0)
-    loose = fit_logistic(X, y, l2_strength=0.01)
-    tight = fit_logistic(X, y, l2_strength=100.0)
-    assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
-
-
-def test_budget_exhaustion_returns_best_iterate_without_raising():
-    # separable data with no penalty diverges; one iteration cannot converge
+def test_budget_exhaustion_returns_best_iterate_without_raising(monkeypatch):
+    # on separable data one Newton step cannot reach the penalized optimum
+    monkeypatch.setattr(logistic, "MAX_ITER", 1)
     X = np.linspace(-2, 2, 20)[:, None]
     y = (X[:, 0] > 0).astype(float)
-    model = fit_logistic(X, y, l2_strength=0.0, max_iter=1)
+    model = fit_logistic(X, y)
     assert not model.converged
     assert model.n_iterations == 1
     assert np.all(np.isfinite(model.weights)) and math.isfinite(model.intercept)
@@ -121,8 +116,6 @@ def test_fit_errors():
         fit_logistic(np.zeros((0, 2)), np.array([]))
     with pytest.raises(DataError):
         fit_logistic(X, y[:-1])
-    with pytest.raises(DataError):
-        fit_logistic(X, y, l2_strength=-1.0)
     model = fit_logistic(X, y)
     with pytest.raises(DataError):
         predict_proba_logistic(model, X[:, :-1])

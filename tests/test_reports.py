@@ -57,23 +57,16 @@ def test_roc_svg_perfect_classifier_polyline():
         roc_svg_text([])
 
 
-def test_predictions_csv_with_and_without_labels(tmp_path):
-    ids = ["p1", "p2", "p3"]
-    scores = np.array([0.9, 0.5, 0.2])
+def test_predictions_csv_layout(tmp_path):
     path = tmp_path / "preds.csv"
-    write_predictions_csv(ids, scores, path, threshold=0.5)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "participant_id,score,predicted_label"
-    assert lines[1] == "p1,0.9,1"
-    assert lines[2] == "p2,0.5,1"  # threshold rule includes equality
-    assert lines[3] == "p3,0.2,0"
-
-    labeled = tmp_path / "preds_labeled.csv"
-    write_predictions_csv(ids, scores, labeled, threshold=0.5,
-                          labels=[1, 0, 0])
-    lines = labeled.read_text().splitlines()
-    assert lines[0] == "participant_id,score,predicted_label,label"
-    assert lines[1] == "p1,0.9,1,1"
+    write_predictions_csv(["p1", "p2", "p3"], np.array([0.9, 0.5, 0.2]),
+                          [1, 0, 0], path, 0.5)
+    assert path.read_text().splitlines() == [
+        "participant_id,score,predicted_label,label",
+        "p1,0.9,1,1",
+        "p2,0.5,1,0",  # threshold rule includes equality
+        "p3,0.2,0,0",
+    ]
 
 
 def test_shap_and_projection_csv_layout(tmp_path):
