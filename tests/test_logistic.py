@@ -102,6 +102,7 @@ def test_predict_proba_matches_closed_form():
 def test_serialization_round_trip():
     X, y = _problem(46)
     model = fit_logistic(X, y)
+    assert model.to_dict()["l2_strength"] == 1.0  # the artifact keeps the key
     back = LogisticModel.from_dict(model.to_dict())
     assert np.array_equal(predict_proba_logistic(back, X),
                           predict_proba_logistic(model, X))
