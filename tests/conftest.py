@@ -3,6 +3,9 @@
 import csv
 import json
 
+# before numpy: importing the package pins BLAS to one thread, which only
+# takes effect in a process that has not loaded numpy yet
+import hyposcreen  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 

@@ -24,6 +24,8 @@ from hyposcreen.model.histboost import (
 )
 from hyposcreen.util import log_loss, sigmoid
 
+from split_oracle import best_split_oracle
+
 
 # --- binning -------------------------------------------------------------------
 
@@ -219,6 +221,84 @@ def test_first_split_matches_exhaustive_oracle():
             assert tree.cover[node] == float(rows.sum())
 
 
+def _presorted(binned, rows=None):
+    """Each feature's stable row order by code, shape (d, k), and the codes in
+    that order, for the node holding ``rows`` (every row by default): the
+    full order with the other rows dropped, as growth derives a child's."""
+    order = np.argsort(binned.T, axis=1, kind="stable")
+    if rows is not None:
+        member = np.zeros(binned.shape[0], dtype=bool)
+        member[rows] = True
+        order = order[member[order]].reshape(binned.shape[1], len(rows))
+    return order, np.take_along_axis(binned.T, order, axis=1)
+
+
+def test_row_scan_split_equals_full_histogram_scan():
+    rng = np.random.default_rng(65)
+    nodes = splits = at_band_edge = 0
+    while nodes < 600:
+        n = int(rng.integers(20, 700))
+        d = int(rng.integers(1, 8))
+        X = rng.normal(size=(n, d))
+        if rng.random() < 0.3:
+            X = np.round(X, 1)                       # ties between rows
+        max_bins = int(rng.integers(2, 256))         # quantile bins when n > max_bins
+        mapper = fit_bins(X, max_bins)
+        binned = bin_matrix(mapper, X)
+        if rng.random() < 0.3:                       # two-valued gradients
+            y = (rng.random(n) < 0.4).astype(float)
+            p0 = float(rng.uniform(0.2, 0.8))
+            g, h = p0 - y, np.full(n, p0 * (1.0 - p0))
+        else:
+            p = rng.uniform(0.02, 0.98, size=n)
+            g, h = p - (rng.random(n) < p), p * (1.0 - p)
+        gh = np.stack((g, h))
+        for _ in range(10):
+            k = int(rng.integers(2, n + 1))
+            rows = np.sort(rng.choice(n, size=k, replace=False))
+            min_leaf = int(rng.integers(1, k // 2 + 1))
+            if rng.random() < 0.2:
+                min_leaf = k // 2
+                rows = rows[:2 * min_leaf]
+            at_band_edge += rows.size == 2 * min_leaf
+            order, codes = _presorted(binned, rows)
+            got = histboost._scan_node(gh, order, codes, float(np.sum(g[rows])),
+                                       float(np.sum(h[rows])), min_leaf)
+            want = best_split_oracle(binned, rows, g, h, mapper.n_bins, min_leaf)
+            nodes += 1
+            if want is None:
+                assert got is None
+                continue
+            splits += 1
+            gain, f, n_left = got
+            assert (f, int(codes[f, n_left - 1])) == want[1:]
+            assert np.count_nonzero(binned[rows, f] <= want[2]) == n_left
+            assert math.isclose(gain, want[0], rel_tol=1e-12)
+    assert splits >= 300 and at_band_edge >= 50
+
+
+def test_tree_zero_stump_takes_the_lowest_of_tied_splits():
+    # column 2 holds column 1's values, permuted within each class: with two-
+    # valued gradients every split of either column has the same left counts
+    # per class, so their gains are equal, and float rounding must not choose
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = 200
+        y = (rng.random(n) < 0.4).astype(float)
+        X = rng.normal(size=(n, 4))
+        X[:, 1] = np.round(rng.normal(size=n) + y, 1)
+        for c in (0.0, 1.0):
+            rows = np.flatnonzero(y == c)
+            X[rows, 2] = X[rng.permutation(rows), 1]
+        model = fit_histgbm(X, y, BoostParams(n_trees=1, max_leaves=2,
+                                              min_samples_leaf=5))
+        p0 = sigmoid(np.full(n, model.base_score))
+        binned = bin_matrix(model.mapper, X).astype(np.int64)
+        _, f, b = _best_stump_oracle(binned, p0 - y, p0 * (1 - p0),
+                                     model.mapper.n_bins, 1.0, 5)
+        assert (model.trees[0].feature[0], model.trees[0].split_bin[0]) == (f, b)
+
+
 # --- prediction oracle ----------------------------------------------------------
 
 def _naive_walk(model, X):
@@ -272,12 +352,10 @@ def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
     for t in range(30):
         n, d = int(rng.integers(10, 300)), int(rng.integers(1, 6))
         binned = rng.integers(0, 8, size=(n, d)) * (rng.random((n, d)) < 0.7)
-        n_bins = np.maximum(binned.max(axis=0) + 1, 1).astype(np.int64)
         g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
         params = BoostParams(max_leaves=int(rng.integers(2, 40)),
                              min_samples_leaf=int(rng.integers(1, 12)))
-        tree, _, out = histboost._grow_tree(binned, g, h, params, n_bins,
-                                            int(n_bins.max()))
+        tree, _, out = histboost._grow_tree(g, h, params, *_presorted(binned))
         assert np.array_equal(out, histboost._tree_outputs(tree, binned))
 
 

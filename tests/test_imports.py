@@ -138,6 +138,13 @@ def test_every_public_name_resolves_and_is_listed():
             module.no_such_name  # noqa: B018
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through Linux /proc")
+def test_test_process_runs_one_blas_thread():
+    # conftest imports the package before numpy, so this process gets the pin
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
 def test_package_import_pins_blas_and_imports_no_submodule():
     code = ("import os, sys; import hyposcreen; print(sorted(m for m in sys.modules "
             "if m.startswith('hyposcreen'))); print([os.environ[v] for v in "
