@@ -190,6 +190,10 @@ def _cmd_train(args) -> int:
     seed = _seed_from(args, cfg)
     ensemble = _cli.train_pipeline(ds, cfg, seed=seed)
     _cli.save_ensemble(ensemble, args.out)
+    if not ensemble.meta.converged:
+        sys.stderr.write(f"warning: the meta-layer's logistic fit did not converge "
+                         f"in {ensemble.meta.n_iterations} Newton steps; the artifact "
+                         f"keeps its best iterate\n")
     print(f"trained stacking ensemble: kept {len(ensemble.base_models)} of "
           f"{len(cfg.ensemble.grid)} candidates, "
           f"{len(ensemble.feature_names)} features -> {args.out}")

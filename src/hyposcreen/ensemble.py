@@ -6,6 +6,13 @@ that row: candidates are scored on inner-fold held-out rows, and oversampling
 is refit inside each inner fold so synthetic rows cannot carry held-out
 information either.  The kept candidates are refit on the full training set
 for the deployable artifact.
+
+Feature selection is not refit inside the inner folds: ``train_pipeline``
+runs ``select_features`` once on every training row before the stacking
+splits them, so the labels of each inner fold's held-out rows helped choose
+the features its base models train and predict on, and through them the
+meta-layer's inputs.  The outer cross-validation estimate is unaffected,
+since selection never sees an outer evaluation row.
 """
 
 from __future__ import annotations
@@ -81,6 +88,11 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
                           seed: int = 0):
     """Score candidates out-of-fold, keep the top m, fit the meta-layer.
 
+    Every fit shares one ``fit_histgbm`` memo, so candidates that differ only
+    in a ``max_leaves`` cap their trees never reach are grown once per inner
+    fold; such candidates also share one prediction of the fold's held-out
+    rows, made once from the grown model's trees.
+
     Returns ``(base_models, base_info, meta, provenance)`` where the base
     models are full-data refits of the kept candidates.
     """
@@ -107,8 +119,11 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
         inner_synthetic.append(int(n_syn))
 
     # candidates that differ only in a max_leaves cap their trees never reach
-    # share one grown model (see fit_histgbm)
+    # share one grown model (see fit_histgbm); a served model carries the
+    # grown model's Tree objects, which hash by identity, and thresholds fit
+    # on the same fold matrix, so (fold, first tree) names its predictions
     memo = {}
+    held_out = {}
     oof = np.empty((n, len(candidates)))
     scores = []
     for ci, params in enumerate(candidates):
@@ -116,7 +131,10 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
             _, ev = plan.fold_indices(fold)
             Xa, ya = fold_train[fold]
             model = fit_histgbm(Xa, ya, params, memo=memo)
-            oof[ev, ci] = predict_proba(model, X[ev])
+            key = (fold, model.trees[0])
+            if key not in held_out:
+                held_out[key] = predict_proba(model, X[ev])
+            oof[ev, ci] = held_out[key]
         scores.append(auroc(oof[:, ci], y))
 
     kept = select_top_models(scores, m)

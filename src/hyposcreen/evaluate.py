@@ -155,9 +155,11 @@ def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
     """Stratified k-fold evaluation of the full training pipeline.
 
     Every fold refits scaler, selection, oversampling, and ensemble on its
-    training split only.  The audit log records row identities so that
-    leakage (synthetic or scaler-fit rows inside an evaluation split) is
-    checkable after the fact.
+    training split only.  The audit log records each fold's evaluation and
+    training row identities, which shows that the two splits are disjoint.
+    It is not evidence of what the components consumed: ``scaler_fit_ids``
+    restates ``train_ids``, and ``synthetic_ids`` are labels generated from
+    the fold's synthetic-row count, not rows traced back to their parents.
     """
     from .ensemble import ensemble_predict, train_pipeline  # deferred: cycle
 

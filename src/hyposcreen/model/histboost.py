@@ -35,7 +35,10 @@ gradients come from the trees before it, so the argument carries from tree
 to tree.  The memo key is a digest of the float matrix, ``y`` and every
 parameter but ``max_leaves``, so a memo shared too widely still returns no
 model grown on other data, and a fit the memo serves bins nothing but its
-thresholds.
+thresholds.  A served model shares the grown model's ``Tree`` objects, and
+its thresholds are fit on the same matrix, so it predicts every row exactly
+as the grown model does: a caller may predict some rows once per grown model
+and reuse that prediction for every fit the memo served from it.
 """
 
 from __future__ import annotations
@@ -208,13 +211,14 @@ def _scan_node(gh, order, codes, gt: float, ht: float, min_leaf: int):
     k = order.shape[1]
     lo, hi = min_leaf - 1, k - min_leaf  # band of the last left row's position
     # candidates in (feature, bin) order, as flat positions in the (d, hi)
-    # prefix arrays (integer takes: numpy's boolean indexing is slower here)
-    edge = np.flatnonzero(codes[:, lo:hi] != codes[:, lo + 1:hi + 1])
+    # prefix arrays (integer takes: numpy's boolean indexing is slower here;
+    # array methods rather than their np.* wrappers, which cost per call)
+    edge = (codes[:, lo:hi] != codes[:, lo + 1:hi + 1]).ravel().nonzero()[0]
     if not edge.size:
         return None
     f_of = edge // (hi - lo)
     at = edge + lo * (f_of + 1)
-    GL, HL = np.cumsum(gh.take(order[:, :hi], axis=1), axis=2).reshape(2, -1).take(
+    GL, HL = gh.take(order[:, :hi], axis=1).cumsum(axis=2).reshape(2, -1).take(
         at, axis=1)
     gain = 0.5 * (GL * GL / (HL + L2_LEAF)
                   + (gt - GL) ** 2 / (ht - HL + L2_LEAF)
@@ -222,21 +226,21 @@ def _scan_node(gh, order, codes, gt: float, ht: float, min_leaf: int):
     top = gain.max()
     if not top > 0.0:
         return None
-    first = int(np.argmax(gain >= top - 1e-12 * top))
+    first = int((gain >= top - 1e-12 * top).argmax())
     f = int(f_of[first])
     return float(gain[first]), f, int(at[first]) - f * hi + 1
 
 
-def _grow_tree(g, h, params: BoostParams, order: np.ndarray,
+def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
                codes: np.ndarray) -> tuple[Tree, bool, np.ndarray]:
     """One tree, whether ``max_leaves`` stopped it with splits left, and each
     training row's leaf value, from the row sets the growth partitioned.
 
+    ``gh`` stacks every training row's gradient and hessian, shape (2, n);
     ``order`` is every feature's stable row order by bin code, shape (d, n),
     and ``codes`` the codes in that order."""
     d, n = order.shape
     min_leaf = params.min_samples_leaf
-    gh = np.stack((g, h))
 
     feature, split_bin = [], []
     left, right, value, cover = [], [], [], []
@@ -249,8 +253,7 @@ def _grow_tree(g, h, params: BoostParams, order: np.ndarray,
         split_bin.append(-1)
         left.append(-1)
         right.append(-1)
-        gt = float(g[idx].sum())
-        ht = float(h[idx].sum())
+        gt, ht = gh.take(idx, axis=1).sum(axis=1).tolist()
         denom = ht + L2_LEAF
         value.append(0.0 if denom <= 0.0 else -gt / denom)
         cover.append(int(idx.size))
@@ -279,7 +282,7 @@ def _grow_tree(g, h, params: BoostParams, order: np.ndarray,
         in_left = goes[idx]
         for side, rows, cells in ((left, idx[in_left], to_left),
                                   (right, idx[~in_left], ~to_left)):
-            at = np.flatnonzero(cells)
+            at = cells.ravel().nonzero()[0]
             side[node_id] = new_node(rows, order.take(at).reshape(d, -1),
                                      codes.take(at).reshape(d, -1))
 
@@ -327,17 +330,19 @@ def _boost(codes, y, params: BoostParams, base_score: float) -> _Grown:
     order = np.argsort(codes.T, axis=1, kind="stable")
     sorted_codes = np.take_along_axis(codes.T, order, axis=1)
     raw = np.full(codes.shape[0], base_score)
+    p = sigmoid(raw)
+    gh = np.empty((2, raw.size))  # each round's gradients and hessians
     trees, losses = [], []
     capped = False
     for _ in range(params.n_trees):
-        p = sigmoid(raw)
-        g = p - y
-        h = p * (1.0 - p)
-        tree, stopped, out = _grow_tree(g, h, params, order, sorted_codes)
+        np.subtract(p, y, out=gh[0])
+        np.multiply(p, 1.0 - p, out=gh[1])
+        tree, stopped, out = _grow_tree(gh, params, order, sorted_codes)
         capped = capped or stopped
         trees.append(tree)
-        raw = raw + params.learning_rate * out
-        losses.append(log_loss(y, sigmoid(raw)))
+        raw += params.learning_rate * out
+        p = sigmoid(raw)  # this round's loss and the next round's gradients
+        losses.append(log_loss(y, p))
     widest = max(int(np.sum(t.feature < 0)) for t in trees)
     return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,
                   widest=widest, capped=capped)

@@ -1,11 +1,20 @@
-"""The full-histogram split search: the test oracle for the booster's
-presorted row scan (``histboost._scan_node``).  It scans every (feature, bin)
-of one node's gradient, hessian and count histograms, as the booster did
-before it scanned the node's rows."""
+"""Test oracles for the booster.
+
+``best_split_oracle`` is the full-histogram split search, the reference for
+the presorted row scan (``histboost._scan_node``): it scans every (feature,
+bin) of one node's gradient, hessian and count histograms, as the booster did
+before it scanned the node's rows.  ``grow_tree_oracle`` and ``boost_oracle``
+are the tree growth and round loop as they were before the booster shared one
+sigmoid per round and one gradient-hessian buffer across rounds, the
+reference for ``histboost._grow_tree`` and ``histboost._boost``."""
+
+import heapq
+import itertools
 
 import numpy as np
 
-from hyposcreen.model.histboost import L2_LEAF, build_histograms
+from hyposcreen.model.histboost import L2_LEAF, Tree, _scan_node, build_histograms
+from hyposcreen.util import log_loss, sigmoid
 
 
 def best_split_oracle(binned, idx, g, h, n_bins, min_leaf):
@@ -37,3 +46,87 @@ def best_split_oracle(binned, idx, g, h, n_bins, min_leaf):
     pos = int(np.argmax(gain >= top - 1e-12 * top))
     f, b = divmod(pos, gain.shape[1])
     return float(gain.flat[pos]), int(f), int(b)
+
+
+def grow_tree_oracle(g, h, params, order, codes):
+    """``(tree, stopped, out)`` as ``histboost._grow_tree`` returns them, from
+    the gradients ``g`` and hessians ``h`` as two arrays."""
+    d, n = order.shape
+    min_leaf = params.min_samples_leaf
+    gh = np.stack((g, h))
+
+    feature, split_bin = [], []
+    left, right, value, cover = [], [], [], []
+    leaf_rows = {}
+    heap = []
+    tiebreak = itertools.count()
+
+    def new_node(idx, order, codes) -> int:
+        feature.append(-1)
+        split_bin.append(-1)
+        left.append(-1)
+        right.append(-1)
+        gt = float(g[idx].sum())
+        ht = float(h[idx].sum())
+        denom = ht + L2_LEAF
+        value.append(0.0 if denom <= 0.0 else -gt / denom)
+        cover.append(int(idx.size))
+        node_id = len(feature) - 1
+        leaf_rows[node_id] = idx
+        if idx.size >= 2 * min_leaf:
+            best = _scan_node(gh, order, codes, gt, ht, min_leaf)
+            if best is not None:
+                gain, f, n_left = best
+                heapq.heappush(heap, (-gain, next(tiebreak), node_id, idx,
+                                      order, codes, f, n_left))
+        return node_id
+
+    new_node(np.arange(n), order, codes)
+    n_leaves = 1
+    while heap and n_leaves < params.max_leaves:
+        _, _, node_id, idx, order, codes, f, n_left = heapq.heappop(heap)
+        goes = np.zeros(n, dtype=bool)
+        goes[order[f, :n_left]] = True
+        to_left = goes[order]
+        feature[node_id] = f
+        split_bin[node_id] = int(codes[f, n_left - 1])
+        value[node_id] = 0.0
+        del leaf_rows[node_id]
+        n_leaves += 1
+        in_left = goes[idx]
+        for side, rows, cells in ((left, idx[in_left], to_left),
+                                  (right, idx[~in_left], ~to_left)):
+            at = np.flatnonzero(cells)
+            side[node_id] = new_node(rows, order.take(at).reshape(d, -1),
+                                     codes.take(at).reshape(d, -1))
+
+    tree = Tree(feature=np.array(feature, dtype=np.int64),
+                split_bin=np.array(split_bin, dtype=np.int64),
+                left=np.array(left, dtype=np.int64),
+                right=np.array(right, dtype=np.int64),
+                value=np.array(value, dtype=float),
+                cover=np.array(cover, dtype=float))
+    out = np.empty(n)
+    for node_id, idx in leaf_rows.items():
+        out[idx] = value[node_id]
+    return tree, bool(heap), out
+
+
+def boost_oracle(codes, y, params, base_score):
+    """``(trees, losses, capped)`` of the round loop of ``histboost._boost``:
+    two sigmoids and fresh gradient and hessian arrays every round."""
+    order = np.argsort(codes.T, axis=1, kind="stable")
+    sorted_codes = np.take_along_axis(codes.T, order, axis=1)
+    raw = np.full(codes.shape[0], base_score)
+    trees, losses = [], []
+    capped = False
+    for _ in range(params.n_trees):
+        p = sigmoid(raw)
+        g = p - y
+        h = p * (1.0 - p)
+        tree, stopped, out = grow_tree_oracle(g, h, params, order, sorted_codes)
+        capped = capped or stopped
+        trees.append(tree)
+        raw = raw + params.learning_rate * out
+        losses.append(log_loss(y, sigmoid(raw)))
+    return trees, losses, capped

@@ -6,10 +6,11 @@ import pytest
 
 from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table
-from hyposcreen.ensemble import ensemble_predict, load_ensemble, train_pipeline
+from hyposcreen.ensemble import ensemble_predict, load_ensemble, save_ensemble, train_pipeline
 from hyposcreen.config import PipelineConfig, load_config
 from hyposcreen.featurize import featurize_recording, load_index_map, used_points
 from hyposcreen.ingest import load_recording, parse_manifest
+from hyposcreen.model import logistic
 
 FAST_CONFIG = {
     "scaler": "minmax",
@@ -105,6 +106,29 @@ def test_train_then_predict_matches_in_process_pipeline(sim_table, tmp_path,
     loaded = load_ensemble(model_path)
     assert np.array_equal(ensemble_predict(loaded, ds.X, ds.feature_names),
                           expected)
+
+
+def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
+    def train(name):
+        path = tmp_path / name
+        assert main(["train", "--features", sim_table, "--config", fast_config_path,
+                     "--out", str(path), "--seed", "5"]) == 0
+        return path, capsys.readouterr()
+
+    _, quiet = train("converged.json")
+    assert quiet.err == ""
+    monkeypatch.setattr(logistic, "MAX_ITER", 1)
+    path, loud = train("unconverged.json")
+    assert loud.err.startswith("warning: the meta-layer's logistic fit did not converge")
+    assert loud.err.count("\n") == 1
+    assert loud.out == quiet.out.replace("converged.json", "unconverged.json")
+    # the warning leaves the artifact as the library writes it
+    ensemble = train_pipeline(read_feature_table(sim_table),
+                              load_config(fast_config_path), seed=5)
+    assert not ensemble.meta.converged
+    save_ensemble(ensemble, tmp_path / "library.json")
+    assert path.read_bytes() == (tmp_path / "library.json").read_bytes()
 
 
 def test_cv_outputs_are_deterministic_across_worker_counts(

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from hyposcreen import ensemble
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
 from hyposcreen.ensemble import (
@@ -15,6 +17,7 @@ from hyposcreen.ensemble import (
     train_pipeline,
 )
 from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
+from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams
 from hyposcreen.util import sigmoid
 
@@ -64,6 +67,48 @@ def test_fit_stacking_ensemble_output_shapes_and_provenance():
         assert info["oof_auroc"] == prov["candidate_aurocs"][ci]
     with pytest.raises(MTooLarge):
         fit_stacking_ensemble(X, y, CANDIDATES, m=4)
+
+
+def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch):
+    # a grid that differs only in max_leaves, so the memo serves fits: each
+    # grown model predicts a fold's held-out rows once, for every candidate
+    # it serves; the reference gives every fit its own Tree objects, so every
+    # (candidate, fold) is predicted from its own model
+    X, y = _planted(seed=122, n_pos=24, n_neg=36, d=4)
+    grid = [BoostParams(n_trees=6, learning_rate=0.3, max_leaves=cap, min_samples_leaf=3)
+            for cap in (2, 3, 5, 8, 16, 31, 63)]
+    predicted, grown_rows = [], []
+    real_predict, real_boost, real_fit = (ensemble.predict_proba, histboost._boost,
+                                          ensemble.fit_histgbm)
+    monkeypatch.setattr(ensemble, "predict_proba",
+                        lambda model, Xe: predicted.append(1) or real_predict(model, Xe))
+    monkeypatch.setattr(histboost, "_boost",
+                        lambda codes, *a: grown_rows.append(codes.shape[0])
+                        or real_boost(codes, *a))
+
+    def run():
+        predicted.clear()
+        return fit_stacking_ensemble(X, y, grid, m=4, inner_folds=3,
+                                     smote_enabled=False, seed=5)
+
+    base_models, base_info, meta, prov = run()
+    inner_grown = sum(rows < y.size for rows in grown_rows)  # refits see every row
+    assert len(predicted) == inner_grown and 3 < inner_grown < len(grid) * 3
+
+    def own_trees(*args, **kwargs):
+        model = real_fit(*args, **kwargs)
+        return dataclasses.replace(
+            model, trees=[dataclasses.replace(t) for t in model.trees])
+
+    monkeypatch.setattr(ensemble, "fit_histgbm", own_trees)
+    want_models, want_info, want_meta, want_prov = run()
+    assert len(predicted) == len(grid) * 3
+    assert ([json.dumps(m.to_dict()) for m in base_models]
+            == [json.dumps(m.to_dict()) for m in want_models])
+    assert base_info == want_info
+    assert meta.weights.tobytes() == want_meta.weights.tobytes()
+    assert meta.intercept == want_meta.intercept
+    assert prov == want_prov
 
 
 def _config():

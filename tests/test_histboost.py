@@ -24,7 +24,7 @@ from hyposcreen.model.histboost import (
 )
 from hyposcreen.util import log_loss, sigmoid
 
-from split_oracle import best_split_oracle
+from split_oracle import best_split_oracle, boost_oracle, grow_tree_oracle
 
 
 # --- binning -------------------------------------------------------------------
@@ -355,8 +355,55 @@ def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
         g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
         params = BoostParams(max_leaves=int(rng.integers(2, 40)),
                              min_samples_leaf=int(rng.integers(1, 12)))
-        tree, _, out = histboost._grow_tree(g, h, params, *_presorted(binned))
+        tree, _, out = histboost._grow_tree(np.stack((g, h)), params,
+                                            *_presorted(binned))
         assert np.array_equal(out, histboost._tree_outputs(tree, binned))
+
+
+def _tree_bytes(tree):
+    return b"|".join(a.tobytes() for a in (tree.feature, tree.split_bin, tree.left,
+                                          tree.right, tree.value, tree.cover))
+
+
+def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
+    # _boost shares one sigmoid between a round's loss and the next round's
+    # gradients and writes them into one (2, n) buffer; _grow_tree sums a
+    # node's totals from it in one take.  The oracle is the loop before that.
+    rng = np.random.default_rng(66)
+    fits = capped = uncapped = tied = at_band_edge = 0
+    while fits < 48:
+        n, d = int(rng.integers(20, 400)), int(rng.integers(1, 7))
+        X = rng.normal(size=(n, d))
+        if fits % 3 == 0:
+            X = np.round(X, 1)                       # tied values
+            tied += 1
+        y = (rng.random(n) < sigmoid(1.5 * X[:, 0])).astype(float)
+        y[:2] = [0.0, 1.0]
+        params = BoostParams(
+            n_trees=int(rng.integers(1, 9)), learning_rate=float(rng.uniform(0.05, 1.0)),
+            max_leaves=int(rng.integers(2, 8)) if fits % 2 else int(rng.integers(8, 64)),
+            min_samples_leaf=int(rng.integers(1, 16)), max_bins=int(rng.integers(2, 256)))
+        codes = bin_matrix(fit_bins(X, params.max_bins), X)
+        base = float(np.log(y.mean() / (1.0 - y.mean())))
+        grown = histboost._boost(codes, y, params, base)
+        trees, losses, stopped = boost_oracle(codes, y, params, base)
+        assert [_tree_bytes(t) for t in grown.trees] == [_tree_bytes(t) for t in trees]
+        assert list(grown.losses) == losses
+        assert grown.capped == stopped
+        capped += stopped
+        uncapped += not stopped
+        at_band_edge += sum(int(np.sum(t.cover == 2 * params.min_samples_leaf))
+                            for t in trees)
+        # one tree from two-valued gradients, as every fit's first round has
+        p0 = float(rng.uniform(0.2, 0.8))
+        g, h = p0 - y, np.full(n, p0 * (1.0 - p0))
+        presorted = _presorted(codes)
+        tree, stop, out = histboost._grow_tree(np.stack((g, h)), params, *presorted)
+        want, want_stop, want_out = grow_tree_oracle(g, h, params, *presorted)
+        assert _tree_bytes(tree) == _tree_bytes(want)
+        assert stop == want_stop and out.tobytes() == want_out.tobytes()
+        fits += 1
+    assert tied >= 16 and capped >= 20 and uncapped >= 10 and at_band_edge >= 50
 
 
 def test_boosted_training_margins_equal_predict_raw_bit_for_bit():
