@@ -10,6 +10,7 @@ The names in ``__all__`` are imported from their submodule on first access
 """
 
 import os
+from importlib import import_module
 
 # A threaded BLAS splits sums differently, so wide matrix products, solves
 # and eigendecompositions would change in their last bits with the thread
@@ -24,15 +25,15 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
+        "artifact": ("TrainedEnsemble", "ensemble_predict", "load_ensemble",
+                     "save_ensemble"),
         "config": ("DEFAULT_GRID", "PipelineConfig", "load_config", "save_config"),
         "dataset": ("LabeledDataset", "build_feature_table", "read_feature_table",
                     "write_feature_table"),
-        "ensemble": ("TrainedEnsemble", "ensemble_predict", "load_ensemble",
-                     "save_ensemble", "train_pipeline"),
+        "ensemble": ("run_cross_validation", "train_pipeline", "verify_no_leakage"),
         "errors": ("DataError", "HyposcreenError", "InternalError", "UsageError"),
         "evaluate": ("auroc", "classification_metrics", "confusion_counts",
-                     "percentile_interval", "roc_curve", "run_cross_validation",
-                     "summarize_bootstrap", "verify_no_leakage"),
+                     "percentile_interval", "roc_curve", "summarize_bootstrap"),
         "explain": ("mean_abs_shap", "pca_project", "silhouette_score", "tree_shap"),
         "featurize": ("au_statistics", "feature_names", "featurize_recording",
                       "shannon_entropy"),
@@ -55,8 +56,6 @@ __all__ = sorted(_SOURCES)
 def __getattr__(name):
     if name not in _SOURCES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
     value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
     globals()[name] = value
     return value

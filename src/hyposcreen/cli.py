@@ -11,7 +11,9 @@ A command imports only the modules it runs: every command loads
 ``dataset``, ``errors``, ``featurize``, ``ingest``, ``reports`` and
 ``util``, and the names this module takes from any other module are
 imported on first use.  ``featurize`` never loads the model layers, and
-``bias`` and ``project`` never load the ensemble.
+``bias`` and ``project`` never load ``artifact`` or ``ensemble``.  ``predict``
+and ``explain`` load ``artifact`` and no training module (``ensemble``,
+``select``, ``evaluate`` or ``config``).
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ _LAZY = {
     name: module
     for module, names in {
         "hashlib": ("hashlib",),
+        ".artifact": ("ensemble_predict", "input_columns", "load_ensemble",
+                      "save_ensemble"),
         ".config": ("PipelineConfig", "load_config", "read_json"),
-        ".ensemble": ("ensemble_predict", "input_columns", "load_ensemble",
-                      "save_ensemble", "train_pipeline"),
-        ".evaluate": ("run_cross_validation", "summarize_bootstrap"),
+        ".ensemble": ("run_cross_validation", "train_pipeline"),
+        ".evaluate": ("summarize_bootstrap",),
         ".explain": ("pca_project", "silhouette_score", "tree_shap"),
         ".parallel": ("parallel_map",),
         ".preprocess": ("apply_scaler",),

@@ -1,5 +1,6 @@
-"""Stacked ensemble: candidate boosters scored out-of-fold, top-m kept,
-logistic meta-layer fit on their out-of-fold probabilities.
+"""Training and the cross-validation driver: candidate boosters scored
+out-of-fold, top-m kept, logistic meta-layer fit on their out-of-fold
+probabilities; ``run_cross_validation`` repeats that on every outer fold.
 
 The meta-layer never sees a base prediction made by a model that trained on
 that row: candidates are scored on inner-fold held-out rows, and oversampling
@@ -17,63 +18,20 @@ since selection never sees an outer evaluation row.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import TrainedEnsemble, ensemble_predict
 from .dataset import LabeledDataset
-from .errors import ArtifactError, MissingFeature, MTooLarge
-from .evaluate import auroc
-from .model.histboost import BoostedModel, fit_histgbm, predict_proba
-from .model.logistic import LogisticModel, fit_logistic, predict_proba_logistic
-from .preprocess import FittedScaler, apply_scaler, balance_training_set, fit_scaler, stratified_kfold
+from .errors import MTooLarge
+from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
+from .model.histboost import fit_histgbm, predict_proba
+from .model.logistic import fit_logistic
+from .preprocess import FoldPlan, apply_scaler, balance_training_set, fit_scaler, stratified_kfold
 from .select import select_features
 from .util import child_seed
-
-SCHEMA_VERSION = 1
-
-
-@dataclass(eq=False)
-class TrainedEnsemble:
-    scaler: FittedScaler          # restricted to the selected features
-    feature_names: list           # selected features, training-table order
-    base_models: list
-    base_info: list               # candidate index, params, oof auroc per kept model
-    meta: LogisticModel
-    threshold: float
-    provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "stacking_ensemble",
-            "scaler": self.scaler.to_dict(),
-            "feature_names": list(self.feature_names),
-            "base_models": [m.to_dict() for m in self.base_models],
-            "base_info": list(self.base_info),
-            "meta": self.meta.to_dict(),
-            "m": len(self.base_models),
-            "threshold": float(self.threshold),
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainedEnsemble":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ArtifactError(
-                f"unsupported schema_version {d.get('schema_version')!r}")
-        if d.get("kind") != "stacking_ensemble":
-            raise ArtifactError(f"unexpected artifact kind {d.get('kind')!r}")
-        return cls(
-            scaler=FittedScaler.from_dict(d["scaler"]),
-            feature_names=list(d["feature_names"]),
-            base_models=[BoostedModel.from_dict(m) for m in d["base_models"]],
-            base_info=list(d["base_info"]),
-            meta=LogisticModel.from_dict(d["meta"]),
-            threshold=float(d["threshold"]),
-            provenance=dict(d.get("provenance", {})),
-        )
 
 
 def select_top_models(scored, m: int) -> list:
@@ -203,37 +161,95 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     )
 
 
-def input_columns(ensemble: TrainedEnsemble, feature_names) -> list:
-    """Positions of the ensemble's features in ``feature_names``."""
-    feature_names = list(feature_names)
-    for nm in ensemble.feature_names:
-        if nm not in feature_names:
-            raise MissingFeature(nm)
-    return [feature_names.index(nm) for nm in ensemble.feature_names]
+# --- cross-validation -------------------------------------------------------------
+
+def row_identity(participant_id: str, row: np.ndarray) -> str:
+    digest = hashlib.sha256(np.ascontiguousarray(row, dtype=float)
+                            .tobytes()).hexdigest()[:12]
+    return f"{participant_id}|{digest}"
 
 
-def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names) -> np.ndarray:
-    """Pick the ensemble's features by name from ``X``, whose columns
-    ``feature_names`` names, scale, run the base models, and blend with the
-    meta-layer."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    X = X[:, input_columns(ensemble, feature_names)]
-    Xs = apply_scaler(ensemble.scaler, X)
-    base = np.column_stack([predict_proba(m, Xs) for m in ensemble.base_models])
-    return predict_proba_logistic(ensemble.meta, base)
+@dataclass
+class CVResult:
+    fold_plan: FoldPlan
+    fold_metrics: list
+    pooled: dict
+    per_fold_mean: dict
+    oof_scores: np.ndarray
+    roc_points: list
+    audit: list
+
+    def report_dict(self) -> dict:
+        return {
+            "pooled": dict(self.pooled),
+            "per_fold_mean": dict(self.per_fold_mean),
+            "fold_metrics": [dict(m) for m in self.fold_metrics],
+            "folds": self.fold_plan.to_dict(),
+        }
 
 
-def save_ensemble(ensemble: TrainedEnsemble, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ensemble.to_dict(), fh, sort_keys=True)
+def _metrics_with_auroc(scores, labels, threshold) -> dict:
+    out = classification_metrics(confusion_counts(scores, labels, threshold))
+    out["auroc"] = auroc(scores, labels)
+    return out
 
 
-def load_ensemble(path) -> TrainedEnsemble:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(str(exc)) from exc
-    return TrainedEnsemble.from_dict(doc)
+def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
+                         seed: int = 0) -> CVResult:
+    """Stratified k-fold evaluation of the full training pipeline.
+
+    Every fold refits scaler, selection, oversampling, and ensemble on its
+    training split only.  The audit log records each fold's evaluation and
+    training row identities, which shows that the two splits are disjoint.
+    It is not evidence of what the components consumed: ``scaler_fit_ids``
+    restates ``train_ids``, and ``synthetic_ids`` are labels generated from
+    the fold's synthetic-row count, not rows traced back to their parents.
+    """
+    k = config.cv_folds if k is None else k
+    plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
+    n = ds.n_rows
+    identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
+    oof = np.empty(n)
+    fold_metrics = []
+    audit = []
+    for fold in range(k):
+        tr, ev = plan.fold_indices(fold)
+        pipeline = train_pipeline(ds.subset(tr), config,
+                                  seed=child_seed(seed, "fold", fold))
+        scores = ensemble_predict(pipeline, ds.X[ev], ds.feature_names)
+        oof[ev] = scores
+        fold_metrics.append(_metrics_with_auroc(scores, ds.y[ev],
+                                                config.threshold))
+        train_ids = [identities[i] for i in tr]
+        n_synthetic = pipeline.provenance["final_synthetic_count"]
+        audit.append({
+            "fold": fold,
+            "eval_ids": [identities[i] for i in ev],
+            "train_ids": train_ids,
+            "scaler_fit_ids": train_ids,
+            "synthetic_ids": [f"synthetic|fold{fold}|{i}"
+                              for i in range(n_synthetic)],
+            "n_synthetic": n_synthetic,
+        })
+
+    pooled = _metrics_with_auroc(oof, ds.y, config.threshold)
+    per_fold_mean = {}
+    for key in METRIC_KEYS:
+        vals = [m[key] for m in fold_metrics if m[key] is not None]
+        per_fold_mean[key] = float(np.mean(vals)) if vals else None
+    return CVResult(fold_plan=plan, fold_metrics=fold_metrics, pooled=pooled,
+                    per_fold_mean=per_fold_mean, oof_scores=oof,
+                    roc_points=roc_curve(oof, ds.y), audit=audit)
+
+
+def verify_no_leakage(audit: list) -> bool:
+    """True when no evaluation split shares a row with scaler-fit or
+    synthetic sets.  It compares only the recorded ids, which restate
+    ``train_ids`` and generated labels, so on a pipeline run it cannot fail."""
+    for rec in audit:
+        ev = set(rec["eval_ids"])
+        if ev & set(rec["scaler_fit_ids"]):
+            return False
+        if ev & set(rec["synthetic_ids"]):
+            return False
+    return True

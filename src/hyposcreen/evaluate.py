@@ -1,21 +1,19 @@
-"""Classification metrics, ROC/AUROC, cross-validation driver, bootstrap CIs.
+"""Classification metrics, ROC/AUROC, bootstrap CIs.
 
 A metric whose denominator is zero is reported as ``None`` (JSON null), never
-as 0.  Pooled out-of-fold metrics are the primary cross-validation readout;
-per-fold means are reported alongside.
+as 0.  ``ensemble.run_cross_validation`` reports them pooled over the
+out-of-fold scores, its primary readout, and as per-fold means.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset
 from .errors import DataError, SingleClass
-from .preprocess import FoldPlan, stratified_kfold
-from .util import child_seed, require_binary, require_finite
+from .preprocess import stratified_kfold  # noqa: F401 - unused; perfbench/trace_cli.py wraps it
+from .util import require_binary, require_finite
 
 METRIC_KEYS = ("accuracy", "sensitivity", "specificity", "ppv", "npv", "f1", "auroc")
 BOOTSTRAP_LEVEL = 0.95  # coverage of the percentile interval over seeds
@@ -115,101 +113,6 @@ def auroc_from_points(points) -> float:
 def auroc(scores, labels) -> float:
     """Trapezoidal area under the tie-collapsed ROC polyline."""
     return auroc_from_points(roc_curve(scores, labels))
-
-
-# --- cross-validation -------------------------------------------------------------
-
-def row_identity(participant_id: str, row: np.ndarray) -> str:
-    digest = hashlib.sha256(np.ascontiguousarray(row, dtype=float)
-                            .tobytes()).hexdigest()[:12]
-    return f"{participant_id}|{digest}"
-
-
-@dataclass
-class CVResult:
-    fold_plan: FoldPlan
-    fold_metrics: list
-    pooled: dict
-    per_fold_mean: dict
-    oof_scores: np.ndarray
-    roc_points: list
-    audit: list
-
-    def report_dict(self) -> dict:
-        return {
-            "pooled": dict(self.pooled),
-            "per_fold_mean": dict(self.per_fold_mean),
-            "fold_metrics": [dict(m) for m in self.fold_metrics],
-            "folds": self.fold_plan.to_dict(),
-        }
-
-
-def _metrics_with_auroc(scores, labels, threshold) -> dict:
-    out = classification_metrics(confusion_counts(scores, labels, threshold))
-    out["auroc"] = auroc(scores, labels)
-    return out
-
-
-def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
-                         seed: int = 0) -> CVResult:
-    """Stratified k-fold evaluation of the full training pipeline.
-
-    Every fold refits scaler, selection, oversampling, and ensemble on its
-    training split only.  The audit log records each fold's evaluation and
-    training row identities, which shows that the two splits are disjoint.
-    It is not evidence of what the components consumed: ``scaler_fit_ids``
-    restates ``train_ids``, and ``synthetic_ids`` are labels generated from
-    the fold's synthetic-row count, not rows traced back to their parents.
-    """
-    from .ensemble import ensemble_predict, train_pipeline  # deferred: cycle
-
-    k = config.cv_folds if k is None else k
-    plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
-    n = ds.n_rows
-    identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
-    oof = np.empty(n)
-    fold_metrics = []
-    audit = []
-    for fold in range(k):
-        tr, ev = plan.fold_indices(fold)
-        pipeline = train_pipeline(ds.subset(tr), config,
-                                  seed=child_seed(seed, "fold", fold))
-        scores = ensemble_predict(pipeline, ds.X[ev], ds.feature_names)
-        oof[ev] = scores
-        fold_metrics.append(_metrics_with_auroc(scores, ds.y[ev],
-                                                config.threshold))
-        train_ids = [identities[i] for i in tr]
-        n_synthetic = pipeline.provenance["final_synthetic_count"]
-        audit.append({
-            "fold": fold,
-            "eval_ids": [identities[i] for i in ev],
-            "train_ids": train_ids,
-            "scaler_fit_ids": train_ids,
-            "synthetic_ids": [f"synthetic|fold{fold}|{i}"
-                              for i in range(n_synthetic)],
-            "n_synthetic": n_synthetic,
-        })
-
-    pooled = _metrics_with_auroc(oof, ds.y, config.threshold)
-    per_fold_mean = {}
-    for key in METRIC_KEYS:
-        vals = [m[key] for m in fold_metrics if m[key] is not None]
-        per_fold_mean[key] = float(np.mean(vals)) if vals else None
-    return CVResult(fold_plan=plan, fold_metrics=fold_metrics, pooled=pooled,
-                    per_fold_mean=per_fold_mean, oof_scores=oof,
-                    roc_points=roc_curve(oof, ds.y), audit=audit)
-
-
-def verify_no_leakage(audit: list) -> bool:
-    """True when no evaluation split shares a row with scaler-fit or
-    synthetic sets."""
-    for rec in audit:
-        ev = set(rec["eval_ids"])
-        if ev & set(rec["scaler_fit_ids"]):
-            return False
-        if ev & set(rec["synthetic_ids"]):
-            return False
-    return True
 
 
 # --- bootstrap ---------------------------------------------------------------------

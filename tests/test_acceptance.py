@@ -25,6 +25,7 @@ import hyposcreen.ingest as ingest
 from hyposcreen.cli import main
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import DEMOGRAPHIC_COLUMNS, META_COLUMNS, read_feature_table
+from hyposcreen.ensemble import run_cross_validation, verify_no_leakage
 from hyposcreen.errors import (
     DataError,
     DuplicateEntry,
@@ -35,7 +36,7 @@ from hyposcreen.errors import (
     OutOfRange,
     RaggedFrame,
 )
-from hyposcreen.evaluate import auroc, run_cross_validation, verify_no_leakage
+from hyposcreen.evaluate import auroc
 from hyposcreen.explain import pca_project, tree_shap
 from hyposcreen.featurize import feature_names
 from hyposcreen.ingest import (

@@ -6,7 +6,8 @@ import pytest
 
 from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table
-from hyposcreen.ensemble import ensemble_predict, load_ensemble, save_ensemble, train_pipeline
+from hyposcreen.artifact import ensemble_predict, load_ensemble, save_ensemble
+from hyposcreen.ensemble import train_pipeline
 from hyposcreen.config import PipelineConfig, load_config
 from hyposcreen.featurize import featurize_recording, load_index_map, used_points
 from hyposcreen.ingest import load_recording, parse_manifest

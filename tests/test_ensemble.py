@@ -5,17 +5,10 @@ import numpy as np
 import pytest
 
 from hyposcreen import ensemble
+from hyposcreen.artifact import TrainedEnsemble, ensemble_predict, load_ensemble, save_ensemble
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
-from hyposcreen.ensemble import (
-    TrainedEnsemble,
-    ensemble_predict,
-    fit_stacking_ensemble,
-    load_ensemble,
-    save_ensemble,
-    select_top_models,
-    train_pipeline,
-)
+from hyposcreen.ensemble import fit_stacking_ensemble, select_top_models, train_pipeline
 from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
 from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams

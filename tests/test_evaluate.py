@@ -6,6 +6,7 @@ import pytest
 
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
+from hyposcreen.ensemble import row_identity, run_cross_validation, verify_no_leakage
 from hyposcreen.errors import DataError, OutOfRange, SingleClass
 from hyposcreen.evaluate import (
     auroc,
@@ -14,10 +15,7 @@ from hyposcreen.evaluate import (
     confusion_counts,
     percentile_interval,
     roc_curve,
-    row_identity,
-    run_cross_validation,
     summarize_bootstrap,
-    verify_no_leakage,
 )
 
 

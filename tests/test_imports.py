@@ -5,6 +5,7 @@ name (PEP 562).  These tests run commands in fresh interpreters, as
 ``python -m hyposcreen.cli`` does, and read ``sys.modules`` afterwards.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -33,7 +34,9 @@ with open(out, "w") as fh:
     json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
 """
 
-MODEL_LAYERS = ("hyposcreen.ensemble", "hyposcreen.model")
+MODEL_LAYERS = ("hyposcreen.artifact", "hyposcreen.ensemble", "hyposcreen.model")
+TRAINING = ("hyposcreen.ensemble", "hyposcreen.select", "hyposcreen.evaluate",
+            "hyposcreen.config")
 
 
 def _modules_after(tmp_path, args) -> set:
@@ -79,13 +82,13 @@ def test_score_side_commands_import_only_what_they_run(tmp_path):
     # the model commands load the model layers, through ``__main__``
     assert "hyposcreen.ensemble" in _modules_after(tmp_path, [
         "train", "--features", table, "--config", str(config), "--out", model])
-    # scoring a saved artifact reads no pipeline config
+    # scoring a saved artifact loads no training code and no pipeline config
     for args in (["predict", "--model", model, "--features", table, "--out", preds],
                  ["explain", "--model", model, "--features", table,
                   "--out", str(tmp_path / "shap.csv"), "--max-rows", "3"]):
         modules = _modules_after(tmp_path, args)
-        assert "hyposcreen.ensemble" in modules
-        assert "hyposcreen.config" not in modules, args[0]
+        assert "hyposcreen.artifact" in modules
+        assert _loaded(modules, TRAINING) == [], args[0]
     bias = _modules_after(tmp_path, [
         "bias", "--preds", preds, "--features", table, "--group", "age",
         "--bins", "0,50,200", "--out", str(tmp_path / "bias.json")])
@@ -116,6 +119,19 @@ def test_bias_calls_the_name_set_on_the_cli_module(tmp_path, monkeypatch):
     assert cli.main(["bias", "--preds", str(preds), "--features", table,
                      "--group", "sex", "--out", str(tmp_path / "bias.json")]) == 0
     assert calls == ["sex"]
+
+
+def test_no_import_below_module_level():
+    # a function-local import hides a module dependency, and a name it binds
+    # escapes a wrapper that a tracer or a test sets on the module attribute
+    local = []
+    for path in sorted((ROOT / "src" / "hyposcreen").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = {id(node) for node in tree.body}
+        local += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and id(node) not in top]
+    assert local == []
 
 
 def test_lazy_cli_names_are_the_source_definitions():

@@ -64,6 +64,10 @@ def test_trace_cli_records_every_layer_of_cv_and_featurize(tmp_path,
             "preprocess.scaler"} <= cv.keys()
     fits = trainings * (len(GRID) * INNER_FOLDS + M)
     assert (cv["histboost.fit"], cv["binning.fit"]) == (fits, fits)
+    # the driver calls the training and scoring names through its module, so
+    # the wrappers set there see every fold
+    assert cv["ensemble.train"] == cv["ensemble.predict"] == trainings
+    assert cv["evaluate.cv"] == 1
     assert {"dataset.build", "ingest.au_parse",
             "ingest.landmark_parse"} <= featurize.keys()
     ids = [line.split(",")[0] for line in Path(table).read_text().splitlines()[1:]]
