@@ -39,7 +39,7 @@ from .reports import (
     write_roc_svg,
     write_shap_csv,
 )
-from .util import child_seed
+from .util import child_seed, read_json
 
 # Every other name is imported on first access (PEP 562), so a command
 # compiles only the modules it runs.  name -> the module it comes from; a
@@ -50,7 +50,7 @@ _LAZY = {
         "hashlib": ("hashlib",),
         ".artifact": ("ensemble_predict", "input_columns", "load_ensemble",
                       "save_ensemble"),
-        ".config": ("PipelineConfig", "load_config", "read_json"),
+        ".config": ("PipelineConfig", "load_config"),
         ".ensemble": ("run_cross_validation", "train_pipeline"),
         ".evaluate": ("summarize_bootstrap",),
         ".explain": ("pca_project", "silhouette_score", "tree_shap"),
@@ -356,7 +356,7 @@ def _cmd_sweep(args) -> int:
     if args.preset == "expressions":
         overrides = [{"expressions": list(sub)} for sub in EXPRESSION_SUBSETS]
     elif args.grid:
-        doc = _cli.read_json(args.grid, "grid")
+        doc = read_json(args.grid, "grid")
         overrides = doc.get("configs") if isinstance(doc, dict) else doc
         if not isinstance(overrides, list):
             raise DataError("grid must be a list of config overrides, "

@@ -10,6 +10,7 @@ from .errors import DataError
 from .ingest import EXPRESSIONS
 from .model.histboost import BoostParams
 from .preprocess import SCALER_KINDS
+from .util import read_json
 
 SELECTION_METHODS = ("none", "lr_coef", "boost_rfe", "boost_rfa")
 
@@ -140,18 +141,6 @@ class PipelineConfig:
         _assign(cfg, doc, "config")
         cfg.validate()
         return cfg
-
-
-def read_json(path, what: str):
-    """The parsed JSON document at ``path``; ``what`` names it in errors."""
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"{what} file not found: {path}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_config(path=None) -> PipelineConfig:

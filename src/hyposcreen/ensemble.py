@@ -14,12 +14,16 @@ splits them, so the labels of each inner fold's held-out rows helped choose
 the features its base models train and predict on, and through them the
 meta-layer's inputs.  The outer cross-validation estimate is unaffected,
 since selection never sees an outer evaluation row.
+
+``train_pipeline`` and ``fit_stacking_ensemble`` take the whole
+``PipelineConfig`` and read their settings from it; ``select_features``
+takes its ``selection`` section.  Every default lives in ``config.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,15 +45,17 @@ def select_top_models(scored, m: int) -> list:
     return order[:m]
 
 
-def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
-                          smote_enabled: bool = True, smote_k: int = 5,
-                          seed: int = 0):
-    """Score candidates out-of-fold, keep the top m, fit the meta-layer.
+def fit_stacking_ensemble(X, y, config, seed: int):
+    """Score the candidates of a ``PipelineConfig`` out-of-fold, keep the top
+    ``ensemble.m``, fit the meta-layer.
 
-    Every fit shares one ``fit_histgbm`` memo, so candidates that differ only
-    in a ``max_leaves`` cap their trees never reach are grown once per inner
-    fold; such candidates also share one prediction of the fold's held-out
-    rows, made once from the grown model's trees.
+    The candidates are ``config.candidates()``, scored on
+    ``ensemble.inner_folds`` inner folds; each training set is oversampled
+    as ``config.smote`` says.  Every fit shares one ``fit_histgbm`` memo, so
+    candidates that differ only in a ``max_leaves`` cap their trees never
+    reach are grown once per inner fold; such candidates also share one
+    prediction of the fold's held-out rows, made once from the grown model's
+    trees.
 
     Returns ``(base_models, base_info, meta, provenance)`` where the base
     models are full-data refits of the kept candidates.
@@ -57,15 +63,16 @@ def fit_stacking_ensemble(X, y, candidates, m: int, inner_folds: int = 3,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n = y.shape[0]
+    candidates = config.candidates()
+    m, inner_folds, smote = config.ensemble.m, config.ensemble.inner_folds, config.smote
     if m > len(candidates):
         raise MTooLarge(m, len(candidates))
     plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "stack-folds"))
 
     def training_set(Xt, yt, *key):
-        if not smote_enabled:
+        if not smote.enabled:
             return Xt, yt, 0
-        return balance_training_set(Xt, yt, k_neighbors=smote_k,
-                                    seed=child_seed(seed, *key))
+        return balance_training_set(Xt, yt, smote.k_neighbors, child_seed(seed, *key))
 
     # per-fold training sets, oversampled independently of the held-out rows
     fold_train = []
@@ -126,28 +133,16 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     names = ds.feature_names
     scaler_full = fit_scaler(config.scaler, ds.X, names)
     Xs = apply_scaler(scaler_full, ds.X)
-    ranking = select_features(
-        Xs, ds.y, names,
-        method=config.selection.method,
-        n_target=config.selection.n_target,
-        inner_folds=config.selection.inner_folds,
-        improvement_eps=config.selection.improvement_eps,
-        seed=child_seed(seed, "select"),
-    )
+    ranking = select_features(Xs, ds.y, names, config.selection,
+                              child_seed(seed, "select"))
     selected = ranking.selected
-    sel_idx = [names.index(nm) for nm in selected]
-    Xsel = Xs[:, sel_idx]
+    Xsel = Xs[:, [names.index(nm) for nm in selected]]
 
     base_models, base_info, meta, prov = fit_stacking_ensemble(
-        Xsel, ds.y, config.candidates(), m=config.ensemble.m,
-        inner_folds=config.ensemble.inner_folds,
-        smote_enabled=config.smote.enabled, smote_k=config.smote.k_neighbors,
-        seed=child_seed(seed, "stack"),
-    )
+        Xsel, ds.y, config, child_seed(seed, "stack"))
     prov["selection"] = ranking.to_dict()
     prov["scaler_kind"] = config.scaler
-    prov["smote"] = {"enabled": config.smote.enabled,
-                     "k_neighbors": config.smote.k_neighbors}
+    prov["smote"] = asdict(config.smote)
     prov["train_rows"] = int(ds.n_rows)
     prov["pipeline_seed"] = int(seed)
     return TrainedEnsemble(

@@ -32,7 +32,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion_counts(scores, labels, threshold: float = 0.5) -> ConfusionCounts:
+def confusion_counts(scores, labels, threshold: float) -> ConfusionCounts:
     """Counts at a fixed threshold; a row is called positive when
     ``score >= threshold``.  A label other than 0 or 1 raises
     :class:`OutOfRange`."""

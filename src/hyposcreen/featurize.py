@@ -12,10 +12,8 @@ distances summarized over all frames on their observed range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from .errors import (
     IncompleteExpression,
 )
 from .ingest import EXPRESSION_AUS, EXPRESSIONS, N_POINTS, RecordingSeries, point_indices
+from .util import read_json
 
 # Geometric attributes in canonical order.
 ATTRIBUTES = (
@@ -108,20 +107,34 @@ def au_statistics(intensity, activation) -> AuStats:
 
 # --- geometric attributes -----------------------------------------------------
 
+def _point_lists(groups) -> bool:
+    """True when ``groups`` is a pair of non-empty lists of integers."""
+    return isinstance(groups, list) and len(groups) == 2 and all(
+        isinstance(g, list) and g and all(type(i) is int for i in g) for g in groups)
+
+
 def load_index_map(path=None) -> dict:
-    """Read a landmark index map; with no path, the packaged default."""
+    """Read a landmark index map; with no path, the packaged default.
+
+    ``iris`` must hold ``right`` and ``left`` lists of point indices, and
+    ``attributes`` a pair of such lists for every attribute, or
+    :class:`DataError` names the key; :func:`used_points` checks the ranges.
+    """
     if path is None:
-        text = resources.files("hyposcreen.data").joinpath(
-            "landmark_indices.json").read_text()
-    else:
-        text = Path(path).read_text()
-    doc = json.loads(text)
-    for key in ("iris", "attributes"):
-        if key not in doc:
-            raise DataError(f"index map lacks {key!r}")
-    for attr in ATTRIBUTES:
-        if attr not in doc["attributes"]:
-            raise DataError(f"index map lacks attribute {attr!r}")
+        path = resources.files("hyposcreen.data").joinpath("landmark_indices.json")
+    doc = read_json(path, "index map")
+    iris, attributes = ((doc.get("iris"), doc.get("attributes"))
+                        if isinstance(doc, dict) else (None, None))
+    if not (isinstance(iris, dict)
+            and _point_lists([iris.get("right"), iris.get("left")])):
+        raise DataError(f"index map 'iris' must hold 'right' and 'left' lists "
+                        f"of point indices, got {iris!r}")
+    if not isinstance(attributes, dict):
+        raise DataError(f"index map 'attributes' must be an object, got {attributes!r}")
+    for attr in dict.fromkeys(ATTRIBUTES + tuple(attributes)):
+        if not _point_lists(attributes.get(attr)):
+            raise DataError(f"index map attribute {attr!r} must be a pair of lists "
+                            f"of point indices, got {attributes.get(attr)!r}")
     return doc
 
 

@@ -111,7 +111,6 @@ class ValidationReport:
 # --- manifest -------------------------------------------------------------
 
 _REQUIRED_FIELDS = ("participant_id", "expression", "au_path", "landmark_path", "label")
-_OPTIONAL_FIELDS = ("cohort", "sex", "age", "ethnicity", "disease_duration")
 
 
 def parse_manifest(path) -> Manifest:
@@ -141,7 +140,7 @@ def parse_manifest(path) -> Manifest:
         if raw["expression"] not in EXPRESSIONS:
             raise SchemaViolation("expression", i,
                                   f"{raw['expression']!r} not one of {EXPRESSIONS}")
-        if raw["label"] not in (0, 1):
+        if isinstance(raw["label"], bool) or raw["label"] not in (0, 1):
             raise SchemaViolation("label", i, "label must be 0 or 1")
         age = raw.get("age")
         if age is not None:

@@ -1,4 +1,5 @@
-"""Quantile binning of feature matrices for histogram-based tree growth."""
+"""Quantile binning of feature matrices for the booster, which finds each
+split by scanning a node's rows presorted by bin code (see ``histboost``)."""
 
 from __future__ import annotations
 
@@ -17,10 +18,6 @@ class BinMapper:
     thresholds: list
     max_bins: int
 
-    @property
-    def n_bins(self) -> np.ndarray:
-        return np.array([len(t) + 1 for t in self.thresholds], dtype=np.int64)
-
     def to_dict(self) -> dict:
         return {"max_bins": int(self.max_bins),
                 "thresholds": [[float(v) for v in t] for t in self.thresholds]}
@@ -31,7 +28,7 @@ class BinMapper:
                    max_bins=int(d["max_bins"]))
 
 
-def fit_bins(X, max_bins: int = 255) -> BinMapper:
+def fit_bins(X, max_bins: int) -> BinMapper:
     """Thresholds at midpoints of distinct values, or at empirical quantiles
     of the distinct values once a feature exceeds ``max_bins`` of them.
 

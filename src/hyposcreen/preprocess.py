@@ -91,7 +91,7 @@ def apply_scaler(scaler: FittedScaler, X: np.ndarray) -> np.ndarray:
 # --- SMOTE ---------------------------------------------------------------------
 
 def smote_oversample(minority: np.ndarray, majority_count: int,
-                     k_neighbors: int = 5, seed: int = 0) -> np.ndarray:
+                     k_neighbors: int, seed: int) -> np.ndarray:
     """Synthesize ``majority_count - len(minority)`` rows between neighbours.
 
     Each synthetic row is ``x + u * (nn - x)`` with ``u ~ U[0, 1]`` and ``nn``
@@ -127,8 +127,7 @@ def smote_oversample(minority: np.ndarray, majority_count: int,
     return out
 
 
-def balance_training_set(X: np.ndarray, y: np.ndarray, k_neighbors: int = 5,
-                         seed: int = 0):
+def balance_training_set(X: np.ndarray, y: np.ndarray, k_neighbors: int, seed: int):
     """Oversample the minority class up to the majority count.
 
     Returns ``(X_aug, y_aug, n_synthetic)``; synthetic rows are appended after
@@ -143,8 +142,7 @@ def balance_training_set(X: np.ndarray, y: np.ndarray, k_neighbors: int = 5,
     majority = int(counts.max())
     if counts.min() == majority:
         return X, y, 0
-    syn = smote_oversample(X[y == minority_label], majority,
-                           k_neighbors=k_neighbors, seed=seed)
+    syn = smote_oversample(X[y == minority_label], majority, k_neighbors, seed)
     X_aug = np.vstack([X, syn])
     y_aug = np.concatenate([y, np.full(len(syn), minority_label, dtype=y.dtype)])
     return X_aug, y_aug, len(syn)
@@ -167,13 +165,8 @@ class FoldPlan:
         return {"k": self.k, "seed": self.seed,
                 "assignments": [int(a) for a in self.assignments]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FoldPlan":
-        return cls(k=int(d["k"]), seed=int(d["seed"]),
-                   assignments=np.array(d["assignments"], dtype=np.int64))
 
-
-def stratified_kfold(y: np.ndarray, k: int, seed: int = 0) -> FoldPlan:
+def stratified_kfold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
     """Assign rows to k folds, preserving class balance per fold.
 
     Within each class the rows are shuffled once (seeded) and dealt

@@ -20,8 +20,6 @@ from .model.logistic import fit_logistic
 from .preprocess import stratified_kfold
 from .util import child_seed
 
-DEFAULT_EPS = 1e-4
-DEFAULT_INNER_FOLDS = 3
 # light booster for subset scoring; selection cost is dominated by refits
 SELECTION_PARAMS = BoostParams(n_trees=40, learning_rate=0.2, max_leaves=7,
                                min_samples_leaf=5)
@@ -39,9 +37,9 @@ class FeatureRanking:
         return asdict(self)
 
 
-def rank_features_lr(X, y, feature_names, n_target: int | None = None) -> FeatureRanking:
-    """Rank by |logistic coefficient| on the scaled matrix, descending;
-    ties break lexicographically by feature name."""
+def rank_features_lr(X, y, feature_names, n_target: int) -> FeatureRanking:
+    """Rank by |logistic coefficient| on the scaled matrix, descending, and
+    keep the first ``n_target``; ties break by feature name."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != len(feature_names):
         raise DataError("matrix width and feature_names disagree")
@@ -49,10 +47,9 @@ def rank_features_lr(X, y, feature_names, n_target: int | None = None) -> Featur
     mags = np.abs(model.weights)
     order = sorted(range(len(feature_names)),
                    key=lambda i: (-mags[i], feature_names[i]))
-    keep = order if n_target is None else order[:n_target]
     return FeatureRanking(
         method="lr_coef",
-        selected=[feature_names[i] for i in keep],
+        selected=[feature_names[i] for i in order[:n_target]],
         scores={feature_names[i]: float(mags[i]) for i in order},
         trace=[{"converged": model.converged}],
     )
@@ -82,17 +79,14 @@ def _importance(X, y, cols, params, seed) -> np.ndarray:
     return mean_abs_shap(model, rows)
 
 
-def boost_rfe(X, y, feature_names, n_target: int,
-              inner_folds: int = DEFAULT_INNER_FOLDS,
-              improvement_eps: float = DEFAULT_EPS,
-              seed: int = 0,
-              params: BoostParams | None = None) -> FeatureRanking:
+def boost_rfe(X, y, feature_names, n_target: int, inner_folds: int,
+              improvement_eps: float, seed: int,
+              params: BoostParams = SELECTION_PARAMS) -> FeatureRanking:
     """Recursive elimination: repeatedly drop the least important feature as
     long as out-of-fold AUROC does not fall by more than ``improvement_eps``;
     stop at ``n_target`` features or at the first rejected drop."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    params = params or SELECTION_PARAMS
     if n_target < 1:
         raise DataError("n_target must be >= 1")
     plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "folds"))
@@ -128,17 +122,14 @@ def boost_rfe(X, y, feature_names, n_target: int,
     )
 
 
-def boost_rfa(X, y, feature_names, n_target: int,
-              inner_folds: int = DEFAULT_INNER_FOLDS,
-              improvement_eps: float = DEFAULT_EPS,
-              seed: int = 0,
-              params: BoostParams | None = None) -> FeatureRanking:
+def boost_rfa(X, y, feature_names, n_target: int, inner_folds: int,
+              improvement_eps: float, seed: int,
+              params: BoostParams = SELECTION_PARAMS) -> FeatureRanking:
     """Recursive addition: start from the most important feature of a single
     global ranking and add candidates best-first while each addition improves
     out-of-fold AUROC by more than ``improvement_eps``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    params = params or SELECTION_PARAMS
     if n_target < 1:
         raise DataError("n_target must be >= 1")
     plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "folds"))
@@ -172,19 +163,20 @@ def boost_rfa(X, y, feature_names, n_target: int,
     )
 
 
-def select_features(X, y, feature_names, method: str, n_target: int,
-                    inner_folds: int = DEFAULT_INNER_FOLDS,
-                    improvement_eps: float = DEFAULT_EPS,
-                    seed: int = 0) -> FeatureRanking:
-    """Dispatch on method name; ``none`` keeps every feature."""
+def select_features(X, y, feature_names, selection, seed: int) -> FeatureRanking:
+    """Run the ``SelectionConfig`` ``selection``: dispatch on its ``method``
+    (``none`` keeps every feature) with its ``n_target``, ``inner_folds``
+    and ``improvement_eps``."""
+    method = selection.method
     if method == "none":
         return FeatureRanking(method="none", selected=list(feature_names))
     if method == "lr_coef":
-        return rank_features_lr(X, y, feature_names, n_target=n_target)
+        return rank_features_lr(X, y, feature_names, selection.n_target)
     if method == "boost_rfe":
-        return boost_rfe(X, y, feature_names, n_target, inner_folds,
-                         improvement_eps, seed)
-    if method == "boost_rfa":
-        return boost_rfa(X, y, feature_names, n_target, inner_folds,
-                         improvement_eps, seed)
-    raise DataError(f"unknown selection method {method!r}")
+        search = boost_rfe
+    elif method == "boost_rfa":
+        search = boost_rfa
+    else:
+        raise DataError(f"unknown selection method {method!r}")
+    return search(X, y, feature_names, selection.n_target, selection.inner_folds,
+                  selection.improvement_eps, seed)

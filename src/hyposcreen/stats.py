@@ -434,7 +434,7 @@ def _bin_label(lo, hi, last: bool) -> str:
 
 
 def build_bias_report(labels, scores, demographics: dict, group: str,
-                      threshold: float = 0.5, bin_edges=None) -> BiasReport:
+                      threshold: float, bin_edges=None) -> BiasReport:
     """Subgroup error rates with CIs, pairwise tests, and homogeneity checks.
 
     Categorical columns are grouped by value; continuous columns require

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import DataError, OutOfRange
 
 _SEED_MOD = 2**31 - 1
 
@@ -71,3 +74,15 @@ def require_binary(y: np.ndarray) -> None:
     bad = np.flatnonzero((y != 0) & (y != 1))
     if bad.size:
         raise OutOfRange(int(bad[0]), "label", y[bad[0]])
+
+
+def read_json(path, what: str):
+    """The parsed JSON document at ``path``; ``what`` names it in errors."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc

@@ -17,6 +17,11 @@ from hyposcreen.model.histboost import L2_LEAF, Tree, _scan_node, build_histogra
 from hyposcreen.util import log_loss, sigmoid
 
 
+def bin_counts(mapper):
+    """The bin count of each feature of a ``BinMapper``."""
+    return np.array([len(t) + 1 for t in mapper.thresholds], dtype=np.int64)
+
+
 def best_split_oracle(binned, idx, g, h, n_bins, min_leaf):
     """``(gain, feature, bin)`` of the best split of the node holding rows
     ``idx``, or None when no split has a positive gain.

@@ -354,6 +354,37 @@ def test_featurize_rejects_an_index_map_point_out_of_range(manifest_corpus, tmp_
     assert not (tmp_path / "features.csv").exists()
 
 
+def _packaged_map_with(**changes) -> str:
+    """The packaged index map's JSON text with top-level keys replaced."""
+    return json.dumps({**load_index_map(), **changes})
+
+
+_ATTRIBUTES = load_index_map()["attributes"]
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "index map file not found"),
+    ("{nope", "index map is not valid JSON"),
+    (_packaged_map_with(iris=5), "'iris'"),
+    (_packaged_map_with(attributes={**_ATTRIBUTES, "mouth_open": [[13]]}),
+     "'mouth_open'"),
+    (_packaged_map_with(attributes={**_ATTRIBUTES, "jaw_open": [["152"], [1]]}),
+     "'jaw_open'"),
+], ids=["missing", "not_json", "iris_not_an_object", "attribute_not_a_pair",
+        "attribute_not_indices"])
+def test_featurize_rejects_an_index_map_of_the_wrong_shape(manifest_corpus, tmp_path,
+                                                           capsys, text, message):
+    index_map = tmp_path / "map.json"
+    if text is not None:
+        index_map.write_text(text)
+    rc = main(["featurize", "--manifest", str(manifest_corpus), "--out",
+               str(tmp_path / "features.csv"), "--index-map", str(index_map)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DataError" and message in err["message"]
+    assert not (tmp_path / "features.csv").exists()
+
+
 def test_featurize_reads_the_columns_of_a_custom_index_map(manifest_corpus, tmp_path,
                                                            capsys):
     index_map = tmp_path / "map.json"

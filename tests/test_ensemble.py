@@ -1,10 +1,11 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from hyposcreen import ensemble
+from hyposcreen import ensemble, select
 from hyposcreen.artifact import TrainedEnsemble, ensemble_predict, load_ensemble, save_ensemble
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
@@ -39,10 +40,16 @@ CANDIDATES = [
 ]
 
 
+def _stacking(candidates, m, smote):
+    """A config that stacks the top ``m`` of ``candidates`` on 3 inner folds."""
+    return PipelineConfig(smote=smote, ensemble=EnsembleConfig(
+        m=m, inner_folds=3, grid=[c.to_dict() for c in candidates]))
+
+
 def test_fit_stacking_ensemble_output_shapes_and_provenance():
     X, y = _planted()
     base_models, base_info, meta, prov = fit_stacking_ensemble(
-        X, y, CANDIDATES, m=2, inner_folds=3, smote_k=3, seed=4)
+        X, y, _stacking(CANDIDATES, 2, SmoteConfig(k_neighbors=3)), seed=4)
     assert len(base_models) == 2 and len(base_info) == 2
     assert meta.weights.shape == (2,)
 
@@ -59,7 +66,7 @@ def test_fit_stacking_ensemble_output_shapes_and_provenance():
         assert info["candidate_index"] == ci
         assert info["oof_auroc"] == prov["candidate_aurocs"][ci]
     with pytest.raises(MTooLarge):
-        fit_stacking_ensemble(X, y, CANDIDATES, m=4)
+        fit_stacking_ensemble(X, y, _stacking(CANDIDATES, 4, SmoteConfig()), seed=0)
 
 
 def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch):
@@ -81,8 +88,8 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
 
     def run():
         predicted.clear()
-        return fit_stacking_ensemble(X, y, grid, m=4, inner_folds=3,
-                                     smote_enabled=False, seed=5)
+        return fit_stacking_ensemble(X, y, _stacking(grid, 4, SmoteConfig(enabled=False)),
+                                     seed=5)
 
     base_models, base_info, meta, prov = run()
     inner_grown = sum(rows < y.size for rows in grown_rows)  # refits see every row
@@ -146,6 +153,56 @@ def test_train_pipeline_restricts_artifact_to_selected_features():
     again = train_pipeline(ds, _config(), seed=2)
     assert json.dumps(ensemble.to_dict(), sort_keys=True) == \
         json.dumps(again.to_dict(), sort_keys=True)
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` so each call appends its bound arguments, whether
+    passed by position or by keyword, to ``calls["<module>.<name>"]``."""
+    real = getattr(module, name)
+    signature = inspect.signature(real)
+    key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+    calls[key] = []
+
+    def wrapper(*args, **kwargs):
+        calls[key].append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("method", ["none", "lr_coef", "boost_rfe", "boost_rfa"])
+@pytest.mark.parametrize("smote_enabled", [True, False])
+def test_each_training_setting_reaches_the_component_that_uses_it(monkeypatch, method,
+                                                                  smote_enabled):
+    # every value but the method differs from its default in config.py, so a
+    # default restated anywhere between the config and its component would show
+    config = PipelineConfig(
+        selection=SelectionConfig(method=method, n_target=2, inner_folds=4,
+                                  improvement_eps=0.25),
+        smote=SmoteConfig(enabled=smote_enabled, k_neighbors=2),
+        ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
+            {"n_trees": 4, "max_leaves": 3, "min_samples_leaf": 4},
+            {"n_trees": 6, "max_leaves": 4, "min_samples_leaf": 4}]))
+    calls = {}
+    for module, name in ((select, "stratified_kfold"), (select, "boost_rfe"),
+                         (select, "boost_rfa"), (ensemble, "stratified_kfold"),
+                         (ensemble, "balance_training_set")):
+        _spy(monkeypatch, module, name, calls)
+    trained = train_pipeline(_dataset(seed=129), config, seed=3)
+
+    prov = trained.provenance
+    assert prov["selection"]["method"] == method
+    boosted = method.startswith("boost_")
+    assert len(trained.feature_names) in {"none": [5], "lr_coef": [2]}.get(method, [1, 2])
+    assert [(c["n_target"], c["inner_folds"], c["improvement_eps"])
+            for c in calls.get(f"select.{method}", [])] == [(2, 4, 0.25)] * boosted
+    assert [c["k"] for c in calls["select.stratified_kfold"]] == [4] * boosted
+    assert [c["k"] for c in calls["ensemble.stratified_kfold"]] == [2]
+    assert prov["inner_folds"] == 2 and len(trained.base_models) == 1
+    # one oversampling per inner fold and one for the refit
+    assert [c["k_neighbors"] for c in calls["ensemble.balance_training_set"]] == \
+        [2] * (3 * smote_enabled)
+    assert prov["smote"] == {"enabled": smote_enabled, "k_neighbors": 2}
 
 
 def test_save_load_round_trip_preserves_predictions_exactly(tmp_path):

@@ -133,7 +133,7 @@ def test_roc_and_confusion_counts_reject_a_non_binary_label():
         auroc([0.1, 0.9, 0.5], [2, 1, 7])
     assert (err.value.row, err.value.col) == (0, "label")
     with pytest.raises(OutOfRange) as err:
-        confusion_counts([0.1, 0.9], [2, 1])
+        confusion_counts([0.1, 0.9], [2, 1], threshold=0.5)
     assert (err.value.row, err.value.col) == (0, "label")
 
 
@@ -165,9 +165,9 @@ def test_zero_denominators_give_none():
     assert m["sensitivity"] is None and m["ppv"] is None and m["f1"] is None
     assert m["specificity"] == 1.0 and m["npv"] == 1.0
     with pytest.raises(DataError):
-        confusion_counts(np.array([]), np.array([]))
+        confusion_counts(np.array([]), np.array([]), threshold=0.5)
     with pytest.raises(DataError):
-        confusion_counts(np.array([0.5]), np.array([1, 0]))
+        confusion_counts(np.array([0.5]), np.array([1, 0]), threshold=0.5)
 
 
 def test_row_identity_hash_prefix():

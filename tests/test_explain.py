@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyposcreen.config import EnsembleConfig, PipelineConfig, SmoteConfig
 from hyposcreen.ensemble import fit_stacking_ensemble
 from hyposcreen.errors import DataError, SingleCluster, TooFewColumns, TooFewRows
 from hyposcreen.explain import (
@@ -143,8 +144,9 @@ def test_one_shap_memo_serves_ensemble_models_that_share_trees():
     # caps that no tree reaches: the candidates share their grown trees
     candidates = [BoostParams(n_trees=6, learning_rate=0.3, max_leaves=leaves,
                               min_samples_leaf=8) for leaves in (8, 16, 31)]
-    base_models, *_ = fit_stacking_ensemble(X, y, candidates, m=3, inner_folds=3,
-                                            smote_k=3, seed=2)
+    config = PipelineConfig(smote=SmoteConfig(k_neighbors=3), ensemble=EnsembleConfig(
+        m=3, inner_folds=3, grid=[c.to_dict() for c in candidates]))
+    base_models, *_ = fit_stacking_ensemble(X, y, config, seed=2)
     trees = [t for m in base_models for t in m.trees]
     assert len({id(t) for t in trees}) < len(trees)
     memo = {}

@@ -24,7 +24,7 @@ from hyposcreen.model.histboost import (
 )
 from hyposcreen.util import log_loss, sigmoid
 
-from split_oracle import best_split_oracle, boost_oracle, grow_tree_oracle
+from split_oracle import best_split_oracle, bin_counts, boost_oracle, grow_tree_oracle
 
 
 # --- binning -------------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_fit_bins_midpoints_when_few_distinct_values():
     X = np.array([[1.0], [3.0], [2.0], [3.0]])
     mapper = fit_bins(X, max_bins=255)
     assert np.allclose(mapper.thresholds[0], [1.5, 2.5])
-    assert mapper.n_bins[0] == 3
+    assert bin_counts(mapper)[0] == 3
 
 
 def test_fit_bins_quantile_ranks_balance_counts():
@@ -117,19 +117,19 @@ def test_bin_matrix_value_equal_to_threshold_goes_left():
 
 
 def test_fit_bins_constant_column_and_errors():
-    mapper = fit_bins(np.full((5, 1), 2.0))
-    assert mapper.n_bins[0] == 1
+    mapper = fit_bins(np.full((5, 1), 2.0), max_bins=255)
+    assert bin_counts(mapper)[0] == 1
     assert bin_matrix(mapper, np.array([[7.0]]))[0, 0] == 0
     with pytest.raises(DataError):
         fit_bins(np.zeros((2, 1)), max_bins=1)
     with pytest.raises(DataError):
-        fit_bins(np.zeros((0, 1)))
+        fit_bins(np.zeros((0, 1)), max_bins=255)
     for bad in (np.nan, np.inf, -np.inf):
         X = np.zeros((4, 3))
         X[2, 1] = bad
         X[3, 0] = np.nan
         with pytest.raises(OutOfRange) as err:
-            fit_bins(X)
+            fit_bins(X, max_bins=255)
         assert (err.value.row, err.value.col) == (2, 1)
 
 
@@ -206,7 +206,7 @@ def test_first_split_matches_exhaustive_oracle():
         g = p0 - y
         h = p0 * (1 - p0)
         binned = bin_matrix(model.mapper, X).astype(np.int64)
-        gain, f, b = _best_stump_oracle(binned, g, h, model.mapper.n_bins,
+        gain, f, b = _best_stump_oracle(binned, g, h, bin_counts(model.mapper),
                                         1.0, 5)
         if gain <= 0:
             assert tree.feature[0] == -1
@@ -264,7 +264,7 @@ def test_row_scan_split_equals_full_histogram_scan():
             order, codes = _presorted(binned, rows)
             got = histboost._scan_node(gh, order, codes, float(np.sum(g[rows])),
                                        float(np.sum(h[rows])), min_leaf)
-            want = best_split_oracle(binned, rows, g, h, mapper.n_bins, min_leaf)
+            want = best_split_oracle(binned, rows, g, h, bin_counts(mapper), min_leaf)
             nodes += 1
             if want is None:
                 assert got is None
@@ -295,7 +295,7 @@ def test_tree_zero_stump_takes_the_lowest_of_tied_splits():
         p0 = sigmoid(np.full(n, model.base_score))
         binned = bin_matrix(model.mapper, X).astype(np.int64)
         _, f, b = _best_stump_oracle(binned, p0 - y, p0 * (1 - p0),
-                                     model.mapper.n_bins, 1.0, 5)
+                                     bin_counts(model.mapper), 1.0, 5)
         assert (model.trees[0].feature[0], model.trees[0].split_bin[0]) == (f, b)
 
 

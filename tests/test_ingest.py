@@ -276,6 +276,8 @@ def test_parse_manifest_happy_path(manifest_corpus):
     ({"age": "old"}, SchemaViolation),
     ({"disease_duration": -1}, SchemaViolation),
     ({"au_path": "missing.csv"}, MissingFile),
+    ({"label": True}, SchemaViolation),  # True == 1, but it is not a label
+    ({"label": False}, SchemaViolation),
 ])
 def test_parse_manifest_rejects_bad_entries(manifest_corpus, patch, exc):
     doc = json.loads(manifest_corpus.read_text())

@@ -14,7 +14,6 @@ from hyposcreen.errors import (
 )
 from hyposcreen.preprocess import (
     FittedScaler,
-    FoldPlan,
     apply_scaler,
     balance_training_set,
     fit_scaler,
@@ -145,22 +144,23 @@ def test_smote_synthetic_count_closes_class_gap():
 def test_smote_is_deterministic_per_seed():
     rng = np.random.default_rng(35)
     X = rng.normal(size=(8, 3))
-    a = smote_oversample(X, 20, seed=9)
-    b = smote_oversample(X, 20, seed=9)
-    c = smote_oversample(X, 20, seed=10)
+    a = smote_oversample(X, 20, k_neighbors=5, seed=9)
+    b = smote_oversample(X, 20, k_neighbors=5, seed=9)
+    c = smote_oversample(X, 20, k_neighbors=5, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_smote_edge_cases():
     with pytest.raises(TooFewMinority):
-        smote_oversample(np.zeros((1, 2)), 5)
+        smote_oversample(np.zeros((1, 2)), 5, k_neighbors=5, seed=0)
     with pytest.raises(EmptyMatrix):
-        smote_oversample(np.zeros((0, 2)), 5)
+        smote_oversample(np.zeros((0, 2)), 5, k_neighbors=5, seed=0)
     with pytest.raises(DataError):
-        smote_oversample(np.zeros((3, 2)), 5, k_neighbors=0)
+        smote_oversample(np.zeros((3, 2)), 5, k_neighbors=0, seed=0)
     # no gap, no synthetics
-    assert smote_oversample(np.random.default_rng(0).normal(size=(4, 2)), 4).shape == (0, 2)
+    minority = np.random.default_rng(0).normal(size=(4, 2))
+    assert smote_oversample(minority, 4, k_neighbors=5, seed=0).shape == (0, 2)
     # k shrinks to n_min - 1 instead of failing
     X = np.arange(6.0).reshape(3, 2)
     syn = smote_oversample(X, 6, k_neighbors=10, seed=1)
@@ -171,7 +171,7 @@ def test_balance_training_set_appends_synthetics():
     rng = np.random.default_rng(36)
     X = rng.normal(size=(30, 4))
     y = np.array([1] * 10 + [0] * 20)
-    Xa, ya, n_syn = balance_training_set(X, y, seed=2)
+    Xa, ya, n_syn = balance_training_set(X, y, k_neighbors=5, seed=2)
     assert n_syn == 10
     assert Xa.shape == (40, 4)
     assert np.array_equal(Xa[:30], X)
@@ -180,10 +180,11 @@ def test_balance_training_set_appends_synthetics():
     assert int(np.sum(ya == 1)) == int(np.sum(ya == 0))
 
     # already balanced: untouched
-    Xb, yb, n0 = balance_training_set(X[:20], np.array([0, 1] * 10))
+    Xb, yb, n0 = balance_training_set(X[:20], np.array([0, 1] * 10), k_neighbors=5,
+                                      seed=0)
     assert n0 == 0 and Xb.shape == (20, 4)
     with pytest.raises(SingleClass):
-        balance_training_set(X, np.zeros(30))
+        balance_training_set(X, np.zeros(30), k_neighbors=5, seed=0)
 
 
 def test_stratified_kfold_worked_example():
@@ -220,18 +221,16 @@ def test_stratified_kfold_partition_and_determinism():
     assert np.all((a.assignments >= 0) & (a.assignments < 3))
     tr, ev = a.fold_indices(1)
     assert sorted(np.concatenate([tr, ev]).tolist()) == list(range(30))
-    back = FoldPlan.from_dict(a.to_dict())
-    assert np.array_equal(back.assignments, a.assignments)
 
 
 def test_stratified_kfold_errors():
     with pytest.raises(ClassTooSmall) as err:
-        stratified_kfold(np.array([1, 0, 0, 0, 0]), 2)
+        stratified_kfold(np.array([1, 0, 0, 0, 0]), 2, seed=0)
     assert err.value.count == 1
     with pytest.raises(DataError):
-        stratified_kfold(np.array([0, 1]), 1)
+        stratified_kfold(np.array([0, 1]), 1, seed=0)
     with pytest.raises(EmptyMatrix):
-        stratified_kfold(np.array([]), 2)
+        stratified_kfold(np.array([]), 2, seed=0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyposcreen.config import SelectionConfig
 from hyposcreen.errors import DataError
 from hyposcreen.model.histboost import BoostParams
 from hyposcreen.select import (
@@ -30,7 +31,7 @@ def _planted_problem(seed=110, n=160, informative=2, noise=4):
 
 def test_lr_ranking_puts_planted_signal_first():
     X, y, names = _planted_problem()
-    ranking = rank_features_lr(X, y, names)
+    ranking = rank_features_lr(X, y, names, n_target=len(names))
     assert set(ranking.selected[:2]) == {"signal_0", "signal_1"}
     assert ranking.method == "lr_coef"
     assert len(ranking.selected) == 6
@@ -48,14 +49,14 @@ def test_lr_ranking_breaks_magnitude_ties_by_name():
     base = rng.normal(size=(120, 1))
     X = np.hstack([base, base])
     y = (rng.random(120) < sigmoid(1.5 * base[:, 0])).astype(np.int64)
-    ranking = rank_features_lr(X, y, ["zeta", "alpha"])
+    ranking = rank_features_lr(X, y, ["zeta", "alpha"], n_target=2)
     assert ranking.selected == ["alpha", "zeta"]
 
 
 def test_rfe_recovers_planted_signal():
     X, y, names = _planted_problem(seed=112)
-    ranking = boost_rfe(X, y, names, n_target=2, inner_folds=3, seed=3,
-                        params=FAST_PARAMS)
+    ranking = boost_rfe(X, y, names, n_target=2, inner_folds=3,
+                        improvement_eps=1e-4, seed=3, params=FAST_PARAMS)
     assert ranking.method == "boost_rfe"
     assert {"signal_0", "signal_1"} <= set(ranking.selected)
     assert len(ranking.selected) <= 4
@@ -69,18 +70,18 @@ def test_rfe_recovers_planted_signal():
 
 def test_rfe_eps_extremes():
     X, y, names = _planted_problem(seed=113)
-    keep_all = boost_rfe(X, y, names, n_target=1, improvement_eps=-np.inf,
-                         seed=0, params=FAST_PARAMS)
+    keep_all = boost_rfe(X, y, names, n_target=1, inner_folds=3,
+                         improvement_eps=-np.inf, seed=0, params=FAST_PARAMS)
     assert keep_all.selected == names  # every drop is rejected immediately
-    drop_all = boost_rfe(X, y, names, n_target=1, improvement_eps=np.inf,
-                         seed=0, params=FAST_PARAMS)
+    drop_all = boost_rfe(X, y, names, n_target=1, inner_folds=3,
+                         improvement_eps=np.inf, seed=0, params=FAST_PARAMS)
     assert len(drop_all.selected) == 1  # every drop is accepted
 
 
 def test_rfa_recovers_planted_signal():
     X, y, names = _planted_problem(seed=114)
-    ranking = boost_rfa(X, y, names, n_target=3, inner_folds=3, seed=3,
-                        params=FAST_PARAMS)
+    ranking = boost_rfa(X, y, names, n_target=3, inner_folds=3,
+                        improvement_eps=1e-4, seed=3, params=FAST_PARAMS)
     assert ranking.method == "boost_rfa"
     assert ranking.trace[0]["action"] == "seed"
     assert ranking.trace[0]["feature"] in {"signal_0", "signal_1"}
@@ -92,36 +93,39 @@ def test_rfa_recovers_planted_signal():
 
 def test_rfa_eps_extremes():
     X, y, names = _planted_problem(seed=115)
-    seed_only = boost_rfa(X, y, names, n_target=6, improvement_eps=np.inf,
-                          seed=0, params=FAST_PARAMS)
+    seed_only = boost_rfa(X, y, names, n_target=6, inner_folds=3,
+                          improvement_eps=np.inf, seed=0, params=FAST_PARAMS)
     assert len(seed_only.selected) == 1  # nothing clears an infinite bar
-    fill = boost_rfa(X, y, names, n_target=4, improvement_eps=-np.inf,
-                     seed=0, params=FAST_PARAMS)
+    fill = boost_rfa(X, y, names, n_target=4, inner_folds=3,
+                     improvement_eps=-np.inf, seed=0, params=FAST_PARAMS)
     assert len(fill.selected) == 4  # every addition is accepted up to target
 
 
 def test_selection_is_deterministic():
     X, y, names = _planted_problem(seed=116)
-    a = boost_rfa(X, y, names, n_target=3, seed=9, params=FAST_PARAMS)
-    b = boost_rfa(X, y, names, n_target=3, seed=9, params=FAST_PARAMS)
+    settings = dict(n_target=3, inner_folds=3, improvement_eps=1e-4, seed=9,
+                    params=FAST_PARAMS)
+    a = boost_rfa(X, y, names, **settings)
+    b = boost_rfa(X, y, names, **settings)
     assert a.to_dict() == b.to_dict()
-    c = boost_rfe(X, y, names, n_target=3, seed=9, params=FAST_PARAMS)
-    d = boost_rfe(X, y, names, n_target=3, seed=9, params=FAST_PARAMS)
+    c = boost_rfe(X, y, names, **settings)
+    d = boost_rfe(X, y, names, **settings)
     assert c.to_dict() == d.to_dict()
 
 
 def test_select_features_dispatch():
     X, y, names = _planted_problem(seed=117)
-    kept = select_features(X, y, names, "none", n_target=2)
+    kept = select_features(X, y, names, SelectionConfig(method="none", n_target=2), 0)
     assert kept.selected == names and kept.method == "none"
-    lr = select_features(X, y, names, "lr_coef", n_target=2)
+    lr = select_features(X, y, names, SelectionConfig(method="lr_coef", n_target=2), 0)
     assert len(lr.selected) == 2
     with pytest.raises(DataError):
-        select_features(X, y, names, "pick_best", n_target=2)
+        select_features(X, y, names, SelectionConfig(method="pick_best", n_target=2), 0)
     with pytest.raises(DataError):
-        boost_rfe(X, y, names, n_target=0, params=FAST_PARAMS)
+        boost_rfe(X, y, names, n_target=0, inner_folds=3, improvement_eps=1e-4,
+                  seed=0, params=FAST_PARAMS)
     with pytest.raises(DataError):
-        rank_features_lr(X, y, names[:-1])
+        rank_features_lr(X, y, names[:-1], n_target=2)
 
 
 def test_ranking_to_dict_is_json_shaped():

@@ -341,7 +341,7 @@ def _planted_two_group_data():
 
 def test_bias_report_detects_planted_rate_gap():
     labels, scores, demo = _planted_two_group_data()
-    report = build_bias_report(labels, scores, demo, "sex")
+    report = build_bias_report(labels, scores, demo, "sex", 0.5)
     assert report.group_kind == "categorical"
     a = report.groups["a"]["rates"]["misclassification"]
     b = report.groups["b"]["rates"]["misclassification"]
@@ -362,7 +362,7 @@ def test_bias_report_missing_values_become_unknown_group():
     labels = np.array([0, 0, 1, 1, 0, 1])
     scores = np.array([0.1, 0.9, 0.8, 0.2, 0.1, 0.9])
     demo = {"ethnicity": ["x", "x", None, "y", "y", None]}
-    report = build_bias_report(labels, scores, demo, "ethnicity")
+    report = build_bias_report(labels, scores, demo, "ethnicity", 0.5)
     assert set(report.groups) == {"unknown", "x", "y"}
     assert report.groups["unknown"]["n"] == 2
 
@@ -372,7 +372,7 @@ def test_bias_report_fisher_fallback_on_small_groups():
     scores = np.zeros(12)
     scores[0] = 0.9
     demo = {"site": ["a"] * 6 + ["b"] * 6}
-    report = build_bias_report(labels, scores, demo, "site")
+    report = build_bias_report(labels, scores, demo, "site", 0.5)
     mis = [c for c in report.comparisons if c["rate"] == "misclassification"]
     assert mis[0]["method"] == "fisher_exact"
     assert mis[0]["result"]["test"] == "fisher_exact"
@@ -384,7 +384,7 @@ def test_bias_report_binned_continuous_column():
     labels = rng.integers(0, 2, size=n)
     scores = rng.random(n)
     age = list(np.linspace(40.0, 80.0, n - 2)) + [39.0, None]
-    report = build_bias_report(labels, scores, {"age": age}, "age",
+    report = build_bias_report(labels, scores, {"age": age}, "age", 0.5,
                                bin_edges=[40, 60, 80])
     assert report.group_kind == "binned"
     assert set(report.groups) == {"[40, 60)", "[60, 80]"}
@@ -402,16 +402,16 @@ def test_bias_report_bin_validation_and_errors():
     scores = np.array([0.1, 0.9, 0.2, 0.8])
     demo = {"age": [41.0, 42.0, 43.0, 44.0]}
     with pytest.raises(DataError):
-        build_bias_report(labels, scores, demo, "age", bin_edges=[60, 40])
+        build_bias_report(labels, scores, demo, "age", 0.5, bin_edges=[60, 40])
     with pytest.raises(DataError):
-        build_bias_report(labels, scores, demo, "age", bin_edges=[40])
+        build_bias_report(labels, scores, demo, "age", 0.5, bin_edges=[40])
     with pytest.raises(EmptySubgroup):
-        build_bias_report(labels, scores, demo, "age",
+        build_bias_report(labels, scores, demo, "age", 0.5,
                           bin_edges=[40, 50, 60])
     with pytest.raises(UnknownColumn):
-        build_bias_report(labels, scores, demo, "height")
+        build_bias_report(labels, scores, demo, "height", 0.5)
     with pytest.raises(DataError):
-        build_bias_report(labels, scores, {"age": [1.0]}, "age",
+        build_bias_report(labels, scores, {"age": [1.0]}, "age", 0.5,
                           bin_edges=[0, 2])
 
 
@@ -422,11 +422,11 @@ def test_bias_report_rejects_nan_edges_and_text_values_when_binned():
     for edges in ([35, math.nan, 86], [math.nan, 50], [35, math.nan],
                   [35, 50, math.nan, 86]):
         with pytest.raises(DataError, match="strictly increasing") as info:
-            build_bias_report(labels, scores, demo, "age", bin_edges=edges)
+            build_bias_report(labels, scores, demo, "age", 0.5, bin_edges=edges)
         assert type(info.value) is DataError, edges
-    report = build_bias_report(labels, scores, demo, "age",
+    report = build_bias_report(labels, scores, demo, "age", 0.5,
                                bin_edges=[-math.inf, 42.5, math.inf])
     assert [g["n"] for g in report.groups.values()] == [2, 2]
     with pytest.raises(DataError, match="not numeric"):
         build_bias_report(labels, scores, {"ethnicity": ["a", "b", "a", None]},
-                          "ethnicity", bin_edges=[1, 2])
+                          "ethnicity", 0.5, bin_edges=[1, 2])
