@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -31,11 +32,14 @@ _JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
 
 def _typed(key: str, value, default):
     """``value`` if it has the JSON type of ``default``; else a DataError
-    naming ``key``.  A number field also takes an integer."""
+    naming ``key``.  A number field also takes an integer, and rejects the
+    NaN and infinite values that Python's ``json`` reads."""
     kind, name = next(t for t in _JSON_TYPES if isinstance(default, t[0]))
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise DataError(f"{key} must be {name}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError(f"{key} must be a finite number, got {value!r}")
     return value
 
 
@@ -106,6 +110,10 @@ class PipelineConfig:
             raise DataError("threshold must be in [0, 1]")
         if self.selection.n_target < 1:
             raise DataError("selection.n_target must be >= 1")
+        if not self.selection.improvement_eps >= 0.0:
+            raise DataError("selection.improvement_eps must be >= 0")
+        if self.smote.k_neighbors < 1:
+            raise DataError("smote.k_neighbors must be >= 1")
         if self.ensemble.m < 1:
             raise DataError("ensemble.m must be >= 1")
         if self.ensemble.m > len(self.ensemble.grid):

@@ -46,13 +46,14 @@ def fit_bins(X, max_bins: int) -> BinMapper:
     S.sort(axis=1)
     step = S[:, 1:] != S[:, :-1]
     mids = ((S[:, 1:] + S[:, :-1]) / 2.0)[step]  # row-major: column by column
-    counts = step.sum(axis=1)
-    thresholds = np.split(mids, np.cumsum(counts))[:-1]
-    for f, m in enumerate(counts + 1):
+    ends = step.sum(axis=1).cumsum().tolist()
+    thresholds = [mids[a:b] for a, b in zip([0] + ends, ends)]
+    for f, t in enumerate(thresholds):
+        m = t.size + 1
         if m > max_bins:
             # the ranks rise by at least m // max_bins >= 1 a step: all distinct
             ranks = (np.arange(1, max_bins) * m) // max_bins
-            thresholds[f] = thresholds[f][ranks - 1]
+            thresholds[f] = t[ranks - 1]
     return BinMapper(thresholds=thresholds, max_bins=max_bins)
 
 
@@ -65,5 +66,5 @@ def bin_matrix(mapper: BinMapper, X) -> np.ndarray:
         raise WidthMismatch(len(mapper.thresholds), X.shape[1])
     out = np.empty(X.shape, dtype=np.uint8)
     for f, thr in enumerate(mapper.thresholds):
-        out[:, f] = np.searchsorted(thr, X[:, f], side="left")
+        out[:, f] = thr.searchsorted(X[:, f], side="left")  # no np.* wrapper
     return out

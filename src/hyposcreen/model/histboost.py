@@ -12,6 +12,17 @@ whose gain is within a relative 1e-12 of the best, the split takes the lowest
 feature index, then the lowest bin, so gains that are equal in exact
 arithmetic but differ in rounding are ties, and fits are fully deterministic.
 
+Each round keeps its gradients and hessians as one complex vector, ``g`` in
+the real part and ``h`` in the imaginary part, so a node gathers both with
+one ``take`` and sums both prefixes with one ``cumsum``.  A complex addition
+is two independent float additions, one per lane, made in the same order as
+a float prefix sum of that lane, so every prefix, gain and split is the one
+two float scans give, bit for bit.  A node's totals are the exception: they
+are a float ``.sum()`` of each lane, because a complex ``.sum()`` blocks its
+pairwise summation differently and changes their bits.  A child with fewer
+than ``2 * min_samples_leaf`` rows can never be split, so growth builds no
+sorted row orders or codes for it.
+
 The scan's cost grows with the node's rows rather than with the bin count.
 It replaced a scan of full ``d x max_bins`` histograms, and with it the bits
 of training changed: gains are summed in another order and exact ties follow
@@ -46,12 +57,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import ArtifactError, DataError, DegenerateParams, EmptyMatrix, SingleClass
-from ..util import log_loss, require_binary, sigmoid
+from ..util import require_binary, sigmoid
 from .binning import BinMapper, bin_matrix, fit_bins
 
 SCHEMA_VERSION = 1
@@ -80,7 +91,8 @@ class BoostParams:
             raise DegenerateParams(f"max_bins must be in [2, 255], got {self.max_bins}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields are scalars: asdict's deep copy would return them as is
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostParams":
@@ -200,35 +212,52 @@ def _scan_node(gh, order, codes, gt: float, ht: float, min_leaf: int):
     """Best split of one node with ``k >= 2 * min_leaf`` rows, from its rows
     in per-feature sorted order.
 
-    ``gh`` stacks every training row's gradient and hessian, ``order[f]``
-    lists the node's rows sorted by their code on feature ``f`` and
-    ``codes[f]`` holds those codes; ``gt`` and ``ht`` are the node's totals.
-    Only positions where the code changes are candidates, so a split never
-    lands on an unoccupied bin.  Returns ``(gain, feature, n_left)`` for the
-    first (feature, then bin) candidate whose gain is within a relative
-    1e-12 of the largest, or None when no candidate has a positive gain.
+    ``gh`` holds every training row's gradient in its real part and hessian
+    in its imaginary part, ``order[f]`` lists the node's rows sorted by their
+    code on feature ``f`` and ``codes[f]`` holds those codes; ``gt`` and
+    ``ht`` are the node's totals, each a float ``.sum()`` of its lane (a
+    complex ``.sum()`` pairs its additions differently and changes their
+    bits).  One ``cumsum`` of the gathered complex rows gives both prefix
+    sums: a complex addition is the two float additions of its lanes, in the
+    same order, so each prefix is the one a float scan of that lane gives,
+    bit for bit.  Only positions where the code changes are candidates, so a
+    split never lands on an unoccupied bin.  Returns ``(gain, feature,
+    n_left)`` for the first (feature, then bin) candidate whose gain is
+    within a relative 1e-12 of the largest, or None when no candidate has a
+    positive gain.
     """
     k = order.shape[1]
     lo, hi = min_leaf - 1, k - min_leaf  # band of the last left row's position
     # candidates in (feature, bin) order, as flat positions in the (d, hi)
-    # prefix arrays (integer takes: numpy's boolean indexing is slower here;
-    # array methods rather than their np.* wrappers, which cost per call)
-    edge = (codes[:, lo:hi] != codes[:, lo + 1:hi + 1]).ravel().nonzero()[0]
+    # prefix array: the positions before the band are cleared, so no index
+    # arithmetic is needed (integer takes: numpy's boolean indexing is slower
+    # here; array methods rather than their np.* wrappers, which cost per call)
+    edge = codes[:, :hi] != codes[:, 1:hi + 1]
+    edge[:, :lo] = False
+    edge = edge.ravel().nonzero()[0]
     if not edge.size:
         return None
-    f_of = edge // (hi - lo)
-    at = edge + lo * (f_of + 1)
-    GL, HL = gh.take(order[:, :hi], axis=1).cumsum(axis=2).reshape(2, -1).take(
-        at, axis=1)
-    gain = 0.5 * (GL * GL / (HL + L2_LEAF)
-                  + (gt - GL) ** 2 / (ht - HL + L2_LEAF)
-                  - gt * gt / (ht + L2_LEAF))
+    GHL = gh.take(order[:, :hi]).cumsum(axis=1).take(edge)
+    GL, HL = GHL.real, GHL.imag
+    # 0.5 * (GL**2 / (HL + l2) + (gt - GL)**2 / (ht - HL + l2) - gt**2 / (ht + l2)),
+    # operation by operation in that order, in place
+    gain = GL * GL
+    t = HL + L2_LEAF
+    gain /= t
+    r = gt - GL
+    r *= r
+    np.subtract(ht, HL, out=t)
+    t += L2_LEAF
+    r /= t
+    gain += r
+    gain -= gt * gt / (ht + L2_LEAF)
+    gain *= 0.5
     top = gain.max()
     if not top > 0.0:
         return None
     first = int((gain >= top - 1e-12 * top).argmax())
-    f = int(f_of[first])
-    return float(gain[first]), f, int(at[first]) - f * hi + 1
+    f, at = divmod(int(edge[first]), hi)
+    return float(gain[first]), f, at + 1
 
 
 def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
@@ -236,9 +265,11 @@ def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
     """One tree, whether ``max_leaves`` stopped it with splits left, and each
     training row's leaf value, from the row sets the growth partitioned.
 
-    ``gh`` stacks every training row's gradient and hessian, shape (2, n);
-    ``order`` is every feature's stable row order by bin code, shape (d, n),
-    and ``codes`` the codes in that order."""
+    ``gh`` holds every training row's gradient in its real part and hessian
+    in its imaginary part, shape (n,); ``order`` is every feature's stable
+    row order by bin code, shape (d, n), and ``codes`` the codes in that
+    order.  A child with fewer than ``2 * min_samples_leaf`` rows cannot be
+    split, so its rows' orders and codes are never built."""
     d, n = order.shape
     min_leaf = params.min_samples_leaf
 
@@ -248,12 +279,15 @@ def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
     heap = []
     tiebreak = itertools.count()
 
-    def new_node(idx, order, codes) -> int:
+    def new_node(idx, order=None, codes=None) -> int:
         feature.append(-1)
         split_bin.append(-1)
         left.append(-1)
         right.append(-1)
-        gt, ht = gh.take(idx, axis=1).sum(axis=1).tolist()
+        # a float sum per lane, not a complex sum (see the module docstring)
+        node_gh = gh.take(idx)
+        gt = float(node_gh.real.sum())
+        ht = float(node_gh.imag.sum())
         denom = ht + L2_LEAF
         value.append(0.0 if denom <= 0.0 else -gt / denom)
         cover.append(int(idx.size))
@@ -273,16 +307,21 @@ def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
         _, _, node_id, idx, order, codes, f, n_left = heapq.heappop(heap)
         goes = np.zeros(n, dtype=bool)
         goes[order[f, :n_left]] = True
-        to_left = goes[order]
         feature[node_id] = f
         split_bin[node_id] = int(codes[f, n_left - 1])
         value[node_id] = 0.0
         del leaf_rows[node_id]
         n_leaves += 1
         in_left = goes[idx]
-        for side, rows, cells in ((left, idx[in_left], to_left),
-                                  (right, idx[~in_left], ~to_left)):
-            at = cells.ravel().nonzero()[0]
+        to_left = None
+        for side, rows, is_left in ((left, idx[in_left], True),
+                                    (right, idx[~in_left], False)):
+            if rows.size < 2 * min_leaf:  # never scanned: no sorted arrays
+                side[node_id] = new_node(rows)
+                continue
+            if to_left is None:
+                to_left = goes[order]
+            at = (to_left if is_left else ~to_left).ravel().nonzero()[0]
             side[node_id] = new_node(rows, order.take(at).reshape(d, -1),
                                      codes.take(at).reshape(d, -1))
 
@@ -317,8 +356,9 @@ def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
 
 def _memo_key(X: np.ndarray, y: np.ndarray, params: BoostParams) -> str:
     """Digest of everything a fit depends on except ``max_leaves``."""
-    rest = {k: v for k, v in params.to_dict().items() if k != "max_leaves"}
-    digest = hashlib.sha256(repr((X.shape, sorted(rest.items()))).encode())
+    rest = sorted((f.name, getattr(params, f.name)) for f in fields(params)
+                  if f.name != "max_leaves")
+    digest = hashlib.sha256(repr((X.shape, rest)).encode())
     for a in (X, y):
         digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
@@ -329,20 +369,25 @@ def _boost(codes, y, params: BoostParams, base_score: float) -> _Grown:
     # sorted once per fit
     order = np.argsort(codes.T, axis=1, kind="stable")
     sorted_codes = np.take_along_axis(codes.T, order, axis=1)
-    raw = np.full(codes.shape[0], base_score)
+    n = codes.shape[0]
+    raw = np.full(n, base_score)
     p = sigmoid(raw)
-    gh = np.empty((2, raw.size))  # each round's gradients and hessians
+    q = 1.0 - p
+    is_pos = y == 1
+    gh = np.empty(n, dtype=complex)  # each round's gradients + 1j * hessians
     trees, losses = [], []
     capped = False
     for _ in range(params.n_trees):
-        np.subtract(p, y, out=gh[0])
-        np.multiply(p, 1.0 - p, out=gh[1])
+        np.subtract(p, y, out=gh.real)
+        np.multiply(p, q, out=gh.imag)
         tree, stopped, out = _grow_tree(gh, params, order, sorted_codes)
         capped = capped or stopped
         trees.append(tree)
         raw += params.learning_rate * out
         p = sigmoid(raw)  # this round's loss and the next round's gradients
-        losses.append(log_loss(y, p))
+        q = 1.0 - p
+        # log_loss(y, p) bit for bit: y is 0/1 and sigmoid has clipped p
+        losses.append(-float(np.log(np.where(is_pos, p, q)).sum() / n))
     widest = max(int(np.sum(t.feature < 0)) for t in trees)
     return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,
                   widest=widest, capped=capped)

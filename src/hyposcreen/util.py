@@ -38,13 +38,23 @@ def child_seed(master: int, *keys) -> int:
 
 
 def expit(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, unclipped for exact gradients."""
+    """Numerically stable logistic function, unclipped for exact gradients.
+
+    With ``e = exp(-|z|)`` it is ``1 / (1 + e)`` where ``z >= 0`` and
+    ``e / (1 + e)`` elsewhere: ``exp`` never sees a positive argument, so
+    nothing overflows, and each element takes the same operations on the
+    same operands as ``1 / (1 + exp(-z))`` and ``exp(z) / (1 + exp(z))``
+    taken apart on the two signs, bit for bit.  ``-|z|`` is taken as
+    ``minimum(z, -z)``, which keeps a NaN's sign.  An ``exp`` that rounds to
+    a subnormal or to 0 is the correctly rounded value, so its underflow is
+    not signalled.  Returns an ndarray of ``z``'s shape, 0-d included.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    with np.errstate(under="ignore"):
+        e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e  # in place: a 0-d quotient would otherwise be a numpy scalar
     return out
 
 

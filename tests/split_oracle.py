@@ -3,17 +3,22 @@
 ``best_split_oracle`` is the full-histogram split search, the reference for
 the presorted row scan (``histboost._scan_node``): it scans every (feature,
 bin) of one node's gradient, hessian and count histograms, as the booster did
-before it scanned the node's rows.  ``grow_tree_oracle`` and ``boost_oracle``
-are the tree growth and round loop as they were before the booster shared one
-sigmoid per round and one gradient-hessian buffer across rounds, the
-reference for ``histboost._grow_tree`` and ``histboost._boost``."""
+before it scanned the node's rows.  ``scan_node_oracle`` is the row scan on
+two float lanes, gradients and hessians apart, with the candidates' flat
+positions mapped to prefix positions by arithmetic: the bit-for-bit reference
+for the complex scan.  ``grow_tree_oracle`` and ``boost_oracle`` are the tree
+growth and round loop as they were before the booster shared one sigmoid per
+round and one gradient-hessian buffer across rounds, built every child's
+sorted arrays and took the loss from ``log_loss``: the reference for
+``histboost._grow_tree`` and ``histboost._boost``.  No oracle calls the
+booster's own scan."""
 
 import heapq
 import itertools
 
 import numpy as np
 
-from hyposcreen.model.histboost import L2_LEAF, Tree, _scan_node, build_histograms
+from hyposcreen.model.histboost import L2_LEAF, Tree, build_histograms
 from hyposcreen.util import log_loss, sigmoid
 
 
@@ -53,6 +58,30 @@ def best_split_oracle(binned, idx, g, h, n_bins, min_leaf):
     return float(gain.flat[pos]), int(f), int(b)
 
 
+def scan_node_oracle(gh, order, codes, gt, ht, min_leaf):
+    """``(gain, feature, n_left)`` of the best split of a node with ``k >=
+    2 * min_leaf`` rows, or None, as ``histboost._scan_node`` returns it;
+    ``gh`` stacks the gradients and hessians as two float rows, shape
+    (2, n)."""
+    k = order.shape[1]
+    lo, hi = min_leaf - 1, k - min_leaf
+    edge = np.flatnonzero(codes[:, lo:hi] != codes[:, lo + 1:hi + 1])
+    if not edge.size:
+        return None
+    f_of = edge // (hi - lo)
+    at = edge + lo * (f_of + 1)
+    GL, HL = np.cumsum(gh[:, order[:, :hi]], axis=2).reshape(2, -1)[:, at]
+    gain = 0.5 * (GL * GL / (HL + L2_LEAF)
+                  + (gt - GL) ** 2 / (ht - HL + L2_LEAF)
+                  - gt * gt / (ht + L2_LEAF))
+    top = gain.max()
+    if not top > 0.0:
+        return None
+    first = int(np.argmax(gain >= top - 1e-12 * top))
+    f = int(f_of[first])
+    return float(gain[first]), f, int(at[first]) - f * hi + 1
+
+
 def grow_tree_oracle(g, h, params, order, codes):
     """``(tree, stopped, out)`` as ``histboost._grow_tree`` returns them, from
     the gradients ``g`` and hessians ``h`` as two arrays."""
@@ -79,7 +108,7 @@ def grow_tree_oracle(g, h, params, order, codes):
         node_id = len(feature) - 1
         leaf_rows[node_id] = idx
         if idx.size >= 2 * min_leaf:
-            best = _scan_node(gh, order, codes, gt, ht, min_leaf)
+            best = scan_node_oracle(gh, order, codes, gt, ht, min_leaf)
             if best is not None:
                 gain, f, n_left = best
                 heapq.heappush(heap, (-gain, next(tiebreak), node_id, idx,

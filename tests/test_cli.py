@@ -620,6 +620,34 @@ def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
                  "--out", str(tmp_path / "b.csv")]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("selection", "improvement_eps", float("nan")),
+    ("selection", "improvement_eps", float("inf")),
+    ("selection", "improvement_eps", float("-inf")),
+    ("selection", "improvement_eps", -5.0),
+    ("smote", "k_neighbors", 0),
+    ("smote", "k_neighbors", -3),
+], ids=["eps-nan", "eps-inf", "eps-minus-inf", "eps-negative", "k-zero",
+        "k-negative"])
+def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
+        sim_table, tmp_path, capsys, section, key, value):
+    # each of these trained and exited 0 when only the component that reads
+    # the setting checked it (boost_rfe kept every feature; SMOTE never ran on
+    # the balanced table)
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["selection"] = {"method": "boost_rfe", "n_target": 2}
+    doc[section][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))  # NaN and Infinity literals, as json reads them
+    out = tmp_path / "model.json"
+    rc = main(["train", "--features", sim_table, "--config", str(config),
+               "--out", str(out), "--seed", "1"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DataError" and f"{section}.{key}" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid_text, message", [
     (None, "grid file not found"),
     ("[{\"scaler\": ", "grid is not valid JSON"),

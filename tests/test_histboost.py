@@ -24,7 +24,13 @@ from hyposcreen.model.histboost import (
 )
 from hyposcreen.util import log_loss, sigmoid
 
-from split_oracle import best_split_oracle, bin_counts, boost_oracle, grow_tree_oracle
+from split_oracle import (
+    best_split_oracle,
+    bin_counts,
+    boost_oracle,
+    grow_tree_oracle,
+    scan_node_oracle,
+)
 
 
 # --- binning -------------------------------------------------------------------
@@ -233,6 +239,14 @@ def _presorted(binned, rows=None):
     return order, np.take_along_axis(binned.T, order, axis=1)
 
 
+def _lanes(g, h):
+    """The booster's gradient-hessian vector: ``g`` in the real part and
+    ``h`` in the imaginary part, each copied exactly."""
+    gh = np.empty(g.shape, dtype=complex)
+    gh.real, gh.imag = g, h
+    return gh
+
+
 def test_row_scan_split_equals_full_histogram_scan():
     rng = np.random.default_rng(65)
     nodes = splits = at_band_edge = 0
@@ -252,7 +266,7 @@ def test_row_scan_split_equals_full_histogram_scan():
         else:
             p = rng.uniform(0.02, 0.98, size=n)
             g, h = p - (rng.random(n) < p), p * (1.0 - p)
-        gh = np.stack((g, h))
+        gh = _lanes(g, h)
         for _ in range(10):
             k = int(rng.integers(2, n + 1))
             rows = np.sort(rng.choice(n, size=k, replace=False))
@@ -275,6 +289,52 @@ def test_row_scan_split_equals_full_histogram_scan():
             assert np.count_nonzero(binned[rows, f] <= want[2]) == n_left
             assert math.isclose(gain, want[0], rel_tol=1e-12)
     assert splits >= 300 and at_band_edge >= 50
+
+
+def test_complex_scan_equals_the_two_float_lane_scan_bit_for_bit():
+    # one cumsum of g + 1j * h adds each lane in the float scan's order, so
+    # every prefix, gain, tie and split position must be the same
+    rng = np.random.default_rng(67)
+    kinds = dict.fromkeys(("split", "band_edge", "ties", "no_candidate",
+                           "no_gain"), 0)
+    for t in range(1500):
+        k = int(rng.integers(2, 300))
+        d = int(rng.integers(1, 9))
+        n = k + int(rng.integers(0, 50))
+        levels = 2 if t % 4 == 0 else int(rng.integers(2, 256))  # heavy ties
+        binned = rng.integers(0, levels, size=(n, d))
+        if t % 7 == 0:
+            binned[:] = binned[0]                    # one code: no candidate
+        if t % 4 == 1:                               # two-valued gradients
+            y = (rng.random(n) < 0.4).astype(float)
+            p0 = float(rng.uniform(0.2, 0.8))
+            g, h = p0 - y, np.full(n, p0 * (1.0 - p0))
+        else:
+            p = rng.uniform(0.02, 0.98, size=n)
+            g, h = p - (rng.random(n) < p), p * (1.0 - p)
+        if t % 9 == 0:
+            g[:] = 0.0                               # every gain 0: no split
+        rows = np.sort(rng.choice(n, size=k, replace=False))
+        min_leaf = int(rng.integers(1, k // 2 + 1))
+        if t % 5 == 0:                               # both band edges at once
+            min_leaf = k // 2
+            rows = rows[:2 * min_leaf]
+        order, codes = _presorted(binned, rows)
+        gt, ht = float(np.sum(g[rows])), float(np.sum(h[rows]))
+        got = histboost._scan_node(_lanes(g, h), order, codes, gt, ht, min_leaf)
+        want = scan_node_oracle(np.stack((g, h)), order, codes, gt, ht, min_leaf)
+        assert got == want
+        if got is not None:
+            assert got[0].hex() == want[0].hex()
+            kinds["split"] += 1
+        elif (codes[:, min_leaf - 1:rows.size - min_leaf]
+              == codes[:, min_leaf:rows.size - min_leaf + 1]).all():
+            kinds["no_candidate"] += 1
+        else:
+            kinds["no_gain"] += 1
+        kinds["band_edge"] += rows.size == 2 * min_leaf
+        kinds["ties"] += levels == 2
+    assert kinds["split"] >= 800 and min(kinds.values()) >= 150, kinds
 
 
 def test_tree_zero_stump_takes_the_lowest_of_tied_splits():
@@ -355,7 +415,7 @@ def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
         g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
         params = BoostParams(max_leaves=int(rng.integers(2, 40)),
                              min_samples_leaf=int(rng.integers(1, 12)))
-        tree, _, out = histboost._grow_tree(np.stack((g, h)), params,
+        tree, _, out = histboost._grow_tree(_lanes(g, h), params,
                                             *_presorted(binned))
         assert np.array_equal(out, histboost._tree_outputs(tree, binned))
 
@@ -367,8 +427,11 @@ def _tree_bytes(tree):
 
 def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
     # _boost shares one sigmoid between a round's loss and the next round's
-    # gradients and writes them into one (2, n) buffer; _grow_tree sums a
-    # node's totals from it in one take.  The oracle is the loop before that.
+    # gradients, writes them into one complex buffer and takes the loss from
+    # log(where(y == 1, p, 1 - p)); _grow_tree sums a node's totals from the
+    # buffer's two lanes, scans with one complex prefix sum and builds no
+    # sorted arrays for a child too small to split.  The oracle is the loop
+    # before that, with the float two-lane scan.
     rng = np.random.default_rng(66)
     fits = capped = uncapped = tied = at_band_edge = 0
     while fits < 48:
@@ -398,7 +461,7 @@ def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
         p0 = float(rng.uniform(0.2, 0.8))
         g, h = p0 - y, np.full(n, p0 * (1.0 - p0))
         presorted = _presorted(codes)
-        tree, stop, out = histboost._grow_tree(np.stack((g, h)), params, *presorted)
+        tree, stop, out = histboost._grow_tree(_lanes(g, h), params, *presorted)
         want, want_stop, want_out = grow_tree_oracle(g, h, params, *presorted)
         assert _tree_bytes(tree) == _tree_bytes(want)
         assert stop == want_stop and out.tobytes() == want_out.tobytes()

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyposcreen.parallel import ENV_VAR, parallel_map, worker_count
-from hyposcreen.util import child_seed, log_loss, sigmoid
+from hyposcreen.util import child_seed, expit, log_loss, sigmoid
 
 
 def test_child_seed_is_pure():
@@ -43,6 +43,41 @@ def test_sigmoid_matches_closed_form_and_stays_open():
     # extremes clip to the open-interval bounds instead of reaching 0/1
     assert p[0] == 1e-15
     assert p[-1] == 1.0 - 1e-15
+
+
+def _masked_expit(z):
+    """The logistic function taken apart on the two signs with boolean
+    masks: the reference ``expit`` must equal bit for bit."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_expit_equals_the_masked_form_bit_for_bit():
+    special = [0.0, 1e-300, 1.0, 36.0, 709.0, 800.0, np.inf, np.nan]
+    z = np.array(special + [-v for v in special])
+    z = np.concatenate([z, np.random.default_rng(68).normal(scale=20.0, size=10_000)])
+    with np.errstate(under="ignore"):
+        want = _masked_expit(z)
+    assert expit(z).tobytes() == want.tobytes()
+    assert expit(np.array([-0.0]))[0] == 0.5 and math.isnan(expit(np.nan))
+
+
+def test_expit_keeps_the_shape_and_raises_nothing():
+    z = np.array([-800.0, -709.0, -36.0, -1e-300, -0.0, 0.0, 36.0, 709.0, 800.0,
+                  np.inf, -np.inf, np.nan])
+    with np.errstate(all="raise"):
+        for a in (z[3], z.reshape(3, 4), z, 2.5, [[1.0, -1.0]]):
+            got = expit(a)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(a)
+            assert got.dtype == np.float64
+            with np.errstate(under="ignore"):
+                want = _masked_expit(a)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_log_loss_hand_value():
