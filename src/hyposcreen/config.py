@@ -110,6 +110,10 @@ class PipelineConfig:
             raise DataError("threshold must be in [0, 1]")
         if self.selection.n_target < 1:
             raise DataError("selection.n_target must be >= 1")
+        for key, folds in (("selection.inner_folds", self.selection.inner_folds),
+                           ("ensemble.inner_folds", self.ensemble.inner_folds)):
+            if folds < 2:
+                raise DataError(f"{key} must be >= 2, got {folds}")
         if not self.selection.improvement_eps >= 0.0:
             raise DataError("selection.improvement_eps must be >= 0")
         if self.smote.k_neighbors < 1:

@@ -49,7 +49,24 @@ model grown on other data, and a fit the memo serves bins nothing but its
 thresholds.  A served model shares the grown model's ``Tree`` objects, and
 its thresholds are fit on the same matrix, so it predicts every row exactly
 as the grown model does: a caller may predict some rows once per grown model
-and reuse that prediction for every fit the memo served from it.
+and reuse that prediction for every fit the memo served from it.  The same
+digest keys one more memo entry per (matrix, ``max_bins``): the binned codes
+in each feature's stable row order, which depend on nothing else, so the
+fits grown on one matrix bin and sort it once between them.
+
+``predict_raw`` walks all of a model's trees at once.  The trees are packed
+into one node table with node ids that run on from tree to tree, in which a
+leaf is its own child; every (tree, row) pair then takes the same number of
+steps, the depth of the deepest tree, each a gather of the node's feature
+and split bin, a compare, and a gather of the child.  The walk runs over
+blocks of at most ``WALK_PAIRS`` pairs, so its arrays stay small at any row
+count, and the tree outputs are added to the margins in tree order, so every
+margin has the bits of a tree-by-tree walk.  A grown model's trees are
+packed once, for every fit the memo serves from them.  A loaded model's
+trees are packed on load and checked first (children in range, every node
+reached exactly once from the root, leaves without children), so a
+malformed artifact raises :class:`ArtifactError` instead of reading out of
+range or walking a cycle.
 """
 
 from __future__ import annotations
@@ -57,7 +74,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +84,7 @@ from .binning import BinMapper, bin_matrix, fit_bins
 
 SCHEMA_VERSION = 1
 L2_LEAF = 1.0  # ridge penalty on leaf values
+WALK_PAIRS = 1 << 16  # (tree, row) pairs a prediction walks at once
 
 
 @dataclass
@@ -145,6 +163,13 @@ class BoostedModel:
     trees: list
     train_loss: list
     n_features: int
+    _nodes: "_NodeTable | None" = field(default=None, init=False, repr=False)
+
+    def nodes(self) -> "_NodeTable":
+        """The trees as one node table, packed on first use."""
+        if self._nodes is None:
+            self._nodes = _node_table(self.trees)
+        return self._nodes
 
     def to_dict(self) -> dict:
         return {
@@ -164,12 +189,100 @@ class BoostedModel:
             raise ArtifactError(f"unsupported schema_version {d.get('schema_version')!r}")
         if d.get("kind") != "histgbm":
             raise ArtifactError(f"unexpected model kind {d.get('kind')!r}")
-        return cls(params=BoostParams.from_dict(d["params"]),
-                   mapper=BinMapper.from_dict(d["bins"]),
-                   base_score=float(d["base_score"]),
-                   trees=[Tree.from_dict(t) for t in d["trees"]],
-                   train_loss=[float(v) for v in d["train_loss"]],
-                   n_features=int(d["n_features"]))
+        model = cls(params=BoostParams.from_dict(d["params"]),
+                    mapper=BinMapper.from_dict(d["bins"]),
+                    base_score=float(d["base_score"]),
+                    trees=[Tree.from_dict(t) for t in d["trees"]],
+                    train_loss=[float(v) for v in d["train_loss"]],
+                    n_features=int(d["n_features"]))
+        # checked on load: a malformed tree fails here, not on its first walk
+        model._nodes = _node_table(model.trees, len(model.mapper.thresholds))
+        return model
+
+
+@dataclass(frozen=True)
+class _NodeTable:
+    """A model's trees as one node table, node ids running on from tree to
+    tree.  ``children[2 * i]`` and ``children[2 * i + 1]`` are node ``i``'s
+    left and right child; a leaf is its own two children and reads feature
+    0, so a walk that has reached a leaf stays there and every (tree, row)
+    pair can take ``depth`` steps with no test for leaves."""
+
+    roots: np.ndarray      # (trees,) each tree's root
+    feature: np.ndarray    # (nodes,)
+    split_bin: np.ndarray  # (nodes,)
+    children: np.ndarray   # (2 * nodes,)
+    value: np.ndarray      # (nodes,)
+    depth: int             # edges on the longest root-to-leaf path
+
+
+def _node_table(trees: list, width: int | None = None) -> _NodeTable:
+    """Pack ``trees`` into one node table.
+
+    Trees the booster grew are packed as they are.  Trees read from an
+    artifact come with the ``width`` of the binned rows and are checked
+    first: each tree's arrays agree in length, an internal node splits on
+    one of the ``width`` features and has both children in range, a leaf has
+    no children, and every node is reached exactly once from the root.  A
+    tree that fails raises :class:`ArtifactError`, so no walk reads out of
+    range or follows a cycle."""
+    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+    if width is not None:
+        for i, t in enumerate(trees):
+            n = (int(sizes[i]),)
+            if not n[0] or any(a.shape != n for a in (t.feature, t.split_bin, t.left,
+                                                      t.right, t.value, t.cover)):
+                raise ArtifactError(f"tree {i}: node arrays are empty or differ in length")
+
+    def cat(name):
+        return np.concatenate([getattr(t, name) for t in trees]
+                              + [np.empty(0, dtype=np.int64)])
+
+    feature, left, right = cat("feature"), cat("left"), cat("right")
+    roots = sizes.cumsum() - sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    start = roots[owner]
+    internal = feature >= 0
+    ids = np.arange(feature.size)
+
+    def fail(where, what):
+        i = int(where.nonzero()[0][0])
+        raise ArtifactError(f"tree {owner[i]}: node {i - start[i]} {what}")
+
+    if width is not None:
+        in_range = ((left >= 0) & (left < sizes[owner])
+                    & (right >= 0) & (right < sizes[owner]))
+        if (internal & ~in_range).any():
+            fail(internal & ~in_range, "has a child index out of range")
+        if (~internal & ((left != -1) | (right != -1))).any():
+            fail(~internal & ((left != -1) | (right != -1)), "is a leaf with children")
+        if (feature >= width).any():
+            fail(feature >= width, f"splits on a feature outside the model's {width}")
+    left = np.where(internal, left + start, ids)
+    right = np.where(internal, right + start, ids)
+    if width is not None:
+        # one parent for every node, a root's being its tree: then the walk
+        # below visits no node twice, and it must still reach them all
+        parents = np.bincount(np.concatenate((roots, left[internal], right[internal])),
+                              minlength=feature.size)
+        if (parents != 1).any():
+            fail(parents != 1, "is not reached exactly once from the root")
+    reached = np.zeros(feature.size, dtype=bool)
+    reached[roots] = True
+    depth, front = 0, roots
+    while True:
+        front = front[internal[front]]
+        if not front.size:
+            break
+        front = np.concatenate((left[front], right[front]))
+        reached[front] = True
+        depth += 1
+    if width is not None and not reached.all():
+        fail(~reached, "is not reached from the root")
+    return _NodeTable(roots=roots, feature=np.where(internal, feature, 0),
+                      split_bin=cat("split_bin"),
+                      children=np.stack((left, right), axis=1).ravel(),
+                      value=cat("value"), depth=depth)
 
 
 def build_histograms(binned: np.ndarray, idx: np.ndarray, g: np.ndarray,
@@ -203,6 +316,7 @@ class _Grown:
     cap: int
     widest: int
     capped: bool
+    nodes: _NodeTable  # the trees packed once for every model they serve
 
     def serves(self, cap: int) -> bool:
         return self.widest <= cap and (not self.capped or cap <= self.cap)
@@ -252,7 +366,7 @@ def _scan_node(gh, order, codes, gt: float, ht: float, min_leaf: int):
     gain += r
     gain -= gt * gt / (ht + L2_LEAF)
     gain *= 0.5
-    top = gain.max()
+    top = np.maximum.reduce(gain)  # gain.max() without its Python wrapper
     if not top > 0.0:
         return None
     first = int((gain >= top - 1e-12 * top).argmax())
@@ -284,10 +398,11 @@ def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
         split_bin.append(-1)
         left.append(-1)
         right.append(-1)
-        # a float sum per lane, not a complex sum (see the module docstring)
+        # a float sum per lane, not a complex sum (see the module docstring),
+        # by the reduce that .sum() calls, without its Python wrapper
         node_gh = gh.take(idx)
-        gt = float(node_gh.real.sum())
-        ht = float(node_gh.imag.sum())
+        gt = float(np.add.reduce(node_gh.real))
+        ht = float(np.add.reduce(node_gh.imag))
         denom = ht + L2_LEAF
         value.append(0.0 if denom <= 0.0 else -gt / denom)
         cover.append(int(idx.size))
@@ -337,39 +452,32 @@ def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
     return tree, bool(heap), out
 
 
-def _tree_outputs(tree: Tree, binned: np.ndarray) -> np.ndarray:
-    """Each row's leaf value; only nodes that some row reaches are visited."""
-    out = np.empty(binned.shape[0])
-    stack = [(0, np.arange(binned.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if tree.feature[node] < 0:
-            out[idx] = tree.value[node]
-            continue
-        go_left = binned[idx, tree.feature[node]] <= tree.split_bin[node]
-        for child, rows in ((tree.left[node], idx[go_left]),
-                            (tree.right[node], idx[~go_left])):
-            if rows.size:
-                stack.append((int(child), rows))
-    return out
+def _memo_keys(X: np.ndarray, y: np.ndarray, params: BoostParams) -> tuple:
+    """The memo keys of a fit's model and of its matrix's presorted codes,
+    from one digest: the codes are keyed on ``X`` and ``max_bins``, the model
+    on ``X``, ``y`` and every parameter but ``max_leaves``."""
+    digest = hashlib.sha256(repr(X.shape).encode())
+    digest.update(np.ascontiguousarray(X).tobytes())
+    codes_key = (digest.hexdigest(), params.max_bins)
+    digest.update(np.ascontiguousarray(y).tobytes())
+    rest = tuple(sorted((f.name, getattr(params, f.name)) for f in fields(params)
+                        if f.name != "max_leaves"))
+    return (digest.hexdigest(), rest), codes_key
 
 
-def _memo_key(X: np.ndarray, y: np.ndarray, params: BoostParams) -> str:
-    """Digest of everything a fit depends on except ``max_leaves``."""
-    rest = sorted((f.name, getattr(params, f.name)) for f in fields(params)
-                  if f.name != "max_leaves")
-    digest = hashlib.sha256(repr((X.shape, rest)).encode())
-    for a in (X, y):
-        digest.update(np.ascontiguousarray(a).tobytes())
-    return digest.hexdigest()
-
-
-def _boost(codes, y, params: BoostParams, base_score: float) -> _Grown:
-    # the codes are the same for every tree, so each feature's row order is
-    # sorted once per fit
+def _presort(codes: np.ndarray) -> tuple:
+    """Each feature's stable row order by bin code, shape (d, n), and the
+    codes in that order: what every tree of every fit on ``codes`` grows
+    from."""
     order = np.argsort(codes.T, axis=1, kind="stable")
-    sorted_codes = np.take_along_axis(codes.T, order, axis=1)
-    n = codes.shape[0]
+    return order, np.take_along_axis(codes.T, order, axis=1)
+
+
+def _boost(presorted: tuple, y, params: BoostParams, base_score: float) -> _Grown:
+    """Grow ``params.n_trees`` trees from ``_presort``'s ``(order, codes)``
+    of the binned training matrix."""
+    order, sorted_codes = presorted
+    n = order.shape[1]
     raw = np.full(n, base_score)
     p = sigmoid(raw)
     q = 1.0 - p
@@ -388,9 +496,9 @@ def _boost(codes, y, params: BoostParams, base_score: float) -> _Grown:
         q = 1.0 - p
         # log_loss(y, p) bit for bit: y is 0/1 and sigmoid has clipped p
         losses.append(-float(np.log(np.where(is_pos, p, q)).sum() / n))
-    widest = max(int(np.sum(t.feature < 0)) for t in trees)
+    widest = max(np.count_nonzero(t.feature < 0) for t in trees)
     return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,
-                  widest=widest, capped=capped)
+                  widest=widest, capped=capped, nodes=_node_table(trees))
 
 
 def fit_histgbm(X, y, params: BoostParams | None = None,
@@ -399,9 +507,10 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
 
     ``memo`` is a dict the caller owns and passes to every fit whose model
     may be reused; it maps a digest of the data and parameters to the models
-    grown under it (see the module docstring).  The returned model always
-    carries this call's ``params`` and bin thresholds.  A label outside
-    {0, 1} or a non-finite cell raises :class:`OutOfRange`.
+    grown under it, and a digest of the matrix and ``max_bins`` to the
+    presorted codes they grew from (see the module docstring).  The returned
+    model always carries this call's ``params`` and bin thresholds.  A label
+    outside {0, 1} or a non-finite cell raises :class:`OutOfRange`.
     """
     params = params or BoostParams()
     params.validate()
@@ -412,30 +521,59 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
     if X.shape[0] != y.shape[0]:
         raise DataError("row count of X and y differ")
     require_binary(y)
-    if np.unique(y).size < 2:
+    if y.min() == y.max():
         raise SingleClass()
 
     mapper = fit_bins(X, params.max_bins)
     p_mean = float(np.mean(y))
     base_score = float(np.log(p_mean / (1.0 - p_mean)))
 
-    grown_here = ([] if memo is None
-                  else memo.setdefault(_memo_key(X, y, params), []))
+    memo = {} if memo is None else memo
+    model_key, codes_key = _memo_keys(X, y, params)
+    grown_here = memo.setdefault(model_key, [])
     grown = next((e for e in grown_here if e.serves(params.max_leaves)), None)
     if grown is None:
-        grown = _boost(bin_matrix(mapper, X), y, params, base_score)
+        if codes_key not in memo:
+            memo[codes_key] = _presort(bin_matrix(mapper, X))
+        grown = _boost(memo[codes_key], y, params, base_score)
         grown_here.append(grown)
-    return BoostedModel(params=params, mapper=mapper, base_score=base_score,
-                        trees=list(grown.trees), train_loss=list(grown.losses),
-                        n_features=X.shape[1])
+    model = BoostedModel(params=params, mapper=mapper, base_score=base_score,
+                         trees=list(grown.trees), train_loss=list(grown.losses),
+                         n_features=X.shape[1])
+    model._nodes = grown.nodes
+    return model
 
 
 def predict_raw(model: BoostedModel, X) -> np.ndarray:
-    """base_score plus the learning-rate-scaled sum of tree outputs."""
-    binned = bin_matrix(model.mapper, X).astype(np.int64)
-    raw = np.full(binned.shape[0], model.base_score)
-    for tree in model.trees:
-        raw += model.params.learning_rate * _tree_outputs(tree, binned)
+    """base_score plus the learning-rate-scaled sum of tree outputs.
+
+    Every tree is walked at once over blocks of at most ``WALK_PAIRS``
+    (tree, row) pairs: ``depth`` rounds of gathering each pair's node
+    feature and split bin, comparing the row's code, and gathering the child
+    (see ``_NodeTable``).  The outputs are then added to ``base_score`` in
+    tree order by ``np.add.accumulate``, which adds row after row, so every
+    margin has the bits of a loop of ``raw += lr * out`` over the trees.
+    """
+    codes = bin_matrix(model.mapper, X)
+    n, d = codes.shape
+    nodes = model.nodes()
+    flat = codes.ravel()
+    raw = np.empty(n)
+    step = max(1, WALK_PAIRS // max(1, nodes.roots.size))
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        row_at = np.arange(r0 * d, r1 * d, d)  # each row's first code in flat
+        node = np.repeat(nodes.roots[:, None], r1 - r0, axis=1)  # (trees, rows)
+        for _ in range(nodes.depth):
+            code = flat.take(nodes.feature.take(node) + row_at)
+            go_right = code > nodes.split_bin.take(node)
+            node *= 2
+            node += go_right
+            node = nodes.children.take(node)
+        terms = np.empty((node.shape[0] + 1, r1 - r0))
+        terms[0] = model.base_score
+        np.multiply(model.params.learning_rate, nodes.value.take(node), out=terms[1:])
+        raw[r0:r1] = np.add.accumulate(terms, axis=0)[-1]
     return raw
 
 

@@ -10,14 +10,18 @@ for the complex scan.  ``grow_tree_oracle`` and ``boost_oracle`` are the tree
 growth and round loop as they were before the booster shared one sigmoid per
 round and one gradient-hessian buffer across rounds, built every child's
 sorted arrays and took the loss from ``log_loss``: the reference for
-``histboost._grow_tree`` and ``histboost._boost``.  No oracle calls the
-booster's own scan."""
+``histboost._grow_tree`` and ``histboost._boost``.  ``tree_outputs`` and
+``predict_raw_oracle`` are the prediction as it was before every tree was
+walked at once: one tree at a time, node by node, each node splitting the
+rows that reach it; the reference for ``histboost.predict_raw``.  No oracle
+calls the booster's own scan or walk."""
 
 import heapq
 import itertools
 
 import numpy as np
 
+from hyposcreen.model.binning import bin_matrix
 from hyposcreen.model.histboost import L2_LEAF, Tree, build_histograms
 from hyposcreen.util import log_loss, sigmoid
 
@@ -164,3 +168,29 @@ def boost_oracle(codes, y, params, base_score):
         raw = raw + params.learning_rate * out
         losses.append(log_loss(y, sigmoid(raw)))
     return trees, losses, capped
+
+
+def tree_outputs(tree, binned):
+    """Each row's leaf value; only nodes that some row reaches are visited."""
+    out = np.empty(binned.shape[0])
+    stack = [(0, np.arange(binned.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        go_left = binned[idx, tree.feature[node]] <= tree.split_bin[node]
+        for child, rows in ((tree.left[node], idx[go_left]),
+                            (tree.right[node], idx[~go_left])):
+            if rows.size:
+                stack.append((int(child), rows))
+    return out
+
+
+def predict_raw_oracle(model, X):
+    """``histboost.predict_raw`` tree by tree: ``raw += lr * out`` per tree."""
+    binned = bin_matrix(model.mapper, X).astype(np.int64)
+    raw = np.full(binned.shape[0], model.base_score)
+    for tree in model.trees:
+        raw += model.params.learning_rate * tree_outputs(tree, binned)
+    return raw

@@ -109,6 +109,34 @@ def test_train_then_predict_matches_in_process_pipeline(sim_table, tmp_path,
                           expected)
 
 
+@pytest.mark.parametrize("child, value, message", [
+    ("right", lambda n: n + 5, "has a child index out of range"),
+    ("left", lambda n: 0, "is not reached exactly once from the root"),
+], ids=["child-out-of-range", "root-is-its-own-left-child"])
+def test_predict_rejects_an_artifact_with_a_malformed_tree(
+        sim_table, tmp_path, fast_config_path, capsys, child, value, message):
+    # unchecked, the first reads past its tree (an IndexError, exit 4) and the
+    # second walks from the root back to the root forever
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config", fast_config_path,
+                 "--out", str(model_path), "--seed", "5"]) == 0
+    doc = json.loads(model_path.read_text())
+    trees = doc["base_models"][0]["trees"]
+    t = next(i for i, tree in enumerate(trees) if tree["feature"][0] >= 0)
+    trees[t][child][0] = value(len(trees[t]["feature"]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "preds.csv"
+    rc = main(["predict", "--model", str(bad), "--features", sim_table,
+               "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ArtifactError"
+    assert f"tree {t}: node 0 {message}" in err["message"]
+    assert not out.exists()
+
+
 def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
         sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
     def train(name):
@@ -627,15 +655,23 @@ def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
     ("selection", "improvement_eps", -5.0),
     ("smote", "k_neighbors", 0),
     ("smote", "k_neighbors", -3),
+    ("selection", "inner_folds", 0),
+    ("selection", "inner_folds", 1),
+    ("ensemble", "inner_folds", 0),
+    ("ensemble", "inner_folds", 1),
 ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "eps-negative", "k-zero",
-        "k-negative"])
+        "k-negative", "selection-folds-zero", "selection-folds-one",
+        "ensemble-folds-zero", "ensemble-folds-one"])
 def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
         sim_table, tmp_path, capsys, section, key, value):
     # each of these trained and exited 0 when only the component that reads
     # the setting checked it (boost_rfe kept every feature; SMOTE never ran on
-    # the balanced table)
+    # the balanced table), or failed only once training ran without naming
+    # the key (ensemble.inner_folds 1); selection.inner_folds is tested with
+    # lr_coef, which never reads it
     doc = json.loads(json.dumps(FAST_CONFIG))
-    doc["selection"] = {"method": "boost_rfe", "n_target": 2}
+    doc["selection"] = {"method": "lr_coef" if key == "inner_folds" else "boost_rfe",
+                        "n_target": 2}
     doc[section][key] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))  # NaN and Infinity literals, as json reads them

@@ -83,8 +83,8 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
     monkeypatch.setattr(ensemble, "predict_proba",
                         lambda model, Xe: predicted.append(1) or real_predict(model, Xe))
     monkeypatch.setattr(histboost, "_boost",
-                        lambda codes, *a: grown_rows.append(codes.shape[0])
-                        or real_boost(codes, *a))
+                        lambda presorted, *a: grown_rows.append(presorted[0].shape[1])
+                        or real_boost(presorted, *a))
 
     def run():
         predicted.clear()
@@ -103,6 +103,53 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
     monkeypatch.setattr(ensemble, "fit_histgbm", own_trees)
     want_models, want_info, want_meta, want_prov = run()
     assert len(predicted) == len(grid) * 3
+    assert ([json.dumps(m.to_dict()) for m in base_models]
+            == [json.dumps(m.to_dict()) for m in want_models])
+    assert base_info == want_info
+    assert meta.weights.tobytes() == want_meta.weights.tobytes()
+    assert meta.intercept == want_meta.intercept
+    assert prov == want_prov
+
+
+def test_grown_fits_on_one_matrix_share_one_binning_and_presort(monkeypatch):
+    # candidates that differ in learning rate and leaf minimum are each grown,
+    # but those on one (matrix, max_bins) bin and presort it once between
+    # them; the reference shares nothing, not even the memo
+    X, y = _planted(seed=130, n_pos=24, n_neg=36, d=4)
+    grid = [BoostParams(n_trees=5, learning_rate=lr, max_leaves=4, min_samples_leaf=msl,
+                        max_bins=bins)
+            for lr in (0.1, 0.3) for msl in (3, 5) for bins in (255, 8)]
+    config = _stacking(grid, 3, SmoteConfig(k_neighbors=3))
+    real_fit, real_boost, real_presort, real_bin = (
+        ensemble.fit_histgbm, histboost._boost, histboost._presort, histboost.bin_matrix)
+    fitting, grown, presorted, binned = [], [], [], []
+
+    def fit(X, y, params, memo=None):
+        fitting.append((np.ascontiguousarray(X).tobytes(), params.max_bins))
+        try:
+            return real_fit(X, y, params, memo=memo)
+        finally:
+            fitting.pop()
+
+    monkeypatch.setattr(ensemble, "fit_histgbm", fit)
+    monkeypatch.setattr(histboost, "_boost",
+                        lambda *a: grown.append(fitting[-1]) or real_boost(*a))
+    monkeypatch.setattr(histboost, "_presort",
+                        lambda codes: presorted.append(fitting[-1]) or real_presort(codes))
+    monkeypatch.setattr(histboost, "bin_matrix",  # predictions bin outside any fit
+                        lambda *a: binned.append(bool(fitting)) or real_bin(*a))
+    base_models, base_info, meta, prov = fit_stacking_ensemble(X, y, config, seed=6)
+    assert presorted == list(dict.fromkeys(grown))
+    assert len(presorted) == 4 * 2  # 3 inner folds and the refit set, 2 max_bins
+    assert sum(binned) == len(presorted) < len(grown)
+
+    monkeypatch.setattr(ensemble, "fit_histgbm",
+                        lambda X, y, params, memo=None: fit(X, y, params))
+    for calls in (grown, presorted, binned):
+        calls.clear()
+    want_models, want_info, want_meta, want_prov = fit_stacking_ensemble(X, y, config,
+                                                                         seed=6)
+    assert len(grown) == len(presorted) == sum(binned) == len(grid) * 3 + 3
     assert ([json.dumps(m.to_dict()) for m in base_models]
             == [json.dumps(m.to_dict()) for m in want_models])
     assert base_info == want_info

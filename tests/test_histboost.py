@@ -15,8 +15,10 @@ from hyposcreen.errors import (
 from hyposcreen.model import histboost
 from hyposcreen.model.binning import BinMapper, bin_matrix, fit_bins
 from hyposcreen.model.histboost import (
+    WALK_PAIRS,
     BoostParams,
     BoostedModel,
+    Tree,
     build_histograms,
     fit_histgbm,
     predict_proba,
@@ -29,7 +31,9 @@ from split_oracle import (
     bin_counts,
     boost_oracle,
     grow_tree_oracle,
+    predict_raw_oracle,
     scan_node_oracle,
+    tree_outputs,
 )
 
 
@@ -407,6 +411,124 @@ def test_one_row_predictions_equal_batch_rows_bit_for_bit():
     assert predict_raw(model, X_test[:0]).shape == (0,)
 
 
+def _random_tree(rng, n_leaves, d, max_bins):
+    """A tree of ``n_leaves`` leaves, grown by splitting leaves at random,
+    with every node but the root renumbered at random: a right child is
+    seldom its left sibling + 1, and a child may come before its parent."""
+    feature, split_bin, left, right = [-1], [-1], [-1], [-1]
+    leaves = [0]
+    while len(leaves) < n_leaves:
+        node = leaves.pop(int(rng.integers(len(leaves))))
+        feature[node] = int(rng.integers(d))
+        split_bin[node] = int(rng.integers(max_bins - 1))
+        for side in (left, right):
+            side[node] = len(feature)
+            leaves.append(len(feature))
+            for a in (feature, split_bin, left, right):
+                a.append(-1)
+    n = len(feature)
+    new = np.concatenate([[0], 1 + rng.permutation(n - 1)])  # old id -> new id
+    arrays = {}
+    for name, a, is_child in (("feature", feature, False), ("split_bin", split_bin, False),
+                              ("left", left, True), ("right", right, True)):
+        a = np.array(a, dtype=np.int64)
+        if is_child:
+            a = np.where(a >= 0, new[a], -1)
+        arrays[name] = np.empty(n, dtype=np.int64)
+        arrays[name][new] = a
+    return Tree(value=rng.normal(size=n), cover=np.ones(n), **arrays)
+
+
+def test_level_walk_equals_the_per_tree_walk_bit_for_bit():
+    # predict_raw walks all trees at once in blocks of WALK_PAIRS (tree, row)
+    # pairs and adds their outputs with np.add.accumulate; the oracle walks
+    # one tree at a time and adds each tree's outputs to the margins in turn
+    rng = np.random.default_rng(68)
+    d = 4
+    X = rng.normal(size=(500, d))
+    y = (rng.random(500) < sigmoid(X[:, 0] - X[:, 2])).astype(float)
+    fitted = fit_histgbm(X, y, BoostParams(n_trees=10, max_leaves=31, min_samples_leaf=3))
+    models = [("fitted", fitted)]
+    for n_trees in (1, 10, 200):
+        for kind, leaves in (("stumps", lambda: 2), ("one-leaf", lambda: 1),
+                             ("31-leaf", lambda: 31),
+                             ("mixed", lambda: int(rng.integers(1, 32)))):
+            max_bins = int(rng.integers(2, 256))
+            models.append((f"{n_trees} {kind}", BoostedModel(
+                params=BoostParams(n_trees=n_trees, learning_rate=float(rng.uniform(0.01, 1.0))),
+                mapper=fit_bins(X, max_bins), base_score=float(rng.normal()),
+                trees=[_random_tree(rng, leaves(), d, max_bins) for _ in range(n_trees)],
+                train_loss=[], n_features=d)))
+    checked = 0
+    for name, model in models:
+        back = BoostedModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        step = WALK_PAIRS // len(model.trees)
+        for n in (0, 1, 40, 1200, step - 1, step, step + 1):
+            X_test = rng.normal(size=(n, d)) * 1.5
+            want = predict_raw_oracle(model, X_test).tobytes()
+            assert predict_raw(model, X_test).tobytes() == want, (name, n)
+            assert predict_raw(back, X_test).tobytes() == want, (name, n)
+            checked += 1
+    assert checked == 7 * len(models)
+    print(f"level walk: {len(models)} models x 7 row counts equal to the per-tree walk")
+
+
+def _model_doc(n_trees=2):
+    rng = np.random.default_rng(69)
+    X = rng.normal(size=(120, 3))
+    y = (X[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(float)
+    model = fit_histgbm(X, y, BoostParams(n_trees=n_trees, max_leaves=4, min_samples_leaf=5))
+    return json.loads(json.dumps(model.to_dict()))
+
+
+def _break(doc, tree, **arrays):
+    doc["trees"][tree].update(arrays)
+    return doc
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: {"left": [len(t["left"]) + 4] + t["left"][1:]},
+     "tree 1: node 0 has a child index out of range"),
+    (lambda t: {"right": [-3] + t["right"][1:]},
+     "tree 1: node 0 has a child index out of range"),
+    (lambda t: {"left": [0] + t["left"][1:]},
+     "tree 1: node 0 is not reached exactly once from the root"),
+    (lambda t: {"left": [t["right"][0]] + t["left"][1:]},
+     "is not reached exactly once from the root"),
+    (lambda t: {"left": t["left"][:-1] + [0]},
+     "is a leaf with children"),
+    (lambda t: {"feature": [3] + t["feature"][1:]},
+     "tree 1: node 0 splits on a feature outside the model's 3"),
+    (lambda t: {"value": t["value"][:-1]},
+     "tree 1: node arrays are empty or differ in length"),
+    (lambda t: {k: [] for k in ("feature", "split_bin", "left", "right", "value", "cover")},
+     "tree 1: node arrays are empty or differ in length"),
+], ids=["child-past-end", "negative-child", "root-is-its-own-child", "shared-child",
+        "leaf-with-child", "feature-out-of-range", "short-values", "empty-tree"])
+def test_malformed_tree_fails_on_load(change, message):
+    doc = _model_doc()
+    tree = doc["trees"][1]
+    assert tree["feature"][0] >= 0 and tree["feature"][-1] < 0
+    with pytest.raises(ArtifactError, match=message):
+        BoostedModel.from_dict(_break(doc, 1, **change(tree)))
+
+
+def test_tree_cycle_unreached_from_the_root_fails_on_load():
+    # every node has one parent, but nodes 1 and 2 are each other's child
+    doc = _model_doc()
+    doc["trees"][0] = {"feature": [0, 1, 2, -1, -1, -1, -1],
+                       "split_bin": [0, 0, 0, -1, -1, -1, -1],
+                       "left": [3, 2, 1, -1, -1, -1, -1],
+                       "right": [4, 5, 6, -1, -1, -1, -1],
+                       "value": [0.0] * 7, "cover": [1] * 7}
+    with pytest.raises(ArtifactError, match="tree 0: node 1 is not reached from the root"):
+        BoostedModel.from_dict(doc)
+    doc["trees"][0]["left"][1:3] = [5, 6]
+    doc["trees"][0]["right"][1:3] = [1, 2]  # now each is its own right child
+    with pytest.raises(ArtifactError, match="tree 0: node 1 is not reached from the root"):
+        BoostedModel.from_dict(doc)
+
+
 def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
     rng = np.random.default_rng(62)
     for t in range(30):
@@ -417,7 +539,7 @@ def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
                              min_samples_leaf=int(rng.integers(1, 12)))
         tree, _, out = histboost._grow_tree(_lanes(g, h), params,
                                             *_presorted(binned))
-        assert np.array_equal(out, histboost._tree_outputs(tree, binned))
+        assert np.array_equal(out, tree_outputs(tree, binned))
 
 
 def _tree_bytes(tree):
@@ -448,7 +570,7 @@ def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
             min_samples_leaf=int(rng.integers(1, 16)), max_bins=int(rng.integers(2, 256)))
         codes = bin_matrix(fit_bins(X, params.max_bins), X)
         base = float(np.log(y.mean() / (1.0 - y.mean())))
-        grown = histboost._boost(codes, y, params, base)
+        grown = histboost._boost(histboost._presort(codes), y, params, base)
         trees, losses, stopped = boost_oracle(codes, y, params, base)
         assert [_tree_bytes(t) for t in grown.trees] == [_tree_bytes(t) for t in trees]
         assert list(grown.losses) == losses
@@ -501,6 +623,7 @@ def test_memo_hit_bins_no_matrix(monkeypatch):
             for cap in (31, 63)]
     assert len(calls) == 1
     assert fits[0].trees == fits[1].trees
+    assert fits[0].nodes() is fits[1].nodes()  # packed once for both
 
 
 def test_training_log_loss_is_non_increasing():

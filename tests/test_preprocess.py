@@ -227,6 +227,7 @@ def test_stratified_kfold_errors():
     with pytest.raises(ClassTooSmall) as err:
         stratified_kfold(np.array([1, 0, 0, 0, 0]), 2, seed=0)
     assert err.value.count == 1
+    assert str(err.value) == "class 1 has 1 rows, fewer than k=2 folds"
     with pytest.raises(DataError):
         stratified_kfold(np.array([0, 1]), 1, seed=0)
     with pytest.raises(EmptyMatrix):
