@@ -14,6 +14,10 @@ imported on first use.  ``featurize`` never loads the model layers, and
 ``bias`` and ``project`` never load ``artifact`` or ``ensemble``.  ``predict``
 and ``explain`` load ``artifact`` and no training module (``ensemble``,
 ``select``, ``evaluate`` or ``config``).
+
+Of a feature table, ``predict`` and ``explain`` convert only the feature
+columns the artifact uses, and ``bias`` none; the other commands convert
+every column.  A cell that is not converted is not checked.
 """
 
 from __future__ import annotations
@@ -239,7 +243,7 @@ def _cmd_cv(args) -> int:
 
 def _cmd_predict(args) -> int:
     ensemble = _cli.load_ensemble(args.model)
-    ds = read_feature_table(args.features)
+    ds = read_feature_table(args.features, features=ensemble.feature_names)
     scores = _cli.ensemble_predict(ensemble, ds.X, ds.feature_names)
     write_predictions_csv(ds.participant_ids, scores, ds.y, args.out,
                           ensemble.threshold)
@@ -252,7 +256,7 @@ def _cmd_bias(args) -> int:
         raise UsageError(f"--threshold must be a number in [0, 1], "
                          f"got {args.threshold}")
     ids, scores = _read_predictions(args.preds)
-    ds = read_feature_table(args.features)
+    ds = read_feature_table(args.features, features=())
     index = {pid: i for i, pid in enumerate(ds.participant_ids)}
     rows = []
     for pid in ids:
@@ -284,7 +288,7 @@ def _cmd_explain(args) -> int:
     if args.max_rows is not None and args.max_rows < 1:
         raise UsageError(f"--max-rows must be at least 1, got {args.max_rows}")
     ensemble = _cli.load_ensemble(args.model)
-    ds = read_feature_table(args.features)
+    ds = read_feature_table(args.features, features=ensemble.feature_names)
     raw = ds.X[:, _cli.input_columns(ensemble, ds.feature_names)]
     scaled = _cli.apply_scaler(ensemble.scaler, raw)
     model = ensemble.base_models[0]  # strongest candidate by inner-CV AUROC

@@ -152,23 +152,29 @@ def write_feature_table(ds: LabeledDataset, path) -> None:
             w.writerow(row)
 
 
-_TABLE_SPEC = CsvSpec(
+_TABLE_COLUMNS = (
     (Column("participant_id", number=False, unique="feature-table row"),
      Column("label", rule=is_binary))
     + tuple(Column(c, number=c in CONTINUOUS_DEMOGRAPHICS, optional=True,
-                   blank=True) for c in DEMOGRAPHIC_COLUMNS),
-    rest=True)
+                   blank=True) for c in DEMOGRAPHIC_COLUMNS))
 
 
-def read_feature_table(path) -> LabeledDataset:
+def read_feature_table(path, features=None) -> LabeledDataset:
     """Read a feature table; columns are found by name, in any order.
 
-    Every column outside :data:`META_COLUMNS` is a feature.  A table whose
-    cells are all good but which lists a participant twice raises
-    :class:`DuplicateEntry` for the first id seen again: folds are assigned
-    by row, so one participant would sit on both sides of a split.
+    Every column outside :data:`META_COLUMNS` is a feature.  With
+    ``features``, only those feature columns are converted and checked, and
+    the dataset holds only those present, in header order; every other
+    feature column must still be in the header and reached by every row,
+    but its cells are not read.  A row wider than the header raises
+    :class:`WideRow`.  A table whose cells are all good but which lists a
+    participant twice raises :class:`DuplicateEntry` for the first id seen
+    again: folds are assigned by row, so one participant would sit on both
+    sides of a split.
     """
-    names, block, cells = read_columns(path, _TABLE_SPEC)
+    read = None if features is None else set(features)
+    spec = CsvSpec(_TABLE_COLUMNS, rest=lambda name: read is None or name in read)
+    names, block, cells = read_columns(path, spec)
     return LabeledDataset(
         feature_names=names[1:], X=np.ascontiguousarray(block[:, 1:]),
         y=block[:, 0].astype(np.int64), participant_ids=cells["participant_id"],

@@ -77,6 +77,15 @@ class EmptyFile(DataError):
         self.path = str(path)
 
 
+class WideRow(DataError):
+    def __init__(self, row, cells, width):
+        super().__init__(f"row {row} has {cells} cells, more than the "
+                         f"header's {width}")
+        self.row = row
+        self.cells = cells
+        self.width = width
+
+
 class RaggedFrame(DataError):
     def __init__(self, frame_idx, point_count):
         super().__init__(

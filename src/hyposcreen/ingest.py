@@ -35,6 +35,7 @@ from .errors import (
     OutOfRange,
     RaggedFrame,
     SchemaViolation,
+    WideRow,
 )
 
 EXPRESSIONS = ("smile", "disgust", "surprise")
@@ -213,9 +214,9 @@ class Column:
     other cells are text.  An ``optional`` column may be missing from the
     header.  A ``blank`` column reads an empty or missing cell as None.  A
     value seen twice in a ``unique`` column raises :class:`DuplicateEntry`.
-    A column that is not ``read`` must be in the header, and it counts
-    towards the ``ragged`` rule, but its cells are neither converted nor
-    checked.
+    A column that is not ``read`` must be in the header, and a row must reach
+    it as it must reach a read column, but its cells are neither converted
+    nor checked.
     """
 
     name: str
@@ -230,13 +231,17 @@ class Column:
 @dataclass(frozen=True)
 class CsvSpec:
     """A csv format: its columns in check order; with ``rest``, then every
-    header column it does not name, as a number.  ``ragged(r, present)`` is
-    the error for data row ``r`` if its width differs from the header's;
-    ``present`` says which columns the row reaches.
+    header column it does not name, as a number that is read when
+    ``rest(name)`` is true.  ``ragged(r, present)`` is the error for data
+    row ``r`` if its width differs from the header's; ``present`` says which
+    columns the row reaches.  Without ``ragged``, a row wider than the header
+    raises :class:`WideRow` before its cells are checked, and a shorter one
+    :class:`MissingCell` for the first column of the spec it does not reach
+    (a ``blank`` column it does not reach reads as None).
     """
 
     columns: tuple[Column, ...]
-    rest: bool = False
+    rest: Callable[[str], bool] | None = None
     ragged: Callable | None = None
 
 
@@ -244,11 +249,14 @@ def read_columns(path, spec: CsvSpec):
     """``(names, block, cells)``: the columns of ``spec`` in the csv at ``path``.
 
     ``block`` holds the non-blank number columns ``names``, one row per data
-    row; ``cells`` maps every other read column to its list of values.  A file
-    that :func:`_bulk_pass` declines is read by :func:`_cell_pass`, which
-    raises for the first bad cell in row order, then in spec order.  Repeats
-    in a ``unique`` column are checked after every cell.  A header that names
-    a column twice raises :class:`DuplicateEntry` before any row is read.
+    row; ``cells`` maps every other read column to its list of values.  Only
+    the read columns are converted and checked; a column that is not read is
+    only looked for in the header and in each row's width.  A file that
+    :func:`_bulk_pass` declines is read by :func:`_cell_pass`, which raises
+    for the first bad row width or cell in row order, then in spec order.
+    Repeats in a ``unique`` column are checked after every cell.  A header
+    that names a column twice raises :class:`DuplicateEntry` before any row
+    is read.
     """
     with csv_rows(path) as (header, _):
         pass
@@ -263,14 +271,18 @@ def read_columns(path, spec: CsvSpec):
     columns = [(col, pos[col.name]) for col in spec.columns if col.name in pos]
     if spec.rest:
         named = {col.name for col in spec.columns}
-        columns += [(Column(h), i) for i, h in enumerate(header) if h not in named]
-    ragged = spec.ragged and (
-        lambda r, n_cells: spec.ragged(r, [p < n_cells for _, p in columns]))
-    read = [(col, p) for col, p in columns if col.read]
-    names, block, cells = (_bulk_pass(path, header, read)
-                           or _cell_pass(path, len(header), read, ragged))
-    for col, _ in read:
-        if col.unique:
+        columns += [(Column(h, read=spec.rest(h)), i)
+                    for i, h in enumerate(header) if h not in named]
+    width = len(header)
+
+    def ragged(r, n_cells):
+        if spec.ragged:
+            return spec.ragged(r, [p < n_cells for _, p in columns])
+        return WideRow(r, n_cells, width) if n_cells > width else None
+    names, block, cells = (_bulk_pass(path, header, columns)
+                           or _cell_pass(path, width, columns, ragged))
+    for col, _ in columns:
+        if col.unique and col.read:
             seen = set()
             for value in cells[col.name]:
                 if value in seen:
@@ -289,6 +301,8 @@ def _cell(cells, r: int, col: Column, pos: int):
         if col.blank:
             return None
         raise MissingCell(r, col.name)
+    if not col.read:
+        return None
     if not col.number:
         return cells[pos]
     try:
@@ -301,29 +315,40 @@ def _cell(cells, r: int, col: Column, pos: int):
 
 
 def _cell_pass(path, width: int, columns, ragged):
-    """Cell-by-cell read of ``columns``, ``(Column, position)`` pairs;
-    ``ragged(r, n_cells)`` is the error for a row that is not ``width`` wide."""
+    """Cell-by-cell read of the read ones of ``columns``, ``(Column,
+    position)`` pairs.  ``ragged(r, n_cells)`` is the error, or None, for a
+    row that is not ``width`` wide; a short row it lets through must still
+    reach every column that is not ``blank``, checked in spec order."""
+    read = [(col, p) for col, p in columns if col.read]
     values = []
     with csv_rows(path) as (_, rows):
         for r, cells in enumerate(rows):
-            if ragged is not None and len(cells) != width:
-                raise ragged(r, len(cells))
-            values.append([_cell(cells, r, col, p) for col, p in columns])
-    picks = [j for j, (col, _) in enumerate(columns) if _in_block(col)]
+            if len(cells) != width:
+                error = ragged(r, len(cells))
+                if error is not None:
+                    raise error
+                for col, p in columns:
+                    _cell(cells, r, col, p)
+            values.append([_cell(cells, r, col, p) for col, p in read])
+    picks = [j for j, (col, _) in enumerate(read) if _in_block(col)]
     block = np.array([[row[j] for j in picks] for row in values], dtype=float)
-    return ([columns[j][0].name for j in picks],
+    return ([read[j][0].name for j in picks],
             block.reshape(len(values), len(picks)),
             {col.name: [row[j] for row in values]
-             for j, (col, _) in enumerate(columns) if not _in_block(col)})
+             for j, (col, _) in enumerate(read) if not _in_block(col)})
 
 
-# Characters whose cells numpy's parser and ``float()`` split or strip
+# Bytes whose cells numpy's parser and ``float()`` split or strip
 # differently: a quote (numpy takes it as text, csv as quoting) and the ASCII
 # file, group, record and unit separators (numpy strips them as whitespace).
-_DECLINED = '"\x1c\x1d\x1e\x1f'
+# No byte of a multi-byte UTF-8 character is one of them, or a comma.
+_DECLINED = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # np.loadtxt opens a path with one of these suffixes through a decompressor;
 # csv_rows reads every path as plain text.
 _DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+# The pre-scan reads a file in blocks of this many bytes, so that neither the
+# file nor a mask of its commas is ever held whole.
+_SCAN_BLOCK = 1 << 20
 
 
 def _bulk_pass(path, header, columns):
@@ -333,50 +358,57 @@ def _bulk_pass(path, header, columns):
     numpy converts a cell with the same correctly rounded routine as
     ``float()``, so the values are the same; it accepts fewer spellings (no
     ``1_0`` or non-ASCII digits, no whitespace-only line).  It parses only
-    the ``columns`` (``usecols``) and takes any row that reaches them, so the
-    pass first counts the commas of every line itself: like numpy, it splits
-    the decoded text on ``"\\n"`` alone and skips only empty lines.  The text
-    and blank columns go through converters that keep each cell's text as
-    csv reads it, which :func:`_cell` then checks.  The pass declines when
-    numpy raises or warns, when a line is not as wide as the header or numpy
-    returns another number of rows than the lines counted, when the file
-    holds a character of :data:`_DECLINED`, a blank line before the header
-    or a suffix numpy decompresses, or when a cell fails its column's
-    checks.
+    the read ones of ``columns`` (``usecols``) and takes any row that
+    reaches them, so the pass checks row widths from the file's bytes with
+    no pass over its lines: the first line must be the header, and the last
+    header column joins ``usecols`` under a converter that keeps nothing,
+    so numpy raises on a row that stops short of it.  Every row then holds
+    at least the header's comma count, and the file is kept only if its
+    commas total that count once for the header and once per row numpy
+    returns, so no row is wider either.  (numpy, like csv_rows, reads
+    ``"\\r\\n"`` and ``"\\r"`` as ``"\\n"``, and skips only empty lines, which
+    hold no comma.)  The text and blank columns go through converters that
+    keep each cell's text as csv reads it, which :func:`_cell` then checks.
+    The pass declines when numpy raises or warns, when the commas do not
+    add up, when the file holds a byte of :data:`_DECLINED`, a blank line
+    before the header or a suffix numpy decompresses, when no number column
+    is read, or when a cell fails its column's checks.
     """
     if Path(path).suffix in _DECOMPRESSED_SUFFIXES:
         return None
-    n_rows = 0
-    try:
-        # decoded as csv_rows and np.loadtxt decode it, "\r\n" and "\r" read as "\n"
-        with open(path) as fh:
-            for i, line in enumerate(fh):
-                if any(c in line for c in _DECLINED):
-                    return None
-                if i == 0:
-                    if [h.strip() for h in line.split(",")] != header:
-                        return None
-                elif line != "\n":
-                    if line.count(",") != len(header) - 1:
-                        return None
-                    n_rows += 1
-    except ValueError:  # UnicodeDecodeError
+    numbers = [(col, p) for col, p in columns if col.read and _in_block(col)]
+    others = [(col, p) for col, p in columns if col.read and not _in_block(col)]
+    if not numbers:  # numpy would read a line of empty cells, which csv skips
         return None
-    numbers = [(col, p) for col, p in columns if _in_block(col)]
-    others = [(col, p) for col, p in columns if not _in_block(col)]
+    commas = 0
+    with open(path, "rb") as fh:
+        chunk = fh.read(_SCAN_BLOCK)
+        first = chunk.split(b"\n", 1)[0].split(b"\r", 1)[0]
+        while chunk:
+            if any(c in chunk for c in _DECLINED):
+                return None
+            commas += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord(","))
+            chunk = fh.read(_SCAN_BLOCK)
     texts = {p: [] for _, p in others}
+    last = len(header) - 1
+    converters = {p: _keeper(texts[p]) for p in texts}
+    usecols = [p for _, p in numbers] + list(texts)
+    if last not in usecols:
+        usecols.append(last)
+        converters[last] = _discard
     try:
+        if [h.strip() for h in first.decode().split(",")] != header:
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # a path, not a file object: numpy then reads it in large chunks;
             # converter keys are header positions, not usecols positions
             table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               dtype=float, ndmin=2,
-                               usecols=[p for _, p in numbers] + list(texts),
-                               converters={p: _keeper(texts[p]) for p in texts})
-    except (ValueError, Warning):
+                               dtype=float, ndmin=2, usecols=usecols,
+                               converters=converters)
+    except (ValueError, Warning):  # UnicodeDecodeError included
         return None
-    if len(table) != n_rows:
+    if commas != last * (len(table) + 1):
         return None
     block = np.ascontiguousarray(table[:, :len(numbers)])
     del table
@@ -392,6 +424,11 @@ def _bulk_pass(path, header, columns):
     except DataError:
         return None
     return [col.name for col, _ in numbers], block, cells
+
+
+def _discard(text):
+    """A ``np.loadtxt`` converter that keeps nothing of a cell."""
+    return 0.0
 
 
 def _keeper(out: list):

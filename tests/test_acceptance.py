@@ -35,6 +35,7 @@ from hyposcreen.errors import (
     NonNumericCell,
     OutOfRange,
     RaggedFrame,
+    WideRow,
 )
 from hyposcreen.evaluate import auroc
 from hyposcreen.explain import pca_project, tree_shap
@@ -43,8 +44,11 @@ from hyposcreen.ingest import (
     EXPRESSION_AUS,
     EXPRESSIONS,
     N_POINTS,
+    Column,
+    CsvSpec,
     parse_au_csv,
     parse_landmark_series,
+    read_columns,
 )
 from hyposcreen.model.binning import bin_matrix
 from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
@@ -478,6 +482,8 @@ def _reference_table(path):
     pids, labels, X = [], [], []
     demo = {c: [] for c in DEMOGRAPHIC_COLUMNS}
     for r, row in enumerate(data):
+        if len(row) > len(header):
+            raise WideRow(r, len(row), len(header))
         for name in ("participant_id", "label"):
             if where[name] >= len(row):
                 raise MissingCell(r, name)
@@ -511,6 +517,8 @@ def _outcome(fn, path):
         return type(exc), (exc.row, exc.col)
     except RaggedFrame as exc:
         return type(exc), (exc.frame_idx, exc.point_count)
+    except WideRow as exc:
+        return type(exc), (exc.row, exc.cells)
     except MissingColumn as exc:
         return type(exc), (exc.name,)
     except DuplicateEntry as exc:
@@ -836,6 +844,152 @@ def _same_table_reads(ds, ref):
                             ref.participant_ids, ref.demographics))
 
 
+# The C pass converts only the read columns and checks row widths from one
+# count of the file's commas.  The next test replays it against the cell pass
+# on random formats and random read subsets: each pass alone, with the other
+# disabled, must give the same columns, bit for bit.
+
+_TEXTS = ("face a", " padded ", "", "café", "naïve ü", "x-1")
+
+
+def _random_read_format(rng, i):
+    """A spec and a header: number columns (one with a rule), text and blank
+    columns and columns the spec does not name, each read or not at random,
+    ``n0`` always read and ``n1`` never.  The last header column is ``n1``
+    in every third format and an unnamed text column in the next."""
+    nums = [f"n{j}" for j in range(int(rng.integers(3, 6)))]
+    texts = [f"t{j}" for j in range(int(rng.integers(0, 3)))]
+    blanks = [f"b{j}" for j in range(int(rng.integers(0, 3)))]
+    extras = [f"x{j}" for j in range(int(rng.integers(1, 3)))]
+    rest = i % 3 == 2 and rng.random() < 0.5
+    read = {name: bool(rng.random() < 0.5) for name in nums + texts + blanks + extras}
+    read.update(n0=True, n1=False)
+    spec = CsvSpec(
+        tuple(Column(n, rule=(lambda v: v > -1e300) if n == "n2" else None,
+                     read=read[n]) for n in nums)
+        + tuple(Column(t, number=False, read=read[t]) for t in texts)
+        + tuple(Column(b, number=j % 2 == 0, blank=True, read=read[b])
+                for j, b in enumerate(blanks)),
+        rest=(lambda name: read[name]) if rest else None)
+    header = nums + texts + blanks + extras
+    rng.shuffle(header)
+    last = {0: "n1", 1: extras[0]}.get(i % 3)
+    if last:
+        header.remove(last)
+        header.append(last)
+
+    def row():
+        cells = dict(zip(nums, _plain_texts(rng.normal(size=len(nums)), rng)))
+        for name in texts + extras:
+            cells[name] = _TEXTS[int(rng.integers(len(_TEXTS)))]
+        if rest:
+            cells.update(zip(extras, _plain_texts(rng.normal(size=len(extras)), rng)))
+        for j, b in enumerate(blanks):
+            cells[b] = ("", _plain_texts(rng.normal(size=1), rng)[0] if j % 2 == 0
+                        else "group é")[int(rng.integers(2))]
+        return [cells[h] for h in header]
+
+    lines = [header] + [row() for _ in range(int(rng.integers(1, 7)))]
+    return spec, lines
+
+
+def _write_any_eol(path, lines, rng, eol):
+    """Cells joined by commas, ``eol`` between lines, empty lines between some
+    rows, and sometimes no line end after the last line."""
+    text = []
+    for cells in lines:
+        text.append(",".join(cells))
+        while len(text) > 1 and rng.random() < 0.2:
+            text.append("")
+    body = eol.join(text) + (eol if rng.random() < 0.7 else "")
+    path.write_bytes(body.encode())
+
+
+def _same_columns(got, want):
+    return (got[0] == want[0] and got[1].dtype == want[1].dtype
+            and got[1].shape == want[1].shape
+            and got[1].tobytes() == want[1].tobytes() and got[2] == want[2])
+
+
+def test_bulk_pass_alone_equals_cell_pass_alone_on_read_subsets(tmp_path,
+                                                                monkeypatch):
+    rng = np.random.default_rng(219)
+    cell_pass = ingest._cell_pass
+
+    def fallback(*args, **kwargs):
+        raise _FallbackUsed
+
+    def bulk_alone(path, spec):
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "_cell_pass", fallback)
+            return read_columns(path, spec)
+
+    def cell_alone(path, spec):
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "_cell_pass", cell_pass)
+            m.setattr(ingest, "_bulk_pass", lambda *args: None)
+            return read_columns(path, spec)
+
+    served = declined = 0
+    for i in range(90):
+        spec, lines = _random_read_format(rng, i)
+        header = lines[0]
+        eol = ("\n", "\r\n", "\r")[i // 3 % 3]
+        path = tmp_path / f"f{i}.csv"
+        _write_any_eol(path, lines, rng, eol)
+        want = cell_alone(path, spec)
+        assert _same_columns(bulk_alone(path, spec), want), path.name
+        served += 1
+
+        # an unread cell is not converted, so numpy takes a spelling only
+        # float() reads, or a non-finite value, as the cell pass does
+        for text in ("1_0", "nan"):
+            unread = [list(cells) for cells in lines]
+            unread[int(rng.integers(1, len(lines)))][header.index("n1")] = text
+            bad = tmp_path / f"f{i}_unread.csv"
+            _write_any_eol(bad, unread, rng, eol)
+            assert _same_columns(bulk_alone(bad, spec), want), bad.name
+            served += 1
+
+        # the bulk pass declines a short or wide row, a short row whose
+        # missing comma a wide row makes up, a whitespace-only line, a quote
+        # in an unread column, and a read column it cannot convert
+        faults = ("short", "wide", "balanced", "whitespace", "quote", "1_0", "nan")
+        for fault in faults:
+            bad_lines = [list(cells) for cells in lines]
+            r = int(rng.integers(1, len(lines)))
+            if fault == "short":
+                del bad_lines[r][-1]
+            elif fault == "balanced":
+                del bad_lines[r][-1]
+                bad_lines.append(lines[1] + ["0.5"])
+            elif fault == "wide":
+                bad_lines[r].append("0.5")
+            elif fault == "whitespace":
+                bad_lines.insert(r, [" \t "])
+            elif fault == "quote":
+                c = header.index("n1")
+                bad_lines[r][c] = f'"{bad_lines[r][c]}"'
+            else:
+                bad_lines[r][header.index("n0")] = fault
+            bad = tmp_path / f"f{i}_{fault}.csv"
+            _write_any_eol(bad, bad_lines, rng, eol)
+            with pytest.raises(_FallbackUsed):
+                bulk_alone(bad, spec)
+            declined += 1
+
+    # with no number column read, numpy would take a line of empty cells,
+    # which csv skips, for a row: the bulk pass declines such a format
+    texts = tmp_path / "texts.csv"
+    texts.write_text("t0,t1\na,b\n,\nc,d\n")
+    spec = CsvSpec((Column("t0", number=False), Column("t1", number=False, read=False)))
+    assert cell_alone(texts, spec)[2] == {"t0": ["a", "c"]}
+    with pytest.raises(_FallbackUsed):
+        bulk_alone(texts, spec)
+    print(f"PASS bulk pass on read subsets: {served} files served as the cell "
+          f"pass serves them, {declined} declined")
+
+
 @pytest.mark.parametrize("variant", [
     "underscore", "fullwidth", "arabic_indic", "whitespace_line", "comma_line",
     "blank_before_header", "blank_line_before_header", "quoted", "text_column",
@@ -1034,7 +1188,7 @@ def test_feature_table_bulk_read_equals_cell_reference(tmp_path):
         outcomes.append(_check_against_reference(read_feature_table,
                                                  _reference_table, bad, same))
     kinds = {k for k in outcomes if k != "ok"}
-    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn}
+    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn, WideRow}
     print(f"PASS feature table oracle: {len(outcomes)} files "
           f"({outcomes.count('ok')} read, the rest rejected at the same "
           f"cell as the reference)")
@@ -1055,6 +1209,8 @@ def _reference_au(path, expression):
         names.append("confidence")
     frames = []
     for r, row in enumerate(data):
+        if len(row) > len(header):
+            raise WideRow(r, len(row), len(header))
         values = []
         for name in names:
             if where[name] >= len(row):
@@ -1136,7 +1292,7 @@ def test_au_parse_equals_cell_reference(tmp_path):
         _write_messy_csv(bad, [header] + data, rng, quote_rate)
         outcomes.append(_check_against_reference(parse, reference, bad, _same_au))
     kinds = {k for k in outcomes if k != "ok"}
-    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn}
+    assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn, WideRow}
     print(f"PASS AU parse oracle: {len(outcomes)} files "
           f"({outcomes.count('ok')} parsed, the rest rejected at the same "
           f"cell as the reference)")
@@ -1150,6 +1306,8 @@ def _reference_predictions(path):
     where = {h: i for i, h in enumerate(header)}
     ids, scores = [], []
     for r, row in enumerate(data):
+        if len(row) > len(header):
+            raise WideRow(r, len(row), len(header))
         for name in ("participant_id", "score"):
             if where[name] >= len(row):
                 raise MissingCell(r, name)
@@ -1207,7 +1365,7 @@ def test_predictions_read_equals_cell_reference(tmp_path):
                                                  _same_predictions))
     kinds = {k for k in outcomes if k != "ok"} - {EmptyFile}  # a row cut blank
     assert kinds == {NonNumericCell, OutOfRange, MissingCell, MissingColumn,
-                     DuplicateEntry}
+                     DuplicateEntry, WideRow}
     print(f"PASS predictions oracle: {len(outcomes)} files "
           f"({outcomes.count('ok')} read, the rest rejected at the same "
           f"cell as the reference)")

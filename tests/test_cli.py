@@ -1,11 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table
+from hyposcreen.errors import DataError
 from hyposcreen.artifact import ensemble_predict, load_ensemble, save_ensemble
 from hyposcreen.ensemble import train_pipeline
 from hyposcreen.config import PipelineConfig, load_config
@@ -513,6 +515,158 @@ def test_train_and_predict_reject_non_finite_feature(sim_table, tmp_path,
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "OutOfRange"
         assert "row 4" in err["message"] and repr(feature) in err["message"]
+
+
+# ``predict`` and ``explain`` convert only the feature columns the artifact
+# uses and ``bias`` none; every other command converts them all.  A table
+# whose last column is a feature the artifact does not use shows both sides.
+
+@pytest.fixture
+def scoring_setup(sim_table, tmp_path):
+    """An artifact that uses two of the table's four features, and a copy of
+    the table whose last column is one of the two it does not use."""
+    config = tmp_path / "select2.json"
+    config.write_text(json.dumps({**FAST_CONFIG,
+                                  "selection": {"method": "lr_coef", "n_target": 2}}))
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config", str(config),
+                 "--out", str(model), "--seed", "1"]) == 0
+    used = load_ensemble(model).feature_names
+    with open(sim_table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    unused = [c for c in rows[0] if c.startswith("f") and c not in used]
+    assert len(used) == 2 and len(unused) == 2
+    order = [j for j, c in enumerate(rows[0]) if c != unused[1]]
+    order.append(rows[0].index(unused[1]))
+    table = tmp_path / "scoring.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[j] for j in order] for row in rows)
+    ids = read_feature_table(table).participant_ids
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "".join(
+        f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    return {"model": str(model), "config": str(config), "table": table,
+            "preds": str(preds), "used": used, "unused": unused}
+
+
+def _scoring_outputs(setup, table, out_dir, capsys):
+    """Exit codes, output bytes and last stderr line of predict, explain and
+    bias on ``table``."""
+    out_dir.mkdir()
+    runs = {
+        "preds.csv": ["predict", "--model", setup["model"], "--out"],
+        "shap.csv": ["explain", "--model", setup["model"], "--max-rows", "5", "--out"],
+        "bias.json": ["bias", "--preds", setup["preds"], "--group", "sex", "--out"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        out = out_dir / name
+        code = main(argv + [str(out), "--features", str(table)])
+        err = capsys.readouterr().err.splitlines()
+        got[name] = (code, out.read_bytes() if out.exists() else None,
+                     err[-1] if err else None)
+    return got
+
+
+def _raised(read):
+    try:
+        read()
+    except DataError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_scoring_commands_skip_cells_of_unused_feature_columns(scoring_setup,
+                                                               tmp_path, capsys):
+    setup = scoring_setup
+    clean = _scoring_outputs(setup, setup["table"], tmp_path / "clean", capsys)
+    assert all(code == 0 and err is None for code, _, err in clean.values())
+    for k, name in enumerate(setup["unused"]):
+        bad = tmp_path / f"unused{k}.csv"
+        bad.write_bytes(setup["table"].read_bytes())
+        _set_cell(bad, 3, name, "oops")
+        assert _scoring_outputs(setup, bad, tmp_path / f"unused{k}", capsys) == clean
+
+
+def test_scoring_commands_reject_bad_cells_of_used_feature_columns(scoring_setup,
+                                                                   tmp_path, capsys):
+    setup = scoring_setup
+    bad = tmp_path / "used.csv"
+    bad.write_bytes(setup["table"].read_bytes())
+    _set_cell(bad, 3, setup["used"][1], "oops")
+    want = _raised(lambda: read_feature_table(bad))
+    assert want == ("NonNumericCell",
+                    f"non-numeric cell at row 3, column {setup['used'][1]!r}")
+    got = _scoring_outputs(setup, bad, tmp_path / "used", capsys)
+    for name in ("preds.csv", "shap.csv"):
+        code, out, err = got[name]
+        assert code == 3 and out is None
+        assert json.loads(err) == {"error": want[0], "message": want[1]}
+    assert got["bias.json"][0] == 0  # bias converts no feature column
+
+
+def test_scoring_commands_reject_a_row_short_of_an_unused_column(scoring_setup,
+                                                                 tmp_path, capsys):
+    # the row reaches every column the commands read; only the width rule
+    # stops it, with the message a full read gives
+    setup = scoring_setup
+    lines = setup["table"].read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    bad = tmp_path / "short.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    want = _raised(lambda: read_feature_table(bad))
+    assert want == ("MissingCell",
+                    f"row 3 ends before column {setup['unused'][1]!r}")
+    for code, out, err in _scoring_outputs(setup, bad, tmp_path / "short",
+                                           capsys).values():
+        assert code == 3 and out is None
+        assert json.loads(err) == {"error": want[0], "message": want[1]}
+
+
+def test_feature_table_and_predictions_reject_a_wide_row(scoring_setup, tmp_path,
+                                                         capsys):
+    setup = scoring_setup
+    lines = setup["table"].read_text().splitlines()
+    width = lines[0].count(",") + 1
+    lines[4] += ",0.5"
+    bad = tmp_path / "wide.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    message = f"row 3 has {width + 1} cells, more than the header's {width}"
+    got = _scoring_outputs(setup, bad, tmp_path / "wide", capsys)
+    rc = main(["project", "--features", str(bad), "--out", str(tmp_path / "c.csv")])
+    got["coords.csv"] = (rc, None, capsys.readouterr().err.splitlines()[-1])
+    preds = Path(setup["preds"]).read_text().splitlines()
+    preds[4] += ",0.5"
+    wide_preds = tmp_path / "wide_preds.csv"
+    wide_preds.write_text("\n".join(preds) + "\n")
+    rc = main(["bias", "--preds", str(wide_preds), "--features", str(setup["table"]),
+               "--group", "sex", "--out", str(tmp_path / "bias.json")])
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert rc == 3 and not (tmp_path / "bias.json").exists()
+    assert json.loads(err) == {"error": "WideRow",
+                               "message": "row 3 has 3 cells, more than the header's 2"}
+    for code, out, err in got.values():
+        assert code == 3 and out is None
+        assert json.loads(err) == {"error": "WideRow", "message": message}
+
+
+@pytest.mark.parametrize("command", ["project", "train", "cv"])
+def test_table_commands_reject_a_bad_cell_in_any_feature_column(
+        scoring_setup, tmp_path, capsys, command):
+    setup = scoring_setup
+    out = str(tmp_path / "out")
+    argv = {"project": ["project", "--out", out],
+            "train": ["train", "--config", setup["config"], "--out", out],
+            "cv": ["cv", "--config", setup["config"], "--out", out]}[command]
+    for name in setup["used"] + setup["unused"]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_bytes(setup["table"].read_bytes())
+        _set_cell(bad, 3, name, "oops")
+        assert main(argv + ["--features", str(bad)]) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err == {"error": "NonNumericCell",
+                       "message": f"non-numeric cell at row 3, column {name!r}"}
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad_row, error, column", [
