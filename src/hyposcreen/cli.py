@@ -43,7 +43,7 @@ from .reports import (
     write_roc_svg,
     write_shap_csv,
 )
-from .util import child_seed, read_json
+from .util import check_setting, child_seed, read_json
 
 # Every other name is imported on first access (PEP 562), so a command
 # compiles only the modules it runs.  name -> the module it comes from; a
@@ -157,13 +157,12 @@ def _seed_from(args, cfg: PipelineConfig) -> int:
 
 
 def _cv_counts(args, cfg: PipelineConfig) -> tuple[int, int]:
-    """``--folds`` and ``--seeds``, each defaulting to the config's value."""
+    """``--folds`` and ``--seeds``, each defaulting to and checked as its setting."""
     folds = cfg.cv_folds if args.folds is None else args.folds
     n_seeds = cfg.bootstrap_seeds if args.seeds is None else args.seeds
-    if folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {folds}")
-    if n_seeds < 1:
-        raise UsageError(f"--seeds must be at least 1, got {n_seeds}")
+    check_setting(cfg.__dataclass_fields__["cv_folds"], folds, "--folds", UsageError)
+    check_setting(cfg.__dataclass_fields__["bootstrap_seeds"], n_seeds, "--seeds",
+                  UsageError)
     return folds, n_seeds
 
 
@@ -175,6 +174,17 @@ def _repeated_cv(ds, cfg: PipelineConfig, folds: int, n_seeds: int, master: int)
 
     results = _cli.parallel_map(one, range(n_seeds))
     return results, _cli.summarize_bootstrap([r.pooled for r in results])
+
+
+def _warn_unconverged(results, where: str) -> None:
+    """One stderr line if the meta-layer's fit did not converge in some
+    training of the cross-validations ``results``; ``where`` starts it."""
+    count = sum(r.unconverged for r in results)
+    if count:
+        total = sum(r.fold_plan.k for r in results)
+        sys.stderr.write(f"warning: {where}the meta-layer's logistic fit did not "
+                         f"converge in {count} of {total} trainings over "
+                         f"{len(results)} seeds; each keeps its best iterate\n")
 
 
 # --- subcommand handlers ------------------------------------------------------------
@@ -213,6 +223,7 @@ def _cmd_cv(args) -> int:
     folds, n_seeds = _cv_counts(args, cfg)
     master = _seed_from(args, cfg)
     results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
+    _warn_unconverged(results, "")
     report = {
         "n_rows": ds.n_rows,
         "n_features": len(ds.feature_names),
@@ -374,15 +385,17 @@ def _cmd_sweep(args) -> int:
     master = _seed_from(args, base)
 
     entries = []
-    for over in overrides:
+    for i, over in enumerate(overrides):
         cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
         ds = _apply_expression_filter(ds_full, cfg)
         folds, n_seeds = _cv_counts(args, cfg)
-        _, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
+        results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
+        config_id = _config_id(cfg.to_dict())
+        _warn_unconverged(results, f"sweep entry {i} ({config_id}): ")
         au = summary.metrics.get("auroc") or {}
         acc = summary.metrics.get("accuracy") or {}
         entries.append({
-            "config_id": _config_id(cfg.to_dict()),
+            "config_id": config_id,
             "expressions": "+".join(cfg.expressions),
             "scaler": cfg.scaler,
             "selection": cfg.selection.method,

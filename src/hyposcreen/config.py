@@ -1,9 +1,9 @@
-"""Pipeline configuration: JSON round-trip with validated defaults."""
+"""Pipeline configuration: JSON round-trip with validated defaults; each
+setting declares its allowed values beside its default (util.check_setting)."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -11,7 +11,7 @@ from .errors import DataError
 from .ingest import EXPRESSIONS
 from .model.histboost import BoostParams
 from .preprocess import SCALER_KINDS
-from .util import read_json
+from .util import check_fields, read_json
 
 SELECTION_METHODS = ("none", "lr_coef", "boost_rfe", "boost_rfa")
 
@@ -24,123 +24,79 @@ DEFAULT_GRID = [
     for msl in (10, 20)
 ]
 
-# the JSON type a value must have, by the type of the field's default;
-# bool comes first because it is a subclass of int
-_JSON_TYPES = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
-               (str, "a string"), (list, "a list"))
 
-
-def _typed(key: str, value, default):
-    """``value`` if it has the JSON type of ``default``; else a DataError
-    naming ``key``.  A number field also takes an integer, and rejects the
-    NaN and infinite values that Python's ``json`` reads."""
-    kind, name = next(t for t in _JSON_TYPES if isinstance(default, t[0]))
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise DataError(f"{key} must be {name}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DataError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
-def _assign(target, doc, where: str) -> None:
-    """Set the fields of dataclass ``target`` from the JSON object ``doc``."""
-    unknown = set(doc) - set(target.__dataclass_fields__)
-    if unknown:
-        raise DataError(f"unknown {where} keys {sorted(unknown)}")
+def _assign(target, doc, unknown: str) -> None:
+    """Set the fields of dataclass ``target`` from the JSON object ``doc``,
+    unchecked; ``unknown`` starts the error for a key ``target`` lacks."""
+    extra = set(doc) - set(target.__dataclass_fields__)
+    if extra:
+        raise DataError(f"{unknown} {sorted(extra)}")
     for key, value in doc.items():
-        default = getattr(target, key)
-        name = key if where == "config" else f"{where}.{key}"
-        if is_dataclass(default):
-            if not isinstance(value, dict):
-                raise DataError(f"{name} must be an object, got {value!r}")
-            _assign(default, value, name)
+        section = getattr(target, key)
+        if is_dataclass(section) and isinstance(value, dict):
+            _assign(section, value, f"unknown {key} keys")
         else:
-            setattr(target, key, _typed(name, value, default))
+            setattr(target, key, value)
 
 
 @dataclass
 class SelectionConfig:
-    method: str = "lr_coef"
-    n_target: int = 30
-    inner_folds: int = 3
-    improvement_eps: float = 1e-4
+    method: str = field(default="lr_coef", metadata={"one_of": SELECTION_METHODS})
+    n_target: int = field(default=30, metadata={"range": "[1, inf)"})
+    inner_folds: int = field(default=3, metadata={"range": "[2, inf)"})
+    improvement_eps: float = field(default=1e-4, metadata={"range": "[0, inf)"})
 
 
 @dataclass
 class SmoteConfig:
     enabled: bool = True
-    k_neighbors: int = 5
+    k_neighbors: int = field(default=5, metadata={"range": "[1, inf)"})
 
 
 @dataclass
 class EnsembleConfig:
-    m: int = 18
-    inner_folds: int = 3
+    m: int = field(default=18, metadata={"range": "[1, inf)"})
+    inner_folds: int = field(default=3, metadata={"range": "[2, inf)"})
+    # each entry is checked as a BoostParams, by candidate_params
     grid: list = field(default_factory=lambda: [dict(g) for g in DEFAULT_GRID])
 
 
 @dataclass
 class PipelineConfig:
-    expressions: list = field(default_factory=lambda: list(EXPRESSIONS))
-    scaler: str = "minmax"
+    expressions: list = field(default_factory=lambda: list(EXPRESSIONS),
+                              metadata={"distinct_of": EXPRESSIONS})
+    scaler: str = field(default="minmax", metadata={"one_of": SCALER_KINDS})
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     smote: SmoteConfig = field(default_factory=SmoteConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    cv_folds: int = 10
-    bootstrap_seeds: int = 40
-    threshold: float = 0.5
+    cv_folds: int = field(default=10, metadata={"range": "[2, inf)"})
+    bootstrap_seeds: int = field(default=40, metadata={"range": "[1, inf)"})
+    threshold: float = field(default=0.5, metadata={"range": "[0, 1]"})
     seed: int = 0
 
     def validate(self) -> None:
-        if self.scaler not in SCALER_KINDS:
-            raise DataError(f"scaler must be one of {SCALER_KINDS}")
-        if self.selection.method not in SELECTION_METHODS:
-            raise DataError(f"selection.method must be one of {SELECTION_METHODS}")
-        unknown = [e for e in self.expressions if e not in EXPRESSIONS]
-        if unknown:
-            raise DataError(f"unknown expressions {unknown}")
-        if not self.expressions:
-            raise DataError("expressions must not be empty")
-        if self.cv_folds < 2:
-            raise DataError("cv_folds must be >= 2")
-        if self.bootstrap_seeds < 1:
-            raise DataError("bootstrap_seeds must be >= 1")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise DataError("threshold must be in [0, 1]")
-        if self.selection.n_target < 1:
-            raise DataError("selection.n_target must be >= 1")
-        for key, folds in (("selection.inner_folds", self.selection.inner_folds),
-                           ("ensemble.inner_folds", self.ensemble.inner_folds)):
-            if folds < 2:
-                raise DataError(f"{key} must be >= 2, got {folds}")
-        if not self.selection.improvement_eps >= 0.0:
-            raise DataError("selection.improvement_eps must be >= 0")
-        if self.smote.k_neighbors < 1:
-            raise DataError("smote.k_neighbors must be >= 1")
-        if self.ensemble.m < 1:
-            raise DataError("ensemble.m must be >= 1")
+        check_fields(self, "", DataError)
         if self.ensemble.m > len(self.ensemble.grid):
             raise DataError(
                 f"ensemble.m={self.ensemble.m} exceeds the candidate grid "
                 f"({len(self.ensemble.grid)} entries)")
-        for entry in self.ensemble.grid:
-            self.candidate_params(entry).validate()
+        self.candidates()  # checks every grid entry
 
     @staticmethod
-    def candidate_params(entry: dict) -> BoostParams:
+    def candidate_params(entry: dict, where: str = "ensemble.grid entry") -> BoostParams:
+        """The booster defaults overridden by the grid entry ``entry``;
+        ``where`` names the entry in errors."""
         if not isinstance(entry, dict):
-            raise DataError(f"ensemble.grid entries must be objects, got {entry!r}")
-        base = BoostParams().to_dict()
-        unknown = set(entry) - set(base)
-        if unknown:
-            raise DataError(f"unknown booster parameters {sorted(unknown)}")
-        for key, value in entry.items():
-            base[key] = _typed(f"booster parameter {key}", value, base[key])
-        return BoostParams.from_dict(base)
+            raise DataError(f"{where}: ensemble.grid entries must be objects, "
+                            f"got {entry!r}")
+        params = BoostParams()
+        _assign(params, entry, f"{where}: unknown booster parameters")
+        check_fields(params, f"{where}: booster parameter ", DataError)
+        return params
 
     def candidates(self) -> list:
-        return [self.candidate_params(e) for e in self.ensemble.grid]
+        return [self.candidate_params(entry, f"ensemble.grid[{i}]")
+                for i, entry in enumerate(self.ensemble.grid)]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -150,7 +106,7 @@ class PipelineConfig:
         if not isinstance(doc, dict):
             raise DataError("config must be a JSON object")
         cfg = cls()
-        _assign(cfg, doc, "config")
+        _assign(cfg, doc, "unknown config keys")
         cfg.validate()
         return cfg
 

@@ -29,12 +29,12 @@ import numpy as np
 
 from .artifact import TrainedEnsemble, ensemble_predict
 from .dataset import LabeledDataset
-from .errors import MTooLarge
+from .errors import ClassTooSmall, MTooLarge
 from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
 from .model.histboost import fit_histgbm, predict_proba
 from .model.logistic import fit_logistic
 from .preprocess import FoldPlan, apply_scaler, balance_training_set, fit_scaler, stratified_kfold
-from .select import select_features
+from .select import FOLDED_METHODS, select_features
 from .util import child_seed
 
 
@@ -122,6 +122,22 @@ def fit_stacking_ensemble(X, y, config, seed: int):
     return base_models, base_info, meta, provenance
 
 
+def _require_inner_folds(y, config, split: str) -> None:
+    """Raise :class:`ClassTooSmall`, naming the setting, when a class of
+    ``y`` has fewer rows than a fold plan over ``y`` needs: the
+    ``selection.inner_folds`` of a method that reads it, and
+    ``ensemble.inner_folds``.  ``split`` names the rows in the message."""
+    labels, counts = np.unique(y, return_counts=True)
+    plans = [("ensemble.inner_folds", config.ensemble.inner_folds)]
+    if config.selection.method in FOLDED_METHODS:
+        plans.insert(0, ("selection.inner_folds", config.selection.inner_folds))
+    for setting, k in plans:
+        short = np.flatnonzero(counts < k)
+        if short.size:
+            i = short[0]
+            raise ClassTooSmall(labels[i].item(), int(counts[i]), k, setting, split)
+
+
 def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble:
     """Scale, select, oversample, and fit the stacked ensemble on ``ds``
     under a ``PipelineConfig``.
@@ -130,6 +146,7 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     the artifact is restricted to the selected features, and its provenance
     records the training rows and the synthetic rows of the final refit.
     """
+    _require_inner_folds(ds.y, config, "")
     names = ds.feature_names
     scaler_full = fit_scaler(config.scaler, ds.X, names)
     Xs = apply_scaler(scaler_full, ds.X)
@@ -173,6 +190,7 @@ class CVResult:
     oof_scores: np.ndarray
     roc_points: list
     audit: list
+    unconverged: int  # trainings whose meta-layer fit did not converge
 
     def report_dict(self) -> dict:
         return {
@@ -202,15 +220,20 @@ def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
     """
     k = config.cv_folds if k is None else k
     plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
+    for fold in range(k):
+        _require_inner_folds(ds.y[plan.fold_indices(fold)[0]], config,
+                             f" in the training split of outer fold {fold}")
     n = ds.n_rows
     identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
     oof = np.empty(n)
     fold_metrics = []
     audit = []
+    unconverged = 0
     for fold in range(k):
         tr, ev = plan.fold_indices(fold)
         pipeline = train_pipeline(ds.subset(tr), config,
                                   seed=child_seed(seed, "fold", fold))
+        unconverged += not pipeline.meta.converged
         scores = ensemble_predict(pipeline, ds.X[ev], ds.feature_names)
         oof[ev] = scores
         fold_metrics.append(_metrics_with_auroc(scores, ds.y[ev],
@@ -234,7 +257,8 @@ def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
         per_fold_mean[key] = float(np.mean(vals)) if vals else None
     return CVResult(fold_plan=plan, fold_metrics=fold_metrics, pooled=pooled,
                     per_fold_mean=per_fold_mean, oof_scores=oof,
-                    roc_points=roc_curve(oof, ds.y), audit=audit)
+                    roc_points=roc_curve(oof, ds.y), audit=audit,
+                    unconverged=unconverged)
 
 
 def verify_no_leakage(audit: list) -> bool:

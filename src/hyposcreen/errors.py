@@ -153,8 +153,11 @@ class TooFewMinority(DataError):
 
 
 class ClassTooSmall(DataError):
-    def __init__(self, label, count, k):
-        super().__init__(f"class {label!r} has {count} rows, fewer than k={k} folds")
+    """``setting`` names the fold count ``k``, and ``split`` the rows dealt."""
+
+    def __init__(self, label, count, k, setting, split):
+        super().__init__(f"class {label!r} has {count} rows{split}, "
+                         f"fewer than {setting}={k} folds")
         self.label = label
         self.count = count
 

@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..errors import ArtifactError, DataError, DegenerateParams, EmptyMatrix, SingleClass
-from ..util import require_binary, sigmoid
+from ..util import check_fields, require_binary, sigmoid
 from .binning import BinMapper, bin_matrix, fit_bins
 
 SCHEMA_VERSION = 1
@@ -89,24 +89,14 @@ WALK_PAIRS = 1 << 16  # (tree, row) pairs a prediction walks at once
 
 @dataclass
 class BoostParams:
-    n_trees: int = 200
-    learning_rate: float = 0.1
-    max_leaves: int = 31
-    min_samples_leaf: int = 20
-    max_bins: int = 255
+    n_trees: int = field(default=200, metadata={"range": "[1, inf)"})
+    learning_rate: float = field(default=0.1, metadata={"range": "(0, 1]"})
+    max_leaves: int = field(default=31, metadata={"range": "[2, inf)"})
+    min_samples_leaf: int = field(default=20, metadata={"range": "[1, inf)"})
+    max_bins: int = field(default=255, metadata={"range": "[2, 255]"})
 
     def validate(self) -> None:
-        if self.n_trees < 1:
-            raise DegenerateParams(f"n_trees must be >= 1, got {self.n_trees}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise DegenerateParams(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.max_leaves < 2:
-            raise DegenerateParams(f"max_leaves must be >= 2, got {self.max_leaves}")
-        if self.min_samples_leaf < 1:
-            raise DegenerateParams("min_samples_leaf must be >= 1")
-        if not 2 <= self.max_bins <= 255:
-            raise DegenerateParams(f"max_bins must be in [2, 255], got {self.max_bins}")
+        check_fields(self, "", DegenerateParams)
 
     def to_dict(self) -> dict:
         # the fields are scalars: asdict's deep copy would return them as is

@@ -183,7 +183,7 @@ def stratified_kfold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
     for label in np.unique(y):
         idx = np.where(y == label)[0]
         if idx.size < k:
-            raise ClassTooSmall(label.item(), int(idx.size), k)
+            raise ClassTooSmall(label.item(), int(idx.size), k, "k", "")
         idx = idx[rng.permutation(idx.size)]
         assignments[idx] = np.arange(idx.size) % k
     return FoldPlan(k=k, seed=seed, assignments=assignments)

@@ -24,6 +24,8 @@ from .util import child_seed
 SELECTION_PARAMS = BoostParams(n_trees=40, learning_rate=0.2, max_leaves=7,
                                min_samples_leaf=5)
 SHAP_ROW_CAP = 128
+# the methods that score subsets on a plan of selection.inner_folds folds
+FOLDED_METHODS = ("boost_rfe", "boost_rfa")
 
 
 @dataclass

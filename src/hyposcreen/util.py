@@ -1,8 +1,10 @@
-"""Seed derivation and small shared helpers."""
+"""Seed derivation, the check of declared settings, and small shared helpers."""
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,3 +98,53 @@ def read_json(path, what: str):
         raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{what} is not valid JSON: {exc}") from exc
+
+
+# the JSON type a setting's value must have, by the type of its default
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list"}
+
+
+@functools.cache
+def _interval(text: str) -> tuple:
+    lo, hi = text[1:-1].split(",")
+    return float(lo), float(hi), text[0] == "(", text[-1] == ")"
+
+
+def check_setting(spec, value, name: str, error) -> None:
+    """Raise ``error`` naming ``name`` unless the dataclass field ``spec``
+    allows ``value``: it must have the JSON type of the default (a number
+    also takes an integer) and meet the metadata's ``"range"``, an interval
+    such as ``"(0, 1]"`` (a number's is ``(-inf, inf)`` if none is given,
+    so NaN never passes), ``"one_of"``, a tuple of allowed values, or
+    ``"distinct_of"``, a tuple of which a list names one or more members,
+    each once.  A dataclass default takes an instance of its class, checked
+    by :func:`check_fields` with ``name`` and a dot as the prefix."""
+    default = spec.default_factory() if spec.default is MISSING else spec.default
+    if is_dataclass(default):
+        if type(value) is not type(default):
+            raise error(f"{name} must be an object, got {value!r}")
+        return check_fields(value, name + ".", error)
+    kind, allowed = type(default), spec.metadata
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise error(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if kind in (int, float):
+        text = allowed.get("range", "(-inf, inf)")
+        lo, hi, lo_open, hi_open = _interval(text)
+        if not ((lo < value if lo_open else lo <= value)
+                and (value < hi if hi_open else value <= hi)):
+            raise error(f"{name} must be in {text}, got {value!r}")
+    elif "one_of" in allowed and value not in allowed["one_of"]:
+        raise error(f"{name} must be one of {allowed['one_of']}, got {value!r}")
+    elif "distinct_of" in allowed and not (
+            value and all(v in allowed["distinct_of"] for v in value)
+            and len(set(value)) == len(value)):
+        raise error(f"{name} must list one or more distinct members of "
+                    f"{allowed['distinct_of']}, got {value!r}")
+
+
+def check_fields(section, prefix: str, error) -> None:
+    """:func:`check_setting` on each field of dataclass ``section``, named ``prefix`` + name."""
+    for spec in fields(section):
+        check_setting(spec, getattr(section, spec.name), prefix + spec.name, error)

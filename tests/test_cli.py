@@ -1,19 +1,23 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyposcreen.cli import _config_id, main
-from hyposcreen.dataset import META_COLUMNS, read_feature_table
+from hyposcreen.dataset import META_COLUMNS, read_feature_table, write_feature_table
 from hyposcreen.errors import DataError
 from hyposcreen.artifact import ensemble_predict, load_ensemble, save_ensemble
+from hyposcreen import ensemble as ensemble_module
 from hyposcreen.ensemble import train_pipeline
-from hyposcreen.config import PipelineConfig, load_config
+from hyposcreen.config import (EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig,
+                               load_config)
 from hyposcreen.featurize import featurize_recording, load_index_map, used_points
 from hyposcreen.ingest import load_recording, parse_manifest
 from hyposcreen.model import logistic
+from hyposcreen.model.histboost import BoostParams
 
 FAST_CONFIG = {
     "scaler": "minmax",
@@ -160,6 +164,77 @@ def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
     assert not ensemble.meta.converged
     save_ensemble(ensemble, tmp_path / "library.json")
     assert path.read_bytes() == (tmp_path / "library.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["cv", "sweep"])
+def test_cv_and_sweep_warn_once_per_run_when_the_meta_layer_does_not_converge(
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch, command):
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{}, {"threshold": 0.4}]')
+    extra = ["--grid", str(grid)] if command == "sweep" else []
+
+    def run(name):
+        out = tmp_path / name
+        assert main([command, "--features", sim_table, "--config", fast_config_path,
+                     "--seeds", "2", "--out", str(out)] + extra) == 0
+        return out, capsys.readouterr()
+
+    _, quiet = run("converged")
+    assert quiet.err == ""
+    monkeypatch.setattr(logistic, "MAX_ITER", 1)
+    out, loud = run("unconverged")
+    lines = loud.err.splitlines()
+    assert len(lines) == (2 if command == "sweep" else 1)
+    for i, line in enumerate(lines):
+        where = f"sweep entry {i} (" if command == "sweep" else "the"
+        assert line.startswith(f"warning: {where}")
+        assert "the meta-layer's logistic fit did not converge in " in line
+        assert " of 6 trainings over 2 seeds" in line
+    # the count reaches stderr only, never a report
+    assert "converge" not in out.read_text()
+
+
+def _ten_controls_and_two_cases(sim_table, tmp_path) -> str:
+    ds = read_feature_table(sim_table)
+    rows = np.concatenate([np.flatnonzero(ds.y == 0)[:10], np.flatnonzero(ds.y == 1)[:2]])
+    path = tmp_path / "small.csv"
+    write_feature_table(ds.subset(rows), path)
+    return str(path)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a fold plan too large for a class was not caught first")
+
+
+def test_train_names_the_inner_fold_setting_a_class_is_too_small_for(
+        sim_table, tmp_path, capsys, monkeypatch):
+    table = _ten_controls_and_two_cases(sim_table, tmp_path)
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["ensemble"]["inner_folds"] = 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    monkeypatch.setattr(ensemble_module, "fit_scaler", _never_called)
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", table, "--config", str(config),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ClassTooSmall"
+    assert err["message"] == "class 1 has 2 rows, fewer than ensemble.inner_folds=3 folds"
+    assert not out.exists()
+
+
+def test_cv_names_the_outer_fold_whose_training_split_is_too_small(
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
+    table = _ten_controls_and_two_cases(sim_table, tmp_path)
+    monkeypatch.setattr(ensemble_module, "train_pipeline", _never_called)
+    out = tmp_path / "cv.json"
+    assert main(["cv", "--features", table, "--config", fast_config_path,
+                 "--folds", "2", "--seeds", "1", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ClassTooSmall"
+    assert err["message"] == ("class 1 has 1 rows in the training split of outer "
+                              "fold 0, fewer than ensemble.inner_folds=2 folds")
+    assert not out.exists()
 
 
 def test_cv_outputs_are_deterministic_across_worker_counts(
@@ -802,7 +877,7 @@ def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
                  "--out", str(tmp_path / "b.csv")]) == 2
 
 
-@pytest.mark.parametrize("section, key, value", [
+TRAIN_RANGE_CASES = [
     ("selection", "improvement_eps", float("nan")),
     ("selection", "improvement_eps", float("inf")),
     ("selection", "improvement_eps", float("-inf")),
@@ -813,9 +888,17 @@ def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
     ("selection", "inner_folds", 1),
     ("ensemble", "inner_folds", 0),
     ("ensemble", "inner_folds", 1),
-], ids=["eps-nan", "eps-inf", "eps-minus-inf", "eps-negative", "k-zero",
-        "k-negative", "selection-folds-zero", "selection-folds-one",
-        "ensemble-folds-zero", "ensemble-folds-one"])
+    ("selection", "n_target", 0),
+    ("selection", "method", "pick"),
+    ("ensemble", "m", 0),
+]
+
+
+@pytest.mark.parametrize("section, key, value", TRAIN_RANGE_CASES, ids=[
+    "eps-nan", "eps-inf", "eps-minus-inf", "eps-negative", "k-zero",
+    "k-negative", "selection-folds-zero", "selection-folds-one",
+    "ensemble-folds-zero", "ensemble-folds-one", "n-target-zero",
+    "method-unknown", "m-zero"])
 def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
         sim_table, tmp_path, capsys, section, key, value):
     # each of these trained and exited 0 when only the component that reads
@@ -835,6 +918,50 @@ def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
     assert rc == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "DataError" and f"{section}.{key}" in err["message"]
+    assert not out.exists()
+
+
+# the first rejected value of every setting that is not in a section, and
+# of every booster parameter at each of its bounds (a second grid entry)
+TOP_LEVEL_AND_BOOSTER_CASES = [
+    ("cv_folds", 1), ("bootstrap_seeds", 0), ("threshold", -0.01),
+    ("threshold", 1.01), ("scaler", "robust"), ("expressions", []),
+    ("expressions", ["frown"]), ("expressions", ["smile", "smile"]),
+    ("n_trees", 0), ("learning_rate", 0), ("learning_rate", 1.01),
+    ("max_leaves", 1), ("min_samples_leaf", 0), ("max_bins", 1),
+    ("max_bins", 256),
+]
+
+
+def test_every_declared_range_has_a_rejection_case():
+    cases = {(s, k) for s, k, _ in TRAIN_RANGE_CASES}
+    cases |= {("", k) for k, _ in TOP_LEVEL_AND_BOOSTER_CASES}
+    declared = set()
+    for section, cls in (("", PipelineConfig), ("selection", SelectionConfig),
+                         ("smote", SmoteConfig), ("ensemble", EnsembleConfig),
+                         ("", BoostParams)):
+        declared |= {(section, f.name) for f in fields(cls) if f.metadata}
+    assert declared <= cases
+
+
+@pytest.mark.parametrize("key, value", TOP_LEVEL_AND_BOOSTER_CASES)
+def test_train_rejects_a_top_level_or_booster_setting_out_of_range(
+        sim_table, tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    if key in BoostParams.__dataclass_fields__:
+        doc["ensemble"]["grid"].append({key: value})
+        named = f"ensemble.grid[1]: booster parameter {key}"
+    else:
+        doc[key] = value
+        named = key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "model.json"
+    rc = main(["train", "--features", sim_table, "--config", str(config),
+               "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "DataError" and err["message"].startswith(named)
     assert not out.exists()
 
 

@@ -10,7 +10,8 @@ from hyposcreen.config import (
     load_config,
     save_config,
 )
-from hyposcreen.errors import DataError
+from hyposcreen.errors import DataError, DegenerateParams
+from hyposcreen.model.histboost import BoostParams
 
 
 def test_defaults_are_valid_and_grid_width_matches_m():
@@ -158,3 +159,34 @@ def test_number_fields_accept_integers():
         "ensemble": {"m": 1, "grid": [{"learning_rate": 1}]}})
     assert cfg.threshold == 1
     assert cfg.candidates()[0].learning_rate == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"cv_folds": 2, "bootstrap_seeds": 1, "threshold": 0, "expressions": ["surprise"],
+     "selection": {"n_target": 1, "inner_folds": 2, "improvement_eps": 0},
+     "smote": {"k_neighbors": 1},
+     "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+         {"n_trees": 1, "learning_rate": 5e-324, "max_leaves": 2,
+          "min_samples_leaf": 1, "max_bins": 2}]}},
+    {"threshold": 1, "expressions": ["surprise", "smile", "disgust"],
+     "selection": {"improvement_eps": 1e308},
+     "ensemble": {"m": 2, "grid": [{"learning_rate": 1, "max_bins": 255},
+                                   {"n_trees": 10**6, "max_leaves": 10**6,
+                                    "min_samples_leaf": 10**6}]}},
+], ids=["lowest", "highest"])
+def test_settings_at_their_allowed_bounds_load(doc):
+    cfg = PipelineConfig.from_dict(doc)
+    assert PipelineConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+    for entry, params in zip(doc["ensemble"]["grid"], cfg.candidates()):
+        assert {k: getattr(params, k) for k in entry} == entry
+
+
+def test_a_booster_out_of_range_is_a_data_error_through_the_config_only():
+    with pytest.raises(DataError) as err:
+        PipelineConfig.from_dict({"ensemble": {"m": 1, "grid": [
+            {}, {"max_bins": 300}]}})
+    assert type(err.value) is DataError
+    assert str(err.value) == ("ensemble.grid[1]: booster parameter max_bins "
+                              "must be in [2, 255], got 300")
+    with pytest.raises(DegenerateParams, match="max_bins must be in"):
+        BoostParams(max_bins=300).validate()
