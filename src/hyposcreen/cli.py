@@ -55,7 +55,7 @@ _LAZY = {
         ".artifact": ("ensemble_predict", "input_columns", "load_ensemble",
                       "save_ensemble"),
         ".config": ("PipelineConfig", "load_config"),
-        ".ensemble": ("run_cross_validation", "train_pipeline"),
+        ".ensemble": ("require_folds", "run_cross_validation", "train_pipeline"),
         ".evaluate": ("summarize_bootstrap",),
         ".explain": ("pca_project", "silhouette_score", "tree_shap"),
         ".parallel": ("parallel_map",),
@@ -156,13 +156,18 @@ def _seed_from(args, cfg: PipelineConfig) -> int:
     return cfg.seed if args.seed is None else args.seed
 
 
-def _cv_counts(args, cfg: PipelineConfig) -> tuple[int, int]:
-    """``--folds`` and ``--seeds``, each defaulting to and checked as its setting."""
+def _cv_counts(args, cfg: PipelineConfig, y, split: str) -> tuple[int, int]:
+    """``--folds`` and ``--seeds``, each defaulting to and checked as its
+    setting; the fold count also against each class of the labels ``y``,
+    naming whichever of ``--folds`` and ``cv_folds`` set it and, with
+    ``split``, the rows."""
     folds = cfg.cv_folds if args.folds is None else args.folds
     n_seeds = cfg.bootstrap_seeds if args.seeds is None else args.seeds
     check_setting(cfg.__dataclass_fields__["cv_folds"], folds, "--folds", UsageError)
     check_setting(cfg.__dataclass_fields__["bootstrap_seeds"], n_seeds, "--seeds",
                   UsageError)
+    _cli.require_folds(y, [("cv_folds" if args.folds is None else "--folds", folds)],
+                       split)
     return folds, n_seeds
 
 
@@ -220,7 +225,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
-    folds, n_seeds = _cv_counts(args, cfg)
+    folds, n_seeds = _cv_counts(args, cfg, ds.y, "")
     master = _seed_from(args, cfg)
     results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
     _warn_unconverged(results, "")
@@ -384,11 +389,14 @@ def _cmd_sweep(args) -> int:
     ds_full = read_feature_table(args.features)
     master = _seed_from(args, base)
 
-    entries = []
+    # every entry is loaded and checked before the first one trains
+    runs = []
     for i, over in enumerate(overrides):
         cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
         ds = _apply_expression_filter(ds_full, cfg)
-        folds, n_seeds = _cv_counts(args, cfg)
+        runs.append((cfg, ds, *_cv_counts(args, cfg, ds.y, f" in sweep entry {i}")))
+    entries = []
+    for i, (cfg, ds, folds, n_seeds) in enumerate(runs):
         results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
         config_id = _config_id(cfg.to_dict())
         _warn_unconverged(results, f"sweep entry {i} ({config_id}): ")
@@ -447,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", default=None)
     c.add_argument("--folds", type=int, default=None)
     c.add_argument("--seeds", type=int, default=None,
-                   help="bootstrap repetitions of the full CV")
+                   help="re-seeded repetitions of the full CV")
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--out", required=True)
     c.add_argument("--roc-out", default=None, help="ROC csv path")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .artifact import TrainedEnsemble, ensemble_predict
 from .dataset import LabeledDataset
-from .errors import ClassTooSmall, MTooLarge
+from .errors import ClassTooSmall, MTooLarge, TooFewMinority
 from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
 from .model.histboost import fit_histgbm, predict_proba
 from .model.logistic import fit_logistic
@@ -122,20 +122,44 @@ def fit_stacking_ensemble(X, y, config, seed: int):
     return base_models, base_info, meta, provenance
 
 
-def _require_inner_folds(y, config, split: str) -> None:
+def require_folds(y, plans, split: str) -> None:
     """Raise :class:`ClassTooSmall`, naming the setting, when a class of
-    ``y`` has fewer rows than a fold plan over ``y`` needs: the
-    ``selection.inner_folds`` of a method that reads it, and
-    ``ensemble.inner_folds``.  ``split`` names the rows in the message."""
+    ``y`` has fewer rows than a fold plan over ``y`` needs.  ``plans`` lists
+    ``(setting, k)`` pairs, checked in order; ``split`` names the rows in
+    the message."""
     labels, counts = np.unique(y, return_counts=True)
-    plans = [("ensemble.inner_folds", config.ensemble.inner_folds)]
-    if config.selection.method in FOLDED_METHODS:
-        plans.insert(0, ("selection.inner_folds", config.selection.inner_folds))
     for setting, k in plans:
         short = np.flatnonzero(counts < k)
         if short.size:
             i = short[0]
             raise ClassTooSmall(labels[i].item(), int(counts[i]), k, setting, split)
+
+
+def _require_inner_folds(y, config, split: str) -> None:
+    """Fail before anything trains on ``y`` when an inner fold plan cannot
+    be made or oversampled.
+
+    A class must have as many rows as the ``selection.inner_folds`` of a
+    method that reads it and as ``ensemble.inner_folds``
+    (:class:`ClassTooSmall`).  With SMOTE on, no inner training split may
+    hold unequal class counts with a single row in the smaller class
+    (:class:`TooFewMinority`): ``stratified_kfold`` deals each class
+    round-robin, so inner fold ``j`` holds ``ceil((c - j) / k)`` of a
+    class's ``c`` rows, whatever the seed.  ``split`` names the rows in the
+    message."""
+    plans = [("ensemble.inner_folds", config.ensemble.inner_folds)]
+    if config.selection.method in FOLDED_METHODS:
+        plans.insert(0, ("selection.inner_folds", config.selection.inner_folds))
+    require_folds(y, plans, split)
+    if config.smote.enabled:
+        k = config.ensemble.inner_folds
+        counts = np.unique(y, return_counts=True)[1]
+        for j in range(k):
+            train = counts - (counts - j + k - 1) // k
+            if train.min() == 1 and train.max() > 1:
+                raise TooFewMinority(1, f" in the training split of inner fold {j} "
+                                        f"of ensemble.inner_folds={k}{split}, "
+                                        f"which smote.enabled oversamples")
 
 
 def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble:

@@ -146,8 +146,10 @@ class WidthMismatch(DataError):
 
 
 class TooFewMinority(DataError):
-    def __init__(self, count):
-        super().__init__(f"minority class has {count} rows; "
+    """``where`` names the rows to be oversampled, or is empty."""
+
+    def __init__(self, count, where):
+        super().__init__(f"minority class has {count} rows{where}; "
                          "at least 2 are required for interpolation")
         self.count = count
 

@@ -14,10 +14,6 @@ from .errors import DataError, SingleCluster, TooFewColumns, TooFewRows
 from .model.binning import bin_matrix
 from .model.histboost import BoostedModel, Tree, predict_raw
 
-# power iteration stops when successive unit vectors agree up to sign
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 50000
-
 
 @dataclass
 class ShapAttribution:
@@ -164,27 +160,10 @@ class Projection2D:
     dropped_columns: list       # constant columns excluded before analysis
 
 
-def _power_iteration(C: np.ndarray):
-    rng = np.random.default_rng(0x5EED)  # fixed start keeps output deterministic
-    v = rng.standard_normal(C.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(POWER_MAX_ITER):
-        w = C @ v
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-300:
-            return v, 0.0
-        w /= nrm
-        if np.linalg.norm(w - v) < POWER_TOL or np.linalg.norm(w + v) < POWER_TOL:
-            v = w
-            break
-        v = w
-    lam = float(v @ C @ v)
-    return v, lam
-
-
 def pca_project(X) -> Projection2D:
     """Project standardized columns onto the two leading eigenvectors of the
-    correlation matrix (power iteration with deflation).
+    correlation matrix, taken with their eigenvalues from numpy's symmetric
+    eigensolver.
 
     The sign of each component is fixed so its largest-magnitude loading is
     positive.  Constant columns are dropped and reported, not an error.
@@ -198,23 +177,12 @@ def pca_project(X) -> Projection2D:
     if len(kept) < 2:
         raise TooFewColumns(len(kept), 2)
     Z = (X[:, kept] - X[:, kept].mean(axis=0)) / sd[kept]
-    n = X.shape[0]
-    C = Z.T @ Z / n
-    total = float(len(kept))  # trace of the correlation matrix
-
-    comps = []
-    lams = []
-    for _ in range(2):
-        v, lam = _power_iteration(C)
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0:
-            v = -v
-        comps.append(v)
-        lams.append(max(lam, 0.0))
-        C = C - lam * np.outer(v, v)
-    V = np.column_stack(comps)
+    lams, vecs = np.linalg.eigh(Z.T @ Z / X.shape[0])  # ascending
+    lams, V = lams[:-3:-1], vecs[:, :-3:-1]  # the leading two, descending
+    V = V * np.sign(V[np.argmax(np.abs(V), axis=0), [0, 1]])
     return Projection2D(coords=Z @ V,
-                        explained=np.array(lams) / total,
+                        # the trace of the correlation matrix is len(kept)
+                        explained=np.maximum(lams, 0.0) / len(kept),
                         components=V,
                         kept_columns=kept,
                         dropped_columns=dropped)

@@ -153,8 +153,9 @@ def parse_manifest(path) -> Manifest:
         if dur is not None:
             if not isinstance(dur, (int, float)) or isinstance(dur, bool):
                 raise SchemaViolation("disease_duration", i, "must be numeric")
-            if dur < 0:
-                raise SchemaViolation("disease_duration", i, "must be >= 0")
+            if not 0 <= dur < math.inf:  # also false for nan
+                raise SchemaViolation("disease_duration", i,
+                                      f"must be a finite number >= 0, got {dur}")
         key = (str(raw["participant_id"]), raw["expression"])
         if key in seen:
             raise DuplicateEntry(key)

@@ -179,14 +179,19 @@ class BoostedModel:
             raise ArtifactError(f"unsupported schema_version {d.get('schema_version')!r}")
         if d.get("kind") != "histgbm":
             raise ArtifactError(f"unexpected model kind {d.get('kind')!r}")
+        mapper = BinMapper.from_dict(d["bins"])
+        width = len(mapper.thresholds)
+        if d["n_features"] != width:
+            raise ArtifactError(f"n_features {d['n_features']!r} differs from the "
+                                f"{width} features the bin thresholds cover")
         model = cls(params=BoostParams.from_dict(d["params"]),
-                    mapper=BinMapper.from_dict(d["bins"]),
+                    mapper=mapper,
                     base_score=float(d["base_score"]),
                     trees=[Tree.from_dict(t) for t in d["trees"]],
                     train_loss=[float(v) for v in d["train_loss"]],
-                    n_features=int(d["n_features"]))
+                    n_features=width)
         # checked on load: a malformed tree fails here, not on its first walk
-        model._nodes = _node_table(model.trees, len(model.mapper.thresholds))
+        model._nodes = _node_table(model.trees, width)
         return model
 
 

@@ -103,7 +103,7 @@ def smote_oversample(minority: np.ndarray, majority_count: int,
         raise EmptyMatrix()
     n_min = X.shape[0]
     if n_min < 2:
-        raise TooFewMinority(n_min)
+        raise TooFewMinority(n_min, "")
     if k_neighbors < 1:
         raise DataError("k_neighbors must be >= 1")
     n_syn = int(majority_count) - n_min

@@ -373,6 +373,9 @@ def test_memoized_fits_equal_independent_fits():
 
 
 def _jacobi_eigh(A, sweeps=60):
+    """Eigenvalues, descending, and eigenvectors of a symmetric matrix by
+    cyclic Jacobi rotations, independent of the LAPACK solver behind
+    ``pca_project``'s ``np.linalg.eigh``."""
     A = A.copy()
     d = A.shape[0]
     V = np.eye(d)

@@ -143,6 +143,31 @@ def test_predict_rejects_an_artifact_with_a_malformed_tree(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "explain"])
+@pytest.mark.parametrize("n_features", [2, 9])
+def test_scoring_commands_reject_an_artifact_whose_width_disagrees(
+        sim_table, tmp_path, fast_config_path, capsys, command, n_features):
+    # unchecked, 2 makes explain read past its attribution vector (an
+    # IndexError, exit 4) and 9 passes silently
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config", fast_config_path,
+                 "--out", str(model_path), "--seed", "5"]) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["base_models"][0]["n_features"] == 4
+    doc["base_models"][0]["n_features"] = n_features
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main([command, "--model", str(bad), "--features", sim_table,
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ArtifactError"
+    assert err["message"] == (f"cannot load model artifact: n_features {n_features} "
+                              f"differs from the 4 features the bin thresholds cover")
+    assert not out.exists()
+
+
 def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
         sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
     def train(name):
@@ -234,6 +259,69 @@ def test_cv_names_the_outer_fold_whose_training_split_is_too_small(
     assert err["error"] == "ClassTooSmall"
     assert err["message"] == ("class 1 has 1 rows in the training split of outer "
                               "fold 0, fewer than ensemble.inner_folds=2 folds")
+    assert not out.exists()
+
+
+def _ten_controls_and(cases, sim_table, tmp_path) -> str:
+    ds = read_feature_table(sim_table)
+    rows = np.concatenate([np.flatnonzero(ds.y == 0)[:10],
+                           np.flatnonzero(ds.y == 1)[:cases]])
+    path = tmp_path / f"ten_and_{cases}.csv"
+    write_feature_table(ds.subset(rows), path)
+    return str(path)
+
+
+def _last_error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["cv", "sweep"])
+def test_cv_and_sweep_name_the_fold_count_a_class_is_too_small_for(
+        sim_table, tmp_path, capsys, monkeypatch, command):
+    # the sweep's 4 folds come from its second entry's override of the
+    # config's 3, and are checked before its first entry trains
+    table = _ten_controls_and(3, sim_table, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FAST_CONFIG, "cv_folds": 4 if command == "cv" else 3}))
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"scaler": "standard"}, {"cv_folds": 4}]')
+    extra = ["--grid", str(grid)] if command == "sweep" else []
+    monkeypatch.setattr(ensemble_module, "train_pipeline", _never_called)
+    out = tmp_path / "out"
+    for flags, setting, entry in ((["--folds", "4"], "--folds", 0), ([], "cv_folds", 1)):
+        assert main([command, "--features", table, "--config", str(config),
+                     "--seeds", "1", "--out", str(out)] + extra + flags) == 3
+        err = _last_error(capsys)
+        assert err["error"] == "ClassTooSmall"
+        where = f" in sweep entry {entry}" if command == "sweep" else ""
+        assert err["message"] == f"class 1 has 3 rows{where}, fewer than {setting}=4 folds"
+        assert not out.exists()
+
+
+def test_train_and_cv_reject_an_inner_training_split_smote_cannot_oversample(
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
+    # ensemble.inner_folds 2 deals 3 cases as 2 + 1, so inner fold 0 trains
+    # on 5 controls and 1 case, which SMOTE cannot interpolate from
+    monkeypatch.setattr(ensemble_module, "fit_scaler", _never_called)
+    out = tmp_path / "model.json"
+    assert main(["train", "--features", _ten_controls_and(3, sim_table, tmp_path),
+                 "--config", fast_config_path, "--out", str(out)]) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "TooFewMinority"
+    assert err["message"] == (
+        "minority class has 1 rows in the training split of inner fold 0 of "
+        "ensemble.inner_folds=2, which smote.enabled oversamples; at least 2 "
+        "are required for interpolation")
+    assert not out.exists()
+    # 6 cases in 2 outer folds leave 3 in each training split: the same deal
+    monkeypatch.setattr(ensemble_module, "train_pipeline", _never_called)
+    assert main(["cv", "--features", _ten_controls_and(6, sim_table, tmp_path),
+                 "--config", fast_config_path, "--folds", "2", "--seeds", "1",
+                 "--out", str(out)]) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "TooFewMinority"
+    assert ("of ensemble.inner_folds=2 in the training split of outer fold 0, "
+            "which smote.enabled oversamples") in err["message"]
     assert not out.exists()
 
 

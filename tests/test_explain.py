@@ -168,7 +168,7 @@ def test_exact_oracle_guards_wide_models():
 
 def _jacobi_eigh(A, sweeps=60):
     """Cyclic Jacobi rotations on a symmetric matrix; independent of the
-    package's power iteration."""
+    LAPACK solver behind the package's ``np.linalg.eigh``."""
     A = A.copy()
     d = A.shape[0]
     V = np.eye(d)

@@ -278,6 +278,8 @@ def test_parse_manifest_happy_path(manifest_corpus):
     ({"au_path": "missing.csv"}, MissingFile),
     ({"label": True}, SchemaViolation),  # True == 1, but it is not a label
     ({"label": False}, SchemaViolation),
+    ({"disease_duration": float("nan")}, SchemaViolation),  # nan < 0 is false
+    ({"disease_duration": float("inf")}, SchemaViolation),
 ])
 def test_parse_manifest_rejects_bad_entries(manifest_corpus, patch, exc):
     doc = json.loads(manifest_corpus.read_text())

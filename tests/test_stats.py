@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -21,14 +22,12 @@ from hyposcreen.stats import (
     build_bias_report,
     chi_square,
     fisher_exact,
-    gamma_p_series,
-    gamma_q_contfrac,
     normal_approx_ci,
-    regularized_gamma_q,
     spearman,
     z_two_proportions,
     z_two_proportions_from_rates,
     WALD_Z,
+    _chi2_sf,
     _t_sf,
 )
 
@@ -141,33 +140,58 @@ def test_fisher_odds_orientation_and_degeneracies():
         fisher_exact(1.5, 2, 3, 4)
 
 
-# --- incomplete gamma -----------------------------------------------------------
+# --- chi-square tail -------------------------------------------------------------
 
-def test_gamma_q_against_closed_forms():
-    for x in (0.1, 0.5, 1.0, 2.0, 5.0, 9.0):
-        assert math.isclose(regularized_gamma_q(1.0, x), math.exp(-x),
-                            rel_tol=1e-12)
-        assert math.isclose(regularized_gamma_q(0.5, x),
-                            math.erfc(math.sqrt(x)), rel_tol=1e-12)
-        assert math.isclose(regularized_gamma_q(2.0, x),
-                            (1.0 + x) * math.exp(-x), rel_tol=1e-12)
-    assert regularized_gamma_q(3.0, 0.0) == 1.0
-    with pytest.raises(DataError):
-        regularized_gamma_q(-1.0, 2.0)
-    with pytest.raises(DataError):
-        regularized_gamma_q(1.0, -2.0)
+def _decimal_pi() -> Decimal:
+    """pi to the context precision, by the series of the decimal module docs."""
+    getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    getcontext().prec -= 2
+    return +s
 
 
-def test_gamma_series_and_contfrac_sum_to_one():
-    # the series converges everywhere; the continued fraction only for
-    # x >= a + 1, which is exactly where the router hands over to it
-    for a in (0.5, 1.0, 2.5, 7.0):
-        for x in (0.2, 0.9, 1.7, 3.1, 8.5, 20.0):
-            if x < a + 1.0:
-                continue
-            p = gamma_p_series(a, x)
-            q = gamma_q_contfrac(a, x)
-            assert math.isclose(p + q, 1.0, rel_tol=1e-10)
+def _chi2_sf_by_lower_series(x: float, df: int) -> float:
+    """1 - P(df/2, x/2), with the lower incomplete gamma P summed as its power
+    series y^a e^-y sum_n y^n / gamma(a + n + 1) at 150 digits, enough to
+    keep the tails down to 1e-110 exact after the subtraction."""
+    with localcontext() as ctx:
+        ctx.prec = 150
+        a = Decimal(df) / 2
+        y = Decimal(x) / 2
+        if y == 0:
+            return 1.0
+        gamma = _decimal_pi().sqrt() if df % 2 else Decimal(1)  # gamma(1/2 or 1)
+        k = Decimal(1) / 2 if df % 2 else Decimal(1)
+        while k <= a:  # gamma(a + 1) by k -> k + 1 steps
+            gamma *= k
+            k += 1
+        term = y ** a * (-y).exp() / gamma
+        total = term
+        n = 1
+        while term > Decimal(10) ** -130 or n < y:
+            term = term * y / (a + n)
+            total += term
+            n += 1
+        return float(1 - total)
+
+
+def test_chi2_tail_equals_an_independent_series_to_1e_12():
+    stats = ([0.0, 1e-8, 1e-3, 0.1, 0.5]
+             + [float(v) for v in np.linspace(1.0, 500.0, 24)])
+    worst = 0.0
+    for df in range(1, 41):
+        for x in stats:
+            want = _chi2_sf_by_lower_series(x, df)
+            got = _chi2_sf(x, df)
+            worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-12
 
 
 def test_chi_square_hand_example():
