@@ -219,10 +219,11 @@ def test_cv_and_sweep_warn_once_per_run_when_the_meta_layer_does_not_converge(
     assert "converge" not in out.read_text()
 
 
-def _ten_controls_and_two_cases(sim_table, tmp_path) -> str:
+def _ten_controls_and(cases, sim_table, tmp_path) -> str:
     ds = read_feature_table(sim_table)
-    rows = np.concatenate([np.flatnonzero(ds.y == 0)[:10], np.flatnonzero(ds.y == 1)[:2]])
-    path = tmp_path / "small.csv"
+    rows = np.concatenate([np.flatnonzero(ds.y == 0)[:10],
+                           np.flatnonzero(ds.y == 1)[:cases]])
+    path = tmp_path / f"ten_and_{cases}.csv"
     write_feature_table(ds.subset(rows), path)
     return str(path)
 
@@ -233,7 +234,7 @@ def _never_called(*args, **kwargs):
 
 def test_train_names_the_inner_fold_setting_a_class_is_too_small_for(
         sim_table, tmp_path, capsys, monkeypatch):
-    table = _ten_controls_and_two_cases(sim_table, tmp_path)
+    table = _ten_controls_and(2, sim_table, tmp_path)
     doc = json.loads(json.dumps(FAST_CONFIG))
     doc["ensemble"]["inner_folds"] = 3
     config = tmp_path / "config.json"
@@ -250,7 +251,7 @@ def test_train_names_the_inner_fold_setting_a_class_is_too_small_for(
 
 def test_cv_names_the_outer_fold_whose_training_split_is_too_small(
         sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
-    table = _ten_controls_and_two_cases(sim_table, tmp_path)
+    table = _ten_controls_and(2, sim_table, tmp_path)
     monkeypatch.setattr(ensemble_module, "train_pipeline", _never_called)
     out = tmp_path / "cv.json"
     assert main(["cv", "--features", table, "--config", fast_config_path,
@@ -260,15 +261,6 @@ def test_cv_names_the_outer_fold_whose_training_split_is_too_small(
     assert err["message"] == ("class 1 has 1 rows in the training split of outer "
                               "fold 0, fewer than ensemble.inner_folds=2 folds")
     assert not out.exists()
-
-
-def _ten_controls_and(cases, sim_table, tmp_path) -> str:
-    ds = read_feature_table(sim_table)
-    rows = np.concatenate([np.flatnonzero(ds.y == 0)[:10],
-                           np.flatnonzero(ds.y == 1)[:cases]])
-    path = tmp_path / f"ten_and_{cases}.csv"
-    write_feature_table(ds.subset(rows), path)
-    return str(path)
 
 
 def _last_error(capsys) -> dict:
