@@ -27,7 +27,7 @@ _SOURCES = {
     for module, names in {
         "artifact": ("TrainedEnsemble", "ensemble_predict", "load_ensemble",
                      "save_ensemble"),
-        "config": ("DEFAULT_GRID", "PipelineConfig", "load_config", "save_config"),
+        "config": ("DEFAULT_GRID", "PipelineConfig", "load_config"),
         "dataset": ("LabeledDataset", "build_feature_table", "read_feature_table",
                     "write_feature_table"),
         "ensemble": ("run_cross_validation", "train_pipeline", "verify_no_leakage"),

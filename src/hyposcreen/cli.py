@@ -32,7 +32,7 @@ from . import dataset
 from .dataset import CONTINUOUS_DEMOGRAPHICS, read_feature_table, write_feature_table
 from .errors import DataError, HyposcreenError, UsageError
 from .featurize import feature_names as canonical_feature_names
-from .ingest import EXPRESSIONS, Column, CsvSpec, parse_manifest, read_columns
+from .ingest import EXPRESSIONS, Column, CsvSpec, is_binary, parse_manifest, read_columns
 from .reports import (
     write_json,
     write_json_lines,
@@ -119,10 +119,15 @@ def _expression_columns(feature_cols) -> dict:
 
 
 def _apply_expression_filter(ds, config: PipelineConfig):
-    """Reduce a canonical table to the configured expressions; tables without
-    canonical names pass through untouched."""
+    """Reduce a canonical table to the configured expressions.  A table
+    without canonical names passes through untouched when all three are
+    configured; with fewer, there is nothing to subset, and it raises."""
     by_expr = _expression_columns(ds.feature_names)
     if not by_expr:
+        if set(config.expressions) != set(EXPRESSIONS):
+            raise DataError(f"expressions {config.expressions} select columns by "
+                            f"their expression prefix, but no feature column of "
+                            f"the table starts with one of {list(EXPRESSIONS)}")
         return ds
     wanted = canonical_feature_names(config.expressions)
     missing = [c for c in wanted if c not in ds.feature_names]
@@ -133,13 +138,16 @@ def _apply_expression_filter(ds, config: PipelineConfig):
 
 _PREDICTIONS_SPEC = CsvSpec((
     Column("participant_id", number=False, unique="predictions row"),
-    Column("score")))
+    Column("score"),
+    Column("predicted_label", rule=is_binary, optional=True)))
 
 
 def _read_predictions(path):
-    """Participant ids, each listed once, and finite scores of a predictions csv."""
-    _, block, cells = read_columns(path, _PREDICTIONS_SPEC)
-    return cells["participant_id"], block[:, 0]
+    """Participant ids, each listed once, finite scores, and the 0/1
+    ``predicted_label`` column (None when the file has none) of a
+    predictions csv."""
+    names, block, cells = read_columns(path, _PREDICTIONS_SPEC)
+    return cells["participant_id"], block[:, 0], block[:, 1] if len(names) > 1 else None
 
 
 def _parse_float_list(text: str) -> list:
@@ -181,6 +189,16 @@ def _repeated_cv(ds, cfg: PipelineConfig, folds: int, n_seeds: int, master: int)
     return results, _cli.summarize_bootstrap([r.pooled for r in results])
 
 
+def _warn_n_target(cfg: PipelineConfig, ds, where: str) -> None:
+    """One stderr line if selection is on and ``selection.n_target`` exceeds
+    the feature count of ``ds``; ``where`` starts it."""
+    n_target, width = cfg.selection.n_target, len(ds.feature_names)
+    if cfg.selection.method != "none" and n_target > width:
+        sys.stderr.write(f"warning: {where}selection.n_target={n_target} exceeds the "
+                         f"table's {width} features; {cfg.selection.method} selection "
+                         f"keeps at most all {width}\n")
+
+
 def _warn_unconverged(results, where: str) -> None:
     """One stderr line if the meta-layer's fit did not converge in some
     training of the cross-validations ``results``; ``where`` starts it."""
@@ -209,6 +227,7 @@ def _cmd_featurize(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
+    _warn_n_target(cfg, ds, "")
     seed = _seed_from(args, cfg)
     ensemble = _cli.train_pipeline(ds, cfg, seed=seed)
     _cli.save_ensemble(ensemble, args.out)
@@ -225,6 +244,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
+    _warn_n_target(cfg, ds, "")
     folds, n_seeds = _cv_counts(args, cfg, ds.y, "")
     master = _seed_from(args, cfg)
     results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
@@ -271,7 +291,16 @@ def _cmd_bias(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:  # also false for nan
         raise UsageError(f"--threshold must be a number in [0, 1], "
                          f"got {args.threshold}")
-    ids, scores = _read_predictions(args.preds)
+    ids, scores, predicted = _read_predictions(args.preds)
+    if predicted is not None:
+        differs = (predicted != (scores >= args.threshold)).nonzero()[0]
+        if differs.size:
+            r = int(differs[0])
+            raise DataError(f"predictions row {r} ({ids[r]!r}) has predicted_label "
+                            f"{int(predicted[r])}, but its score {float(scores[r])!r} "
+                            f"gives {1 - int(predicted[r])} at --threshold "
+                            f"{args.threshold}; pass the --threshold the "
+                            f"predictions were made at")
     ds = read_feature_table(args.features, features=())
     index = {pid: i for i, pid in enumerate(ds.participant_ids)}
     rows = []
@@ -317,8 +346,12 @@ def _cmd_explain(args) -> int:
             rows.append((ds.participant_ids[i], nm,
                          attribution.phi[j], raw[i, j]))
     write_shap_csv(rows, args.out)
-    print(f"explained {n_rows} rows x {len(ensemble.feature_names)} features "
-          f"-> {args.out}")
+    weights = abs(ensemble.meta.weights)
+    share = f"{weights[0] / weights.sum():.1%}" if weights.sum() else "none"
+    print(f"explained {n_rows} rows x {len(ensemble.feature_names)} features with "
+          f"the lead base model alone, not the ensemble: candidate "
+          f"{ensemble.base_info[0]['candidate_index']}, {share} of the meta-layer's "
+          f"sum |w| -> {args.out}")
     return 0
 
 
@@ -394,6 +427,7 @@ def _cmd_sweep(args) -> int:
     for i, over in enumerate(overrides):
         cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
         ds = _apply_expression_filter(ds_full, cfg)
+        _warn_n_target(cfg, ds, f"sweep entry {i}: ")
         runs.append((cfg, ds, *_cv_counts(args, cfg, ds.y, f" in sweep entry {i}")))
     entries = []
     for i, (cfg, ds, folds, n_seeds) in enumerate(runs):

@@ -3,9 +3,7 @@ setting declares its allowed values beside its default (util.check_setting)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, is_dataclass
-from pathlib import Path
 
 from .errors import DataError
 from .ingest import EXPRESSIONS
@@ -117,6 +115,3 @@ def load_config(path=None) -> PipelineConfig:
         return PipelineConfig()
     return PipelineConfig.from_dict(read_json(path, "config"))
 
-
-def save_config(cfg: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -2,6 +2,10 @@
 
 The SHAP implementation is the polynomial path-dependent algorithm over the
 booster's binned trees, with branch probabilities taken from training covers.
+It explains one boosted model: the ``explain`` command attributes the lead
+base model of an ensemble (``base_models[0]``, the kept candidate with the
+best inner-fold AUROC) alone, not the stacked score, and names that model's
+``candidate_index`` and its share of the meta-layer's sum of |weights|.
 """
 
 from __future__ import annotations

@@ -198,12 +198,18 @@ class FeatureVector:
 
 
 def canonical_expressions(expressions=None) -> tuple[str, ...]:
+    """``expressions`` in canonical order, all three for None; a name that
+    is not an expression, or none at all, raises :class:`DataError`."""
     if expressions is None:
         return EXPRESSIONS
-    subset = tuple(e for e in EXPRESSIONS if e in set(expressions))
-    if not subset:
-        raise DataError(f"no valid expressions in {expressions!r}")
-    return subset
+    unknown = [e for e in expressions if e not in EXPRESSIONS]
+    if unknown:
+        raise DataError(f"unknown expressions {unknown}; expected names from "
+                        f"{list(EXPRESSIONS)}")
+    wanted = set(expressions)
+    if not wanted:
+        raise DataError("no expressions requested")
+    return tuple(e for e in EXPRESSIONS if e in wanted)
 
 
 def feature_names(expressions=None) -> list[str]:

@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -48,7 +48,6 @@ EXPRESSION_AUS = {
 }
 
 N_POINTS = 478
-LOW_CONFIDENCE = 0.75  # frames below this are counted, not dropped
 
 
 @dataclass
@@ -94,19 +93,6 @@ class RecordingSeries:
     au_activation: dict[str, np.ndarray] = field(default_factory=dict)
     landmarks: np.ndarray | None = None
     confidence: np.ndarray | None = None
-
-
-@dataclass
-class ValidationReport:
-    participant_id: str
-    expression: str
-    frame_count: int
-    active_fraction: dict[str, float]
-    zero_active: list[str]
-    low_confidence_frames: int | None  # None when no confidence track
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # --- manifest -------------------------------------------------------------
@@ -478,41 +464,17 @@ def parse_au_csv(path, expression, participant_id: str = "") -> RecordingSeries:
     )
 
 
-def write_au_csv(series: RecordingSeries, path) -> None:
-    """Serialize the AU tracks in canonical column order (round-trips exactly)."""
-    aus = sorted(series.au_intensity)
-    header = ["frame"] + [au + "_r" for au in aus] + [au + "_c" for au in aus]
-    if series.confidence is not None:
-        header.append("confidence")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in range(series.frame_count):
-            row = [r]
-            row += [repr(float(series.au_intensity[au][r])) for au in aus]
-            row += [int(series.au_activation[au][r]) for au in aus]
-            if series.confidence is not None:
-                row.append(repr(float(series.confidence[r])))
-            w.writerow(row)
-
-
 # --- landmark csv ----------------------------------------------------------
-
-_AXES = ("x", "y", "z")
-
-
-def _landmark_columns() -> list[str]:
-    return [f"p{i:03d}_{ax}" for i in range(N_POINTS) for ax in _AXES]
-
 
 @functools.lru_cache(maxsize=4)
 def _landmark_spec(points: tuple[int, ...] | None) -> CsvSpec:
     """``frame`` and every landmark column; with ``points``, only ``frame``
     and the x/y columns of those points are read."""
     keep = None if points is None else {f"p{i:03d}_{ax}" for i in points for ax in "xy"}
+    names = (f"p{i:03d}_{ax}" for i in range(N_POINTS) for ax in "xyz")
     return CsvSpec(
         (Column("frame"),) + tuple(Column(name, read=keep is None or name in keep)
-                                   for name in _landmark_columns()),
+                                   for name in names),
         ragged=lambda r, present: RaggedFrame(r, sum(present[1:]) // 3))
 
 
@@ -553,18 +515,7 @@ def parse_landmark_series(path, participant_id: str = "",
     )
 
 
-def write_landmark_csv(series: RecordingSeries, path) -> None:
-    if series.landmarks is None:
-        raise DataError("series has no landmarks to serialize")
-    flat = series.landmarks.reshape(series.frame_count, -1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame"] + _landmark_columns())
-        for r in range(series.frame_count):
-            w.writerow([r] + [repr(float(v)) for v in flat[r]])
-
-
-# --- merge and validation ---------------------------------------------------
+# --- merge -------------------------------------------------------------------
 
 def merge_series(au: RecordingSeries, lm: RecordingSeries) -> RecordingSeries:
     if au.frame_count != lm.frame_count:
@@ -613,25 +564,4 @@ def filter_low_confidence(series: RecordingSeries, threshold: float) -> Recordin
         au_activation={k: v[keep] for k, v in series.au_activation.items()},
         landmarks=None if series.landmarks is None else series.landmarks[keep],
         confidence=series.confidence[keep],
-    )
-
-
-def validate_recording(series: RecordingSeries) -> ValidationReport:
-    fractions = {}
-    zero = []
-    for au in sorted(series.au_activation):
-        frac = float(np.mean(series.au_activation[au]))
-        fractions[au] = frac
-        if frac == 0.0:
-            zero.append(au)
-    low = None
-    if series.confidence is not None:
-        low = int(np.sum(series.confidence < LOW_CONFIDENCE))
-    return ValidationReport(
-        participant_id=series.participant_id,
-        expression=series.expression,
-        frame_count=series.frame_count,
-        active_fraction=fractions,
-        zero_active=zero,
-        low_confidence_frames=low,
     )

@@ -489,7 +489,8 @@ def _boost(presorted: tuple, y, params: BoostParams, base_score: float) -> _Grow
         raw += params.learning_rate * out
         p = sigmoid(raw)  # this round's loss and the next round's gradients
         q = 1.0 - p
-        # log_loss(y, p) bit for bit: y is 0/1 and sigmoid has clipped p
+        # the mean binary cross-entropy, bit for bit as the tests' log_loss
+        # takes it: y is 0/1 and sigmoid has clipped p
         losses.append(-float(np.log(np.where(is_pos, p, q)).sum() / n))
     widest = max(np.count_nonzero(t.feature < 0) for t in trees)
     return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,

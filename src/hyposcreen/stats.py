@@ -78,15 +78,6 @@ def z_two_proportions(x1: float, n1: float, x2: float, n2: float) -> TestResult:
                       notes={"p1": p1, "p2": p2, "pooled": pooled})
 
 
-def z_two_proportions_from_rates(rate1: float, n1: float, rate2: float,
-                                 n2: float) -> TestResult:
-    """Same test parameterized by observed rates instead of counts."""
-    for r in (rate1, rate2):
-        if not 0.0 <= r <= 1.0:
-            raise DataError(f"rate {r} outside [0, 1]")
-    return z_two_proportions(rate1 * n1, n1, rate2 * n2, n2)
-
-
 # --- Fisher exact test -----------------------------------------------------------
 
 def fisher_exact(a: int, b: int, c: int, d: int) -> TestResult:

@@ -65,13 +65,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.clip(expit(z), 1e-15, 1.0 - 1e-15)
 
 
-def log_loss(y: np.ndarray, p: np.ndarray) -> float:
-    """Mean binary cross-entropy; probabilities are clipped away from {0, 1}."""
-    p = np.clip(np.asarray(p, dtype=float), 1e-15, 1.0 - 1e-15)
-    y = np.asarray(y, dtype=float)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def require_finite(X: np.ndarray, names) -> None:
     """Raise :class:`OutOfRange` for the first non-finite cell of the 2-D
     ``X``, in row-major order; ``names[c]`` names column ``c``."""

@@ -1,4 +1,6 @@
-"""Shared fixtures: tiny on-disk recording corpora and dataset builders."""
+"""Shared fixtures and helpers: tiny on-disk recording corpora, dataset
+builders, the csv writers of parsed recordings, and the rate form of the
+two-proportion z-test."""
 
 import csv
 import json
@@ -9,7 +11,9 @@ import hyposcreen  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 
-from hyposcreen.ingest import EXPRESSION_AUS, EXPRESSIONS, N_POINTS
+from hyposcreen.errors import DataError
+from hyposcreen.ingest import EXPRESSION_AUS, EXPRESSIONS, N_POINTS, RecordingSeries
+from hyposcreen.stats import TestResult, z_two_proportions
 
 
 def au_header(aus, conf=True):
@@ -54,6 +58,46 @@ def write_landmark_file(path, n_frames, rng):
         for f in range(n_frames):
             w.writerow([f] + [repr(float(v)) for v in pts[f].ravel()])
     return pts
+
+
+def write_au_csv(series: RecordingSeries, path) -> None:
+    """Serialize the AU tracks in canonical column order (round-trips exactly)."""
+    aus = sorted(series.au_intensity)
+    header = ["frame"] + [au + "_r" for au in aus] + [au + "_c" for au in aus]
+    if series.confidence is not None:
+        header.append("confidence")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for r in range(series.frame_count):
+            row = [r]
+            row += [repr(float(series.au_intensity[au][r])) for au in aus]
+            row += [int(series.au_activation[au][r]) for au in aus]
+            if series.confidence is not None:
+                row.append(repr(float(series.confidence[r])))
+            w.writerow(row)
+
+
+def write_landmark_csv(series: RecordingSeries, path) -> None:
+    if series.landmarks is None:
+        raise DataError("series has no landmarks to serialize")
+    flat = series.landmarks.reshape(series.frame_count, -1)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["frame"] + [f"p{i:03d}_{ax}" for i in range(N_POINTS)
+                                for ax in ("x", "y", "z")])
+        for r in range(series.frame_count):
+            w.writerow([r] + [repr(float(v)) for v in flat[r]])
+
+
+def z_two_proportions_from_rates(rate1: float, n1: float, rate2: float,
+                                 n2: float) -> TestResult:
+    """``stats.z_two_proportions`` parameterized by observed rates instead of
+    counts."""
+    for r in (rate1, rate2):
+        if not 0.0 <= r <= 1.0:
+            raise DataError(f"rate {r} outside [0, 1]")
+    return z_two_proportions(rate1 * n1, n1, rate2 * n2, n2)
 
 
 def build_manifest_corpus(root, participants, n_frames=5, seed=0):

@@ -9,8 +9,9 @@ positions mapped to prefix positions by arithmetic: the bit-for-bit reference
 for the complex scan.  ``grow_tree_oracle`` and ``boost_oracle`` are the tree
 growth and round loop as they were before the booster shared one sigmoid per
 round and one gradient-hessian buffer across rounds, built every child's
-sorted arrays and took the loss from ``log_loss``: the reference for
-``histboost._grow_tree`` and ``histboost._boost``.  ``tree_outputs`` and
+sorted arrays and took the loss from ``log_loss`` (the mean binary
+cross-entropy): the reference for ``histboost._grow_tree`` and
+``histboost._boost``.  ``tree_outputs`` and
 ``predict_raw_oracle`` are the prediction as it was before every tree was
 walked at once: one tree at a time, node by node, each node splitting the
 rows that reach it; the reference for ``histboost.predict_raw``.  No oracle
@@ -23,7 +24,14 @@ import numpy as np
 
 from hyposcreen.model.binning import bin_matrix
 from hyposcreen.model.histboost import L2_LEAF, Tree, build_histograms
-from hyposcreen.util import log_loss, sigmoid
+from hyposcreen.util import sigmoid
+
+
+def log_loss(y, p) -> float:
+    """Mean binary cross-entropy; probabilities are clipped away from {0, 1}."""
+    p = np.clip(np.asarray(p, dtype=float), 1e-15, 1.0 - 1e-15)
+    y = np.asarray(y, dtype=float)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def bin_counts(mapper):

@@ -54,9 +54,10 @@ from hyposcreen.model.binning import bin_matrix
 from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
 from hyposcreen.model.logistic import logistic_objective
 from hyposcreen.preprocess import smote_oversample, stratified_kfold
-from hyposcreen.stats import fisher_exact, normal_approx_ci, z_two_proportions_from_rates
+from hyposcreen.stats import fisher_exact, normal_approx_ci
 from hyposcreen.util import sigmoid
 
+from conftest import z_two_proportions_from_rates
 from shap_oracle import exact_shapley_oracle
 
 from hyposcreen.dataset import LabeledDataset

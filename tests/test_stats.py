@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import z_two_proportions_from_rates
 from hyposcreen.errors import (
     ConstantInput,
     DataError,
@@ -25,7 +26,6 @@ from hyposcreen.stats import (
     normal_approx_ci,
     spearman,
     z_two_proportions,
-    z_two_proportions_from_rates,
     WALD_Z,
     _chi2_sf,
     _t_sf,

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyposcreen.parallel import ENV_VAR, parallel_map, worker_count
-from hyposcreen.util import child_seed, expit, log_loss, sigmoid
+from hyposcreen.util import child_seed, expit, sigmoid
+
+from split_oracle import log_loss
 
 
 def test_child_seed_is_pure():
