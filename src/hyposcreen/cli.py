@@ -43,7 +43,7 @@ from .reports import (
     write_roc_svg,
     write_shap_csv,
 )
-from .util import check_setting, child_seed, read_json
+from .util import child_seed, read_json
 
 # Every other name is imported on first access (PEP 562), so a command
 # compiles only the modules it runs.  name -> the module it comes from; a
@@ -55,7 +55,8 @@ _LAZY = {
         ".artifact": ("ensemble_predict", "input_columns", "load_ensemble",
                       "save_ensemble"),
         ".config": ("PipelineConfig", "load_config"),
-        ".ensemble": ("require_folds", "run_cross_validation", "train_pipeline"),
+        ".ensemble": ("require_folds", "require_outer_folds", "run_cross_validation",
+                      "train_pipeline"),
         ".evaluate": ("summarize_bootstrap",),
         ".explain": ("pca_project", "silhouette_score", "tree_shap"),
         ".parallel": ("parallel_map",),
@@ -160,32 +161,23 @@ def _parse_float_list(text: str) -> list:
     return values
 
 
-def _seed_from(args, cfg: PipelineConfig) -> int:
-    return cfg.seed if args.seed is None else args.seed
+def _check_counts(args, y) -> None:
+    """Exit 2 unless ``--folds`` is at least 2 and ``--seeds`` at least 1,
+    and 3 when a class of the labels ``y`` has fewer rows than ``--folds``."""
+    for flag, value, lo in (("--folds", args.folds, 2), ("--seeds", args.seeds, 1)):
+        if value < lo:
+            raise UsageError(f"{flag} must be in [{lo}, inf), got {value}")
+    _cli.require_folds(y, [("--folds", args.folds)], "")
 
 
-def _cv_counts(args, cfg: PipelineConfig, y, split: str) -> tuple[int, int]:
-    """``--folds`` and ``--seeds``, each defaulting to and checked as its
-    setting; the fold count also against each class of the labels ``y``,
-    naming whichever of ``--folds`` and ``cv_folds`` set it and, with
-    ``split``, the rows."""
-    folds = cfg.cv_folds if args.folds is None else args.folds
-    n_seeds = cfg.bootstrap_seeds if args.seeds is None else args.seeds
-    check_setting(cfg.__dataclass_fields__["cv_folds"], folds, "--folds", UsageError)
-    check_setting(cfg.__dataclass_fields__["bootstrap_seeds"], n_seeds, "--seeds",
-                  UsageError)
-    _cli.require_folds(y, [("cv_folds" if args.folds is None else "--folds", folds)],
-                       split)
-    return folds, n_seeds
-
-
-def _repeated_cv(ds, cfg: PipelineConfig, folds: int, n_seeds: int, master: int):
-    """One full cross-validation per seed, and their bootstrap summary."""
+def _repeated_cv(ds, cfg: PipelineConfig, args):
+    """One full ``--folds`` cross-validation per ``--seeds`` seed, and their
+    bootstrap summary."""
     def one(s: int):
-        return _cli.run_cross_validation(ds, cfg, k=folds,
-                                         seed=child_seed(master, "bootstrap", s))
+        return _cli.run_cross_validation(ds, cfg, k=args.folds,
+                                         seed=child_seed(args.seed, "bootstrap", s))
 
-    results = _cli.parallel_map(one, range(n_seeds))
+    results = _cli.parallel_map(one, range(args.seeds))
     return results, _cli.summarize_bootstrap([r.pooled for r in results])
 
 
@@ -228,8 +220,7 @@ def _cmd_train(args) -> int:
     cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     _warn_n_target(cfg, ds, "")
-    seed = _seed_from(args, cfg)
-    ensemble = _cli.train_pipeline(ds, cfg, seed=seed)
+    ensemble = _cli.train_pipeline(ds, cfg, seed=args.seed)
     _cli.save_ensemble(ensemble, args.out)
     if not ensemble.meta.converged:
         sys.stderr.write(f"warning: the meta-layer's logistic fit did not converge "
@@ -245,16 +236,15 @@ def _cmd_cv(args) -> int:
     cfg = _cli.load_config(args.config)
     ds = _apply_expression_filter(read_feature_table(args.features), cfg)
     _warn_n_target(cfg, ds, "")
-    folds, n_seeds = _cv_counts(args, cfg, ds.y, "")
-    master = _seed_from(args, cfg)
-    results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
+    _check_counts(args, ds.y)
+    results, summary = _repeated_cv(ds, cfg, args)
     _warn_unconverged(results, "")
     report = {
         "n_rows": ds.n_rows,
         "n_features": len(ds.feature_names),
-        "folds": folds,
-        "seeds": n_seeds,
-        "master_seed": master,
+        "folds": args.folds,
+        "seeds": args.seeds,
+        "master_seed": args.seed,
         "config": cfg.to_dict(),
         "bootstrap": summary.to_dict(),
         "primary": results[0].report_dict(),
@@ -273,7 +263,7 @@ def _cmd_cv(args) -> int:
     au = summary.metrics.get("auroc")
     if au:
         print(f"pooled AUROC {au['mean']:.4f} "
-              f"[{au['ci_lo']:.4f}, {au['ci_hi']:.4f}] over {n_seeds} seeds")
+              f"[{au['ci_lo']:.4f}, {au['ci_hi']:.4f}] over {args.seeds} seeds")
     return 0
 
 
@@ -377,9 +367,15 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.subgroup_column is None:
+        if args.subgroup_value is not None or args.signal_scale != 1.0:
+            raise UsageError("--subgroup-value and --signal-scale plant an effect "
+                             "only with --subgroup-column")
+    elif args.subgroup_value is None:
+        raise UsageError("--subgroup-column needs --subgroup-value")
     ds = _cli.generate_synthetic_dataset(
         n_per_class=args.n, delta=args.delta, dims=args.dims,
-        informative_dims=args.informative, seed=args.seed or 0,
+        informative_dims=args.informative, seed=args.seed,
         subgroup_column=args.subgroup_column,
         subgroup_value=args.subgroup_value,
         signal_scale=args.signal_scale)
@@ -420,7 +416,7 @@ def _cmd_sweep(args) -> int:
     else:
         raise UsageError("sweep needs --grid or --preset")
     ds_full = read_feature_table(args.features)
-    master = _seed_from(args, base)
+    _check_counts(args, ds_full.y)
 
     # every entry is loaded and checked before the first one trains
     runs = []
@@ -428,16 +424,18 @@ def _cmd_sweep(args) -> int:
         cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
         ds = _apply_expression_filter(ds_full, cfg)
         _warn_n_target(cfg, ds, f"sweep entry {i}: ")
-        runs.append((cfg, ds, *_cv_counts(args, cfg, ds.y, f" in sweep entry {i}")))
+        _cli.require_outer_folds(ds.y, cfg, args.folds, f" in sweep entry {i}")
+        runs.append((over, cfg, ds))
     entries = []
-    for i, (cfg, ds, folds, n_seeds) in enumerate(runs):
-        results, summary = _repeated_cv(ds, cfg, folds, n_seeds, master)
+    for i, (over, cfg, ds) in enumerate(runs):
+        results, summary = _repeated_cv(ds, cfg, args)
         config_id = _config_id(cfg.to_dict())
         _warn_unconverged(results, f"sweep entry {i} ({config_id}): ")
         au = summary.metrics.get("auroc") or {}
         acc = summary.metrics.get("accuracy") or {}
         entries.append({
             "config_id": config_id,
+            "override": json.dumps(over, sort_keys=True, separators=(",", ":")),
             "expressions": "+".join(cfg.expressions),
             "scaler": cfg.scaler,
             "selection": cfg.selection.method,
@@ -445,17 +443,17 @@ def _cmd_sweep(args) -> int:
             "auroc_lo": au.get("ci_lo"),
             "auroc_hi": au.get("ci_hi"),
             "accuracy_mean": acc.get("mean"),
-            "folds": folds,
-            "seeds": n_seeds,
+            "folds": args.folds,
+            "seeds": args.seeds,
         })
     entries.sort(key=lambda e: (-(e["auroc_mean"] or 0.0), e["config_id"]))
-    columns = ["config_id", "expressions", "scaler", "selection", "auroc_mean",
-               "auroc_lo", "auroc_hi", "accuracy_mean", "folds", "seeds"]
+    columns = ["config_id", "override", "expressions", "scaler", "selection",
+               "auroc_mean", "auroc_lo", "auroc_hi", "accuracy_mean", "folds", "seeds"]
     write_leaderboard_csv(entries, args.out, columns)
     if entries:
         best = entries[0]
-        print(f"best: {best['expressions']} (auroc {best['auroc_mean']:.4f}) "
-              f"-> {args.out}")
+        print(f"best: {best['override']} (config_id {best['config_id']}, "
+              f"auroc {best['auroc_mean']:.4f}) -> {args.out}")
     return 0
 
 
@@ -481,16 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--features", required=True)
     t.add_argument("--config", default=None)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=_cmd_train)
 
     c = sub.add_parser("cv", help="seeded stratified cross-validation")
     c.add_argument("--features", required=True)
     c.add_argument("--config", default=None)
-    c.add_argument("--folds", type=int, default=None)
-    c.add_argument("--seeds", type=int, default=None,
+    c.add_argument("--folds", type=int, default=10)
+    c.add_argument("--seeds", type=int, default=40,
                    help="re-seeded repetitions of the full CV")
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.add_argument("--roc-out", default=None, help="ROC csv path")
     c.add_argument("--roc-svg", default=None, help="ROC svg path")
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", type=float, default=1.0)
     s.add_argument("--dims", type=int, default=10)
     s.add_argument("--informative", type=int, default=1)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--subgroup-column", default=None)
     s.add_argument("--subgroup-value", default=None)
@@ -544,9 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", default=None)
     w.add_argument("--grid", default=None, help="JSON list of overrides")
     w.add_argument("--preset", choices=["expressions"], default=None)
-    w.add_argument("--folds", type=int, default=None)
-    w.add_argument("--seeds", type=int, default=None)
-    w.add_argument("--seed", type=int, default=None)
+    w.add_argument("--folds", type=int, default=10)
+    w.add_argument("--seeds", type=int, default=40)
+    w.add_argument("--seed", type=int, default=0)
     w.add_argument("--out", required=True)
     w.set_defaults(func=_cmd_sweep)
     return p

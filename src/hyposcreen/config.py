@@ -67,10 +67,7 @@ class PipelineConfig:
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     smote: SmoteConfig = field(default_factory=SmoteConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    cv_folds: int = field(default=10, metadata={"range": "[2, inf)"})
-    bootstrap_seeds: int = field(default=40, metadata={"range": "[1, inf)"})
     threshold: float = field(default=0.5, metadata={"range": "[0, 1]"})
-    seed: int = 0
 
     def validate(self) -> None:
         check_fields(self, "", DataError)

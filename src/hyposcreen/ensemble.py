@@ -162,6 +162,19 @@ def _require_inner_folds(y, config, split: str) -> None:
                                         f"which smote.enabled oversamples")
 
 
+def require_outer_folds(y, config, k: int, split: str) -> None:
+    """:func:`_require_inner_folds` on the training split of every outer
+    fold of a ``k``-fold cross-validation over ``y``, before anything
+    trains.  Outer fold ``j`` trains on ``c - ceil((c - j) / k)`` of a
+    class's ``c`` rows, whatever the seed, as the inner folds do; ``split``
+    ends the name of the rows in the message."""
+    labels, counts = np.unique(y, return_counts=True)
+    for fold in range(k):
+        train = counts - (counts - fold + k - 1) // k
+        _require_inner_folds(np.repeat(labels, train), config,
+                             f" in the training split of outer fold {fold}{split}")
+
+
 def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble:
     """Scale, select, oversample, and fit the stacked ensemble on ``ds``
     under a ``PipelineConfig``.
@@ -231,7 +244,7 @@ def _metrics_with_auroc(scores, labels, threshold) -> dict:
     return out
 
 
-def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
+def run_cross_validation(ds: LabeledDataset, config, k: int,
                          seed: int = 0) -> CVResult:
     """Stratified k-fold evaluation of the full training pipeline.
 
@@ -242,11 +255,8 @@ def run_cross_validation(ds: LabeledDataset, config, k: int | None = None,
     restates ``train_ids``, and ``synthetic_ids`` are labels generated from
     the fold's synthetic-row count, not rows traced back to their parents.
     """
-    k = config.cv_folds if k is None else k
     plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
-    for fold in range(k):
-        _require_inner_folds(ds.y[plan.fold_indices(fold)[0]], config,
-                             f" in the training split of outer fold {fold}")
+    require_outer_folds(ds.y, config, k, "")
     n = ds.n_rows
     identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
     oof = np.empty(n)

@@ -29,7 +29,7 @@ SCALER_KINDS = ("minmax", "standard", "none")
 class FittedScaler:
     kind: str
     feature_names: list[str]
-    # minmax: lo/hi; standard: lo=mean, hi=population sd; none: unused.
+    # minmax: lo/hi; standard: lo=mean, hi=population sd; none: lo=0, hi=1.
     lo: np.ndarray
     hi: np.ndarray
 
@@ -80,8 +80,6 @@ def apply_scaler(scaler: FittedScaler, X: np.ndarray) -> np.ndarray:
         X = X[None, :]
     if X.shape[1] != len(scaler.feature_names):
         raise WidthMismatch(len(scaler.feature_names), X.shape[1])
-    if scaler.kind == "none":
-        return X.copy()
     scale = scaler.hi - scaler.lo if scaler.kind == "minmax" else scaler.hi
     out = (X - scaler.lo) / np.where(scale == 0.0, 1.0, scale)
     out[:, scale == 0.0] = 0.0

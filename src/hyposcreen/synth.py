@@ -26,7 +26,8 @@ def generate_synthetic_dataset(n_per_class: int, delta: float, dims: int,
 
     ``subgroup_column``/``subgroup_value`` (with ``signal_scale`` < 1) damp
     the class separation inside one demographic subgroup, planting a
-    recoverable bias effect.
+    recoverable bias effect; a value that no case holds, where there is
+    nothing to damp, is a :class:`DataError`.
     """
     if n_per_class < 1:
         raise DataError("n_per_class must be >= 1")
@@ -53,6 +54,10 @@ def generate_synthetic_dataset(n_per_class: int, delta: float, dims: int,
         if subgroup_column not in demo_arrays:
             raise DataError(f"cannot plant an effect on {subgroup_column!r}")
         in_group = demo_arrays[subgroup_column] == subgroup_value
+        if not in_group[y == 1].any():
+            held = sorted(set(demo_arrays[subgroup_column][y == 1].tolist()))
+            raise DataError(f"no case has {subgroup_column} {subgroup_value!r}, so there "
+                            f"is no signal to damp; the cases hold {held}")
         shift[(y == 1) & in_group] *= float(signal_scale)
     X[:, :informative_dims] += shift[:, None]
 

@@ -134,9 +134,8 @@ def test_separable_simulation_recovers_closed_form_auroc(tmp_path):
             {"n_trees": 40, "learning_rate": 0.2, "max_leaves": 4,
              "min_samples_leaf": 20},
         ]),
-        cv_folds=10,
     )
-    result = run_cross_validation(ds, cfg, seed=0)
+    result = run_cross_validation(ds, cfg, k=10, seed=0)
     pooled = result.pooled["auroc"]
     bayes = 0.5 * math.erfc(-1.0)  # optimal AUROC at delta 2 on one dimension
     elapsed = time.perf_counter() - t0
@@ -158,12 +157,11 @@ def test_null_simulation_auroc_is_near_chance(tmp_path):
             {"n_trees": 25, "learning_rate": 0.2, "max_leaves": 4,
              "min_samples_leaf": 20},
         ]),
-        cv_folds=10,
     )
     aurocs = []
     for s in range(20):
         ds = _sim_table(tmp_path, f"null{s}", 500, 0.0, 100 + s)
-        aurocs.append(run_cross_validation(ds, cfg, seed=s).pooled["auroc"])
+        aurocs.append(run_cross_validation(ds, cfg, k=10, seed=s).pooled["auroc"])
     elapsed = time.process_time() - t0
     assert all(0.42 <= a <= 0.58 for a in aurocs)
     assert elapsed < 30.0
@@ -1476,10 +1474,9 @@ def test_no_leakage_over_fifty_seeded_runs():
             {"n_trees": 4, "learning_rate": 0.3, "max_leaves": 3,
              "min_samples_leaf": 3},
         ]),
-        cv_folds=3,
     )
     for seed in range(50):
-        result = run_cross_validation(ds, cfg, seed=seed)
+        result = run_cross_validation(ds, cfg, k=3, seed=seed)
         assert verify_no_leakage(result.audit)
         for rec in result.audit:
             assert rec["n_synthetic"] > 0  # the check is not vacuous
@@ -1502,8 +1499,6 @@ def test_byte_identical_outputs_across_runs_and_worker_counts(tmp_path,
         "ensemble": {"m": 1, "inner_folds": 2, "grid": [
             {"n_trees": 8, "learning_rate": 0.2, "max_leaves": 4,
              "min_samples_leaf": 4}]},
-        "cv_folds": 3,
-        "bootstrap_seeds": 2,
     }))
 
     def run(tag, threads):
@@ -1515,7 +1510,7 @@ def test_byte_identical_outputs_across_runs_and_worker_counts(tmp_path,
         assert main(["predict", "--model", str(model), "--features",
                      str(table), "--out", str(preds)]) == 0
         assert main(["cv", "--features", str(table), "--config",
-                     str(cfg_path), "--seed", "9",
+                     str(cfg_path), "--folds", "3", "--seeds", "2", "--seed", "9",
                      "--out", str(tmp_path / f"cv_{tag}.json"),
                      "--roc-out", str(tmp_path / f"roc_{tag}.csv"),
                      "--roc-svg", str(tmp_path / f"roc_{tag}.svg"),

@@ -14,10 +14,12 @@ from hyposcreen import ensemble as ensemble_module
 from hyposcreen.ensemble import train_pipeline
 from hyposcreen.config import (EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig,
                                load_config)
+from hyposcreen.featurize import feature_names as canonical_feature_names
 from hyposcreen.featurize import featurize_recording, load_index_map, used_points
 from hyposcreen.ingest import load_recording, parse_manifest
 from hyposcreen.model import logistic
 from hyposcreen.model.histboost import BoostParams
+from hyposcreen.synth import generate_synthetic_dataset
 
 FAST_CONFIG = {
     "scaler": "minmax",
@@ -27,9 +29,9 @@ FAST_CONFIG = {
         {"n_trees": 10, "learning_rate": 0.2, "max_leaves": 4,
          "min_samples_leaf": 4},
     ]},
-    "cv_folds": 3,
-    "bootstrap_seeds": 2,
 }
+# the fold and seed counts that cv and sweep run FAST_CONFIG with
+FAST_COUNTS = ["--folds", "3", "--seeds", "2"]
 
 
 @pytest.fixture
@@ -81,6 +83,44 @@ def test_simulate_output_is_readable(sim_table):
     assert ds.n_rows == 50
     assert len(ds.feature_names) == 4
     assert set(ds.demographics["cohort"]) == {"synthetic"}
+
+
+_PLANT_ONLY_WITH_COLUMN = ("--subgroup-value and --signal-scale plant an effect only "
+                           "with --subgroup-column")
+
+
+@pytest.mark.parametrize("flags, error, message", [
+    (["--subgroup-value", "female"], "UsageError", _PLANT_ONLY_WITH_COLUMN),
+    (["--signal-scale", "0.2", "--subgroup-value", "female"], "UsageError",
+     _PLANT_ONLY_WITH_COLUMN),
+    (["--signal-scale", "0"], "UsageError", _PLANT_ONLY_WITH_COLUMN),
+    (["--subgroup-column", "sex"], "UsageError", "--subgroup-column needs --subgroup-value"),
+    (["--subgroup-column", "sex", "--subgroup-value", "Female", "--signal-scale", "0",
+      "--seed", "1"], "DataError",
+     "no case has sex 'Female', so there is no signal to damp; the cases hold "
+     "['female', 'male']"),
+    # seed 0 deals all 10 cases to men
+    (["--subgroup-column", "sex", "--subgroup-value", "female", "--signal-scale", "0"],
+     "DataError", "no case has sex 'female', so there is no signal to damp; the "
+                  "cases hold ['male']"),
+], ids=["value-alone", "value-and-scale", "scale-alone", "column-alone", "absent-value",
+        "value-of-controls-only"])
+def test_simulate_rejects_subgroup_flags_that_would_plant_nothing(
+        tmp_path, capsys, flags, error, message):
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--n", "10", "--out", str(out)] + flags) == \
+        (2 if error == "UsageError" else 3)
+    assert _last_error(capsys) == {"error": error, "message": message}
+    assert not out.exists()
+
+
+def test_simulate_plants_a_subgroup_effect_with_the_full_flag_set(tmp_path):
+    plain, planted = tmp_path / "plain.csv", tmp_path / "planted.csv"
+    assert main(["simulate", "--n", "10", "--seed", "1", "--out", str(plain)]) == 0
+    assert main(["simulate", "--n", "10", "--seed", "1", "--out", str(planted),
+                 "--subgroup-column", "sex", "--subgroup-value", "female",
+                 "--signal-scale", "0"]) == 0
+    assert plain.read_bytes() != planted.read_bytes()
 
 
 def test_train_then_predict_matches_in_process_pipeline(sim_table, tmp_path,
@@ -201,7 +241,7 @@ def test_cv_and_sweep_warn_once_per_run_when_the_meta_layer_does_not_converge(
     def run(name):
         out = tmp_path / name
         assert main([command, "--features", sim_table, "--config", fast_config_path,
-                     "--seeds", "2", "--out", str(out)] + extra) == 0
+                     "--out", str(out)] + FAST_COUNTS + extra) == 0
         return out, capsys.readouterr()
 
     _, quiet = run("converged")
@@ -269,24 +309,36 @@ def _last_error(capsys) -> dict:
 
 @pytest.mark.parametrize("command", ["cv", "sweep"])
 def test_cv_and_sweep_name_the_fold_count_a_class_is_too_small_for(
-        sim_table, tmp_path, capsys, monkeypatch, command):
-    # the sweep's 4 folds come from its second entry's override of the
-    # config's 3, and are checked before its first entry trains
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch, command):
+    # every sweep entry shares the table's rows and --folds, so the count is
+    # checked once, before the first entry trains; without the flag it is 10
     table = _ten_controls_and(3, sim_table, tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**FAST_CONFIG, "cv_folds": 4 if command == "cv" else 3}))
     grid = tmp_path / "grid.json"
-    grid.write_text('[{"scaler": "standard"}, {"cv_folds": 4}]')
+    grid.write_text('[{"scaler": "standard"}, {}]')
     extra = ["--grid", str(grid)] if command == "sweep" else []
     monkeypatch.setattr(ensemble_module, "train_pipeline", _never_called)
     out = tmp_path / "out"
-    for flags, setting, entry in ((["--folds", "4"], "--folds", 0), ([], "cv_folds", 1)):
-        assert main([command, "--features", table, "--config", str(config),
+    for flags, folds in ((["--folds", "4"], 4), ([], 10)):
+        assert main([command, "--features", table, "--config", fast_config_path,
                      "--seeds", "1", "--out", str(out)] + extra + flags) == 3
         err = _last_error(capsys)
-        assert err["error"] == "ClassTooSmall"
-        where = f" in sweep entry {entry}" if command == "sweep" else ""
-        assert err["message"] == f"class 1 has 3 rows{where}, fewer than {setting}=4 folds"
+        assert err == {"error": "ClassTooSmall",
+                       "message": f"class 1 has 3 rows, fewer than --folds={folds} folds"}
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["cv_folds", "bootstrap_seeds", "seed"])
+def test_fold_count_seed_count_and_seed_are_flags_not_config_keys(
+        sim_table, tmp_path, fast_config_path, capsys, key):
+    config = _write_config(tmp_path, {**FAST_CONFIG, key: 3})
+    grid = _write_config(tmp_path, [{}, {key: 3}], "grid.json")
+    out = tmp_path / "out"
+    for argv in (["train", "--config", config],
+                 ["cv", "--config", config] + FAST_COUNTS,
+                 ["sweep", "--config", fast_config_path, "--grid", grid] + FAST_COUNTS):
+        assert main(argv + ["--features", sim_table, "--out", str(out)]) == 3
+        assert _last_error(capsys) == {"error": "DataError",
+                                       "message": f"unknown config keys ['{key}']"}
         assert not out.exists()
 
 
@@ -322,7 +374,7 @@ def test_cv_outputs_are_deterministic_across_worker_counts(
     def run(tag, threads):
         monkeypatch.setenv("HYPOSCREEN_THREADS", threads)
         args = ["cv", "--features", sim_table, "--config", fast_config_path,
-                "--seed", "2",
+                "--seed", "2", *FAST_COUNTS,
                 "--out", str(tmp_path / f"cv_{tag}.json"),
                 "--roc-out", str(tmp_path / f"roc_{tag}.csv"),
                 "--roc-svg", str(tmp_path / f"roc_{tag}.svg"),
@@ -472,6 +524,60 @@ def test_sweep_grid_produces_sorted_leaderboard(sim_table, tmp_path,
     aurocs = [float(r["auroc_mean"]) for r in rows]
     assert aurocs == sorted(aurocs, reverse=True)
     assert all(len(r["config_id"]) == 10 for r in rows)
+
+
+def test_sweep_rows_and_best_line_name_each_entry_by_its_override(
+        sim_table, tmp_path, fast_config_path, capsys):
+    grid = _write_config(tmp_path, [{"selection": {"n_target": n, "method": "lr_coef"}}
+                                    for n in (1, 2)] + [{}], "grid.json")
+    out = tmp_path / "board.csv"
+    assert main(["sweep", "--features", sim_table, "--config", fast_config_path,
+                 "--grid", grid, "--out", str(out)] + FAST_COUNTS) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(r["override"] for r in rows) == [
+        '{"selection":{"method":"lr_coef","n_target":1}}',
+        '{"selection":{"method":"lr_coef","n_target":2}}', "{}"]
+    best = rows[0]
+    assert capsys.readouterr().out == (
+        f"best: {best['override']} (config_id {best['config_id']}, "
+        f"auroc {float(best['auroc_mean']):.4f}) -> {out}\n")
+
+
+def test_sweep_preset_rows_name_their_expression_subset(tmp_path, fast_config_path):
+    ds = generate_synthetic_dataset(n_per_class=6, delta=1.0, dims=126, seed=2)
+    ds.feature_names = canonical_feature_names()
+    table = tmp_path / "canonical.csv"
+    write_feature_table(ds, table)
+    out = tmp_path / "board.csv"
+    assert main(["sweep", "--features", str(table), "--config", fast_config_path,
+                 "--preset", "expressions", "--folds", "2", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7
+    for row in rows:
+        subset = row["expressions"].split("+")
+        assert row["override"] == json.dumps({"expressions": subset}, separators=(",", ":"))
+
+
+def test_sweep_checks_every_entry_s_inner_folds_before_the_first_trains(
+        tmp_path, fast_config_path, capsys, monkeypatch):
+    # 2 outer folds of 12 + 12 rows train on 6 of each class, too few for
+    # entry 1's 7 inner folds; entry 0 would train first if unchecked
+    table = tmp_path / "table.csv"
+    assert main(["simulate", "--n", "12", "--dims", "4", "--out", str(table)]) == 0
+    grid = _write_config(tmp_path, [{"scaler": "standard"},
+                                    {"ensemble": {"inner_folds": 7}}], "grid.json")
+    monkeypatch.setattr(ensemble_module, "train_pipeline", _never_called)
+    out = tmp_path / "board.csv"
+    assert main(["sweep", "--features", str(table), "--config", fast_config_path,
+                 "--grid", grid, "--folds", "2", "--seeds", "2", "--out", str(out)]) == 3
+    assert _last_error(capsys) == {
+        "error": "ClassTooSmall",
+        "message": "class 0 has 6 rows in the training split of outer fold 0 in sweep "
+                   "entry 1, fewer than ensemble.inner_folds=7 folds"}
+    assert not out.exists()
 
 
 def _set_cell(path, row, col, value):
@@ -1004,7 +1110,7 @@ def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
 # the first rejected value of every setting that is not in a section, and
 # of every booster parameter at each of its bounds (a second grid entry)
 TOP_LEVEL_AND_BOOSTER_CASES = [
-    ("cv_folds", 1), ("bootstrap_seeds", 0), ("threshold", -0.01),
+    ("threshold", float("nan")), ("threshold", float("inf")), ("threshold", -0.01),
     ("threshold", 1.01), ("scaler", "robust"), ("expressions", []),
     ("expressions", ["frown"]), ("expressions", ["smile", "smile"]),
     ("n_trees", 0), ("learning_rate", 0), ("learning_rate", 1.01),
@@ -1095,7 +1201,7 @@ def test_sweep_override_merges_into_base_sections(sim_table, tmp_path):
 
 
 @pytest.mark.parametrize("override, key", [
-    ({"cv_folds": "3"}, "cv_folds"),
+    ({"cv_folds": "3"}, "cv_folds"),  # no longer a key: rejected as unknown
     ({"selection": 5}, "selection"),
     ({"ensemble": {"m": 1, "grid": [{"n_trees": "5"}]}}, "n_trees"),
 ])
@@ -1185,7 +1291,7 @@ def test_an_expression_subset_needs_a_table_with_expression_columns(
         sim_table, tmp_path, capsys, command):
     config = _write_config(tmp_path, {**FAST_CONFIG, "expressions": ["smile"]})
     out = tmp_path / "out"
-    extra = (["--grid", _write_config(tmp_path, [{}], "grid.json")]
+    extra = (["--grid", _write_config(tmp_path, [{}], "grid.json")] + FAST_COUNTS
              if command == "sweep" else [])
     assert main([command, "--features", sim_table, "--config", config,
                  "--out", str(out)] + extra) == 3
@@ -1204,7 +1310,8 @@ def test_an_n_target_above_the_feature_count_warns_once_per_training_config(
         sim_table, tmp_path, capsys, command):
     grid = _write_config(tmp_path, [{}, {"selection": {"method": "none"}},
                                     {"selection": {"n_target": 3}}], "grid.json")
-    extra = ["--grid", grid] if command == "sweep" else []
+    extra = {"train": [], "cv": FAST_COUNTS,
+             "sweep": ["--grid", grid] + FAST_COUNTS}[command]
     selection = {"method": "lr_coef", "n_target": 50}
     outputs = []
     for method in ("none", "lr_coef"):

@@ -1,5 +1,7 @@
 import json
-from importlib import resources
+import re
+from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,6 @@ def test_defaults_are_valid_and_grid_width_matches_m():
     assert len(DEFAULT_GRID) == 18
     assert cfg.ensemble.m == 18
     assert cfg.scaler == "minmax"
-    assert cfg.cv_folds == 10
-    assert cfg.bootstrap_seeds == 40
     assert cfg.selection.method == "lr_coef"
     assert cfg.selection.n_target == 30
     assert set(SELECTION_METHODS) == {"none", "lr_coef", "boost_rfe",
@@ -40,7 +40,7 @@ def test_defaults_are_valid_and_grid_width_matches_m():
 def test_round_trip_preserves_everything():
     cfg = PipelineConfig()
     cfg.expressions = ["smile", "disgust"]
-    cfg.cv_folds = 5
+    cfg.threshold = 0.4
     cfg.selection.method = "boost_rfa"
     cfg.smote.k_neighbors = 3
     cfg.ensemble.m = 2
@@ -95,7 +95,7 @@ def test_validation_catches_bad_values():
         cfg.validate()
 
     cfg = PipelineConfig()
-    cfg.cv_folds = 1
+    cfg.ensemble.inner_folds = 1
     with pytest.raises(DataError):
         cfg.validate()
 
@@ -111,7 +111,7 @@ def test_candidate_params_fill_defaults():
 
 def test_load_save_files(tmp_path):
     cfg = PipelineConfig()
-    cfg.cv_folds = 4
+    cfg.ensemble.m = 4
     path = tmp_path / "config.json"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -123,17 +123,73 @@ def test_load_save_files(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
-def test_packaged_default_config_matches_code_defaults():
-    text = (resources.files("hyposcreen") / "data" /
-            "default_config.json").read_text()
-    assert PipelineConfig.from_dict(json.loads(text)).to_dict() == \
-        PipelineConfig().to_dict()
+def _declared_settings() -> dict:
+    """Each setting a config can hold, by its README key, as its dataclass
+    field: the fields of ``PipelineConfig`` and of its sections, and the
+    booster parameters of a grid entry."""
+    out = {}
+
+    def walk(cls, prefix):
+        for spec in fields(cls):
+            default = spec.default_factory() if spec.default is MISSING else spec.default
+            if is_dataclass(default):
+                walk(type(default), f"{prefix}{spec.name}.")
+            else:
+                out[prefix + spec.name] = (spec, default)
+
+    walk(PipelineConfig, "")
+    walk(BoostParams, "ensemble.grid[i].")
+    return out
+
+
+def _readme_settings_rows() -> list:
+    """The rows of README's settings table, as lists of four cells."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | JSON type | default | allowed values |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    return rows
+
+
+def test_readme_settings_table_matches_the_declared_settings():
+    declared = _declared_settings()
+    rows = _readme_settings_rows()
+    assert sorted(row[0].strip("`") for row in rows) == sorted(declared)
+    for key, json_type, default_text, allowed_text in rows:
+        spec, default = declared[key.strip("`")]
+        kind = type(default)
+        assert json_type.split(" of ")[0] == {
+            bool: "boolean", int: "integer", float: "number", str: "string",
+            list: "list"}[kind], key
+        if key == "`ensemble.grid`":
+            assert default == DEFAULT_GRID
+            assert default_text == f"the {len(DEFAULT_GRID)} entries of `DEFAULT_GRID`"
+            assert len(fields(BoostParams)) == 5
+            assert allowed_text == "each entry sets some of the five keys below"
+            continue
+        value = json.loads(default_text.strip("`"))
+        assert type(value) is kind and value == default, key
+        meta = spec.metadata
+        if kind is bool:
+            assert allowed_text == "`true`, `false`", key
+        elif kind in (int, float):
+            interval = meta.get("range", "(-inf, inf)")
+            assert allowed_text == interval or allowed_text.startswith(interval + ", "), key
+        elif "one_of" in meta:
+            listed = tuple(json.loads(v) for v in re.findall(r"`([^`]*)`", allowed_text))
+            assert listed == meta["one_of"], key
+        else:
+            assert tuple(default) == meta["distinct_of"], key
+            assert allowed_text == "one or more of those, each once", key
 
 
 @pytest.mark.parametrize("doc, named", [
-    ({"cv_folds": "3"}, "cv_folds must be an integer"),
-    ({"cv_folds": 3.0}, "cv_folds must be an integer"),
-    ({"cv_folds": True}, "cv_folds must be an integer"),
+    ({"selection": {"inner_folds": "3"}}, "selection.inner_folds must be an integer"),
+    ({"selection": {"inner_folds": 3.0}}, "selection.inner_folds must be an integer"),
+    ({"selection": {"inner_folds": True}}, "selection.inner_folds must be an integer"),
     ({"threshold": "0.5"}, "threshold must be a number"),
     ({"threshold": False}, "threshold must be a number"),
     ({"scaler": 5}, "scaler must be a string"),
@@ -165,7 +221,7 @@ def test_number_fields_accept_integers():
 
 
 @pytest.mark.parametrize("doc", [
-    {"cv_folds": 2, "bootstrap_seeds": 1, "threshold": 0, "expressions": ["surprise"],
+    {"threshold": 0, "expressions": ["surprise"],
      "selection": {"n_target": 1, "inner_folds": 2, "improvement_eps": 0},
      "smote": {"k_neighbors": 1},
      "ensemble": {"m": 1, "inner_folds": 2, "grid": [

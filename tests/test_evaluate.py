@@ -225,7 +225,6 @@ def _tiny_dataset(n_pos=8, n_neg=16, n_features=6, seed=80):
 def _tiny_config():
     return PipelineConfig(
         scaler="minmax",
-        cv_folds=3,
         selection=SelectionConfig(method="none"),
         smote=SmoteConfig(enabled=True, k_neighbors=3),
         ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
@@ -238,8 +237,8 @@ def _tiny_config():
 def test_run_cross_validation_structure_and_determinism():
     ds = _tiny_dataset()
     config = _tiny_config()
-    result = run_cross_validation(ds, config, seed=5)
-    again = run_cross_validation(ds, config, seed=5)
+    result = run_cross_validation(ds, config, k=3, seed=5)
+    again = run_cross_validation(ds, config, k=3, seed=5)
 
     assert np.array_equal(result.oof_scores, again.oof_scores)
     assert json.dumps(result.report_dict(), sort_keys=True) == \
@@ -269,13 +268,13 @@ def test_run_cross_validation_structure_and_determinism():
     assert set(result.report_dict()) == {"pooled", "per_fold_mean",
                                          "fold_metrics", "folds"}
 
-    different = run_cross_validation(ds, config, seed=6)
+    different = run_cross_validation(ds, config, k=3, seed=6)
     assert not np.array_equal(result.oof_scores, different.oof_scores)
 
 
 def test_verify_no_leakage_accepts_clean_and_flags_tampered():
     ds = _tiny_dataset(seed=81)
-    result = run_cross_validation(ds, _tiny_config(), seed=9)
+    result = run_cross_validation(ds, _tiny_config(), k=3, seed=9)
     assert verify_no_leakage(result.audit)
 
     tampered = [dict(rec) for rec in result.audit]
@@ -292,10 +291,9 @@ def test_verify_no_leakage_accepts_clean_and_flags_tampered():
 def test_cross_validation_rejects_class_smaller_than_fold_count():
     ds = _tiny_dataset(n_pos=2, n_neg=16)
     with pytest.raises(DataError):
-        run_cross_validation(ds, _tiny_config(), seed=0)
+        run_cross_validation(ds, _tiny_config(), k=3, seed=0)
 
 
 def test_run_cross_validation_rejects_zero_folds():
-    # k=0 is an explicit fold count, not a request for config.cv_folds
     with pytest.raises(DataError, match="at least 2 folds"):
         run_cross_validation(_tiny_dataset(), _tiny_config(), k=0, seed=0)

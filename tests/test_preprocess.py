@@ -57,9 +57,11 @@ def test_standard_scaler_population_moments():
 
 
 def test_none_scaler_is_identity():
-    X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    scaler = fit_scaler("none", X, ["a", "b"])
-    assert np.array_equal(apply_scaler(scaler, X), X)
+    # bit for bit: its lo = 0 and hi = 1 keep -0.0, subnormals and extremes
+    X = np.array([[1.0, -0.0, 5e-324], [3.0, 4.0, -1.7e308]])
+    scaler = fit_scaler("none", X, ["a", "b", "c"])
+    out = apply_scaler(scaler, X)
+    assert out is not X and out.tobytes() == X.tobytes()
 
 
 def test_scaler_round_trip_and_restrict():

@@ -114,8 +114,6 @@ FAST = {
     "selection": {"method": "none", "n_target": 2},
     "smote": {"k_neighbors": 3},
     "ensemble": {"m": 2, "inner_folds": 2, "grid": GRID},
-    "cv_folds": 3,
-    "bootstrap_seeds": 1,
 }
 
 
@@ -162,7 +160,7 @@ SMOKE = [
      "--out", "rfe_model.json"],
     ["train", "--features", "sim.csv", "--config", "boost_rfa.json",
      "--out", "rfa_model.json"],
-    ["cv", "--features", "sim.csv", "--config", "none.json", "--seeds", "2",
+    ["cv", "--features", "sim.csv", "--config", "none.json", "--folds", "3", "--seeds", "2",
      "--out", "cv.json", "--roc-out", "roc.csv", "--roc-svg", "roc.svg",
      "--audit-log", "audit.jsonl"],
     ["predict", "--model", "model.json", "--features", "sim.csv", "--out", "preds.csv"],
@@ -179,9 +177,10 @@ SMOKE = [
      "--out", "shap.csv"],
     ["project", "--features", "canonical.csv", "--out", "projection.csv"],
     ["sweep", "--features", "sim.csv", "--config", "none.json", "--grid", "grid.json",
-     "--out", "grid_board.csv"],
+     "--folds", "3", "--seeds", "1", "--out", "grid_board.csv"],
     ["sweep", "--features", "canonical.csv", "--config", "none.json",
-     "--preset", "expressions", "--out", "expression_board.csv"],
+     "--preset", "expressions", "--folds", "3", "--seeds", "1",
+     "--out", "expression_board.csv"],
 ]
 
 

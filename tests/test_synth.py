@@ -77,3 +77,10 @@ def test_argument_validation():
     with pytest.raises(DataError):
         generate_synthetic_dataset(10, 1.0, 2, subgroup_column="age",
                                    subgroup_value="40")
+    # seed 0 deals all 10 cases to men
+    for seed, value, held in ((1, "Female", r"\['female', 'male'\]"),
+                              (0, "female", r"\['male'\]")):
+        with pytest.raises(DataError, match=rf"^no case has sex '{value}', so there is "
+                                            rf"no signal to damp; the cases hold {held}$"):
+            generate_synthetic_dataset(10, 1.0, 2, seed=seed, subgroup_column="sex",
+                                       subgroup_value=value, signal_scale=0.0)
