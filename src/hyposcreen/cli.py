@@ -28,6 +28,8 @@ import math
 import sys
 from importlib import import_module
 
+import numpy as np
+
 from . import dataset
 from .dataset import CONTINUOUS_DEMOGRAPHICS, read_feature_table, write_feature_table
 from .errors import DataError, HyposcreenError, UsageError
@@ -55,7 +57,7 @@ _LAZY = {
         ".artifact": ("ensemble_predict", "input_columns", "load_ensemble",
                       "save_ensemble"),
         ".config": ("PipelineConfig", "load_config"),
-        ".ensemble": ("require_folds", "require_outer_folds", "run_cross_validation",
+        ".ensemble": ("require_classes", "require_fold_plans", "run_cross_validation",
                       "train_pipeline"),
         ".evaluate": ("summarize_bootstrap",),
         ".explain": ("pca_project", "silhouette_score", "tree_shap"),
@@ -162,12 +164,12 @@ def _parse_float_list(text: str) -> list:
 
 
 def _check_counts(args, y) -> None:
-    """Exit 2 unless ``--folds`` is at least 2 and ``--seeds`` at least 1,
-    and 3 when a class of the labels ``y`` has fewer rows than ``--folds``."""
+    """Exit 2 unless ``--folds`` is at least 2 and ``--seeds`` at least 1, and 3
+    when a class of ``y`` has fewer rows than ``--folds``, naming no entry."""
     for flag, value, lo in (("--folds", args.folds, 2), ("--seeds", args.seeds, 1)):
         if value < lo:
             raise UsageError(f"{flag} must be in [{lo}, inf), got {value}")
-    _cli.require_folds(y, [("--folds", args.folds)], "")
+    _cli.require_classes(*np.unique(y, return_counts=True), "--folds", args.folds, "")
 
 
 def _repeated_cv(ds, cfg: PipelineConfig, args):
@@ -205,8 +207,11 @@ def _warn_unconverged(results, where: str) -> None:
 # --- subcommand handlers ------------------------------------------------------------
 
 def _cmd_featurize(args) -> int:
+    confidence = args.min_confidence
+    if confidence is not None and not 0.0 <= confidence <= 1.0:  # also false for nan
+        raise UsageError(f"--min-confidence must be a number in [0, 1], got {confidence}")
     manifest = parse_manifest(args.manifest)
-    expressions = args.expressions.split(",") if args.expressions else None
+    expressions = args.expressions.split(",") if args.expressions is not None else None
     ds = dataset.build_feature_table(manifest, expressions=expressions,
                                      index_map_path=args.index_map,
                                      min_confidence=args.min_confidence)
@@ -307,6 +312,10 @@ def _cmd_bias(args) -> int:
         raise UsageError(f"column {args.group!r} is categorical; --bins applies "
                          f"only to {', '.join(CONTINUOUS_DEMOGRAPHICS)}")
     bins = _parse_float_list(args.bins) if args.bins else None
+    if bins is not None and not (len(bins) >= 2
+                                 and all(a < b for a, b in zip(bins, bins[1:]))):
+        raise UsageError(f"--bins must hold at least 2 strictly increasing edges, "
+                         f"got {args.bins!r}")
     report = _cli.build_bias_report(labels, scores, demographics, args.group,
                                     threshold=args.threshold, bin_edges=bins)
     write_json(report.to_dict(), args.out)
@@ -413,6 +422,8 @@ def _cmd_sweep(args) -> int:
         for i, over in enumerate(overrides):
             if not isinstance(over, dict):
                 raise DataError(f"grid entry {i} must be an object, got {over!r}")
+        if not overrides:
+            raise DataError("grid has no entries")
     else:
         raise UsageError("sweep needs --grid or --preset")
     ds_full = read_feature_table(args.features)
@@ -421,10 +432,14 @@ def _cmd_sweep(args) -> int:
     # every entry is loaded and checked before the first one trains
     runs = []
     for i, over in enumerate(overrides):
-        cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
-        ds = _apply_expression_filter(ds_full, cfg)
-        _warn_n_target(cfg, ds, f"sweep entry {i}: ")
-        _cli.require_outer_folds(ds.y, cfg, args.folds, f" in sweep entry {i}")
+        try:
+            cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
+            ds = _apply_expression_filter(ds_full, cfg)
+            _warn_n_target(cfg, ds, f"sweep entry {i}: ")
+            _cli.require_fold_plans(ds.y, cfg, args.folds)
+        except DataError as exc:
+            exc.args = (f"sweep entry {i}: {exc}",)
+            raise
         runs.append((over, cfg, ds))
     entries = []
     for i, (over, cfg, ds) in enumerate(runs):
@@ -450,10 +465,9 @@ def _cmd_sweep(args) -> int:
     columns = ["config_id", "override", "expressions", "scaler", "selection",
                "auroc_mean", "auroc_lo", "auroc_hi", "accuracy_mean", "folds", "seeds"]
     write_leaderboard_csv(entries, args.out, columns)
-    if entries:
-        best = entries[0]
-        print(f"best: {best['override']} (config_id {best['config_id']}, "
-              f"auroc {best['auroc_mean']:.4f}) -> {args.out}")
+    best = entries[0]
+    print(f"best: {best['override']} (config_id {best['config_id']}, "
+          f"auroc {best['auroc_mean']:.4f}) -> {args.out}")
     return 0
 
 

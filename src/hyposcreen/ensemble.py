@@ -33,7 +33,8 @@ from .errors import ClassTooSmall, MTooLarge, TooFewMinority
 from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
 from .model.histboost import fit_histgbm, predict_proba
 from .model.logistic import fit_logistic
-from .preprocess import FoldPlan, apply_scaler, balance_training_set, fit_scaler, stratified_kfold
+from .preprocess import (FoldPlan, apply_scaler, balance_training_set, fit_scaler,
+                         stratified_kfold, train_counts)
 from .select import FOLDED_METHODS, select_features
 from .util import child_seed
 
@@ -122,57 +123,39 @@ def fit_stacking_ensemble(X, y, config, seed: int):
     return base_models, base_info, meta, provenance
 
 
-def require_folds(y, plans, split: str) -> None:
-    """Raise :class:`ClassTooSmall`, naming the setting, when a class of
-    ``y`` has fewer rows than a fold plan over ``y`` needs.  ``plans`` lists
-    ``(setting, k)`` pairs, checked in order; ``split`` names the rows in
-    the message."""
+def require_classes(labels, counts, setting: str, k: int, split: str) -> None:
+    """Raise :class:`ClassTooSmall` naming ``setting`` when a class of ``labels``
+    has fewer ``counts`` than ``k`` folds need; ``split`` names the rows."""
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        i = short[0]
+        raise ClassTooSmall(labels[i].item(), int(counts[i]), k, setting, split)
+
+
+def require_fold_plans(y, config, k) -> None:
+    """Fail before anything trains when an inner fold plan cannot be made or
+    oversampled on ``y`` (``k`` None) or on the training split of any of
+    ``k`` outer folds over ``y`` (``k`` an integer).  A class must have as
+    many rows as the ``selection.inner_folds`` of a method that reads it and
+    as ``ensemble.inner_folds`` (:class:`ClassTooSmall`); with SMOTE on, no
+    inner training split may hold unequal class counts with a single row in
+    the smaller class (:class:`TooFewMinority`).  Each split's class counts
+    come from :func:`train_counts`, so no plan is dealt."""
     labels, counts = np.unique(y, return_counts=True)
-    for setting, k in plans:
-        short = np.flatnonzero(counts < k)
-        if short.size:
-            i = short[0]
-            raise ClassTooSmall(labels[i].item(), int(counts[i]), k, setting, split)
-
-
-def _require_inner_folds(y, config, split: str) -> None:
-    """Fail before anything trains on ``y`` when an inner fold plan cannot
-    be made or oversampled.
-
-    A class must have as many rows as the ``selection.inner_folds`` of a
-    method that reads it and as ``ensemble.inner_folds``
-    (:class:`ClassTooSmall`).  With SMOTE on, no inner training split may
-    hold unequal class counts with a single row in the smaller class
-    (:class:`TooFewMinority`): ``stratified_kfold`` deals each class
-    round-robin, so inner fold ``j`` holds ``ceil((c - j) / k)`` of a
-    class's ``c`` rows, whatever the seed.  ``split`` names the rows in the
-    message."""
-    plans = [("ensemble.inner_folds", config.ensemble.inner_folds)]
+    inner = config.ensemble.inner_folds
+    plans = [("ensemble.inner_folds", inner)]
     if config.selection.method in FOLDED_METHODS:
         plans.insert(0, ("selection.inner_folds", config.selection.inner_folds))
-    require_folds(y, plans, split)
-    if config.smote.enabled:
-        k = config.ensemble.inner_folds
-        counts = np.unique(y, return_counts=True)[1]
-        for j in range(k):
-            train = counts - (counts - j + k - 1) // k
-            if train.min() == 1 and train.max() > 1:
-                raise TooFewMinority(1, f" in the training split of inner fold {j} "
-                                        f"of ensemble.inner_folds={k}{split}, "
-                                        f"which smote.enabled oversamples")
-
-
-def require_outer_folds(y, config, k: int, split: str) -> None:
-    """:func:`_require_inner_folds` on the training split of every outer
-    fold of a ``k``-fold cross-validation over ``y``, before anything
-    trains.  Outer fold ``j`` trains on ``c - ceil((c - j) / k)`` of a
-    class's ``c`` rows, whatever the seed, as the inner folds do; ``split``
-    ends the name of the rows in the message."""
-    labels, counts = np.unique(y, return_counts=True)
-    for fold in range(k):
-        train = counts - (counts - fold + k - 1) // k
-        _require_inner_folds(np.repeat(labels, train), config,
-                             f" in the training split of outer fold {fold}{split}")
+    for fold, c in enumerate([counts] if k is None else train_counts(counts, k)):
+        split = "" if k is None else f" in the training split of outer fold {fold}"
+        for setting, n in plans:
+            require_classes(labels, c, setting, n, split)
+        if config.smote.enabled:
+            for j, train in enumerate(train_counts(c, inner)):
+                if train.min() == 1 and train.max() > 1:
+                    raise TooFewMinority(1, f" in the training split of inner fold {j} "
+                                            f"of ensemble.inner_folds={inner}{split}, "
+                                            f"which smote.enabled oversamples")
 
 
 def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble:
@@ -183,7 +166,7 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     the artifact is restricted to the selected features, and its provenance
     records the training rows and the synthetic rows of the final refit.
     """
-    _require_inner_folds(ds.y, config, "")
+    require_fold_plans(ds.y, config, None)
     names = ds.feature_names
     scaler_full = fit_scaler(config.scaler, ds.X, names)
     Xs = apply_scaler(scaler_full, ds.X)
@@ -256,7 +239,7 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
     the fold's synthetic-row count, not rows traced back to their parents.
     """
     plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
-    require_outer_folds(ds.y, config, k, "")
+    require_fold_plans(ds.y, config, k)
     n = ds.n_rows
     identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
     oof = np.empty(n)

@@ -185,3 +185,12 @@ def stratified_kfold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
         idx = idx[rng.permutation(idx.size)]
         assignments[idx] = np.arange(idx.size) % k
     return FoldPlan(k=k, seed=seed, assignments=assignments)
+
+
+def train_counts(counts, k: int) -> np.ndarray:
+    """Rows of each class in each fold's training split under
+    :func:`stratified_kfold`, as a ``(k, classes)`` array.  Fold ``j`` is
+    dealt ``ceil((c - j) / k)`` of a class's ``c`` rows whatever the seed:
+    the seed only shuffles which rows each class deals round-robin."""
+    j = np.arange(k)[:, None]
+    return counts - (counts - j + k - 1) // k

@@ -498,6 +498,18 @@ def test_bias_rejects_nan_bin_edges_and_keeps_infinite_outer_edges(
     report = json.loads(out.read_text())
     assert set(report["groups"]) == {"[-inf, 60)", "[60, inf]"}
 
+
+@pytest.mark.parametrize("bins", ["50,0", "50", "35,35,86", "inf,inf"])
+def test_bias_rejects_bin_edges_that_do_not_increase(sim_table, tmp_path, capsys, bins):
+    out = tmp_path / "bias.json"
+    assert main(_bias_inputs(sim_table, tmp_path)
+                + ["--group", "age", "--bins", bins, "--out", str(out)]) == 2
+    assert _last_error(capsys) == {
+        "error": "UsageError",
+        "message": f"--bins must hold at least 2 strictly increasing edges, got {bins!r}"}
+    assert not out.exists()
+
+
 def test_sweep_grid_produces_sorted_leaderboard(sim_table, tmp_path,
                                                 fast_config_path, monkeypatch,
                                                 capsys):
@@ -575,8 +587,24 @@ def test_sweep_checks_every_entry_s_inner_folds_before_the_first_trains(
                  "--grid", grid, "--folds", "2", "--seeds", "2", "--out", str(out)]) == 3
     assert _last_error(capsys) == {
         "error": "ClassTooSmall",
-        "message": "class 0 has 6 rows in the training split of outer fold 0 in sweep "
-                   "entry 1, fewer than ensemble.inner_folds=7 folds"}
+        "message": "sweep entry 1: class 0 has 6 rows in the training split of outer "
+                   "fold 0, fewer than ensemble.inner_folds=7 folds"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"scaler": "robust"},
+     "scaler must be one of ('minmax', 'standard', 'none'), got 'robust'"),
+    ({"cv_folds": 3}, "unknown config keys ['cv_folds']"),
+])
+def test_sweep_names_the_entry_whose_config_is_invalid(
+        sim_table, tmp_path, fast_config_path, capsys, override, message):
+    grid = _write_config(tmp_path, [{}, override], "grid.json")
+    out = tmp_path / "board.csv"
+    assert main(["sweep", "--features", sim_table, "--config", fast_config_path,
+                 "--grid", grid, "--out", str(out)] + FAST_COUNTS) == 3
+    assert _last_error(capsys) == {"error": "DataError",
+                                   "message": f"sweep entry 1: {message}"}
     assert not out.exists()
 
 
@@ -1156,8 +1184,10 @@ def test_train_rejects_a_top_level_or_booster_setting_out_of_range(
     ("[{\"scaler\": ", "grid is not valid JSON"),
     ("{\"overrides\": [{}]}", "grid must be a list of config overrides"),
     ("[{}, 5]", "grid entry 1 must be an object"),
+    ("[]", "grid has no entries"),
+    ("{\"configs\": []}", "grid has no entries"),
 ], ids=["missing-file", "invalid-json", "object-without-configs",
-        "non-object-entry"])
+        "non-object-entry", "empty-list", "empty-configs"])
 def test_sweep_rejects_bad_grid_with_exit_3(sim_table, tmp_path,
                                             fast_config_path, capsys,
                                             grid_text, message):
@@ -1286,6 +1316,34 @@ def test_featurize_rejects_an_unknown_expression(manifest_corpus, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("expressions", ["", " "])
+def test_featurize_rejects_an_empty_expression_list(manifest_corpus, tmp_path, capsys,
+                                                    expressions):
+    out = tmp_path / "features.csv"
+    assert main(["featurize", "--manifest", str(manifest_corpus), "--out", str(out),
+                 "--expressions", expressions]) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "DataError" and repr([expressions]) in err["message"]
+    assert not out.exists()
+
+
+def test_featurize_takes_a_min_confidence_in_the_unit_interval(manifest_corpus, tmp_path,
+                                                               capsys):
+    out = tmp_path / "features.csv"
+    args = ["featurize", "--manifest", str(manifest_corpus), "--out", str(out)]
+    for value in ("nan", "-0.5", "1.5"):
+        assert main(args + ["--min-confidence", value]) == 2, value
+        assert _last_error(capsys) == {
+            "error": "UsageError",
+            "message": f"--min-confidence must be a number in [0, 1], got {float(value)}"}
+        assert not out.exists()
+    # the bounds pass the flag check; every test frame's confidence is below 1
+    assert main(args + ["--min-confidence", "0"]) == 0
+    assert main(args + ["--min-confidence", "1"]) == 3
+    err = _last_error(capsys)
+    assert err["error"] == "DataError" and "below confidence 1.0" in err["message"]
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_an_expression_subset_needs_a_table_with_expression_columns(
         sim_table, tmp_path, capsys, command):
@@ -1297,7 +1355,8 @@ def test_an_expression_subset_needs_a_table_with_expression_columns(
                  "--out", str(out)] + extra) == 3
     err = _last_error(capsys)
     assert err["error"] == "DataError"
-    assert err["message"].startswith("expressions ['smile'] select columns")
+    where = "sweep entry 0: " if command == "sweep" else ""
+    assert err["message"].startswith(f"{where}expressions ['smile'] select columns")
     assert not out.exists()
     # with all three expressions such a table passes through
     config = _write_config(tmp_path, FAST_CONFIG)

@@ -19,6 +19,7 @@ from hyposcreen.preprocess import (
     fit_scaler,
     smote_oversample,
     stratified_kfold,
+    train_counts,
 )
 
 
@@ -234,6 +235,22 @@ def test_stratified_kfold_errors():
         stratified_kfold(np.array([0, 1]), 1, seed=0)
     with pytest.raises(EmptyMatrix):
         stratified_kfold(np.array([]), 2, seed=0)
+
+
+def test_train_counts_are_the_class_counts_of_every_dealt_training_split():
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        counts = rng.integers(1, 41, size=rng.integers(2, 4))
+        y = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        for k in range(2, counts.min() + 1):
+            rule = train_counts(counts, k)
+            assert rule.shape == (k, counts.size)
+            for seed in range(3):
+                plan = stratified_kfold(y, k, seed=seed)
+                for j in range(k):
+                    tr, _ = plan.fold_indices(j)
+                    assert np.bincount(y[tr], minlength=counts.size).tolist() \
+                        == rule[j].tolist(), (counts, k, seed, j)
 
 
 @settings(max_examples=30, deadline=None)
