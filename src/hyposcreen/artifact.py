@@ -66,6 +66,29 @@ def input_columns(ensemble: TrainedEnsemble, feature_names) -> list:
     return [feature_names.index(nm) for nm in ensemble.feature_names]
 
 
+def base_probabilities(ensemble: TrainedEnsemble, Xs) -> np.ndarray:
+    """Each base model's probabilities on the scaled rows ``Xs``, one column
+    per model, each with the bits of ``predict_proba(model, Xs)``.
+
+    The rows are binned once per distinct mapper (equal ``max_bins`` and
+    thresholds) and walked once per distinct (node table, codes,
+    ``base_score``, learning rate).  The refits a training's memo served
+    from one grown model share its node table, so they share one walk; a
+    loaded artifact has a node table per model and walks each.
+    """
+    codes, walked, columns = {}, {}, []
+    for model in ensemble.base_models:
+        bins = model.mapper.key()
+        if bins not in codes:
+            codes[bins] = model.bin(Xs)
+        # the models hold their node tables, so no id is reused in the loop
+        walk = (id(model.nodes()), bins, model.base_score, model.params.learning_rate)
+        if walk not in walked:
+            walked[walk] = predict_proba(model, Xs, codes[bins])
+        columns.append(walked[walk])
+    return np.column_stack(columns)
+
+
 def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names) -> np.ndarray:
     """Pick the ensemble's features by name from ``X``, whose columns
     ``feature_names`` names, scale, run the base models, and blend with the
@@ -75,8 +98,7 @@ def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names) -> np.ndarray:
         X = X[None, :]
     X = X[:, input_columns(ensemble, feature_names)]
     Xs = apply_scaler(ensemble.scaler, X)
-    base = np.column_stack([predict_proba(m, Xs) for m in ensemble.base_models])
-    return predict_proba_logistic(ensemble.meta, base)
+    return predict_proba_logistic(ensemble.meta, base_probabilities(ensemble, Xs))
 
 
 def save_ensemble(ensemble: TrainedEnsemble, path) -> None:

@@ -339,8 +339,9 @@ def _cmd_explain(args) -> int:
     n_rows = ds.n_rows if args.max_rows is None else min(args.max_rows, ds.n_rows)
     rows = []
     memo = {}  # attributions per tree decision pattern, shared by the rows
+    codes = model.bin(scaled[:n_rows])
     for i in range(n_rows):
-        attribution = _cli.tree_shap(model, scaled[i], memo)
+        attribution = _cli.tree_shap(model, scaled[i], memo, codes[i])
         for j, nm in enumerate(ensemble.feature_names):
             rows.append((ds.participant_ids[i], nm,
                          attribution.phi[j], raw[i, j]))

@@ -18,6 +18,8 @@ from .errors import DataError, SingleCluster, TooFewColumns, TooFewRows
 from .model.binning import bin_matrix
 from .model.histboost import BoostedModel, Tree, predict_raw
 
+SILHOUETTE_CELLS = 1 << 16  # distances a silhouette block holds at once
+
 
 @dataclass
 class ShapAttribution:
@@ -108,7 +110,8 @@ def _tree_expectation(tree: Tree) -> float:
                  / tree.cover[0])
 
 
-def tree_shap(model: BoostedModel, row, memo: dict | None = None) -> ShapAttribution:
+def tree_shap(model: BoostedModel, row, memo: dict | None = None,
+              codes: np.ndarray | None = None) -> ShapAttribution:
     """Per-feature attributions for one row; sums to the raw margin score.
 
     A tree's attributions read the row only through the side it takes at each
@@ -118,12 +121,18 @@ def tree_shap(model: BoostedModel, row, memo: dict | None = None) -> ShapAttribu
     before is then served with the same bits.  It holds each tree's
     internal-node index and expectation, and one vector of ``n_features``
     floats per (tree, distinct pattern), so at most one per tree and row.
+    ``codes`` are the row's bin codes, one row of ``model.bin(X)`` when the
+    caller bins all the rows it explains at once; the pattern is read from
+    them and ``predict_raw`` walks them.  Without them the row is binned
+    here.
     """
     row = np.asarray(row, dtype=float)
     if row.ndim != 1:
         raise DataError("tree_shap explains one row at a time")
     memo = {} if memo is None else memo
-    x_bin = bin_matrix(model.mapper, row[None, :]).astype(np.int64)[0]
+    if codes is None:
+        codes = bin_matrix(model.mapper, row[None, :])[0]
+    x_bin = codes.astype(np.int64)
     phi = np.zeros(model.n_features)
     base = model.base_score
     lr = model.params.learning_rate
@@ -139,17 +148,19 @@ def tree_shap(model: BoostedModel, row, memo: dict | None = None) -> ShapAttribu
             _shap_tree(tree, x_bin, tree_phi)
         phi += lr * tree_phi
         base += lr * expectation
-    raw = float(predict_raw(model, row[None, :])[0])
+    raw = float(predict_raw(model, row[None, :], codes[None, :])[0])
     return ShapAttribution(base_value=float(base), phi=phi, raw_prediction=raw)
 
 
 def mean_abs_shap(model: BoostedModel, X) -> np.ndarray:
-    """Global importance: mean |attribution| per feature over the given rows."""
+    """Global importance: mean |attribution| per feature over the given rows,
+    binned once for all of them."""
     X = np.asarray(X, dtype=float)
+    codes = bin_matrix(model.mapper, X)
     total = np.zeros(model.n_features)
     memo = {}
     for i in range(X.shape[0]):
-        total += np.abs(tree_shap(model, X[i], memo).phi)
+        total += np.abs(tree_shap(model, X[i], memo, codes[i]).phi)
     return total / max(1, X.shape[0])
 
 
@@ -194,12 +205,44 @@ def pca_project(X) -> Projection2D:
 
 # --- silhouette -------------------------------------------------------------------
 
+def _distance_sums(Q: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each point's summed distance to the points of each label, shape
+    (n, labels), for points ``Q`` ordered by label, ``sizes[j]`` of label
+    ``j``; each label's distances then form one run of columns.
+
+    The distances are computed for blocks of ``SILHOUETTE_CELLS // n`` rows
+    (one at least), so memory grows as block x n, not n²: a block adds the
+    squared differences feature by feature to zeros, takes their square
+    root, and sums each label's run row by row, the operations a full n x n
+    matrix would take, so every sum keeps its bits.
+    """
+    n = Q.shape[0]
+    ends = sizes.cumsum()
+    runs = list(zip((ends - sizes).tolist(), ends.tolist()))
+    sums = np.empty((n, sizes.size))
+    step = max(1, SILHOUETTE_CELLS // n)
+    D = np.empty((min(step, n), n))
+    diff = np.empty_like(D)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        Db, db = D[:r1 - r0], diff[:r1 - r0]
+        Db.fill(0.0)
+        for c in range(Q.shape[1]):
+            np.subtract.outer(Q[r0:r1, c], Q[:, c], out=db)
+            Db += np.multiply(db, db, out=db)
+        np.sqrt(Db, out=Db)
+        for j, (s, e) in enumerate(runs):
+            sums[r0:r1, j] = Db[:, s:e].sum(axis=1)
+    return sums
+
+
 def silhouette_score(points, labels) -> float:
     """Mean (b - a) / max(a, b) over points; singleton-cluster points score 0.
 
     The points are ordered by label, stably, so each label's distances form
-    one block of columns; each point's sum over a block then adds the same
+    one run of columns; each point's sum over a run then adds the same
     terms in the same order as a sum over that label's points would.
+    ``_distance_sums`` takes those sums in row blocks.
     """
     P = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
@@ -213,15 +256,8 @@ def silhouette_score(points, labels) -> float:
     order = np.argsort(group, kind="stable")
     Q, group = P[order], group[order]
     n = Q.shape[0]
-    D = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for c in range(Q.shape[1]):
-        np.subtract.outer(Q[:, c], Q[:, c], out=diff)
-        D += np.multiply(diff, diff, out=diff)
-    np.sqrt(D, out=D)
     sizes = np.bincount(group)
-    ends = np.cumsum(sizes)
-    sums = np.column_stack([D[:, e - k:e].sum(axis=1) for k, e in zip(sizes, ends)])
+    sums = _distance_sums(Q, sizes)
     rows = np.arange(n)
     own = sizes[group]
     means = sums / sizes

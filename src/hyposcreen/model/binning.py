@@ -22,6 +22,11 @@ class BinMapper:
         return {"max_bins": int(self.max_bins),
                 "thresholds": [[float(v) for v in t] for t in self.thresholds]}
 
+    def key(self) -> tuple:
+        """Equal for mappers with equal ``max_bins`` and thresholds, which
+        bin every matrix alike."""
+        return self.max_bins, tuple(t.tobytes() for t in self.thresholds)
+
     @classmethod
     def from_dict(cls, d: dict) -> "BinMapper":
         return cls(thresholds=[np.array(t, dtype=float) for t in d["thresholds"]],

@@ -161,6 +161,11 @@ class BoostedModel:
             self._nodes = _node_table(self.trees)
         return self._nodes
 
+    def bin(self, X) -> np.ndarray:
+        """``X``'s bin codes under this model's thresholds: what
+        ``predict_raw`` and ``tree_shap`` take as ``codes``."""
+        return bin_matrix(self.mapper, X)
+
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -540,8 +545,12 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
     return model
 
 
-def predict_raw(model: BoostedModel, X) -> np.ndarray:
+def predict_raw(model: BoostedModel, X, codes: np.ndarray | None = None) -> np.ndarray:
     """base_score plus the learning-rate-scaled sum of tree outputs.
+
+    ``codes`` are ``model.bin(X)`` when the caller has them already, say
+    from one binning shared by models with equal thresholds; ``X`` is then
+    not read.
 
     Every tree is walked at once over blocks of at most ``WALK_PAIRS``
     (tree, row) pairs: ``depth`` rounds of gathering each pair's node
@@ -550,7 +559,8 @@ def predict_raw(model: BoostedModel, X) -> np.ndarray:
     tree order by ``np.add.accumulate``, which adds row after row, so every
     margin has the bits of a loop of ``raw += lr * out`` over the trees.
     """
-    codes = bin_matrix(model.mapper, X)
+    if codes is None:
+        codes = model.bin(X)
     n, d = codes.shape
     nodes = model.nodes()
     flat = codes.ravel()
@@ -573,5 +583,5 @@ def predict_raw(model: BoostedModel, X) -> np.ndarray:
     return raw
 
 
-def predict_proba(model: BoostedModel, X) -> np.ndarray:
-    return sigmoid(predict_raw(model, X))
+def predict_proba(model: BoostedModel, X, codes: np.ndarray | None = None) -> np.ndarray:
+    return sigmoid(predict_raw(model, X, codes))

@@ -178,10 +178,11 @@ def stratified_kfold(y: np.ndarray, k: int, seed: int) -> FoldPlan:
         raise EmptyMatrix()
     rng = np.random.default_rng(seed)
     assignments = np.full(y.shape[0], -1, dtype=np.int64)
-    for label in np.unique(y):
+    # with return_counts: the bare np.unique imports numpy.ma on first use
+    for label, count in zip(*np.unique(y, return_counts=True)):
+        if count < k:
+            raise ClassTooSmall(label.item(), int(count), k, "k", "")
         idx = np.where(y == label)[0]
-        if idx.size < k:
-            raise ClassTooSmall(label.item(), int(idx.size), k, "k", "")
         idx = idx[rng.permutation(idx.size)]
         assignments[idx] = np.arange(idx.size) % k
     return FoldPlan(k=k, seed=seed, assignments=assignments)

@@ -330,15 +330,17 @@ def test_cv_and_sweep_name_the_fold_count_a_class_is_too_small_for(
 @pytest.mark.parametrize("key", ["cv_folds", "bootstrap_seeds", "seed"])
 def test_fold_count_seed_count_and_seed_are_flags_not_config_keys(
         sim_table, tmp_path, fast_config_path, capsys, key):
-    config = _write_config(tmp_path, {**FAST_CONFIG, key: 3})
+    # a name of its own: ``config.json`` is the valid base that sweep reads
+    config = _write_config(tmp_path, {**FAST_CONFIG, key: 3}, "bad_config.json")
     grid = _write_config(tmp_path, [{}, {key: 3}], "grid.json")
     out = tmp_path / "out"
-    for argv in (["train", "--config", config],
-                 ["cv", "--config", config] + FAST_COUNTS,
-                 ["sweep", "--config", fast_config_path, "--grid", grid] + FAST_COUNTS):
+    for argv, where in ((["train", "--config", config], ""),
+                        (["cv", "--config", config] + FAST_COUNTS, ""),
+                        (["sweep", "--config", fast_config_path, "--grid", grid]
+                         + FAST_COUNTS, "sweep entry 1: ")):
         assert main(argv + ["--features", sim_table, "--out", str(out)]) == 3
-        assert _last_error(capsys) == {"error": "DataError",
-                                       "message": f"unknown config keys ['{key}']"}
+        assert _last_error(capsys) == {
+            "error": "DataError", "message": f"{where}unknown config keys ['{key}']"}
         assert not out.exists()
 
 

@@ -189,6 +189,31 @@ def test_percentile_interval_checkpoint():
         percentile_interval(np.array([]))
 
 
+def test_percentile_interval_equals_np_percentile_bit_for_bit():
+    # written out so that cv does not import numpy.ma; it must keep the bits
+    # of np.percentile's linear method, down to which zero's sign it returns
+    rng = np.random.default_rng(131)
+    alpha = (1.0 - 0.95) / 2.0 * 100.0
+    cases = [np.array([v]) for v in (0.0, -0.0, 3.5, np.inf)]
+    cases += [np.array([1.0, np.nan, 2.0]), np.array([0.0, -0.0] * 20)]
+    for _ in range(3000):
+        n = int(rng.integers(1, 60))
+        v = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+        kind = int(rng.integers(4))
+        if kind == 1:
+            v = np.round(v, 1)  # ties
+        elif kind == 2:
+            v = rng.integers(0, 3, n).astype(float)
+        elif kind == 3:
+            v = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        cases.append(v)
+    for v in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf, in both
+            want = np.percentile(v, [alpha, 100.0 - alpha])
+            got = np.array(percentile_interval(list(v)))
+        assert got.tobytes() == want.tobytes(), v
+
+
 def test_summarize_bootstrap_handles_missing_metrics():
     reports = [
         {"auroc": 0.8, "sensitivity": None},

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyposcreen import explain
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SmoteConfig
 from hyposcreen.ensemble import fit_stacking_ensemble
 from hyposcreen.errors import DataError, SingleCluster, TooFewColumns, TooFewRows
@@ -12,6 +14,7 @@ from hyposcreen.explain import (
     silhouette_score,
     tree_shap,
 )
+from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
 from hyposcreen.util import sigmoid
 
@@ -153,6 +156,34 @@ def test_one_shap_memo_serves_ensemble_models_that_share_trees():
     for row in np.concatenate([X, rng.normal(size=(20, 3))]):
         for model in base_models:
             assert _same_attribution(tree_shap(model, row, memo), tree_shap(model, row))
+
+
+def test_tree_shap_with_codes_equals_tree_shap_without():
+    rng = np.random.default_rng(113)
+    for t in range(6):
+        d = int(rng.integers(1, 5))
+        model, X = _fit_small_model(rng, d, n_trees=int(rng.integers(1, 6)),
+                                    max_bins=int(rng.integers(3, 40)))
+        rows = np.concatenate([X[:40], rng.normal(size=(40, d)) * 2.0])
+        codes = model.bin(rows)
+        memo = {}
+        for i, row in enumerate(rows):
+            fresh = tree_shap(model, row)
+            assert _same_attribution(tree_shap(model, row, None, codes[i]), fresh)
+            assert _same_attribution(tree_shap(model, row, memo, codes[i]), fresh)
+
+
+def test_mean_abs_shap_bins_its_rows_once(monkeypatch):
+    rng = np.random.default_rng(114)
+    model, X = _fit_small_model(rng, 4)
+    want = np.mean([np.abs(tree_shap(model, r).phi) for r in X[:30]], axis=0)
+    binned = []
+    for module in (explain, histboost):
+        real = module.bin_matrix
+        monkeypatch.setattr(module, "bin_matrix",
+                            lambda m, A, real=real: binned.append(len(A)) or real(m, A))
+    assert mean_abs_shap(model, X[:30]).tobytes() == want.tobytes()
+    assert binned == [30]
 
 
 def test_exact_oracle_guards_wide_models():
@@ -325,6 +356,97 @@ def test_silhouette_matches_point_loop_on_large_string_labelled_set():
     labels[8] = labels[7]  # a zero distance inside a cluster
     # the same terms summed in the same order: equal, not merely close
     assert silhouette_score(pts, labels) == _silhouette_loop(pts, labels)
+
+
+def _distance_sums_all_pairs(Q, sizes):
+    """The per-label distance sums as ``silhouette_score`` took them before
+    it worked in row blocks: from the full n x n matrix at once."""
+    n = Q.shape[0]
+    D = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for c in range(Q.shape[1]):
+        np.subtract.outer(Q[:, c], Q[:, c], out=diff)
+        D += np.multiply(diff, diff, out=diff)
+    np.sqrt(D, out=D)
+    ends = np.cumsum(sizes)
+    return np.column_stack([D[:, e - k:e].sum(axis=1) for k, e in zip(sizes, ends)])
+
+
+def _silhouette_all_pairs(points, labels) -> float:
+    """``silhouette_score`` as it was before it worked in row blocks."""
+    P = np.asarray(points, dtype=float)
+    uniq, group = np.unique(np.asarray(labels), return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    Q, group = P[order], group[order]
+    n = Q.shape[0]
+    sizes = np.bincount(group)
+    sums = _distance_sums_all_pairs(Q, sizes)
+    rows = np.arange(n)
+    own = sizes[group]
+    means = sums / sizes
+    means[rows, group] = np.inf
+    b = means.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, group] / (own - 1)
+        m = np.maximum(a, b)
+        scores = np.empty(n)
+        scores[order] = np.where((own == 1) | (m == 0.0), 0.0, (b - a) / m)
+    return float(np.mean(scores))
+
+
+def _clustered(rng, n, d, k, strings=False):
+    """``n`` points in ``k`` shifted clusters, with a duplicate point and,
+    from n = 8, a singleton cluster."""
+    labels = rng.integers(0, k, size=n)
+    labels[:2] = [0, 1]
+    pts = rng.normal(size=(n, d)) + labels[:, None] * rng.uniform(0.0, 3.0)
+    if n >= 8:
+        labels[n // 2] = k  # alone in its label
+    pts[-1] = pts[0]  # a zero distance, inside a cluster or across two
+    if strings:
+        labels = np.array([f"group {v}" for v in labels])
+    return pts, labels
+
+
+def _assert_blocked_equals_all_pairs(pts, labels):
+    # the score averages away a last-bit change in one point's sum, so the
+    # sums are compared as well
+    group = np.unique(labels, return_inverse=True)[1]
+    Q, sizes = pts[np.argsort(group, kind="stable")], np.bincount(group)
+    assert (explain._distance_sums(Q, sizes).tobytes()
+            == _distance_sums_all_pairs(Q, sizes).tobytes())
+    assert silhouette_score(pts, labels) == _silhouette_all_pairs(pts, labels)
+
+
+def test_blocked_silhouette_equals_all_pairs_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(115)
+    for cells in (1, 7, 12, 64, 100):
+        # blocks of one row up to several rows, with n on and off their bounds
+        monkeypatch.setattr(explain, "SILHOUETTE_CELLS", cells)
+        for n in range(3, 41):
+            _assert_blocked_equals_all_pairs(*_clustered(
+                rng, n, int(rng.integers(1, 4)), int(rng.integers(2, 5)),
+                strings=n % 2 == 1))
+    monkeypatch.undo()
+    # from under one block to several at the module's block size: with
+    # 2^16 cells, n = 256 fills one block, 257 needs two and 512 four
+    for n in (3, 100, 255, 256, 257, 512, 600, 1000, 1311):
+        _assert_blocked_equals_all_pairs(*_clustered(
+            rng, n, 2, int(rng.integers(2, 6)), strings=n % 2 == 0))
+
+
+def test_silhouette_memory_grows_with_block_rows_not_n_squared():
+    rng = np.random.default_rng(116)
+    pts = rng.normal(size=(4000, 2))
+    labels = rng.integers(0, 3, size=4000)
+    tracemalloc.start()
+    try:
+        silhouette_score(pts, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the all-pairs form held two 4,000 x 4,000 float matrices, 256 MB
+    assert peak < 8e6, peak
 
 
 def test_silhouette_singletons_and_errors():
