@@ -44,7 +44,7 @@ _SOURCES = {
                        "smote_oversample", "stratified_kfold"),
         "select": ("select_features",),
         "stats": ("build_bias_report", "chi_square", "fisher_exact",
-                  "normal_approx_ci", "spearman", "z_two_proportions"),
+                  "normal_approx_ci", "rank_sum", "z_two_proportions"),
         "synth": ("generate_synthetic_dataset",),
     }.items()
     for name in names

@@ -103,7 +103,7 @@ def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names) -> np.ndarray:
 
 def save_ensemble(ensemble: TrainedEnsemble, path) -> None:
     with open(path, "w") as fh:
-        json.dump(ensemble.to_dict(), fh, sort_keys=True)
+        fh.write(json.dumps(ensemble.to_dict(), sort_keys=True))
 
 
 def load_ensemble(path) -> TrainedEnsemble:

@@ -209,12 +209,8 @@ class DegenerateMargins(DataError):
 
 class ConstantInput(DataError):
     def __init__(self, which):
-        super().__init__(f"{which} is constant; rank correlation undefined")
-
-
-class TooShort(DataError):
-    def __init__(self, n, need):
-        super().__init__(f"need at least {need} observations, got {n}")
+        super().__init__(f"{which} are constant; rank association undefined")
+        self.which = which
 
 
 class ZeroExpectedCell(DataError):

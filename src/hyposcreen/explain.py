@@ -110,6 +110,28 @@ def _tree_expectation(tree: Tree) -> float:
                  / tree.cover[0])
 
 
+def _attributions(model: BoostedModel, x_bin: np.ndarray, memo: dict) -> tuple:
+    """The row's attributions and base value, read from its bin codes
+    ``x_bin`` one tree at a time, served from ``memo`` per decision pattern
+    (see ``tree_shap``)."""
+    phi = np.zeros(model.n_features)
+    base = model.base_score
+    lr = model.params.learning_rate
+    for tree in model.trees:
+        if tree not in memo:
+            memo[tree] = (np.flatnonzero(tree.feature >= 0), _tree_expectation(tree))
+        internal, expectation = memo[tree]
+        key = (tree, (x_bin[tree.feature[internal]]
+                      <= tree.split_bin[internal]).tobytes())
+        tree_phi = memo.get(key)
+        if tree_phi is None:
+            tree_phi = memo[key] = np.zeros(model.n_features)
+            _shap_tree(tree, x_bin, tree_phi)
+        phi += lr * tree_phi
+        base += lr * expectation
+    return phi, base
+
+
 def tree_shap(model: BoostedModel, row, memo: dict | None = None,
               codes: np.ndarray | None = None) -> ShapAttribution:
     """Per-feature attributions for one row; sums to the raw margin score.
@@ -132,35 +154,20 @@ def tree_shap(model: BoostedModel, row, memo: dict | None = None,
     memo = {} if memo is None else memo
     if codes is None:
         codes = bin_matrix(model.mapper, row[None, :])[0]
-    x_bin = codes.astype(np.int64)
-    phi = np.zeros(model.n_features)
-    base = model.base_score
-    lr = model.params.learning_rate
-    for tree in model.trees:
-        if tree not in memo:
-            memo[tree] = (np.flatnonzero(tree.feature >= 0), _tree_expectation(tree))
-        internal, expectation = memo[tree]
-        key = (tree, (x_bin[tree.feature[internal]]
-                      <= tree.split_bin[internal]).tobytes())
-        tree_phi = memo.get(key)
-        if tree_phi is None:
-            tree_phi = memo[key] = np.zeros(model.n_features)
-            _shap_tree(tree, x_bin, tree_phi)
-        phi += lr * tree_phi
-        base += lr * expectation
+    phi, base = _attributions(model, codes.astype(np.int64), memo)
     raw = float(predict_raw(model, row[None, :], codes[None, :])[0])
     return ShapAttribution(base_value=float(base), phi=phi, raw_prediction=raw)
 
 
 def mean_abs_shap(model: BoostedModel, X) -> np.ndarray:
     """Global importance: mean |attribution| per feature over the given rows,
-    binned once for all of them."""
+    binned once for all of them; no tree is walked for the raw margins."""
     X = np.asarray(X, dtype=float)
-    codes = bin_matrix(model.mapper, X)
+    codes = bin_matrix(model.mapper, X).astype(np.int64)
     total = np.zeros(model.n_features)
     memo = {}
-    for i in range(X.shape[0]):
-        total += np.abs(tree_shap(model, X[i], memo, codes[i]).phi)
+    for x_bin in codes:
+        total += np.abs(_attributions(model, x_bin, memo)[0])
     return total / max(1, X.shape[0])
 
 

@@ -20,7 +20,7 @@ class BinMapper:
 
     def to_dict(self) -> dict:
         return {"max_bins": int(self.max_bins),
-                "thresholds": [[float(v) for v in t] for t in self.thresholds]}
+                "thresholds": [t.tolist() for t in self.thresholds]}
 
     def key(self) -> tuple:
         """Equal for mappers with equal ``max_bins`` and thresholds, which

@@ -43,14 +43,14 @@ popping.  A model whose trees all ended with an empty heap, the widest with
 ``>= widest``; one in which some tree stopped at its cap ``c`` (so
 ``widest == c``) is the same model only under cap ``c``.  Each tree's
 gradients come from the trees before it, so the argument carries from tree
-to tree.  The memo key is a digest of the float matrix, ``y`` and every
-parameter but ``max_leaves``, so a memo shared too widely still returns no
-model grown on other data, and a fit the memo serves bins nothing but its
-thresholds.  A served model shares the grown model's ``Tree`` objects, and
+to tree.  The memo key holds the bytes of the float matrix and ``y`` and
+every parameter but ``max_leaves``, so a memo shared too widely still
+returns no model grown on other data, and a fit the memo serves bins
+nothing but its thresholds.  A served model shares the grown model's ``Tree`` objects, and
 its thresholds are fit on the same matrix, so it predicts every row exactly
 as the grown model does: a caller may predict some rows once per grown model
 and reuse that prediction for every fit the memo served from it.  The same
-digest keys one more memo entry per (matrix, ``max_bins``): the binned codes
+matrix keys one more memo entry per (matrix, ``max_bins``): the binned codes
 in each feature's stable row order, which depend on nothing else, so the
 fits grown on one matrix bin and sort it once between them.
 
@@ -71,7 +71,6 @@ range or walking a cycle.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 from dataclasses import dataclass, field, fields
@@ -127,12 +126,12 @@ class Tree:
 
     def to_dict(self) -> dict:
         return {
-            "feature": [int(v) for v in self.feature],
-            "split_bin": [int(v) for v in self.split_bin],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "value": [float(v) for v in self.value],
-            "cover": [int(v) for v in self.cover],
+            "feature": self.feature.tolist(),
+            "split_bin": self.split_bin.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value.tolist(),
+            "cover": self.cover.astype(np.int64).tolist(),
         }
 
     @classmethod
@@ -453,16 +452,14 @@ def _grow_tree(gh: np.ndarray, params: BoostParams, order: np.ndarray,
 
 
 def _memo_keys(X: np.ndarray, y: np.ndarray, params: BoostParams) -> tuple:
-    """The memo keys of a fit's model and of its matrix's presorted codes,
-    from one digest: the codes are keyed on ``X`` and ``max_bins``, the model
-    on ``X``, ``y`` and every parameter but ``max_leaves``."""
-    digest = hashlib.sha256(repr(X.shape).encode())
-    digest.update(np.ascontiguousarray(X).tobytes())
-    codes_key = (digest.hexdigest(), params.max_bins)
-    digest.update(np.ascontiguousarray(y).tobytes())
+    """The memo keys of a fit's model and of its matrix's presorted codes:
+    the codes are keyed on ``X`` and ``max_bins``, the model on ``X``, ``y``
+    and every parameter but ``max_leaves``.  The keys hold the bytes of
+    ``X`` (one copy for both) and ``y``, so only equal data match."""
+    matrix = (X.shape, np.ascontiguousarray(X).tobytes())
     rest = tuple(sorted((f.name, getattr(params, f.name)) for f in fields(params)
                         if f.name != "max_leaves"))
-    return (digest.hexdigest(), rest), codes_key
+    return (matrix, np.ascontiguousarray(y).tobytes(), rest), (matrix, params.max_bins)
 
 
 def _presort(codes: np.ndarray) -> tuple:
@@ -507,11 +504,11 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
     """Fit the boosted classifier; records training log-loss per round.
 
     ``memo`` is a dict the caller owns and passes to every fit whose model
-    may be reused; it maps a digest of the data and parameters to the models
-    grown under it, and a digest of the matrix and ``max_bins`` to the
-    presorted codes they grew from (see the module docstring).  The returned
-    model always carries this call's ``params`` and bin thresholds.  A label
-    outside {0, 1} or a non-finite cell raises :class:`OutOfRange`.
+    may be reused; it maps the data and parameters to the models grown
+    under them, and the matrix and ``max_bins`` to the presorted codes they
+    grew from (see the module docstring).  The returned model always carries
+    this call's ``params`` and bin thresholds.  A label outside {0, 1} or a
+    non-finite cell raises :class:`OutOfRange`.
     """
     params = params or BoostParams()
     params.validate()

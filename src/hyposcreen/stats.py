@@ -1,9 +1,10 @@
 """Subgroup bias statistics.
 
 Implements the comparison tests directly (no stats dependency): pooled
-two-proportion z-test, log-space Fisher exact test, Spearman rank correlation
-exact over every rank permutation up to n = 9, chi-square homogeneity with its
-exact upper tail at integer degrees of freedom, and 95% Wald rate intervals.
+two-proportion z-test, log-space Fisher exact test, the Mann-Whitney rank-sum
+test (exact over every placement of the flags up to n = 9, its tie-corrected
+normal tail above), chi-square homogeneity with its exact upper tail at
+integer degrees of freedom, and 95% Wald rate intervals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     DataError,
     DegenerateMargins,
     EmptySubgroup,
-    TooShort,
     UnknownColumn,
     ZeroExpectedCell,
     ZeroPooledVariance,
@@ -177,7 +177,7 @@ def chi_square(observed) -> TestResult:
                       preconditions_met=ok, notes={"df": df})
 
 
-# --- Spearman rank correlation ---------------------------------------------------
+# --- rank-sum test -------------------------------------------------------------
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks, ties sharing their average rank."""
@@ -187,126 +187,52 @@ def average_ranks(values) -> np.ndarray:
     return ((2 * ends - counts - 1) / 2.0 + 1.0)[group]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
-    return float(np.dot(xc, yc)) / denom
-
-
-def _t_sf(t: float, df: float) -> float:
-    """Student-t one-sided survival probability via the incomplete beta."""
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
-    x = df / (df + t * t)
-    p = 0.5 * _betai(df / 2.0, 0.5, x)
-    return p if t >= 0 else 1.0 - p
-
-
-def _betai(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    bt = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                  + a * math.log(x) + b * math.log(1.0 - x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
-BETACF_TOL = 3e-16
-BETACF_MAX_ITER = 300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < BETACF_TOL:
-            break
-    return h
-
-
 EXACT_PERMUTATION_LIMIT = 9
 
 
-def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray) -> float:
-    """Share of all n! pairings of the ranks whose |rho| reaches the observed.
+def rank_sum(values, flags) -> TestResult:
+    """Mann-Whitney rank-sum test of whether flagged rows sit at other values.
 
-    Doubled average ranks are integers and keep their sum under permutation,
-    so each pairing's centred cross product is an exact integer and a pairing
-    tied with the observed one counts exactly.
+    The statistic is the rank-biserial correlation r = 2U / (n1 * n0) - 1,
+    where U counts the (flagged, unflagged) pairs whose flagged value is the
+    larger, ties counting 1/2; r > 0 when flagged rows sit at larger values.
+    On doubled centred average ranks c = 2 * rank - (n + 1), which are
+    integers summing to 0, the flagged rows' sum T equals r * n1 * n0.
+
+    p-value: up to n = 9, the exact share of the C(n, n1) placements of the
+    flags whose |T| reaches the observed one; from n = 10, the tie-corrected
+    normal tail, z = T / sqrt(n1 * n0 * sum(c^2) / (n * (n - 1))), with no
+    continuity correction.
     """
-    n = rx.shape[0]
-    xc = (2.0 * rx - (n + 1)).astype(np.int64)
-    yc = (2.0 * ry - (n + 1)).astype(np.int64)
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
-        dtype=np.int8, count=math.factorial(n) * n).reshape(-1, n)
-    cross = np.abs(yc[perms] @ xc)
-    return np.count_nonzero(cross >= abs(int(yc @ xc))) / cross.shape[0]
-
-
-def spearman(x, y) -> TestResult:
-    """Spearman rho on average ranks.
-
-    p-value: exact enumeration of every rank permutation for n <= 9, the
-    t-approximation from n = 10.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise DataError("x and y differ in length")
-    n = x.shape[0]
-    if n < 3:
-        raise TooShort(n, 3)
-    if np.all(x == x[0]):
-        raise ConstantInput("x")
-    if np.all(y == y[0]):
-        raise ConstantInput("y")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rho = _pearson(rx, ry)
-    notes: dict = {"n": n}
+    values = np.asarray(values, dtype=float)
+    flags = np.asarray(flags)
+    if values.shape != flags.shape or values.ndim != 1:
+        raise DataError("values and flags must be 1-D and of equal length")
+    if np.any(np.isnan(values)):
+        raise DataError("values must not be NaN")
+    if np.any((flags != 0) & (flags != 1)):
+        raise DataError("flags must be 0 or 1")
+    if np.unique(values).size < 2:
+        raise ConstantInput("values")
+    flags = flags.astype(bool)
+    n, n1 = flags.size, int(np.count_nonzero(flags))
+    if n1 in (0, n):
+        raise ConstantInput("flags")
+    n0 = n - n1
+    c = (2.0 * average_ranks(values) - (n + 1)).astype(np.int64)
+    t = int(c[flags].sum())
+    notes: dict = {"n": n, "n_flagged": n1}
     if n > EXACT_PERMUTATION_LIMIT:
-        if abs(rho) >= 1.0:
-            p = 0.0
-        else:
-            t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-            p = 2.0 * _t_sf(abs(t), n - 2)
-        notes["method"] = "t_approximation"
+        z = t / math.sqrt(n1 * n0 * int(c @ c) / (n * (n - 1)))
+        p = 2.0 * _norm_sf(abs(z))
+        notes.update(method="normal_approximation", z=z)
     else:
-        p = _exact_permutation_p(rx, ry)
+        placements = np.array(list(itertools.combinations(range(n), n1)))
+        sums = np.abs(c[placements].sum(axis=1))
+        p = np.count_nonzero(sums >= abs(t)) / placements.shape[0]
         notes["method"] = "exact_permutation"
-    return TestResult(test="spearman", statistic=float(rho),
-                      p_value=float(min(p, 1.0)), notes=notes)
+    return TestResult(test="rank_sum", statistic=t / (n1 * n0), p_value=float(p),
+                      notes=notes)
 
 
 # --- rate confidence interval -------------------------------------------------------
@@ -383,8 +309,8 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
     Categorical columns are grouped by value; continuous columns require
     ``bin_edges``.  Pairwise comparisons use the z-test and fall back to the
     Fisher exact test whenever the CLT preconditions fail.  Continuous
-    columns also get a Spearman association between the raw value and each
-    error indicator.
+    columns also get a rank-sum test of each error indicator against the raw
+    value.
     """
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
@@ -497,10 +423,10 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
                 rank_association[rt] = {"note": "too few rows"}
                 continue
             try:
-                res = spearman(numeric[rows], err[rows].astype(float))
-                rank_association[rt] = res.to_dict()
-            except ConstantInput:
-                rank_association[rt] = {"note": "error indicator is constant"}
+                rank_association[rt] = rank_sum(numeric[rows], err[rows]).to_dict()
+            except ConstantInput as exc:
+                what = f"column {group!r}" if exc.which == "values" else "error indicator"
+                rank_association[rt] = {"note": f"{what} is constant"}
 
     return BiasReport(group_column=group,
                       group_kind="binned" if continuous else "categorical",

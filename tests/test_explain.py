@@ -182,8 +182,12 @@ def test_mean_abs_shap_bins_its_rows_once(monkeypatch):
         real = module.bin_matrix
         monkeypatch.setattr(module, "bin_matrix",
                             lambda m, A, real=real: binned.append(len(A)) or real(m, A))
+    # the raw margins are not part of an importance, so no tree is walked
+    walked = []
+    monkeypatch.setattr(explain, "predict_raw", lambda *a, **k: walked.append(a))
     assert mean_abs_shap(model, X[:30]).tobytes() == want.tobytes()
     assert binned == [30]
+    assert walked == []
 
 
 def test_exact_oracle_guards_wide_models():

@@ -89,6 +89,8 @@ def test_score_side_commands_import_only_what_they_run(tmp_path):
         modules = _modules_after(tmp_path, args)
         assert "hyposcreen.artifact" in modules
         assert _loaded(modules, TRAINING) == [], args[0]
+        # hashlib, and the OpenSSL it loads, serves only training and sweep
+        assert "hashlib" not in modules, args[0]
     bias = _modules_after(tmp_path, [
         "bias", "--preds", preds, "--features", table, "--group", "age",
         "--bins", "0,50,200", "--out", str(tmp_path / "bias.json")])
@@ -98,6 +100,7 @@ def test_score_side_commands_import_only_what_they_run(tmp_path):
         "project", "--features", table, "--out", str(tmp_path / "coords.csv")])
     assert "hyposcreen.explain" in project
     assert _loaded(project, ("hyposcreen.ensemble", "hyposcreen.select")) == []
+    assert "hashlib" not in project
 
 
 def test_training_commands_do_not_import_numpy_ma(tmp_path):

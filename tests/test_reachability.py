@@ -1,4 +1,5 @@
-"""Every function of the package runs under a smoke set of CLI commands.
+"""Every function of the package runs under a smoke set of CLI commands,
+and every output of the smoke set matches its committed digest.
 
 The smoke set runs every subcommand in one fresh interpreter, with a profile
 hook installed before the first ``import hyposcreen``, so the comprehensions
@@ -9,16 +10,29 @@ aside, must have run, or be on :data:`ALLOWED` with the reason no command
 runs it.  An allowed name that did run fails the test too, so the list
 cannot go stale.  Code that only tests or benchmarks call belongs under
 ``tests/`` or ``perfbench/``, not in the package.
+
+The same run checks the bytes of every output: ``tests/golden.json`` holds
+the sha256 of each file the commands write and of each command's stdout,
+with the Python and numpy versions they were recorded under.  The digests
+depend on those builds, and a build change is itself a stated change, so
+the test does not skip on another build; it names the differing outputs
+and both builds.  A change that alters an output on purpose records the
+digests again with ``PYTHONPATH=src python tests/test_reachability.py``
+and says which outputs changed and why.
 """
 
 import csv
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import build_manifest_corpus
 from hyposcreen.dataset import write_feature_table
@@ -26,6 +40,7 @@ from hyposcreen.featurize import feature_names
 from hyposcreen.synth import generate_synthetic_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden.json"
 
 # name -> why no command of the smoke set runs it.  A name is the module's
 # dotted name and the code object's qualified name; a lambda's or a
@@ -57,10 +72,10 @@ ALLOWED = {
 
 # Runs in a fresh interpreter: installs the hook, imports the cli, runs each
 # command of the json list named second, then writes to the file named
-# first the commands that failed and, for every code object of the
-# package's sources, its name and line and whether it ran.
+# first the commands that failed, each command's stdout and, for every code
+# object of the package's sources, its name and line and whether it ran.
 PROBE = """
-import inspect, json, sys
+import contextlib, inspect, io, json, sys
 from pathlib import Path
 
 ran = set()
@@ -75,7 +90,12 @@ sys.setprofile(record)
 from hyposcreen.cli import main
 
 out, commands = sys.argv[1], json.loads(Path(sys.argv[2]).read_text())
-failed = [argv for argv in commands if main(argv) != 0]
+failed, stdout = [], []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as buffer:
+        if main(argv) != 0:
+            failed.append(argv)
+    stdout.append(buffer.getvalue())
 sys.setprofile(None)
 
 
@@ -104,7 +124,7 @@ for path in sorted(package.rglob("*.py")):
             if code.co_name.startswith("<"):
                 name += ": " + lines[code.co_firstlineno - 1].strip()
             seen.append([name, code.co_firstlineno, (str(path), code) in ran])
-Path(out).write_text(json.dumps({"failed": failed, "seen": seen}))
+Path(out).write_text(json.dumps({"failed": failed, "stdout": stdout, "seen": seen}))
 """
 
 # one 10-tree booster under two leaf caps, so the fit memo serves the second
@@ -184,17 +204,57 @@ SMOKE = [
 ]
 
 
-def test_every_function_runs_under_the_smoke_set_or_is_allowed(tmp_path):
-    _write_inputs(tmp_path)
-    (tmp_path / "smoke.json").write_text(json.dumps(SMOKE))
+def _run_smoke(root: Path) -> dict:
+    """Write the inputs into ``root``, run the smoke set there under the
+    profile hook, and return the probe's record with the names of the files
+    the commands wrote."""
+    _write_inputs(root)
+    (root / "smoke.json").write_text(json.dumps(SMOKE))
+    inputs = {p.name for p in root.iterdir()} | {"reach.json"}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("HYPOSCREEN_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", PROBE, "reach.json", "smoke.json"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=root, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads((tmp_path / "reach.json").read_text())
+    doc = json.loads((root / "reach.json").read_text())
     assert doc["failed"] == [], proc.stderr
+    doc["outputs"] = sorted(p.name for p in root.iterdir() if p.name not in inputs)
+    return doc
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(root: Path, doc: dict) -> dict:
+    """The digest of every output file and of every command's stdout, keyed
+    by the file name and by ``stdout <i> <command>``."""
+    digests = {name: _sha256((root / name).read_bytes()) for name in doc["outputs"]}
+    for i, (argv, text) in enumerate(zip(SMOKE, doc["stdout"])):
+        digests[f"stdout {i:02d} {argv[0]}"] = _sha256(text.encode())
+    return digests
+
+
+def _build() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _mismatches(recorded: dict, digests: dict) -> list:
+    """The outputs whose digest differs from the recorded one, or that only
+    one side has."""
+    return sorted(name for name in recorded.keys() | digests.keys()
+                  if recorded.get(name) != digests.get(name))
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("smoke")
+    return root, _run_smoke(root)
+
+
+def test_every_function_runs_under_the_smoke_set_or_is_allowed(smoke_run):
+    _, doc = smoke_run
 
     def allowed(name):
         return any(name == a or name.startswith(a + ".<locals>.") for a in ALLOWED)
@@ -208,3 +268,36 @@ def test_every_function_runs_under_the_smoke_set_or_is_allowed(tmp_path):
     assert not stale, "allowed, but the smoke set runs them:\n" + "\n".join(stale)
     missing = sorted(set(ALLOWED) - {name for name, _, _ in doc["seen"]})
     assert not missing, "allowed, but not in the package:\n" + "\n".join(missing)
+
+
+def test_every_smoke_output_matches_its_committed_digest(smoke_run):
+    root, doc = smoke_run
+    golden = json.loads(GOLDEN.read_text())
+    recorded = {k: golden[k] for k in ("python", "numpy")}
+    differ = _mismatches(golden["digests"], _digests(root, doc))
+    assert not differ, (
+        f"outputs differ from tests/golden.json, recorded under {recorded}, "
+        f"run under {_build()}:\n" + "\n".join(differ))
+
+
+def test_digests_name_a_flipped_bit_and_a_swapped_row(smoke_run):
+    root, doc = smoke_run
+    digests = _digests(root, doc)
+    header, first, second, *rest = (root / "preds.csv").read_text().splitlines(True)
+    pid, score, *cells = first.split(",")
+    flipped = np.array([float(score)]).view(np.int64) ^ 1
+    first_flipped = ",".join([pid, repr(float(flipped.view(float)[0])), *cells])
+    for text in ("".join([header, first_flipped, second, *rest]),
+                 "".join([header, second, first, *rest])):
+        mutated = dict(digests, **{"preds.csv": _sha256(text.encode())})
+        assert _mismatches(digests, mutated) == ["preds.csv"]
+
+
+if __name__ == "__main__":
+    # records the digests of this tree's smoke outputs in tests/golden.json
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        digests = _digests(root, _run_smoke(root))
+    GOLDEN.write_text(json.dumps({**_build(), "digests": digests}, indent=1,
+                                 sort_keys=True) + "\n")
+    print(f"recorded {len(digests)} digests in {GOLDEN}")

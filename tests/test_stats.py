@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -13,22 +12,21 @@ from hyposcreen.errors import (
     DataError,
     DegenerateMargins,
     EmptySubgroup,
-    TooShort,
     UnknownColumn,
     ZeroExpectedCell,
     ZeroPooledVariance,
 )
 from hyposcreen.stats import (
+    RATE_TYPES,
     average_ranks,
     build_bias_report,
     chi_square,
     fisher_exact,
     normal_approx_ci,
-    spearman,
+    rank_sum,
     z_two_proportions,
     WALD_Z,
     _chi2_sf,
-    _t_sf,
 )
 
 
@@ -216,7 +214,7 @@ def test_chi_square_precondition_flag_and_errors():
         chi_square([[1, -2], [3, 4]])
 
 
-# --- Spearman ---------------------------------------------------------------------
+# --- rank-sum test ----------------------------------------------------------------
 
 def test_average_ranks_hand_and_oracle():
     assert average_ranks([10, 20, 20, 30]).tolist() == [1.0, 2.5, 2.5, 4.0]
@@ -230,32 +228,6 @@ def test_average_ranks_hand_and_oracle():
             assert ranks[i] == less + (eq + 1) / 2.0
 
 
-def test_spearman_perfect_monotone():
-    x = np.arange(12, dtype=float)
-    res = spearman(x, 3.0 * x + 1.0)
-    assert res.statistic == 1.0 and res.p_value == 0.0
-    res = spearman(x, -x ** 3)
-    assert res.statistic == -1.0 and res.p_value == 0.0
-    assert res.notes["method"] == "t_approximation"
-
-
-def test_spearman_exact_enumeration_matches_independent_count():
-    x = [1.0, 2.0, 3.0, 4.0, 5.0]
-    y = [2.0, 1.0, 4.0, 3.0, 5.0]
-    res = spearman(x, y)
-    assert math.isclose(res.statistic, 0.8, rel_tol=1e-12)
-    assert res.notes["method"] == "exact_permutation"
-    # tie-free ranks admit the d^2 identity, so the oracle never calls
-    # the package's correlation code
-    n = 5
-    hits = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        d2 = sum((i + 1 - p) ** 2 for i, p in enumerate(perm))
-        r = 1.0 - 6.0 * d2 / (n * (n * n - 1))
-        hits += abs(r) >= 0.8 - 1e-12
-    assert math.isclose(res.p_value, hits / math.factorial(n), abs_tol=1e-12)
-
-
 def _doubled_centred_ranks(values):
     """2 * average rank - (n + 1), an integer, counted from the values."""
     n = len(values)
@@ -263,55 +235,94 @@ def _doubled_centred_ranks(values):
             - (n + 1) for v in values]
 
 
-def test_spearman_exact_p_equals_brute_force_count():
-    # 102 tie-heavy instances; n = 9 (362,880 pairings) is the slow oracle
+def _permutation_p(values, flags):
+    """The rank test's p-value before the rank-sum test replaced it: the share
+    of all n! pairings of the two rank vectors whose |Spearman cross product|
+    reaches the observed one."""
+    n = len(values)
+    xc = np.array(_doubled_centred_ranks(list(values)), dtype=np.int64)
+    yc = np.array(_doubled_centred_ranks(list(flags)), dtype=np.int64)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8, count=math.factorial(n) * n).reshape(-1, n)
+    cross = np.abs(yc[perms] @ xc)
+    return np.count_nonzero(cross >= abs(int(yc @ xc))) / cross.shape[0]
+
+
+def _tie_heavy_case(rng, n):
+    values = rng.integers(0, int(rng.integers(2, n + 1)), size=n).astype(float)
+    flags = rng.integers(0, 2, size=n)
+    return values, flags
+
+
+def test_rank_sum_exact_p_equals_permutation_count():
+    # 102 tie-heavy cases; at n = 9 the count runs over 362,880 pairings
     sizes = [3, 4, 5, 6, 7, 8] * 16 + [9] * 6
     rng = np.random.default_rng(94)
     checked = 0
     while checked < len(sizes):
         n = sizes[checked]
-        x = rng.integers(0, int(rng.integers(2, n + 1)), size=n).astype(float)
-        if checked % 2:  # an error indicator, as build_bias_report passes it
-            y = rng.integers(0, 2, size=n).astype(float)
-        else:
-            y = rng.integers(0, int(rng.integers(2, n + 1)), size=n) * 0.5
-        if np.all(x == x[0]) or np.all(y == y[0]):
+        values, flags = _tie_heavy_case(rng, n)
+        if np.all(values == values[0]) or np.all(flags == flags[0]):
             continue
-        res = spearman(x, y)
-        assert res.notes == {"n": n, "method": "exact_permutation"}
-        xc = _doubled_centred_ranks(list(x))
-        yc = _doubled_centred_ranks(list(y))
-        observed = abs(sum(map(operator.mul, xc, yc)))
-        hits = sum(abs(sum(map(operator.mul, xc, perm))) >= observed
-                   for perm in itertools.permutations(yc))
-        assert res.p_value == hits / math.factorial(n), (x, y)
-        rho = sum(map(operator.mul, xc, yc)) / math.sqrt(
-            sum(v * v for v in xc) * sum(v * v for v in yc))
-        assert math.isclose(res.statistic, rho, rel_tol=1e-12, abs_tol=1e-15)
+        res = rank_sum(values, flags)
+        assert res.notes == {"n": n, "n_flagged": int(flags.sum()),
+                             "method": "exact_permutation"}
+        assert res.p_value == _permutation_p(values, flags), (values, flags)
         checked += 1
 
 
-def test_spearman_errors():
-    with pytest.raises(TooShort):
-        spearman([1.0, 2.0], [2.0, 1.0])
-    with pytest.raises(ConstantInput):
-        spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ConstantInput):
-        spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+def test_rank_sum_statistic_equals_brute_force_pair_count():
+    rng = np.random.default_rng(95)
+    checked = 0
+    while checked < 60:
+        values, flags = _tie_heavy_case(rng, int(rng.integers(3, 30)))
+        if np.all(values == values[0]) or np.all(flags == flags[0]):
+            continue
+        flagged = values[flags == 1].tolist()
+        unflagged = values[flags == 0].tolist()
+        u = sum(Fraction(int(a > b) + int(a >= b), 2)
+                for a in flagged for b in unflagged)
+        pairs = len(flagged) * len(unflagged)
+        res = rank_sum(values, flags)
+        # r = 2U / (n1 * n0) - 1, correctly rounded from the exact count
+        assert res.statistic == float(2 * u / pairs - 1), (values, flags)
+        checked += 1
+
+
+def test_rank_sum_normal_tail_matches_hand_worked_example_with_ties():
+    values = [1, 2, 2, 3, 3, 3, 4, 5, 5, 6]
+    flags = [0, 0, 1, 0, 1, 1, 0, 1, 1, 1]
+    res = rank_sum(values, flags)
+    # ranks 1, 2.5, 2.5, 5, 5, 5, 7, 8.5, 8.5, 10: the flagged rows' sum is
+    # 39.5, so U = 39.5 - 6 * 7 / 2 = 18.5 of n1 * n0 = 24 pairs; ties of
+    # sizes 2, 3 and 2 give var(U) = 24 / 12 * (11 - (6 + 24 + 6) / 90) = 21.2
+    z = (18.5 - 12.0) / math.sqrt(21.2)
+    assert res.test == "rank_sum"
+    assert res.statistic == 13 / 24
+    assert res.notes["method"] == "normal_approximation"
+    assert (res.notes["n"], res.notes["n_flagged"]) == (10, 6)
+    assert math.isclose(res.notes["z"], z, rel_tol=1e-12)
+    assert math.isclose(res.p_value, math.erfc(z / math.sqrt(2.0)), rel_tol=1e-12)
+    # errors at smaller values turn the sign and keep the p-value
+    mirrored = rank_sum([-v for v in values], flags)
+    assert mirrored.statistic == -13 / 24
+    assert mirrored.p_value == res.p_value
+
+
+def test_rank_sum_errors_name_the_constant_input():
+    with pytest.raises(ConstantInput, match="^values") as exc:
+        rank_sum([1.0, 1.0, 1.0], [0, 1, 1])
+    assert exc.value.which == "values"
+    with pytest.raises(ConstantInput, match="^flags") as exc:
+        rank_sum([1.0, 2.0, 3.0], [1, 1, 1])
+    assert exc.value.which == "flags"
     with pytest.raises(DataError):
-        spearman([1.0, 2.0, 3.0], [1.0, 2.0])
-
-
-def test_t_survival_against_cauchy_and_normal_limits():
-    for t in (0.0, 0.5, 1.3, 2.7):
-        # df=1 is Cauchy
-        assert math.isclose(_t_sf(t, 1.0), 0.5 - math.atan(t) / math.pi,
-                            rel_tol=1e-10)
-        # huge df approaches the normal tail
-        normal = 0.5 * math.erfc(t / math.sqrt(2.0))
-        assert math.isclose(_t_sf(t, 1e7), normal, rel_tol=1e-3, abs_tol=1e-9)
-    assert math.isclose(_t_sf(-1.3, 1.0), 1.0 - _t_sf(1.3, 1.0), rel_tol=1e-12)
-    assert _t_sf(math.inf, 5.0) == 0.0
+        rank_sum([1.0, 2.0, 3.0], [0, 1])
+    with pytest.raises(DataError):
+        rank_sum([1.0, 2.0, 3.0], [0, 1, 2])
+    with pytest.raises(DataError):
+        rank_sum([1.0, math.nan, 3.0], [0, 1, 1])
 
 
 # --- rate confidence intervals --------------------------------------------------
@@ -419,6 +430,21 @@ def test_bias_report_binned_continuous_column():
     assert sum(sizes.values()) == n - 2
     assert set(report.rank_association) == {"misclassification",
                                             "underdiagnosis", "overdiagnosis"}
+
+
+def test_bias_rank_note_names_the_constant_input():
+    labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    scores = np.array([0.9, 0.1, 0.2, 0.8, 0.7, 0.3, 0.1, 0.9])
+    same_age = build_bias_report(labels, scores, {"age": [50.0] * 8}, "age", 0.5,
+                                 bin_edges=[40, 60])
+    assert same_age.rank_association == {
+        rt: {"note": "column 'age' is constant"} for rt in RATE_TYPES}
+    # every row right: the error indicator is constant, the ages are not
+    ages = {"age": [41.0 + i for i in range(8)]}
+    no_errors = build_bias_report(labels, labels.astype(float), ages, "age", 0.5,
+                                  bin_edges=[40, 60])
+    assert no_errors.rank_association == {
+        rt: {"note": "error indicator is constant"} for rt in RATE_TYPES}
 
 
 def test_bias_report_bin_validation_and_errors():
