@@ -130,6 +130,9 @@ Path(out).write_text(json.dumps({"failed": failed, "stdout": stdout, "seen": see
 # one 10-tree booster under two leaf caps, so the fit memo serves the second
 GRID = [{"n_trees": 10, "learning_rate": 0.2, "max_leaves": leaves,
          "min_samples_leaf": 4} for leaves in (4, 8)]
+# the same two leaf caps under two max_bins, so each inner fold bins its
+# held-out rows under two mappers and the memo serves a fit under each
+BINS_GRID = [{**params, "max_bins": bins} for bins in (8, 255) for params in GRID]
 FAST = {
     "selection": {"method": "none", "n_target": 2},
     "smote": {"k_neighbors": 3},
@@ -154,6 +157,7 @@ def _write_inputs(root: Path) -> None:
         "boost_rfe": {**FAST, "selection": {"method": "boost_rfe", "n_target": 2},
                       "scaler": "none"},
         "boost_rfa": {**FAST, "selection": {"method": "boost_rfa", "n_target": 2}},
+        "bins": {**FAST, "ensemble": {**FAST["ensemble"], "grid": BINS_GRID}},
     }
     for name, doc in configs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
@@ -201,6 +205,8 @@ SMOKE = [
     ["sweep", "--features", "canonical.csv", "--config", "none.json",
      "--preset", "expressions", "--folds", "3", "--seeds", "1",
      "--out", "expression_board.csv"],
+    ["cv", "--features", "sim.csv", "--config", "bins.json", "--folds", "3", "--seeds", "1",
+     "--out", "bins_cv.json"],
 ]
 
 
