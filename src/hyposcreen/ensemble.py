@@ -31,7 +31,7 @@ from .artifact import TrainedEnsemble, ensemble_predict
 from .dataset import LabeledDataset
 from .errors import ClassTooSmall, MTooLarge, TooFewMinority
 from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
-from .model.histboost import fit_histgbm, predict_proba
+from .model.histboost import fit_histgbm, predict_columns
 from .model.logistic import fit_logistic
 from .preprocess import (FoldPlan, apply_scaler, balance_training_set, fit_scaler,
                          stratified_kfold, train_counts)
@@ -54,9 +54,8 @@ def fit_stacking_ensemble(X, y, config, seed: int):
     ``ensemble.inner_folds`` inner folds; each training set is oversampled
     as ``config.smote`` says.  Every fit shares one ``fit_histgbm`` memo, so
     candidates that differ only in a ``max_leaves`` cap their trees never
-    reach are grown once per inner fold; such candidates also share one
-    prediction of the fold's held-out rows, made once from the grown model's
-    trees.
+    reach are grown once per inner fold, and ``predict_columns`` scores a
+    fold's held-out rows for every candidate at once.
 
     Returns ``(base_models, base_info, meta, provenance)`` where the base
     models are full-data refits of the kept candidates.
@@ -75,33 +74,18 @@ def fit_stacking_ensemble(X, y, config, seed: int):
             return Xt, yt, 0
         return balance_training_set(Xt, yt, smote.k_neighbors, child_seed(seed, *key))
 
-    # per-fold training sets, oversampled independently of the held-out rows
-    fold_train = []
-    inner_synthetic = []
-    for fold in range(plan.k):
-        tr, _ = plan.fold_indices(fold)
-        Xa, ya, n_syn = training_set(X[tr], y[tr], "stack-smote", fold)
-        fold_train.append((Xa, ya))
-        inner_synthetic.append(int(n_syn))
-
-    # candidates that differ only in a max_leaves cap their trees never reach
-    # share one grown model (see fit_histgbm); a served model carries the
-    # grown model's Tree objects, which hash by identity, and thresholds fit
-    # on the same fold matrix, so (fold, first tree) names its predictions
+    # each fold's training set is oversampled independently of its held-out
+    # rows, and every candidate is fit on it in grid order
     memo = {}
-    held_out = {}
+    inner_synthetic = []
     oof = np.empty((n, len(candidates)))
-    scores = []
-    for ci, params in enumerate(candidates):
-        for fold in range(plan.k):
-            _, ev = plan.fold_indices(fold)
-            Xa, ya = fold_train[fold]
-            model = fit_histgbm(Xa, ya, params, memo=memo)
-            key = (fold, model.trees[0])
-            if key not in held_out:
-                held_out[key] = predict_proba(model, X[ev])
-            oof[ev, ci] = held_out[key]
-        scores.append(auroc(oof[:, ci], y))
+    for fold in range(plan.k):
+        tr, ev = plan.fold_indices(fold)
+        Xa, ya, n_syn = training_set(X[tr], y[tr], "stack-smote", fold)
+        inner_synthetic.append(int(n_syn))
+        models = [fit_histgbm(Xa, ya, params, memo=memo) for params in candidates]
+        oof[ev] = predict_columns(models, X[ev])
+    scores = [auroc(column, y) for column in oof.T]
 
     kept = select_top_models(scores, m)
     meta = fit_logistic(oof[:, kept], y)

@@ -46,10 +46,11 @@ gradients come from the trees before it, so the argument carries from tree
 to tree.  The memo key holds the bytes of the float matrix and ``y`` and
 every parameter but ``max_leaves``, so a memo shared too widely still
 returns no model grown on other data, and a fit the memo serves bins
-nothing but its thresholds.  A served model shares the grown model's ``Tree`` objects, and
-its thresholds are fit on the same matrix, so it predicts every row exactly
-as the grown model does: a caller may predict some rows once per grown model
-and reuse that prediction for every fit the memo served from it.  The same
+nothing but its thresholds.  A served model shares the grown model's packed
+node table, and its thresholds are fit on the same matrix, so it predicts
+every row exactly as the grown model does.  ``predict_columns`` is the one
+place that shares predictions: it bins some rows once per distinct mapper
+and walks them once per node table, for every model it is given.  The same
 matrix keys one more memo entry per (matrix, ``max_bins``): the binned codes
 in each feature's stable row order, which depend on nothing else, so the
 fits grown on one matrix bin and sort it once between them.
@@ -582,3 +583,26 @@ def predict_raw(model: BoostedModel, X, codes: np.ndarray | None = None) -> np.n
 
 def predict_proba(model: BoostedModel, X, codes: np.ndarray | None = None) -> np.ndarray:
     return sigmoid(predict_raw(model, X, codes))
+
+
+def predict_columns(models, X) -> np.ndarray:
+    """Each model's probabilities on the rows ``X``, one column per model,
+    each with the bits of ``predict_proba(model, X)``.
+
+    The rows are binned once per distinct mapper (equal ``max_bins`` and
+    thresholds) and walked once per distinct (node table, codes,
+    ``base_score``, learning rate).  The fits a memo served from one grown
+    model share its node table, so they share one walk; a loaded artifact
+    has a node table per model and walks each.
+    """
+    codes, walked, columns = {}, {}, []
+    for model in models:
+        bins = model.mapper.key()
+        if bins not in codes:
+            codes[bins] = model.bin(X)
+        # the models hold their node tables, so no id is reused in the loop
+        walk = (id(model.nodes()), bins, model.base_score, model.params.learning_rate)
+        if walk not in walked:
+            walked[walk] = predict_proba(model, X, codes[bins])
+        columns.append(walked[walk])
+    return np.column_stack(columns)

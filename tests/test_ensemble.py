@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hyposcreen import ensemble, select
-from hyposcreen.artifact import (TrainedEnsemble, base_probabilities, ensemble_predict,
-                                 input_columns, load_ensemble, save_ensemble)
+from hyposcreen.artifact import (TrainedEnsemble, ensemble_predict, input_columns,
+                                 load_ensemble, save_ensemble)
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
 from hyposcreen.ensemble import fit_stacking_ensemble, select_top_models, train_pipeline
@@ -81,10 +81,10 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
     grid = [BoostParams(n_trees=6, learning_rate=0.3, max_leaves=cap, min_samples_leaf=3)
             for cap in (2, 3, 5, 8, 16, 31, 63)]
     predicted, grown_rows = [], []
-    real_predict, real_boost, real_fit = (ensemble.predict_proba, histboost._boost,
-                                          ensemble.fit_histgbm)
-    monkeypatch.setattr(ensemble, "predict_proba",
-                        lambda model, Xe: predicted.append(1) or real_predict(model, Xe))
+    real_walk, real_boost, real_fit = (histboost.predict_raw, histboost._boost,
+                                       ensemble.fit_histgbm)
+    monkeypatch.setattr(histboost, "predict_raw",
+                        lambda *a: predicted.append(1) or real_walk(*a))
     monkeypatch.setattr(histboost, "_boost",
                         lambda presorted, *a: grown_rows.append(presorted[0].shape[1])
                         or real_boost(presorted, *a))
@@ -145,6 +145,8 @@ def test_grown_fits_on_one_matrix_share_one_binning_and_presort(monkeypatch):
     assert presorted == list(dict.fromkeys(grown))
     assert len(presorted) == 4 * 2  # 3 inner folds and the refit set, 2 max_bins
     assert sum(binned) == len(presorted) < len(grown)
+    # each inner fold's held-out rows are binned once per max_bins
+    assert binned.count(False) == 3 * 2
 
     monkeypatch.setattr(ensemble, "fit_histgbm",
                         lambda X, y, params, memo=None: fit(X, y, params))
@@ -277,41 +279,6 @@ def test_save_load_round_trip_preserves_predictions_exactly(tmp_path):
         load_ensemble(bad)
     with pytest.raises(ArtifactError):
         load_ensemble(tmp_path / "absent.json")
-
-
-def test_base_probabilities_equal_each_models_own_bit_for_bit(tmp_path, monkeypatch):
-    # two max_bins, and leaf caps no tree reaches: the refits on one max_bins
-    # share one grown tree set, so an in-process ensemble bins once per
-    # max_bins and walks once per tree set; its loaded artifact has a node
-    # table per model and walks each, still binning once per max_bins
-    ds = _dataset(seed=129)
-    grid = [{"n_trees": 5, "learning_rate": 0.3, "max_leaves": cap,
-             "min_samples_leaf": 4, "max_bins": bins}
-            for bins in (8, 255) for cap in (31, 63)]
-    config = PipelineConfig(selection=SelectionConfig(method="none"),
-                            smote=SmoteConfig(k_neighbors=3),
-                            ensemble=EnsembleConfig(m=4, inner_folds=3, grid=grid))
-    fitted = train_pipeline(ds, config, seed=7)
-    save_ensemble(fitted, tmp_path / "model.json")
-    loaded = load_ensemble(tmp_path / "model.json")
-    X_test = np.random.default_rng(130).normal(size=(50, 5))
-    binned, walked = [], []
-    real_bin, real_walk = histboost.bin_matrix, histboost.predict_raw
-    monkeypatch.setattr(histboost, "bin_matrix",
-                        lambda *a: binned.append(1) or real_bin(*a))
-    monkeypatch.setattr(histboost, "predict_raw",
-                        lambda *a: walked.append(1) or real_walk(*a))
-    for ens, walks in ((fitted, 2), (loaded, 4)):
-        Xs = apply_scaler(ens.scaler, X_test[:, input_columns(ens, ds.feature_names)])
-        binned.clear()
-        walked.clear()
-        base = base_probabilities(ens, Xs)
-        assert (len(binned), len(walked)) == (2, walks)
-        for j, model in enumerate(ens.base_models):
-            assert base[:, j].tobytes() == predict_proba(model, Xs).tobytes(), j
-        assert ensemble_predict(ens, X_test, ds.feature_names).tobytes() == \
-            predict_proba_logistic(ens.meta, base).tobytes()
-    assert base_probabilities(fitted, Xs).tobytes() == base.tobytes()
 
 
 def test_artifact_with_retired_booster_settings_predicts_identically(tmp_path):

@@ -5,6 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from hyposcreen.artifact import (ensemble_predict, input_columns, load_ensemble,
+                                 save_ensemble)
+from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
+from hyposcreen.dataset import LabeledDataset
+from hyposcreen.ensemble import train_pipeline
 from hyposcreen.errors import (
     ArtifactError,
     DataError,
@@ -21,9 +26,12 @@ from hyposcreen.model.histboost import (
     Tree,
     build_histograms,
     fit_histgbm,
+    predict_columns,
     predict_proba,
     predict_raw,
 )
+from hyposcreen.model.logistic import predict_proba_logistic
+from hyposcreen.preprocess import apply_scaler
 from hyposcreen.util import sigmoid
 
 from split_oracle import (
@@ -625,6 +633,47 @@ def test_memo_hit_bins_no_matrix(monkeypatch):
     assert len(calls) == 1
     assert fits[0].trees == fits[1].trees
     assert fits[0].nodes() is fits[1].nodes()  # packed once for both
+
+
+def test_predict_columns_equal_each_models_own_bit_for_bit(tmp_path, monkeypatch):
+    # two max_bins, and leaf caps no tree reaches: the refits on one max_bins
+    # share one grown tree set, so an in-process ensemble bins once per
+    # max_bins and walks once per tree set; its loaded artifact has a node
+    # table per model and walks each, still binning once per max_bins
+    rng = np.random.default_rng(129)
+    y = np.array([1] * 18 + [0] * 30)
+    X = rng.normal(size=(48, 5))
+    X[:, 0] += 1.5 * y
+    X[:, 1] -= 1.0 * y
+    ds = LabeledDataset(feature_names=[f"f{j}" for j in range(5)], X=X, y=y,
+                        participant_ids=[f"p{i:02d}" for i in range(48)])
+    grid = [{"n_trees": 5, "learning_rate": 0.3, "max_leaves": cap,
+             "min_samples_leaf": 4, "max_bins": bins}
+            for bins in (8, 255) for cap in (31, 63)]
+    config = PipelineConfig(selection=SelectionConfig(method="none"),
+                            smote=SmoteConfig(k_neighbors=3),
+                            ensemble=EnsembleConfig(m=4, inner_folds=3, grid=grid))
+    fitted = train_pipeline(ds, config, seed=7)
+    save_ensemble(fitted, tmp_path / "model.json")
+    loaded = load_ensemble(tmp_path / "model.json")
+    X_test = np.random.default_rng(130).normal(size=(50, 5))
+    binned, walked = [], []
+    real_bin, real_walk = histboost.bin_matrix, histboost.predict_raw
+    monkeypatch.setattr(histboost, "bin_matrix",
+                        lambda *a: binned.append(1) or real_bin(*a))
+    monkeypatch.setattr(histboost, "predict_raw",
+                        lambda *a: walked.append(1) or real_walk(*a))
+    for ens, walks in ((fitted, 2), (loaded, 4)):
+        Xs = apply_scaler(ens.scaler, X_test[:, input_columns(ens, ds.feature_names)])
+        binned.clear()
+        walked.clear()
+        base = predict_columns(ens.base_models, Xs)
+        assert (len(binned), len(walked)) == (2, walks)
+        for j, model in enumerate(ens.base_models):
+            assert base[:, j].tobytes() == predict_proba(model, Xs).tobytes(), j
+        assert ensemble_predict(ens, X_test, ds.feature_names).tobytes() == \
+            predict_proba_logistic(ens.meta, base).tobytes()
+    assert predict_columns(fitted.base_models, Xs).tobytes() == base.tobytes()
 
 
 def test_training_log_loss_is_non_increasing():
