@@ -30,7 +30,7 @@ _SOURCES = {
         "config": ("DEFAULT_GRID", "PipelineConfig", "load_config"),
         "dataset": ("LabeledDataset", "build_feature_table", "read_feature_table",
                     "write_feature_table"),
-        "ensemble": ("run_cross_validation", "train_pipeline", "verify_no_leakage"),
+        "ensemble": ("run_cross_validation", "train_pipeline"),
         "errors": ("DataError", "HyposcreenError", "InternalError", "UsageError"),
         "evaluate": ("auroc", "classification_metrics", "confusion_counts",
                      "percentile_interval", "roc_curve", "summarize_bootstrap"),

@@ -217,10 +217,9 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
 
     Every fold refits scaler, selection, oversampling, and ensemble on its
     training split only.  The audit log records each fold's evaluation and
-    training row identities, which shows that the two splits are disjoint.
-    It is not evidence of what the components consumed: ``scaler_fit_ids``
-    restates ``train_ids``, and ``synthetic_ids`` are labels generated from
-    the fold's synthetic-row count, not rows traced back to their parents.
+    training row identities, which shows that the two splits are disjoint,
+    and the synthetic-row count of its final refit.  It is not evidence of
+    what the components consumed.
     """
     plan = stratified_kfold(ds.y, k, seed=child_seed(seed, "folds"))
     require_fold_plans(ds.y, config, k)
@@ -239,16 +238,11 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
         oof[ev] = scores
         fold_metrics.append(_metrics_with_auroc(scores, ds.y[ev],
                                                 config.threshold))
-        train_ids = [identities[i] for i in tr]
-        n_synthetic = pipeline.provenance["final_synthetic_count"]
         audit.append({
             "fold": fold,
             "eval_ids": [identities[i] for i in ev],
-            "train_ids": train_ids,
-            "scaler_fit_ids": train_ids,
-            "synthetic_ids": [f"synthetic|fold{fold}|{i}"
-                              for i in range(n_synthetic)],
-            "n_synthetic": n_synthetic,
+            "train_ids": [identities[i] for i in tr],
+            "n_synthetic": pipeline.provenance["final_synthetic_count"],
         })
 
     pooled = _metrics_with_auroc(oof, ds.y, config.threshold)
@@ -261,15 +255,3 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
                     roc_points=roc_curve(oof, ds.y), audit=audit,
                     unconverged=unconverged)
 
-
-def verify_no_leakage(audit: list) -> bool:
-    """True when no evaluation split shares a row with scaler-fit or
-    synthetic sets.  It compares only the recorded ids, which restate
-    ``train_ids`` and generated labels, so on a pipeline run it cannot fail."""
-    for rec in audit:
-        ev = set(rec["eval_ids"])
-        if ev & set(rec["scaler_fit_ids"]):
-            return False
-        if ev & set(rec["synthetic_ids"]):
-            return False
-    return True

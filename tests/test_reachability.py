@@ -66,8 +66,6 @@ ALLOWED = {
     "hyposcreen.model.histboost.build_histograms":
         "the histogram reference of the split-search oracle tests; "
         "perfbench/trace_cli.py wraps it by name",
-    "hyposcreen.ensemble.verify_no_leakage":
-        "the README's check of a cross-validation audit, called from Python",
 }
 
 # Runs in a fresh interpreter: installs the hook, imports the cli, runs each
