@@ -31,7 +31,7 @@ _SOURCES = {
         "dataset": ("LabeledDataset", "build_feature_table", "read_feature_table",
                     "write_feature_table"),
         "ensemble": ("run_cross_validation", "train_pipeline"),
-        "errors": ("DataError", "HyposcreenError", "InternalError", "UsageError"),
+        "errors": ("DataError", "HyposcreenError", "UsageError"),
         "evaluate": ("auroc", "classification_metrics", "confusion_counts",
                      "percentile_interval", "roc_curve", "summarize_bootstrap"),
         "explain": ("mean_abs_shap", "pca_project", "silhouette_score", "tree_shap"),

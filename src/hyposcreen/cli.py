@@ -579,9 +579,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         _emit_error(type(exc).__name__, exc)
         return 3
-    except HyposcreenError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 4
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         _emit_error("InternalError", f"{type(exc).__name__}: {exc}")
         return 4

@@ -1,8 +1,7 @@
 """Exception taxonomy for the pipeline.
 
-Every error raised on bad input derives from :class:`DataError`; internal
-invariant violations derive from :class:`InternalError`.  The CLI maps the
-former to exit code 3 and the latter to exit code 4.
+Every error raised on bad input derives from :class:`DataError`, which the
+CLI maps to exit code 3.
 """
 
 
@@ -12,10 +11,6 @@ class HyposcreenError(Exception):
 
 class DataError(HyposcreenError):
     """Invalid input: file contents, shapes, values, or configuration."""
-
-
-class InternalError(HyposcreenError):
-    """A computation violated one of its own invariants."""
 
 
 # --- manifest / file ingestion ------------------------------------------
