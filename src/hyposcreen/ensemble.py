@@ -254,4 +254,3 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
                     per_fold_mean=per_fold_mean, oof_scores=oof,
                     roc_points=roc_curve(oof, ds.y), audit=audit,
                     unconverged=unconverged)
-

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from hyposcreen import ensemble, select
-from hyposcreen.artifact import (TrainedEnsemble, ensemble_predict, input_columns,
-                                 load_ensemble, save_ensemble)
+from hyposcreen.artifact import (TrainedEnsemble, ensemble_predict, load_ensemble,
+                                 save_ensemble)
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
 from hyposcreen.ensemble import fit_stacking_ensemble, select_top_models, train_pipeline
 from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
 from hyposcreen.model import histboost
-from hyposcreen.model.histboost import BoostParams, predict_proba
-from hyposcreen.model.logistic import predict_proba_logistic
-from hyposcreen.preprocess import apply_scaler
+from hyposcreen.model.histboost import BoostParams
 from hyposcreen.util import sigmoid
 
 
