@@ -52,10 +52,14 @@ def fit_stacking_ensemble(X, y, config, seed: int):
 
     The candidates are ``config.candidates()``, scored on
     ``ensemble.inner_folds`` inner folds; each training set is oversampled
-    as ``config.smote`` says.  Every fit shares one ``fit_histgbm`` memo, so
-    candidates that differ only in a ``max_leaves`` cap their trees never
-    reach are grown once per inner fold, and ``predict_columns`` scores a
-    fold's held-out rows for every candidate at once.
+    as ``config.smote`` says.  There is one ``fit_histgbm`` memo per
+    training matrix, shared by every fit on it, so candidates that differ
+    only in a ``max_leaves`` cap their trees never reach are grown once per
+    inner fold, and ``predict_columns`` scores a fold's held-out rows for
+    every candidate at once.  An inner fold's oversampled matrix, memo and
+    models are dropped with the fold, once its held-out columns are taken,
+    so the later folds and the final refit, which has a memo of its own,
+    run without them.
 
     Returns ``(base_models, base_info, meta, provenance)`` where the base
     models are full-data refits of the kept candidates.
@@ -74,24 +78,31 @@ def fit_stacking_ensemble(X, y, config, seed: int):
             return Xt, yt, 0
         return balance_training_set(Xt, yt, smote.k_neighbors, child_seed(seed, *key))
 
-    # each fold's training set is oversampled independently of its held-out
-    # rows, and every candidate is fit on it in grid order
-    memo = {}
+    def fit_all(Xt, yt, grid):
+        memo = {}  # one per training matrix, since no other matrix's key matches
+        return [fit_histgbm(Xt, yt, params, memo=memo) for params in grid]
+
+    def held_out(fold):
+        # the fold's training set is oversampled independently of its held-out
+        # rows, and every candidate is fit on it in grid order; the matrix,
+        # memo and models die when the fold's columns are returned
+        tr, ev = plan.fold_indices(fold)
+        Xa, ya, n_syn = training_set(X[tr], y[tr], "stack-smote", fold)
+        return ev, predict_columns(fit_all(Xa, ya, candidates), X[ev]), int(n_syn)
+
     inner_synthetic = []
     oof = np.empty((n, len(candidates)))
     for fold in range(plan.k):
-        tr, ev = plan.fold_indices(fold)
-        Xa, ya, n_syn = training_set(X[tr], y[tr], "stack-smote", fold)
-        inner_synthetic.append(int(n_syn))
-        models = [fit_histgbm(Xa, ya, params, memo=memo) for params in candidates]
-        oof[ev] = predict_columns(models, X[ev])
+        ev, columns, n_syn = held_out(fold)
+        oof[ev] = columns
+        inner_synthetic.append(n_syn)
     scores = [auroc(column, y) for column in oof.T]
 
     kept = select_top_models(scores, m)
     meta = fit_logistic(oof[:, kept], y)
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")
-    base_models = [fit_histgbm(Xf, yf, candidates[ci], memo=memo) for ci in kept]
+    base_models = fit_all(Xf, yf, [candidates[ci] for ci in kept])
     base_info = [{"candidate_index": int(ci),
                   "params": candidates[ci].to_dict(),
                   "oof_auroc": float(scores[ci])} for ci in kept]
@@ -225,25 +236,32 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
     require_fold_plans(ds.y, config, k)
     n = ds.n_rows
     identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
+    def evaluate_fold(fold):
+        # the fold's pipeline dies when its scores, audit record and
+        # convergence flag are returned, before the next fold trains
+        tr, ev = plan.fold_indices(fold)
+        pipeline = train_pipeline(ds.subset(tr), config,
+                                  seed=child_seed(seed, "fold", fold))
+        record = {
+            "fold": fold,
+            "eval_ids": [identities[i] for i in ev],
+            "train_ids": [identities[i] for i in tr],
+            "n_synthetic": pipeline.provenance["final_synthetic_count"],
+        }
+        scores = ensemble_predict(pipeline, ds.X[ev], ds.feature_names)
+        return ev, scores, record, pipeline.meta.converged
+
     oof = np.empty(n)
     fold_metrics = []
     audit = []
     unconverged = 0
     for fold in range(k):
-        tr, ev = plan.fold_indices(fold)
-        pipeline = train_pipeline(ds.subset(tr), config,
-                                  seed=child_seed(seed, "fold", fold))
-        unconverged += not pipeline.meta.converged
-        scores = ensemble_predict(pipeline, ds.X[ev], ds.feature_names)
+        ev, scores, record, converged = evaluate_fold(fold)
+        unconverged += not converged
         oof[ev] = scores
         fold_metrics.append(_metrics_with_auroc(scores, ds.y[ev],
                                                 config.threshold))
-        audit.append({
-            "fold": fold,
-            "eval_ids": [identities[i] for i in ev],
-            "train_ids": [identities[i] for i in tr],
-            "n_synthetic": pipeline.provenance["final_synthetic_count"],
-        })
+        audit.append(record)
 
     pooled = _metrics_with_auroc(oof, ds.y, config.threshold)
     per_fold_mean = {}

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import inspect
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hyposcreen.artifact import (TrainedEnsemble, ensemble_predict, load_ensembl
                                  save_ensemble)
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
-from hyposcreen.ensemble import fit_stacking_ensemble, select_top_models, train_pipeline
+from hyposcreen.ensemble import (fit_stacking_ensemble, run_cross_validation,
+                                 select_top_models, train_pipeline)
 from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
 from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams
@@ -203,6 +206,40 @@ def test_train_pipeline_restricts_artifact_to_selected_features():
     again = train_pipeline(ds, _config(), seed=2)
     assert json.dumps(ensemble.to_dict(), sort_keys=True) == \
         json.dumps(again.to_dict(), sort_keys=True)
+
+
+def test_a_finished_fold_holds_no_fit_when_the_next_fold_trains(monkeypatch):
+    # every fit on an inner fold's matrix, and the trees its memo grew, must
+    # be gone when the next matrix's first fit starts; each outer fold's
+    # TrainedEnsemble must be gone when the next outer fold starts training
+    real_fit, real_train = ensemble.fit_histgbm, ensemble.train_pipeline
+    fits, pipelines, alive = [], [], []
+
+    def fit(X, y, params, memo=None):
+        matrix = np.asarray(X).tobytes()
+        if fits and fits[-1][0] != matrix:
+            gc.collect()
+            alive.extend(f"{what} {i}" for i, (_, *refs) in enumerate(fits)
+                         for what, ref in zip(("model", "tree"), refs) if ref() is not None)
+        model = real_fit(X, y, params, memo=memo)
+        fits.append((matrix, weakref.ref(model), weakref.ref(model.trees[0])))
+        return model
+
+    def train(ds, config, seed=0):
+        gc.collect()
+        alive.extend(f"pipeline {i}" for i, ref in enumerate(pipelines)
+                     if ref() is not None)
+        pipeline = real_train(ds, config, seed=seed)
+        pipelines.append(weakref.ref(pipeline))
+        return pipeline
+
+    monkeypatch.setattr(ensemble, "fit_histgbm", fit)
+    monkeypatch.setattr(ensemble, "train_pipeline", train)
+    run_cross_validation(_dataset(seed=131), _config(), k=3, seed=7)
+    # 3 outer folds, each 3 inner folds of 3 candidates and a refit of 2
+    assert len(fits) == 3 * (3 * 3 + 2) and len(pipelines) == 3
+    assert len({matrix for matrix, *_ in fits}) == 3 * 4
+    assert alive == []
 
 
 def _spy(monkeypatch, module, name, calls):
