@@ -154,8 +154,11 @@ def _read_predictions(path):
 
 
 def _parse_float_list(text: str) -> list:
+    items = text.split(",")
+    if any(v.strip() == "" for v in items):
+        raise UsageError(f"numeric list {text!r} holds an empty item")
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in items]
     except ValueError:
         raise UsageError(f"cannot parse numeric list {text!r}") from None
     if any(math.isnan(v) for v in values):

@@ -9,6 +9,8 @@ a subgroup effect can be planted by shrinking the signal inside one group.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dataset import LabeledDataset
@@ -27,7 +29,9 @@ def generate_synthetic_dataset(n_per_class: int, delta: float, dims: int,
     ``subgroup_column``/``subgroup_value`` (with ``signal_scale`` < 1) damp
     the class separation inside one demographic subgroup, planting a
     recoverable bias effect; a value that no case holds, where there is
-    nothing to damp, is a :class:`DataError`.
+    nothing to damp, is a :class:`DataError`.  So are a negative ``seed``
+    and a non-finite ``delta`` or ``signal_scale``; a negative ``delta``
+    reverses the effect.
     """
     if n_per_class < 1:
         raise DataError("n_per_class must be >= 1")
@@ -35,6 +39,11 @@ def generate_synthetic_dataset(n_per_class: int, delta: float, dims: int,
         raise DataError("dims must be >= 1")
     if not 1 <= informative_dims <= dims:
         raise DataError("informative_dims must be in [1, dims]")
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    for name, value in (("delta", delta), ("signal_scale", signal_scale)):
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be a finite number, got {value}")
     rng = np.random.default_rng(seed)
     n = 2 * n_per_class
     y = np.concatenate([np.zeros(n_per_class, dtype=np.int64),

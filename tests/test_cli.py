@@ -114,6 +114,22 @@ def test_simulate_rejects_subgroup_flags_that_would_plant_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-2"], "seed must be a non-negative integer, got -2"),
+    (["--delta", "nan"], "delta must be a finite number, got nan"),
+    (["--delta", "inf"], "delta must be a finite number, got inf"),
+    (["--delta=-inf"], "delta must be a finite number, got -inf"),
+    (["--subgroup-column", "sex", "--subgroup-value", "male", "--signal-scale", "nan"],
+     "signal_scale must be a finite number, got nan"),
+], ids=["negative-seed", "nan-delta", "inf-delta", "minus-inf-delta", "nan-scale"])
+def test_simulate_names_a_negative_seed_or_a_non_finite_effect(tmp_path, capsys, flags,
+                                                               message):
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--n", "10", "--out", str(out)] + flags) == 3
+    assert _last_error(capsys) == {"error": "DataError", "message": message}
+    assert not out.exists()
+
+
 def test_simulate_plants_a_subgroup_effect_with_the_full_flag_set(tmp_path):
     plain, planted = tmp_path / "plain.csv", tmp_path / "planted.csv"
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", str(plain)]) == 0
@@ -499,6 +515,16 @@ def test_bias_rejects_nan_bin_edges_and_keeps_infinite_outer_edges(
     assert main(args + ["--bins=-inf,60,inf", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report["groups"]) == {"[-inf, 60)", "[60, inf]"}
+
+
+@pytest.mark.parametrize("bins", ["35,,55,86", "35,55,86,", ",35,86", "35, ,86"])
+def test_bias_rejects_an_empty_bin_edge(sim_table, tmp_path, capsys, bins):
+    out = tmp_path / "bias.json"
+    assert main(_bias_inputs(sim_table, tmp_path)
+                + ["--group", "age", f"--bins={bins}", "--out", str(out)]) == 2
+    assert _last_error(capsys) == {
+        "error": "UsageError", "message": f"numeric list {bins!r} holds an empty item"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bins", ["50,0", "50", "35,35,86", "inf,inf"])

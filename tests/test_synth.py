@@ -84,3 +84,18 @@ def test_argument_validation():
                                             rf"no signal to damp; the cases hold {held}$"):
             generate_synthetic_dataset(10, 1.0, 2, seed=seed, subgroup_column="sex",
                                        subgroup_value=value, signal_scale=0.0)
+
+
+def test_negative_seed_and_non_finite_effects_are_rejected_by_name():
+    with pytest.raises(DataError, match=r"^seed must be a non-negative integer, got -2$"):
+        generate_synthetic_dataset(10, 1.0, 2, seed=-2)
+    for name, value in (("delta", math.nan), ("delta", math.inf), ("delta", -math.inf),
+                        ("signal_scale", math.nan), ("signal_scale", math.inf)):
+        with pytest.raises(DataError, match=rf"^{name} must be a finite number, "
+                                            rf"got {value}$"):
+            generate_synthetic_dataset(**{"n_per_class": 10, "delta": 1.0, "dims": 2,
+                                          "seed": 1, "subgroup_column": "sex",
+                                          "subgroup_value": "female", name: value})
+    # a negative delta is a reversed effect
+    ds = generate_synthetic_dataset(200, -2.0, 1, seed=3)
+    assert auroc(ds.X[:, 0], ds.y) < 0.2
