@@ -236,6 +236,7 @@ def run_cross_validation(ds: LabeledDataset, config, k: int,
     require_fold_plans(ds.y, config, k)
     n = ds.n_rows
     identities = [row_identity(ds.participant_ids[i], ds.X[i]) for i in range(n)]
+
     def evaluate_fold(fold):
         # the fold's pipeline dies when its scores, audit record and
         # convergence flag are returned, before the next fold trains

@@ -33,7 +33,11 @@ even at about 4,000 rows and is slower above (1.4x at 8,000 rows).
 
 A caller that fits several candidates on one training set can pass
 ``fit_histgbm`` a memo dict, and a model grown earlier is then returned
-instead of being grown again when it is provably the same model.  The
+instead of being grown again when it is provably the same model.  A memo
+serves only fits on the matrix it was made for, so the caller keeps one per
+training matrix and drops it with that matrix: ``fit_stacking_ensemble``
+makes one per inner fold and one for its final refit, and a finished
+fold's memo, grown models and presorted codes are freed with the fold.  The
 boosted trees depend only on the binned codes, the bin counts, ``y`` and the
 parameters (the float matrix and ``max_bins`` fix the codes and counts), and
 ``max_leaves`` only truncates best-first growth: the heap
