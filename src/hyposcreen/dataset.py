@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DataError, DuplicateEntry
 from .featurize import (
     canonical_expressions,
+    feature_names,
     featurize_recording,
     load_index_map,
     used_points,
@@ -104,7 +105,7 @@ def build_feature_table(manifest: Manifest, expressions=None,
     index_map = load_index_map(index_map_path)
     points = used_points(index_map)
     expressions = canonical_expressions(expressions)
-    names = None
+    names = feature_names(expressions)
     rows, labels, pids = [], [], []
     demo = {k: [] for k in DEMOGRAPHIC_COLUMNS}
     for pid, entries in manifest.by_participant().items():
@@ -112,8 +113,6 @@ def build_feature_table(manifest: Manifest, expressions=None,
                                        min_confidence=min_confidence, points=points)
                   for expr, entry in entries.items() if expr in expressions}
         vec = featurize_recording(series, index_map, expressions=expressions)
-        if names is None:
-            names = list(vec.values)
         rows.append([vec.values[n] for n in names])
         first = entries[next(iter(entries))]
         labs = {e.label for e in entries.values()}

@@ -230,7 +230,7 @@ def featurize_recording(series_by_expression: dict[str, RecordingSeries],
     if index_map is None:
         index_map = load_index_map()
     exprs = canonical_expressions(expressions)
-    values: dict[str, float] = {}
+    stats: list[float] = []  # (mean, variance, entropy) per track, in name order
     missing: list[str] = []
     pid = ""
     for expr in exprs:
@@ -244,16 +244,12 @@ def featurize_recording(series_by_expression: dict[str, RecordingSeries],
             st = au_statistics(series.au_intensity[au], series.au_activation[au])
             if st.missing:
                 missing.append(f"{expr}_au_{au}")
-            values[f"{expr}_au_{au}_mean"] = st.mean
-            values[f"{expr}_au_{au}_variance"] = st.variance
-            values[f"{expr}_au_{au}_entropy"] = st.entropy
+            stats += (st.mean, st.variance, st.entropy)
         if series.landmarks is None:
             raise IncompleteExpression(expr, "no landmark track")
         attrs = attribute_series(series.landmarks, index_map)
         for attr in ATTRIBUTES:
-            m, v, h = attribute_statistics(attrs[attr])
-            values[f"{expr}_lm_{attr}_mean"] = m
-            values[f"{expr}_lm_{attr}_variance"] = v
-            values[f"{expr}_lm_{attr}_entropy"] = h
-    return FeatureVector(participant_id=pid, values=values,
+            stats += attribute_statistics(attrs[attr])
+    return FeatureVector(participant_id=pid,
+                         values=dict(zip(feature_names(exprs), stats, strict=True)),
                          expressions=exprs, missing=missing)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 import warnings
 from contextlib import contextmanager
@@ -37,6 +36,7 @@ from .errors import (
     SchemaViolation,
     WideRow,
 )
+from .util import read_json
 
 EXPRESSIONS = ("smile", "disgust", "surprise")
 
@@ -109,11 +109,8 @@ def parse_manifest(path) -> Manifest:
     path = Path(path)
     if not path.exists():
         raise MissingFile(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "entries" not in doc:
+    doc = read_json(path, "manifest")
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise DataError("manifest must be an object with an 'entries' list")
     base = path.parent
     entries = []
@@ -515,53 +512,40 @@ def parse_landmark_series(path, participant_id: str = "",
     )
 
 
-# --- merge -------------------------------------------------------------------
-
-def merge_series(au: RecordingSeries, lm: RecordingSeries) -> RecordingSeries:
-    if au.frame_count != lm.frame_count:
-        raise LengthMismatch(
-            f"AU track has {au.frame_count} frames, landmarks {lm.frame_count}")
-    return RecordingSeries(
-        participant_id=au.participant_id,
-        expression=au.expression,
-        frame_count=au.frame_count,
-        au_intensity=au.au_intensity,
-        au_activation=au.au_activation,
-        landmarks=lm.landmarks,
-        confidence=au.confidence,
-    )
-
+# --- recording ---------------------------------------------------------------
 
 def load_recording(entry: ManifestEntry, base_dir,
                    min_confidence: float | None = None,
                    points=None) -> RecordingSeries:
-    """One recording's AU and landmark tracks; ``points`` as for
-    :func:`parse_landmark_series`."""
+    """One recording: its AU and landmark tracks, each sorted by frame
+    number, AU row ``i`` paired with landmark row ``i``; ``points`` as for
+    :func:`parse_landmark_series`.
+
+    Tracks of different lengths raise :class:`LengthMismatch`.  With
+    ``min_confidence`` and a confidence column, a frame whose confidence is
+    below it is dropped from both tracks, and :class:`DataError` is raised
+    when no frame is left.
+    """
     base = Path(base_dir)
     au = parse_au_csv(base / entry.au_path, entry.expression, entry.participant_id)
     lm = parse_landmark_series(base / entry.landmark_path,
                                entry.participant_id, entry.expression, points=points)
-    series = merge_series(au, lm)
-    if min_confidence is not None:
-        series = filter_low_confidence(series, min_confidence)
-    return series
-
-
-def filter_low_confidence(series: RecordingSeries, threshold: float) -> RecordingSeries:
-    """Drop frames whose confidence falls below ``threshold``."""
-    if series.confidence is None:
-        return series
-    keep = series.confidence >= threshold
-    n = int(np.sum(keep))
-    if n == 0:
-        raise DataError(
-            f"all {series.frame_count} frames fall below confidence {threshold}")
+    if au.frame_count != lm.frame_count:
+        raise LengthMismatch(
+            f"AU track has {au.frame_count} frames, landmarks {lm.frame_count}")
+    keep, n = slice(None), au.frame_count  # a slice takes views, not copies
+    if min_confidence is not None and au.confidence is not None:
+        keep = au.confidence >= min_confidence
+        n = int(np.sum(keep))
+        if n == 0:
+            raise DataError(
+                f"all {au.frame_count} frames fall below confidence {min_confidence}")
     return RecordingSeries(
-        participant_id=series.participant_id,
-        expression=series.expression,
+        participant_id=au.participant_id,
+        expression=au.expression,
         frame_count=n,
-        au_intensity={k: v[keep] for k, v in series.au_intensity.items()},
-        au_activation={k: v[keep] for k, v in series.au_activation.items()},
-        landmarks=None if series.landmarks is None else series.landmarks[keep],
-        confidence=series.confidence[keep],
+        au_intensity={k: v[keep] for k, v in au.au_intensity.items()},
+        au_activation={k: v[keep] for k, v in au.au_activation.items()},
+        landmarks=lm.landmarks[keep],
+        confidence=None if au.confidence is None else au.confidence[keep],
     )

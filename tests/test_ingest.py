@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -28,9 +28,8 @@ from hyposcreen.errors import (
 from hyposcreen.ingest import (
     EXPRESSION_AUS,
     EXPRESSIONS,
-    filter_low_confidence,
+    ManifestEntry,
     load_recording,
-    merge_series,
     parse_au_csv,
     parse_landmark_series,
     parse_manifest,
@@ -211,35 +210,42 @@ def test_landmark_missing_column(tmp_path):
 
 def test_merge_and_length_mismatch(tmp_path):
     rng = np.random.default_rng(8)
-    au_path = tmp_path / "au.csv"
-    lm_path = tmp_path / "lm.csv"
-    write_au_file(au_path, SMILE_AUS, 5, rng)
-    write_landmark_file(lm_path, 5, rng)
-    au = parse_au_csv(au_path, "smile", "p1")
-    lm = parse_landmark_series(lm_path, "p1", "smile")
-    merged = merge_series(au, lm)
+    write_au_file(tmp_path / "au.csv", SMILE_AUS, 5, rng)
+    write_landmark_file(tmp_path / "lm.csv", 5, rng)
+    entry = ManifestEntry("p1", "smile", "au.csv", "lm.csv", 1)
+    merged = load_recording(entry, tmp_path)
     assert merged.frame_count == 5
     assert merged.landmarks is not None and merged.confidence is not None
 
-    short = tmp_path / "lm4.csv"
-    write_landmark_file(short, 4, rng)
+    write_landmark_file(tmp_path / "lm4.csv", 4, rng)
     with pytest.raises(LengthMismatch):
-        merge_series(au, parse_landmark_series(short))
+        load_recording(replace(entry, landmark_path="lm4.csv"), tmp_path)
 
 
 def test_filter_low_confidence(tmp_path):
     rng = np.random.default_rng(9)
-    path = tmp_path / "au.csv"
-    write_au_file(path, SMILE_AUS, 8, rng)
-    series = parse_au_csv(path, "smile")
-    series.confidence[:] = [0.9, 0.2, 0.95, 0.1, 0.8, 0.85, 0.99, 0.3]
-    kept = filter_low_confidence(series, 0.75)
+    rows = write_au_file(tmp_path / "au.csv", SMILE_AUS, 8, rng)
+    for row, c in zip(rows, [0.9, 0.2, 0.95, 0.1, 0.8, 0.85, 0.99, 0.3]):
+        row["confidence"] = repr(c)
+    with open(tmp_path / "au.csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, au_header(SMILE_AUS))
+        w.writeheader()
+        w.writerows(rows)
+    write_landmark_file(tmp_path / "lm.csv", 8, rng)
+    entry = ManifestEntry("p1", "smile", "au.csv", "lm.csv", 1)
+    whole = load_recording(entry, tmp_path)
+    kept = load_recording(entry, tmp_path, min_confidence=0.75)
     assert kept.frame_count == 5
     assert np.all(kept.confidence >= 0.75)
+    frames = [0, 2, 4, 5, 6]
     for au in SMILE_AUS:
         assert kept.au_intensity[au].shape == (5,)
-    with pytest.raises(DataError):
-        filter_low_confidence(series, 1.1)
+        assert np.array_equal(kept.au_intensity[au], whole.au_intensity[au][frames])
+        assert np.array_equal(kept.au_activation[au], whole.au_activation[au][frames])
+    assert np.array_equal(kept.landmarks, whole.landmarks[frames])
+    assert np.array_equal(kept.confidence, whole.confidence[frames])
+    with pytest.raises(DataError, match="all 8 frames fall below confidence 1.1"):
+        load_recording(entry, tmp_path, min_confidence=1.1)
 
 
 LOW_CONFIDENCE = 0.75  # frames below this are counted, not dropped
