@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ArtifactError, MissingFeature
 from .model.histboost import BoostedModel, predict_columns
 from .model.logistic import LogisticModel, predict_proba_logistic
-from .preprocess import FittedScaler, apply_scaler
+from .preprocess import SCALER_KINDS, FittedScaler, apply_scaler
 
 SCHEMA_VERSION = 1
 
@@ -46,7 +46,7 @@ class TrainedEnsemble:
                 f"unsupported schema_version {d.get('schema_version')!r}")
         if d.get("kind") != "stacking_ensemble":
             raise ArtifactError(f"unexpected artifact kind {d.get('kind')!r}")
-        return cls(
+        ensemble = cls(
             scaler=FittedScaler.from_dict(d["scaler"]),
             feature_names=list(d["feature_names"]),
             base_models=[BoostedModel.from_dict(m) for m in d["base_models"]],
@@ -55,6 +55,22 @@ class TrainedEnsemble:
             threshold=float(d["threshold"]),
             provenance=dict(d.get("provenance", {})),
         )
+        # unchecked, a short scaler broadcasts over the rows and scores them,
+        # and an unknown kind scales as "standard" does
+        width, m = len(ensemble.feature_names), len(ensemble.base_models)
+        if ensemble.scaler.kind not in SCALER_KINDS:
+            raise ArtifactError(f"unknown scaler kind {ensemble.scaler.kind!r}")
+        for name in ("lo", "hi"):
+            shape = getattr(ensemble.scaler, name).shape
+            if shape != (width,):
+                raise ArtifactError(f"scaler.{name} has shape {shape}, not one "
+                                    f"value for each of the {width} features")
+        if not m:
+            raise ArtifactError("no base models")
+        if ensemble.meta.weights.shape != (m,):
+            raise ArtifactError(f"meta.weights has shape {ensemble.meta.weights.shape}, "
+                                f"not one weight for each of the {m} base models")
+        return ensemble
 
 
 def input_columns(ensemble: TrainedEnsemble, feature_names) -> list:
@@ -85,9 +101,12 @@ def save_ensemble(ensemble: TrainedEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> TrainedEnsemble:
+    """The ensemble saved at ``path``.  A file that cannot be read, or a
+    document that does not parse as an ensemble, raises
+    :class:`ArtifactError`."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(str(exc)) from exc
-    return TrainedEnsemble.from_dict(doc)
+        with open(path, encoding="utf-8") as fh:
+            return TrainedEnsemble.from_dict(json.load(fh))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError,
+            RecursionError) as exc:
+        raise ArtifactError(f"{type(exc).__name__}: {exc}") from exc

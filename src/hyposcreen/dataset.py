@@ -99,8 +99,9 @@ def build_feature_table(manifest: Manifest, expressions=None,
     Only the recordings of the requested ``expressions`` are read, and of
     their landmark tracks only the x/y columns of the index map's points.
     Labels and demographics come from the manifest: a participant whose
-    entries disagree on the label raises :class:`DataError`, whichever
-    expressions are requested.
+    entries disagree on the label or on a demographic, an absent one read as
+    None, raises :class:`DataError` naming the field, whichever expressions
+    are requested.
     """
     index_map = load_index_map(index_map_path)
     points = used_points(index_map)
@@ -114,10 +115,11 @@ def build_feature_table(manifest: Manifest, expressions=None,
                   for expr, entry in entries.items() if expr in expressions}
         vec = featurize_recording(series, index_map, expressions=expressions)
         rows.append([vec.values[n] for n in names])
-        first = entries[next(iter(entries))]
-        labs = {e.label for e in entries.values()}
-        if len(labs) != 1:
-            raise DataError(f"participant {pid!r} has conflicting labels")
+        first, *others = entries.values()
+        for col in ("label",) + DEMOGRAPHIC_COLUMNS:
+            if any(getattr(e, col) != getattr(first, col) for e in others):
+                raise DataError(f"participant {pid!r} has entries that disagree "
+                                f"on {col!r}")
         labels.append(first.label)
         pids.append(pid)
         for col in DEMOGRAPHIC_COLUMNS:

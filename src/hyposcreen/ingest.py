@@ -5,6 +5,13 @@ Input follows the usual video-toolchain conventions: one AU csv per recording
 activations in {0, 1}) and one landmark csv per recording (``frame`` plus
 ``p000_x .. p477_z`` for 478 tracked points).  Column order in the header is
 irrelevant; columns are located by name.
+
+The manifest is read by :func:`~hyposcreen.util.read_json`, and every csv,
+feature tables and predictions included, is opened by :func:`csv_rows`, so
+an input that is a directory or is not UTF-8 text raises :class:`DataError`.
+:func:`load_recording` sorts each track by frame number, pairs AU row ``i``
+with landmark row ``i`` and drops the frames below a confidence threshold
+from both tracks, building the one :class:`RecordingSeries` it returns.
 """
 
 from __future__ import annotations
@@ -98,13 +105,17 @@ class RecordingSeries:
 # --- manifest -------------------------------------------------------------
 
 _REQUIRED_FIELDS = ("participant_id", "expression", "au_path", "landmark_path", "label")
+# fields whose value is written to the feature table as text
+_TEXT_FIELDS = ("participant_id", "cohort", "sex", "ethnicity")
 
 
 def parse_manifest(path) -> Manifest:
     """Load and validate a manifest JSON file.
 
     Referenced csv paths are resolved relative to the manifest's directory
-    and must exist.
+    and must exist.  A ``participant_id``, ``cohort``, ``sex`` or
+    ``ethnicity`` that is a JSON object or array raises
+    :class:`SchemaViolation`.
     """
     path = Path(path)
     if not path.exists():
@@ -121,6 +132,10 @@ def parse_manifest(path) -> Manifest:
         for f in _REQUIRED_FIELDS:
             if f not in raw or raw[f] is None:
                 raise SchemaViolation(f, i, "missing")
+        for f in _TEXT_FIELDS:
+            if isinstance(raw.get(f), (dict, list)):
+                raise SchemaViolation(f, i, "must be a string or a number, "
+                                            "not an object or array")
         if raw["expression"] not in EXPRESSIONS:
             raise SchemaViolation("expression", i,
                                   f"{raw['expression']!r} not one of {EXPRESSIONS}")
@@ -171,18 +186,35 @@ def csv_rows(path):
     ``header`` holds the stripped names of the first non-blank line; ``rows``
     iterates over the data rows after it, skipping empty and whitespace-only
     lines.  Raises :class:`MissingFile`, or :class:`EmptyFile` when no data
-    row follows the header.
+    row follows the header.  A path that cannot be opened, such as a
+    directory, and text that is not UTF-8, in the header or in any row,
+    raise :class:`DataError` naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise MissingFile(path)
-    with open(path, newline="") as fh:
-        rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        rows = _nonblank_rows(fh, path)
         header = next(rows, None)
         first = next(rows, None)
         if first is None:
             raise EmptyFile(path)
         yield [h.strip() for h in header], itertools.chain((first,), rows)
+
+
+def _nonblank_rows(fh, path):
+    """The rows of ``fh`` that hold a non-blank cell; text that is not
+    UTF-8 raises :class:`DataError` naming ``path``."""
+    try:
+        for row in csv.reader(fh):
+            if any(c.strip() for c in row):
+                yield row
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def is_binary(v):

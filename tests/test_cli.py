@@ -1119,6 +1119,42 @@ def test_exit_codes(sim_table, tmp_path, fast_config_path, capsys):
                  "--out", str(tmp_path / "b.csv")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("role", ["manifest", "au_path", "landmark_path", "features",
+                                  "preds", "model", "config", "grid", "index-map"])
+def test_an_input_file_that_is_a_directory_or_not_utf8_exits_3(
+        manifest_corpus, sim_table, tmp_path, capsys, role, kind):
+    bad = tmp_path / "bad_input"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe\x00 bad")
+    manifest = str(manifest_corpus)
+    if role in ("au_path", "landmark_path"):
+        doc = json.loads(manifest_corpus.read_text())
+        doc["entries"][0][role] = bad.name
+        manifest = str(tmp_path / "pointing.json")
+        Path(manifest).write_text(json.dumps(doc))
+    bad = str(bad)
+    argv = {
+        "manifest": ["featurize", "--manifest", bad],
+        "au_path": ["featurize", "--manifest", manifest],
+        "landmark_path": ["featurize", "--manifest", manifest],
+        "index-map": ["featurize", "--manifest", manifest, "--index-map", bad],
+        "features": ["project", "--features", bad],
+        "preds": ["bias", "--preds", bad, "--features", sim_table, "--group", "sex"],
+        "model": ["predict", "--model", bad, "--features", sim_table],
+        "config": ["train", "--features", sim_table, "--config", bad],
+        "grid": ["sweep", "--features", sim_table, "--grid", bad],
+    }[role]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] != "InternalError"
+    assert not (tmp_path / "out").exists()
+
+
 TRAIN_RANGE_CASES = [
     ("selection", "improvement_eps", float("nan")),
     ("selection", "improvement_eps", float("inf")),

@@ -147,6 +147,31 @@ def test_build_feature_table_conflicting_labels(manifest_corpus):
         build_feature_table(parse_manifest(bad))
 
 
+@pytest.mark.parametrize("field, change", [
+    ("sex", {"sex": "male", "age": 80}),
+    ("age", {"age": 80}),
+    ("ethnicity", {"ethnicity": None}),
+    ("disease_duration", {"disease_duration": 9.0}),
+], ids=["sex-and-age", "age", "ethnicity-absent", "disease-duration"])
+@pytest.mark.parametrize("expressions", [None, ["smile"]])
+def test_build_feature_table_rejects_conflicting_demographics(manifest_corpus, field,
+                                                              change, expressions):
+    # unchecked, the participant kept the first entry's demographics
+    doc = json.loads(manifest_corpus.read_text())
+    entry = next(e for e in doc["entries"]
+                 if e["participant_id"] == "p01" and e["expression"] == "surprise")
+    for key, value in change.items():
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    bad = manifest_corpus.parent / "conflict.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"participant 'p01' has entries that "
+                                        f"disagree on '{field}'"):
+        build_feature_table(parse_manifest(bad), expressions=expressions)
+
+
 def test_feature_table_csv_round_trip(tmp_path):
     ds = _tiny_dataset()
     path = tmp_path / "table.csv"

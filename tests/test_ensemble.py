@@ -316,6 +316,57 @@ def test_save_load_round_trip_preserves_predictions_exactly(tmp_path):
         load_ensemble(tmp_path / "absent.json")
 
 
+@pytest.fixture(scope="module")
+def saved_doc(tmp_path_factory):
+    """The JSON document of a trained 2-model, 3-feature artifact."""
+    path = tmp_path_factory.mktemp("artifact") / "model.json"
+    save_ensemble(train_pipeline(_dataset(seed=124), _config(), seed=3), path)
+    return json.loads(path.read_text())
+
+
+def _text_tree_feature(doc):
+    doc = json.loads(json.dumps(doc))
+    tree = next(t for t in doc["base_models"][0]["trees"] if t["feature"][0] >= 0)
+    tree["feature"][0] = "x"
+    return doc
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: b"\xff\xfe", "UnicodeDecodeError"),
+    (lambda d: [], "AttributeError"),
+    (lambda d: {"schema_version": 1, "kind": "stacking_ensemble"}, "KeyError: 'scaler'"),
+    (_text_tree_feature, "ValueError"),
+    (lambda d: {**d, "meta": {k: v for k, v in d["meta"].items() if k != "weights"}},
+     "KeyError: 'weights'"),
+    (lambda d: {**d, "base_models": []}, "no base models"),
+    (lambda d: {**d, "scaler": {**d["scaler"], "lo": d["scaler"]["lo"][:1]}},
+     "scaler.lo has shape (1,), not one value for each of the 3 features"),
+    (lambda d: {**d, "scaler": {**d["scaler"], "hi": d["scaler"]["hi"] + [1.0]}},
+     "scaler.hi has shape (4,), not one value for each of the 3 features"),
+    (lambda d: {**d, "meta": {**d["meta"], "weights": d["meta"]["weights"][:1]}},
+     "meta.weights has shape (1,), not one weight for each of the 2 base models"),
+    (lambda d: {**d, "scaler": {**d["scaler"], "kind": "robust"}},
+     "unknown scaler kind 'robust'"),
+], ids=["not-utf8", "a-list", "no-sections", "tree-feature-text", "no-meta-weights",
+        "no-base-models", "short-scaler-lo", "long-scaler-hi", "short-meta-weights",
+        "unknown-scaler-kind"])
+def test_load_ensemble_rejects_a_malformed_document(saved_doc, tmp_path, damage, message):
+    # unchecked, a short scaler.lo broadcasts over the rows and scores them,
+    # and the other documents raise outside DataError (exit 4)
+    bad = damage(saved_doc)
+    path = tmp_path / "bad.json"
+    if isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        path.write_text(json.dumps(bad))
+    with pytest.raises(ArtifactError) as err:
+        load_ensemble(path)
+    assert str(err.value).startswith("cannot load model artifact: ")
+    assert message in str(err.value)
+    path.write_text(json.dumps(saved_doc))  # the intact document still loads
+    assert len(load_ensemble(path).base_models) == 2
+
+
 def test_artifact_with_retired_booster_settings_predicts_identically(tmp_path):
     # artifacts written before max_depth, l2_leaf and feature_fraction were
     # retired carry them in every params object, at their only values

@@ -327,6 +327,11 @@ def test_parse_manifest_happy_path(manifest_corpus):
     ({"label": False}, SchemaViolation),
     ({"disease_duration": float("nan")}, SchemaViolation),  # nan < 0 is false
     ({"disease_duration": float("inf")}, SchemaViolation),
+    # str() of an object or array would be written to the feature table
+    ({"participant_id": {"id": 1}}, SchemaViolation),
+    ({"cohort": ["clinic"]}, SchemaViolation),
+    ({"sex": {"a": 1}}, SchemaViolation),
+    ({"ethnicity": ["x", "y"]}, SchemaViolation),
 ])
 def test_parse_manifest_rejects_bad_entries(manifest_corpus, patch, exc):
     doc = json.loads(manifest_corpus.read_text())
@@ -363,3 +368,36 @@ def test_parse_manifest_not_json(tmp_path):
         parse_manifest(path)
     with pytest.raises(MissingFile):
         parse_manifest(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read manifest file"),
+    (b"\xff\xfe", "manifest is not valid JSON"),
+    (b'{"entries": 5}', "must be an object with an 'entries' list"),
+    (b'{"entries": null}', "must be an object with an 'entries' list"),
+], ids=["directory", "not-utf8", "entries-a-number", "entries-null"])
+def test_parse_manifest_rejects_a_directory_non_utf8_text_or_entries_not_a_list(
+        tmp_path, content, message):
+    path = tmp_path / "manifest.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match=message):
+        parse_manifest(path)
+
+
+def test_csv_that_is_a_directory_or_not_utf8_is_a_data_error(tmp_path):
+    (tmp_path / "dir.csv").mkdir()
+    with pytest.raises(DataError, match="cannot read .*dir.csv"):
+        parse_au_csv(tmp_path / "dir.csv", "smile")
+    path = tmp_path / "au.csv"
+    write_au_file(path, SMILE_AUS, 400, np.random.default_rng(11))
+    data = path.read_bytes()
+    # past the text reader's first blocks, so the byte is decoded only when
+    # the cell-by-cell pass reaches the last row, after the bulk pass declined
+    assert len(data) > 2 * 8192 and data.endswith(b"\r\n")
+    for bad in (data[:-3] + b"\xff" + data[-2:], b"\xff" + data):
+        path.write_bytes(bad)
+        with pytest.raises(DataError, match="au.csv is not UTF-8 text"):
+            parse_au_csv(path, "smile")
