@@ -168,6 +168,12 @@ def _write_inputs(root: Path) -> None:
         w.writerow(["participant_id", "score"])
         for i in range(8):
             w.writerow([f"s{i:02d}", (i + 1) / 10])
+    # the table of the smoke set's ``fresh.csv`` with every fifth age blank,
+    # so that a binned report notes missing and out-of-range rows
+    fresh = generate_synthetic_dataset(n_per_class=10, delta=1.0, dims=4, seed=4)
+    for i in range(0, fresh.n_rows, 5):
+        fresh.demographics["age"][i] = None
+    write_feature_table(fresh, root / "fresh_blank_age.csv")
 
 
 SMOKE = [
@@ -205,6 +211,14 @@ SMOKE = [
      "--out", "expression_board.csv"],
     ["cv", "--features", "sim.csv", "--config", "bins.json", "--folds", "3", "--seeds", "1",
      "--out", "bins_cv.json"],
+    # three groups with enough rows in each that the comparisons take the z-test
+    ["simulate", "--n", "150", "--dims", "4", "--seed", "5", "--out", "wide.csv"],
+    ["predict", "--model", "model.json", "--features", "wide.csv",
+     "--out", "wide_preds.csv"],
+    ["bias", "--preds", "wide_preds.csv", "--features", "wide.csv",
+     "--group", "ethnicity", "--out", "bias_ethnicity.json"],
+    ["bias", "--preds", "fresh_preds.csv", "--features", "fresh_blank_age.csv",
+     "--group", "age", "--bins", "30,50,70", "--out", "bias_blank_age.json"],
 ]
 
 
