@@ -5,6 +5,11 @@ two-proportion z-test, log-space Fisher exact test, the Mann-Whitney rank-sum
 test (exact over every placement of the flags up to n = 9, its tie-corrected
 normal tail above), chi-square homogeneity with its exact upper tail at
 integer degrees of freedom, and 95% Wald rate intervals.
+
+:func:`build_bias_report` makes one pass per rate type: it counts each
+subgroup's rows and errors once, then fills that rate's group entries, its
+pairwise comparisons, its homogeneity test and, for a binned column, its
+rank-sum test.
 """
 
 from __future__ import annotations
@@ -288,18 +293,61 @@ class BiasReport:
         return asdict(self)
 
 
-def _error_indicators(labels: np.ndarray, predicted: np.ndarray):
-    """Row mask and error flag per rate type."""
-    mis = predicted != labels
-    return {
-        "misclassification": (np.ones_like(labels, dtype=bool), mis),
-        "underdiagnosis": (labels == 1, predicted == 0),
-        "overdiagnosis": (labels == 0, predicted == 1),
-    }
+def _subgroups(values, group: str, bin_edges):
+    """The subgroup names in report order, a row mask for each, the numeric
+    column (``None`` for a categorical one) and the report notes.
+
+    A categorical column groups by value, a missing one as ``"unknown"``.
+    A binned column counts its rows outside every bin and its missing
+    values in the notes, and a bin with no row raises :class:`EmptySubgroup`.
+    """
+    if bin_edges is None:
+        norm = ["unknown" if v is None else str(v) for v in values]
+        names = sorted(set(norm))
+        return names, [np.array([v == name for v in norm]) for name in names], None, {}
+    edges = [float(e) for e in bin_edges]
+    if len(edges) < 2 or not all(b > a for a, b in zip(edges, edges[1:])):
+        raise DataError("bin_edges must be strictly increasing, length >= 2")
+    try:
+        numeric = np.array([math.nan if v is None else float(v) for v in values])
+    except ValueError:
+        raise DataError(f"column {group!r} is not numeric; bin_edges need a "
+                        f"continuous column") from None
+    last = len(edges) - 2  # the last bin is closed on the right
+    names, masks = [], []
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        names.append(f"[{lo:g}, {hi:g}{']' if i == last else ')'}")
+        masks.append((numeric >= lo) & ((numeric <= hi) if i == last else (numeric < hi)))
+    missing = int(np.sum(np.isnan(numeric)))
+    # the bins are disjoint and hold no NaN
+    out_of_range = numeric.shape[0] - missing - sum(int(np.sum(m)) for m in masks)
+    notes = {}
+    if out_of_range:
+        notes["out_of_range_rows"] = out_of_range
+    if missing:
+        notes["missing_value_rows"] = missing
+    for name, mask in zip(names, masks):
+        if not np.any(mask):
+            raise EmptySubgroup(name)
+    return names, masks, numeric, notes
 
 
-def _bin_label(lo, hi, last: bool) -> str:
-    return f"[{lo:g}, {hi:g}{']' if last else ')'}"
+def _compare(e1: int, n1: int, e2: int, n2: int) -> dict:
+    """The method and result of one pairwise rate comparison: the z-test,
+    or the Fisher exact test wherever the z-test's CLT preconditions fail
+    or the pooled rate is 0 or 1.  A z-test that ran but fell back is kept
+    as ``z_test``."""
+    try:
+        z = z_two_proportions(e1, n1, e2, n2)
+    except ZeroPooledVariance:
+        z = None
+    if z is not None and z.preconditions_met:
+        return {"method": "z_two_proportions", "result": z.to_dict()}
+    record = {"method": "fisher_exact",
+              "result": fisher_exact(e1, n1 - e1, e2, n2 - e2).to_dict()}
+    if z is not None:
+        record["z_test"] = z.to_dict()
+    return record
 
 
 def build_bias_report(labels, scores, demographics: dict, group: str,
@@ -307,10 +355,11 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
     """Subgroup error rates with CIs, pairwise tests, and homogeneity checks.
 
     Categorical columns are grouped by value; continuous columns require
-    ``bin_edges``.  Pairwise comparisons use the z-test and fall back to the
-    Fisher exact test whenever the CLT preconditions fail.  Continuous
-    columns also get a rank-sum test of each error indicator against the raw
-    value.
+    ``bin_edges``.  One pass per rate type counts each subgroup's rows and
+    errors once and fills that rate's group entries, its pairwise
+    comparisons (see :func:`_compare`), its chi-square homogeneity entry
+    and, for a binned column, its rank-sum test of the error indicator
+    against the raw value.
     """
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
@@ -321,115 +370,50 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
     values = demographics[group]
     if len(values) != labels.shape[0]:
         raise DataError(f"column {group!r} has wrong length")
-    predicted = (scores >= threshold).astype(np.int64)
-    continuous = bin_edges is not None
-
-    notes: dict = {}
-    if continuous:
-        edges = [float(e) for e in bin_edges]
-        if len(edges) < 2 or not all(b > a for a, b in zip(edges, edges[1:])):
-            raise DataError("bin_edges must be strictly increasing, length >= 2")
-        try:
-            numeric = np.array([math.nan if v is None else float(v) for v in values])
-        except ValueError:
-            raise DataError(f"column {group!r} is not numeric; bin_edges need a "
-                            f"continuous column") from None
-        assignment = np.full(labels.shape[0], -1)
-        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            last = i == len(edges) - 2
-            in_bin = (numeric >= lo) & ((numeric <= hi) if last else (numeric < hi))
-            assignment[in_bin] = i
-        out_of_range = int(np.sum((assignment < 0) & ~np.isnan(numeric)))
-        missing = int(np.sum(np.isnan(numeric)))
-        if out_of_range:
-            notes["out_of_range_rows"] = out_of_range
-        if missing:
-            notes["missing_value_rows"] = missing
-        group_labels = [_bin_label(lo, hi, i == len(edges) - 2)
-                        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
-        for i, name in enumerate(group_labels):
-            if not np.any(assignment == i):
-                raise EmptySubgroup(name)
-        membership = {name: assignment == i for i, name in enumerate(group_labels)}
-    else:
-        norm = ["unknown" if v is None else str(v) for v in values]
-        group_labels = sorted(set(norm))
-        membership = {name: np.array([v == name for v in norm])
-                      for name in group_labels}
-
-    indicators = _error_indicators(labels, predicted)
-    groups_out: dict = {}
-    rate_counts: dict = {rt: {} for rt in RATE_TYPES}
-    for name in group_labels:
-        mask = membership[name]
-        entry: dict = {"n": int(np.sum(mask)), "rates": {}}
-        for rt in RATE_TYPES:
-            applicable, err = indicators[rt]
-            denom = int(np.sum(mask & applicable))
-            events = int(np.sum(mask & applicable & err))
-            rate_counts[rt][name] = (events, denom)
-            if denom == 0:
-                entry["rates"][rt] = None
+    # a row's error indicator is the same for every rate that counts the row:
+    # underdiagnosis counts the cases (label 1), overdiagnosis the controls
+    wrong = (scores >= threshold) != labels
+    names, masks, numeric, notes = _subgroups(values, group, bin_edges)
+    groups = {name: {"n": int(np.sum(mask)), "rates": {}}
+              for name, mask in zip(names, masks)}
+    comparisons, homogeneity, rank_association = [], {}, {}
+    for rate, truth in zip(RATE_TYPES, (None, 1, 0)):
+        rows = np.ones_like(wrong) if truth is None else labels == truth
+        usable = []  # (name, events, n) of the groups the rate applies to
+        for name, mask in zip(names, masks):
+            n = int(np.sum(mask & rows))
+            events = int(np.sum(mask & rows & wrong))
+            if not n:
+                groups[name]["rates"][rate] = None
                 continue
-            ci = normal_approx_ci(events, denom)
-            entry["rates"][rt] = {"events": events, "n": denom,
-                                  **ci.to_dict()}
-        groups_out[name] = entry
-
-    comparisons = []
-    for rt in RATE_TYPES:
-        usable = [g for g in group_labels if rate_counts[rt][g][1] > 0]
-        for g1, g2 in itertools.combinations(usable, 2):
-            e1, n1 = rate_counts[rt][g1]
-            e2, n2 = rate_counts[rt][g2]
-            record = {"rate": rt, "groups": [g1, g2]}
-            try:
-                res = z_two_proportions(e1, n1, e2, n2)
-                needs_fallback = not res.preconditions_met
-            except ZeroPooledVariance:
-                res = None
-                needs_fallback = True
-            if needs_fallback:
-                fisher = fisher_exact(e1, n1 - e1, e2, n2 - e2)
-                record["method"] = "fisher_exact"
-                record["result"] = fisher.to_dict()
-                if res is not None:
-                    record["z_test"] = res.to_dict()
-            else:
-                record["method"] = "z_two_proportions"
-                record["result"] = res.to_dict()
-            comparisons.append(record)
-
-    homogeneity = {}
-    for rt in RATE_TYPES:
-        usable = [g for g in group_labels if rate_counts[rt][g][1] > 0]
+            groups[name]["rates"][rate] = {"events": events, "n": n,
+                                           **normal_approx_ci(events, n).to_dict()}
+            usable.append((name, events, n))
+        for (g1, e1, n1), (g2, e2, n2) in itertools.combinations(usable, 2):
+            comparisons.append({"rate": rate, "groups": [g1, g2],
+                                **_compare(e1, n1, e2, n2)})
         if len(usable) < 2:
-            homogeneity[rt] = {"note": "fewer than two usable groups"}
-            continue
-        table = [[rate_counts[rt][g][0],
-                  rate_counts[rt][g][1] - rate_counts[rt][g][0]]
-                 for g in usable]
-        try:
-            homogeneity[rt] = chi_square(table).to_dict()
-        except ZeroExpectedCell:
-            homogeneity[rt] = {"note": "a margin of the error table is zero"}
-
-    rank_association = {}
-    if continuous:
-        for rt in RATE_TYPES:
-            applicable, err = indicators[rt]
-            rows = applicable & ~np.isnan(numeric)
-            if int(np.sum(rows)) < 3:
-                rank_association[rt] = {"note": "too few rows"}
-                continue
+            homogeneity[rate] = {"note": "fewer than two usable groups"}
+        else:
             try:
-                rank_association[rt] = rank_sum(numeric[rows], err[rows]).to_dict()
-            except ConstantInput as exc:
-                what = f"column {group!r}" if exc.which == "values" else "error indicator"
-                rank_association[rt] = {"note": f"{what} is constant"}
+                homogeneity[rate] = chi_square(
+                    [[e, n - e] for _, e, n in usable]).to_dict()
+            except ZeroExpectedCell:
+                homogeneity[rate] = {"note": "a margin of the error table is zero"}
+        if numeric is None:
+            continue
+        ranked = rows & ~np.isnan(numeric)
+        if int(np.sum(ranked)) < 3:
+            rank_association[rate] = {"note": "too few rows"}
+            continue
+        try:
+            rank_association[rate] = rank_sum(numeric[ranked], wrong[ranked]).to_dict()
+        except ConstantInput as exc:
+            what = f"column {group!r}" if exc.which == "values" else "error indicator"
+            rank_association[rate] = {"note": f"{what} is constant"}
 
     return BiasReport(group_column=group,
-                      group_kind="binned" if continuous else "categorical",
-                      groups=groups_out, comparisons=comparisons,
+                      group_kind="categorical" if numeric is None else "binned",
+                      groups=groups, comparisons=comparisons,
                       homogeneity=homogeneity,
                       rank_association=rank_association, notes=notes)
