@@ -11,6 +11,7 @@ from .errors import ArtifactError, MissingFeature
 from .model.histboost import BoostedModel, predict_columns
 from .model.logistic import LogisticModel, predict_proba_logistic
 from .preprocess import SCALER_KINDS, FittedScaler, apply_scaler
+from .util import open_output
 
 SCHEMA_VERSION = 1
 
@@ -96,7 +97,7 @@ def ensemble_predict(ensemble: TrainedEnsemble, X, feature_names) -> np.ndarray:
 
 
 def save_ensemble(ensemble: TrainedEnsemble, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(ensemble.to_dict(), sort_keys=True))
 
 

@@ -23,7 +23,7 @@ from .ingest import (
     load_recording,
     read_columns,
 )
-from .util import require_binary, require_finite
+from .util import open_output, require_binary, require_finite
 
 META_COLUMNS = ("participant_id", "label", "cohort", "sex", "age",
                 "ethnicity", "disease_duration")
@@ -143,7 +143,7 @@ def _fmt(v) -> str:
 
 def write_feature_table(ds: LabeledDataset, path) -> None:
     """Deterministic csv: the seven metadata columns, then features."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(META_COLUMNS) + list(ds.feature_names))
         for i in range(ds.n_rows):

@@ -6,6 +6,7 @@ import csv
 import json
 
 from .errors import ReportError
+from .util import open_output
 
 SVG_SIZE = 480
 SVG_MARGIN = 40
@@ -13,13 +14,13 @@ _PLOT = SVG_SIZE - 2 * SVG_MARGIN
 
 
 def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_json_lines(records, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
@@ -28,7 +29,7 @@ def write_json_lines(records, path) -> None:
 def write_roc_csv(points, path) -> None:
     if not points:
         raise ReportError("ROC has no points")
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["fpr", "tpr", "threshold"])
         for fpr, tpr, thr in points:
@@ -66,13 +67,13 @@ def roc_svg_text(points) -> str:
 
 
 def write_roc_svg(points, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(roc_svg_text(points))
 
 
 def write_predictions_csv(participant_ids, scores, labels, path,
                           threshold: float) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["participant_id", "score", "predicted_label", "label"])
         for pid, s, lab in zip(participant_ids, scores, labels):
@@ -81,7 +82,7 @@ def write_predictions_csv(participant_ids, scores, labels, path,
 
 def write_shap_csv(rows, path) -> None:
     """rows: iterable of (row_id, feature, shap_value, feature_value)."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row_id", "feature", "shap_value", "feature_value"])
         for row_id, feature, shap_value, feature_value in rows:
@@ -90,7 +91,7 @@ def write_shap_csv(rows, path) -> None:
 
 
 def write_projection_csv(row_ids, coords, labels, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row_id", "pc1", "pc2", "label"])
         for rid, (x, y), lab in zip(row_ids, coords, labels):
@@ -98,7 +99,7 @@ def write_projection_csv(row_ids, coords, labels, path) -> None:
 
 
 def write_leaderboard_csv(entries, path, columns) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
         for entry in entries:

@@ -1,7 +1,9 @@
-"""Seed derivation, the check of declared settings, and small shared helpers."""
+"""Seed derivation, the check of declared settings, and small shared helpers,
+among them the one opener of every output file."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import MISSING, fields, is_dataclass
@@ -91,6 +93,18 @@ def read_json(path, what: str):
         raise DataError(f"cannot read {what} file {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{what} is not valid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def open_output(path, newline=None):
+    """``path`` opened for writing text, truncated.  A path that cannot be
+    opened or written, such as one in a missing directory, raises
+    :class:`DataError` naming it; no directory is created."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # the JSON type a setting's value must have, by the type of its default

@@ -1472,3 +1472,44 @@ def test_explain_names_the_lead_base_model_and_its_meta_weight_share(
     assert (f"the lead base model alone, not the ensemble: candidate {lead}, "
             f"{weights[0] / weights.sum():.1%} of the meta-layer's sum |w|"
             in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("featurize", "--out"), ("simulate", "--out"), ("train", "--out"), ("cv", "--out"),
+    ("cv", "--roc-out"), ("cv", "--roc-svg"), ("cv", "--audit-log"), ("predict", "--out"),
+    ("bias", "--out"), ("explain", "--out"), ("project", "--out"), ("sweep", "--out")])
+def test_an_output_path_in_a_missing_directory_exits_3(
+        manifest_corpus, sim_table, tmp_path, fast_config_path, capsys, command, flag):
+    # unchecked, opening the path raised FileNotFoundError (exit 4)
+    model, preds, grid = (tmp_path / name for name in ("model.json", "preds.csv", "grid.json"))
+    if command in ("predict", "explain"):
+        assert main(["train", "--features", sim_table, "--config", fast_config_path,
+                     "--out", str(model)]) == 0
+    preds.write_text("participant_id,score\n" + "".join(
+        f"{pid},0.{i % 10}\n"
+        for i, pid in enumerate(read_feature_table(sim_table).participant_ids)))
+    grid.write_text("[{}]")
+    counts = ["--folds", "2", "--seeds", "1"]
+    argv = {
+        "featurize": ["--manifest", str(manifest_corpus)],
+        "simulate": ["--n", "5"],
+        "train": ["--features", sim_table, "--config", fast_config_path],
+        "cv": ["--features", sim_table, "--config", fast_config_path, *counts],
+        "predict": ["--model", str(model), "--features", sim_table],
+        "bias": ["--preds", str(preds), "--features", sim_table, "--group", "sex"],
+        "explain": ["--model", str(model), "--features", sim_table, "--max-rows", "2"],
+        "project": ["--features", sim_table],
+        "sweep": ["--features", sim_table, "--config", fast_config_path,
+                  "--grid", str(grid), *counts],
+    }[command]
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "out.json")]
+    bad = tmp_path / "missing" / "out"
+    capsys.readouterr()
+    assert main([command, *argv, flag, str(bad)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "DataError"
+    assert err["message"].startswith(f"cannot write {bad}: ")
+    assert not bad.parent.exists()

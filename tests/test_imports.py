@@ -156,6 +156,32 @@ def test_no_import_below_module_level():
     assert local == []
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` is ``open(path, mode)`` or ``path.open(mode)`` with a
+    mode that writes, or one that cannot be read from the source."""
+    func = call.func
+    named = isinstance(func, ast.Name) and func.id == "open"
+    if not (named or isinstance(func, ast.Attribute) and func.attr == "open"):
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if named else call.args[:1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def test_only_util_opens_a_file_for_writing():
+    # every output goes through ``util.open_output``, which turns a path that
+    # cannot be written into a DataError (exit 3) naming it
+    writers = []
+    for path in sorted((ROOT / "src" / "hyposcreen").rglob("*.py")):
+        if path.name == "util.py" and path.parent.name == "hyposcreen":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        writers += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and _opens_for_writing(node)]
+    assert writers == []
+
+
 def test_lazy_cli_names_are_the_source_definitions():
     # ``cli`` unwraps ``__wrapped__`` chains so that a tracer's wrapper on the
     # source module is not wrapped twice; no name may carry a decorator that

@@ -1,11 +1,14 @@
 import math
+import os
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hyposcreen.parallel import ENV_VAR, parallel_map, worker_count
-from hyposcreen.util import child_seed, expit, sigmoid
+from hyposcreen.errors import DataError
+from hyposcreen.util import child_seed, expit, open_output, sigmoid
 
 from split_oracle import log_loss
 
@@ -113,3 +116,23 @@ def test_parallel_map_preserves_order(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1")
     assert parallel_map(lambda v: v * v, items) == expect
     assert parallel_map(lambda v: v, []) == []
+
+
+def test_open_output_writes_text_and_names_a_path_it_cannot_write(tmp_path):
+    path = tmp_path / "out.csv"
+    with open_output(path, newline="") as fh:
+        fh.write("a\r\n")
+    assert path.read_bytes() == b"a\r\n"
+    missing = tmp_path / "missing" / "out.csv"
+    for bad in (missing, tmp_path):  # a missing directory, then a directory
+        with pytest.raises(DataError, match=f"^cannot write {bad}: "):
+            with open_output(bad) as fh:
+                fh.write("x")
+    assert not missing.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_open_output_names_a_path_whose_write_fails():
+    with pytest.raises(DataError, match="^cannot write /dev/full: "):
+        with open_output("/dev/full") as fh:
+            fh.write("x")
