@@ -57,7 +57,8 @@ class TrainedEnsemble:
             provenance=dict(d.get("provenance", {})),
         )
         # unchecked, a short scaler broadcasts over the rows and scores them,
-        # and an unknown kind scales as "standard" does
+        # an unknown kind scales as "standard" does, and explain reads the
+        # lead model's candidate_index from base_info
         width, m = len(ensemble.feature_names), len(ensemble.base_models)
         if ensemble.scaler.kind not in SCALER_KINDS:
             raise ArtifactError(f"unknown scaler kind {ensemble.scaler.kind!r}")
@@ -71,6 +72,11 @@ class TrainedEnsemble:
         if ensemble.meta.weights.shape != (m,):
             raise ArtifactError(f"meta.weights has shape {ensemble.meta.weights.shape}, "
                                 f"not one weight for each of the {m} base models")
+        if len(ensemble.base_info) != m or not all(
+                isinstance(info, dict) and type(info.get("candidate_index")) is int
+                for info in ensemble.base_info):
+            raise ArtifactError(f"base_info must hold an object with an integer "
+                                f"candidate_index for each of the {m} base models")
         return ensemble
 
 

@@ -224,6 +224,32 @@ def test_scoring_commands_reject_an_artifact_whose_width_disagrees(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "explain"])
+def test_scoring_commands_reject_an_artifact_with_empty_base_info(
+        sim_table, tmp_path, fast_config_path, capsys, command):
+    # unchecked, predict scored with exit 0 and explain read base_info[0]
+    # (an IndexError, exit 4)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config", fast_config_path,
+                 "--out", str(model_path), "--seed", "5"]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["base_info"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main([command, "--model", str(bad), "--features", sim_table,
+                 "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ArtifactError"
+    assert err["message"] == ("cannot load model artifact: base_info must hold an object "
+                              "with an integer candidate_index for each of the 1 base "
+                              "models")
+    assert not out.exists()
+
+
 def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
         sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
     def train(name):

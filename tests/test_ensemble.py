@@ -331,6 +331,10 @@ def _text_tree_feature(doc):
     return doc
 
 
+_BASE_INFO = ("base_info must hold an object with an integer candidate_index "
+              "for each of the 2 base models")
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda d: b"\xff\xfe", "UnicodeDecodeError"),
     (lambda d: [], "AttributeError"),
@@ -347,9 +351,18 @@ def _text_tree_feature(doc):
      "meta.weights has shape (1,), not one weight for each of the 2 base models"),
     (lambda d: {**d, "scaler": {**d["scaler"], "kind": "robust"}},
      "unknown scaler kind 'robust'"),
+    (lambda d: {**d, "base_info": []}, _BASE_INFO),
+    (lambda d: {**d, "base_info": d["base_info"][:1]}, _BASE_INFO),
+    (lambda d: {**d, "base_info": [{k: v for k, v in info.items() if k != "candidate_index"}
+                                   for info in d["base_info"]]}, _BASE_INFO),
+    (lambda d: {**d, "base_info": [{**info, "candidate_index": True}
+                                   for info in d["base_info"]]}, _BASE_INFO),
+    (lambda d: {**d, "base_info": [info["candidate_index"] for info in d["base_info"]]},
+     _BASE_INFO),
 ], ids=["not-utf8", "a-list", "no-sections", "tree-feature-text", "no-meta-weights",
         "no-base-models", "short-scaler-lo", "long-scaler-hi", "short-meta-weights",
-        "unknown-scaler-kind"])
+        "unknown-scaler-kind", "empty-base-info", "short-base-info",
+        "no-candidate-index", "bool-candidate-index", "base-info-not-objects"])
 def test_load_ensemble_rejects_a_malformed_document(saved_doc, tmp_path, damage, message):
     # unchecked, a short scaler.lo broadcasts over the rows and scores them,
     # and the other documents raise outside DataError (exit 4)
