@@ -1,4 +1,14 @@
-"""The saved ensemble: its JSON form, and scoring without training code."""
+"""The saved ensemble: its JSON form, and scoring without training code.
+
+The artifact states each fact once.  Schema 2 holds ``schema_version``,
+``kind``, the ``scaler`` (``kind``, ``lo``, ``hi``: one value of each per
+feature), the selected ``feature_names``, the ``base_models`` (each
+``params``, ``bins``, ``base_score`` and ``trees``), ``base_info`` (each
+kept model's ``candidate_index`` and ``oof_auroc``), the ``meta`` layer,
+the ``threshold`` and the ``provenance``.  A version-1 artifact holds
+every one of these keys and some that restate them; the loader reads only
+the keys both versions hold, so it loads either through one path.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ from .model.logistic import LogisticModel, predict_proba_logistic
 from .preprocess import SCALER_KINDS, FittedScaler, apply_scaler
 from .util import open_output
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -21,7 +31,7 @@ class TrainedEnsemble:
     scaler: FittedScaler          # restricted to the selected features
     feature_names: list           # selected features, training-table order
     base_models: list
-    base_info: list               # candidate index, params, oof auroc per kept model
+    base_info: list               # candidate index and oof auroc per kept model
     meta: LogisticModel
     threshold: float
     provenance: dict = field(default_factory=dict)
@@ -35,22 +45,24 @@ class TrainedEnsemble:
             "base_models": [m.to_dict() for m in self.base_models],
             "base_info": list(self.base_info),
             "meta": self.meta.to_dict(),
-            "m": len(self.base_models),
             "threshold": float(self.threshold),
             "provenance": self.provenance,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedEnsemble":
-        if d.get("schema_version") != SCHEMA_VERSION:
+        """The ensemble saved as ``d``, schema 1 or 2."""
+        if d.get("schema_version") not in (1, SCHEMA_VERSION):
             raise ArtifactError(
                 f"unsupported schema_version {d.get('schema_version')!r}")
         if d.get("kind") != "stacking_ensemble":
             raise ArtifactError(f"unexpected artifact kind {d.get('kind')!r}")
+        scaler, feature_names = FittedScaler.from_dict(d["scaler"]), list(d["feature_names"])
+        width = len(feature_names)
         ensemble = cls(
-            scaler=FittedScaler.from_dict(d["scaler"]),
-            feature_names=list(d["feature_names"]),
-            base_models=[BoostedModel.from_dict(m) for m in d["base_models"]],
+            scaler=scaler,
+            feature_names=feature_names,
+            base_models=[BoostedModel.from_dict(m, width) for m in d["base_models"]],
             base_info=list(d["base_info"]),
             meta=LogisticModel.from_dict(d["meta"]),
             threshold=float(d["threshold"]),
@@ -59,7 +71,7 @@ class TrainedEnsemble:
         # unchecked, a short scaler broadcasts over the rows and scores them,
         # an unknown kind scales as "standard" does, and explain reads the
         # lead model's candidate_index from base_info
-        width, m = len(ensemble.feature_names), len(ensemble.base_models)
+        m = len(ensemble.base_models)
         if ensemble.scaler.kind not in SCALER_KINDS:
             raise ArtifactError(f"unknown scaler kind {ensemble.scaler.kind!r}")
         for name in ("lo", "hi"):

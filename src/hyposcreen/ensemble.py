@@ -103,9 +103,8 @@ def fit_stacking_ensemble(X, y, config, seed: int):
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")
     base_models = fit_all(Xf, yf, [candidates[ci] for ci in kept])
-    base_info = [{"candidate_index": int(ci),
-                  "params": candidates[ci].to_dict(),
-                  "oof_auroc": float(scores[ci])} for ci in kept]
+    base_info = [{"candidate_index": int(ci), "oof_auroc": float(scores[ci])}
+                 for ci in kept]
     provenance = {
         "candidate_aurocs": [float(s) for s in scores],
         "kept": [int(ci) for ci in kept],
@@ -168,17 +167,17 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     ranking = select_features(Xs, ds.y, names, config.selection,
                               child_seed(seed, "select"))
     selected = ranking.selected
-    Xsel = Xs[:, [names.index(nm) for nm in selected]]
+    columns = [names.index(nm) for nm in selected]
+    Xsel = Xs[:, columns]
 
     base_models, base_info, meta, prov = fit_stacking_ensemble(
         Xsel, ds.y, config, child_seed(seed, "stack"))
     prov["selection"] = ranking.to_dict()
-    prov["scaler_kind"] = config.scaler
     prov["smote"] = asdict(config.smote)
     prov["train_rows"] = int(ds.n_rows)
     prov["pipeline_seed"] = int(seed)
     return TrainedEnsemble(
-        scaler=scaler_full.restrict(selected),
+        scaler=scaler_full.restrict(columns),
         feature_names=list(selected),
         base_models=base_models,
         base_info=base_info,

@@ -19,8 +19,8 @@ class BinMapper:
     max_bins: int
 
     def to_dict(self) -> dict:
-        return {"max_bins": int(self.max_bins),
-                "thresholds": [t.tolist() for t in self.thresholds]}
+        # max_bins is the booster's, stored with its other parameters
+        return {"thresholds": [t.tolist() for t in self.thresholds]}
 
     def key(self) -> tuple:
         """Equal for mappers with equal ``max_bins`` and thresholds, which
@@ -28,9 +28,9 @@ class BinMapper:
         return self.max_bins, tuple(t.tobytes() for t in self.thresholds)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BinMapper":
+    def from_dict(cls, d: dict, max_bins: int) -> "BinMapper":
         return cls(thresholds=[np.array(t, dtype=float) for t in d["thresholds"]],
-                   max_bins=int(d["max_bins"]))
+                   max_bins=max_bins)
 
 
 def fit_bins(X, max_bins: int) -> BinMapper:

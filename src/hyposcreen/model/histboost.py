@@ -86,7 +86,6 @@ from ..errors import ArtifactError, DataError, DegenerateParams, EmptyMatrix, Si
 from ..util import check_fields, require_binary, sigmoid
 from .binning import BinMapper, bin_matrix, fit_bins
 
-SCHEMA_VERSION = 1
 L2_LEAF = 1.0  # ridge penalty on leaf values
 WALK_PAIRS = 1 << 16  # (tree, row) pairs a prediction walks at once
 
@@ -155,9 +154,11 @@ class BoostedModel:
     mapper: BinMapper
     base_score: float
     trees: list
-    train_loss: list
-    n_features: int
     _nodes: "_NodeTable | None" = field(default=None, init=False, repr=False)
+
+    @property
+    def n_features(self) -> int:
+        return len(self.mapper.thresholds)
 
     def nodes(self) -> "_NodeTable":
         """The trees as one node table, packed on first use."""
@@ -172,33 +173,23 @@ class BoostedModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "histgbm",
             "params": self.params.to_dict(),
             "bins": self.mapper.to_dict(),
             "base_score": float(self.base_score),
             "trees": [t.to_dict() for t in self.trees],
-            "train_loss": [float(v) for v in self.train_loss],
-            "n_features": int(self.n_features),
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BoostedModel":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ArtifactError(f"unsupported schema_version {d.get('schema_version')!r}")
-        if d.get("kind") != "histgbm":
-            raise ArtifactError(f"unexpected model kind {d.get('kind')!r}")
-        mapper = BinMapper.from_dict(d["bins"])
-        width = len(mapper.thresholds)
-        if d["n_features"] != width:
-            raise ArtifactError(f"n_features {d['n_features']!r} differs from the "
-                                f"{width} features the bin thresholds cover")
-        model = cls(params=BoostParams.from_dict(d["params"]),
-                    mapper=mapper,
+    def from_dict(cls, d: dict, width: int) -> "BoostedModel":
+        """The model saved as ``d``, which must bin ``width`` features."""
+        params = BoostParams.from_dict(d["params"])
+        model = cls(params=params,
+                    mapper=BinMapper.from_dict(d["bins"], params.max_bins),
                     base_score=float(d["base_score"]),
-                    trees=[Tree.from_dict(t) for t in d["trees"]],
-                    train_loss=[float(v) for v in d["train_loss"]],
-                    n_features=width)
+                    trees=[Tree.from_dict(t) for t in d["trees"]])
+        if model.n_features != width:
+            raise ArtifactError(f"bins.thresholds cover {model.n_features} features, "
+                                f"not the {width} the artifact names")
         # checked on load: a malformed tree fails here, not on its first walk
         model._nodes = _node_table(model.trees, width)
         return model
@@ -242,7 +233,7 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
         return np.concatenate([getattr(t, name) for t in trees]
                               + [np.empty(0, dtype=np.int64)])
 
-    feature, left, right = cat("feature"), cat("left"), cat("right")
+    feature, left, right, value = cat("feature"), cat("left"), cat("right"), cat("value")
     roots = sizes.cumsum() - sizes
     owner = np.repeat(np.arange(sizes.size), sizes)
     start = roots[owner]
@@ -286,7 +277,7 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
     return _NodeTable(roots=roots, feature=np.where(internal, feature, 0),
                       split_bin=cat("split_bin"),
                       children=np.stack((left, right), axis=1).ravel(),
-                      value=cat("value"), depth=depth)
+                      value=value, depth=depth)
 
 
 def build_histograms(binned: np.ndarray, idx: np.ndarray, g: np.ndarray,
@@ -311,12 +302,10 @@ def build_histograms(binned: np.ndarray, idx: np.ndarray, g: np.ndarray,
 
 @dataclass(frozen=True)
 class _Grown:
-    """The trees and losses of one fit, with what decides which leaf caps
-    they serve: the cap they were grown with, the most leaves in any tree,
+    """The trees of one fit, with what decides which leaf caps they serve: the cap they were grown with, the most leaves in any tree,
     and whether some tree stopped at the cap with splits left to make."""
 
     trees: tuple
-    losses: tuple
     cap: int
     widest: int
     capped: bool
@@ -481,32 +470,25 @@ def _boost(presorted: tuple, y, params: BoostParams, base_score: float) -> _Grow
     order, sorted_codes = presorted
     n = order.shape[1]
     raw = np.full(n, base_score)
-    p = sigmoid(raw)
-    q = 1.0 - p
-    is_pos = y == 1
     gh = np.empty(n, dtype=complex)  # each round's gradients + 1j * hessians
-    trees, losses = [], []
+    trees = []
     capped = False
     for _ in range(params.n_trees):
+        p = sigmoid(raw)
         np.subtract(p, y, out=gh.real)
-        np.multiply(p, q, out=gh.imag)
+        np.multiply(p, 1.0 - p, out=gh.imag)
         tree, stopped, out = _grow_tree(gh, params, order, sorted_codes)
         capped = capped or stopped
         trees.append(tree)
         raw += params.learning_rate * out
-        p = sigmoid(raw)  # this round's loss and the next round's gradients
-        q = 1.0 - p
-        # the mean binary cross-entropy, bit for bit as the tests' log_loss
-        # takes it: y is 0/1 and sigmoid has clipped p
-        losses.append(-float(np.log(np.where(is_pos, p, q)).sum() / n))
     widest = max(np.count_nonzero(t.feature < 0) for t in trees)
-    return _Grown(trees=tuple(trees), losses=tuple(losses), cap=params.max_leaves,
+    return _Grown(trees=tuple(trees), cap=params.max_leaves,
                   widest=widest, capped=capped, nodes=_node_table(trees))
 
 
 def fit_histgbm(X, y, params: BoostParams | None = None,
                 memo: dict | None = None) -> BoostedModel:
-    """Fit the boosted classifier; records training log-loss per round.
+    """Fit the boosted classifier.
 
     ``memo`` is a dict the caller owns and passes to every fit whose model
     may be reused; it maps the data and parameters to the models grown
@@ -541,8 +523,7 @@ def fit_histgbm(X, y, params: BoostParams | None = None,
         grown = _boost(memo[codes_key], y, params, base_score)
         grown_here.append(grown)
     model = BoostedModel(params=params, mapper=mapper, base_score=base_score,
-                         trees=list(grown.trees), train_loss=list(grown.losses),
-                         n_features=X.shape[1])
+                         trees=list(grown.trees))
     model._nodes = grown.nodes
     return model
 

@@ -25,7 +25,6 @@ class LogisticModel:
         return {
             "weights": [float(w) for w in self.weights],
             "intercept": float(self.intercept),
-            "l2_strength": L2_STRENGTH,
             "converged": bool(self.converged),
             "n_iterations": int(self.n_iterations),
         }

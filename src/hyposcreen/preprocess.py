@@ -27,8 +27,10 @@ SCALER_KINDS = ("minmax", "standard", "none")
 
 @dataclass
 class FittedScaler:
+    """Per-column parameters, in the column order of the matrix it was fit
+    on; the feature names travel with the artifact, not the scaler."""
+
     kind: str
-    feature_names: list[str]
     # minmax: lo/hi; standard: lo=mean, hi=population sd; none: lo=0, hi=1.
     lo: np.ndarray
     hi: np.ndarray
@@ -36,22 +38,18 @@ class FittedScaler:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "feature_names": list(self.feature_names),
             "lo": [float(v) for v in self.lo],
             "hi": [float(v) for v in self.hi],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedScaler":
-        return cls(kind=d["kind"], feature_names=list(d["feature_names"]),
-                   lo=np.array(d["lo"], dtype=float),
+        return cls(kind=d["kind"], lo=np.array(d["lo"], dtype=float),
                    hi=np.array(d["hi"], dtype=float))
 
-    def restrict(self, names) -> "FittedScaler":
-        """Keep parameters for a feature subset (after selection)."""
-        idx = [self.feature_names.index(n) for n in names]
-        return FittedScaler(kind=self.kind, feature_names=list(names),
-                            lo=self.lo[idx], hi=self.hi[idx])
+    def restrict(self, columns) -> "FittedScaler":
+        """Keep the parameters of the columns at ``columns`` (after selection)."""
+        return FittedScaler(kind=self.kind, lo=self.lo[columns], hi=self.hi[columns])
 
 
 def fit_scaler(kind: str, X: np.ndarray, feature_names) -> FittedScaler:
@@ -70,7 +68,7 @@ def fit_scaler(kind: str, X: np.ndarray, feature_names) -> FittedScaler:
     else:
         lo = np.zeros(X.shape[1])
         hi = np.ones(X.shape[1])
-    return FittedScaler(kind=kind, feature_names=list(feature_names), lo=lo, hi=hi)
+    return FittedScaler(kind=kind, lo=lo, hi=hi)
 
 
 def apply_scaler(scaler: FittedScaler, X: np.ndarray) -> np.ndarray:
@@ -78,8 +76,8 @@ def apply_scaler(scaler: FittedScaler, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if X.shape[1] != len(scaler.feature_names):
-        raise WidthMismatch(len(scaler.feature_names), X.shape[1])
+    if X.shape[1] != scaler.lo.size:
+        raise WidthMismatch(scaler.lo.size, X.shape[1])
     scale = scaler.hi - scaler.lo if scaler.kind == "minmax" else scaler.hi
     out = (X - scaler.lo) / np.where(scale == 0.0, 1.0, scale)
     out[:, scale == 0.0] = 0.0

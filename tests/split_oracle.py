@@ -159,12 +159,12 @@ def grow_tree_oracle(g, h, params, order, codes):
 
 
 def boost_oracle(codes, y, params, base_score):
-    """``(trees, losses, capped)`` of the round loop of ``histboost._boost``:
-    two sigmoids and fresh gradient and hessian arrays every round."""
+    """``(trees, capped)`` of the round loop of ``histboost._boost``, with
+    fresh gradient and hessian arrays every round."""
     order = np.argsort(codes.T, axis=1, kind="stable")
     sorted_codes = np.take_along_axis(codes.T, order, axis=1)
     raw = np.full(codes.shape[0], base_score)
-    trees, losses = [], []
+    trees = []
     capped = False
     for _ in range(params.n_trees):
         p = sigmoid(raw)
@@ -174,8 +174,7 @@ def boost_oracle(codes, y, params, base_score):
         capped = capped or stopped
         trees.append(tree)
         raw = raw + params.learning_rate * out
-        losses.append(log_loss(y, sigmoid(raw)))
-    return trees, losses, capped
+    return trees, capped
 
 
 def tree_outputs(tree, binned):

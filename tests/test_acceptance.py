@@ -51,7 +51,7 @@ from hyposcreen.ingest import (
     read_columns,
 )
 from hyposcreen.model.binning import bin_matrix
-from hyposcreen.model.histboost import BoostParams, fit_histgbm, predict_raw
+from hyposcreen.model.histboost import BoostedModel, BoostParams, fit_histgbm, predict_raw
 from hyposcreen.model.logistic import logistic_objective
 from hyposcreen.preprocess import smote_oversample, stratified_kfold
 from hyposcreen.stats import fisher_exact, normal_approx_ci
@@ -59,6 +59,7 @@ from hyposcreen.util import sigmoid
 
 from conftest import z_two_proportions_from_rates
 from shap_oracle import exact_shapley_oracle
+from split_oracle import log_loss
 
 from hyposcreen.dataset import LabeledDataset
 
@@ -1410,7 +1411,13 @@ def test_boosting_train_loss_never_increases():
         model = fit_histgbm(X, y, BoostParams(
             n_trees=50, learning_rate=lr, max_leaves=leaves,
             min_samples_leaf=8))
-        worst = max(worst, float(np.max(np.diff(model.train_loss))))
+        # the training loss after each round, from the model cut to its first
+        # k trees
+        losses = [log_loss(y, sigmoid(predict_raw(
+            BoostedModel(params=model.params, mapper=model.mapper,
+                         base_score=model.base_score, trees=model.trees[:k]), X)))
+            for k in range(1, 51)]
+        worst = max(worst, float(np.max(np.diff(losses))))
     assert worst <= 1e-9
     print(f"PASS boosting loss: max per-round increase {worst:.2e} <= 1e-9")
 

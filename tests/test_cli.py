@@ -203,14 +203,16 @@ def test_predict_rejects_an_artifact_with_a_malformed_tree(
 @pytest.mark.parametrize("n_features", [2, 9])
 def test_scoring_commands_reject_an_artifact_whose_width_disagrees(
         sim_table, tmp_path, fast_config_path, capsys, command, n_features):
-    # unchecked, 2 makes explain read past its attribution vector (an
-    # IndexError, exit 4) and 9 passes silently
+    # a base model's width is the number of its bin thresholds lists, and
+    # it must be the artifact's feature count: unchecked, 2 makes explain
+    # read past its attribution vector and 9 fails on the first binning
     model_path = tmp_path / "model.json"
     assert main(["train", "--features", sim_table, "--config", fast_config_path,
                  "--out", str(model_path), "--seed", "5"]) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["base_models"][0]["n_features"] == 4
-    doc["base_models"][0]["n_features"] = n_features
+    thresholds = doc["base_models"][0]["bins"]["thresholds"]
+    assert len(thresholds) == len(doc["feature_names"]) == 4
+    doc["base_models"][0]["bins"]["thresholds"] = (thresholds * 3)[:n_features]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -219,9 +221,26 @@ def test_scoring_commands_reject_an_artifact_whose_width_disagrees(
                  "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "ArtifactError"
-    assert err["message"] == (f"cannot load model artifact: n_features {n_features} "
-                              f"differs from the 4 features the bin thresholds cover")
+    assert err["message"] == (f"cannot load model artifact: bins.thresholds cover "
+                              f"{n_features} features, not the 4 the artifact names")
     assert not out.exists()
+
+
+V1_ARTIFACT = Path(__file__).parent / "data" / "artifact_v1"
+
+
+@pytest.mark.parametrize("command, out", [("predict", "preds.csv"), ("explain", "shap.csv")])
+def test_a_version_1_artifact_scores_byte_identically(tmp_path, monkeypatch, capsys,
+                                                      command, out):
+    # model.json, its table and the outputs beside them were written by the
+    # release that wrote schema 1 (cfg.json is its training config); its
+    # restated fields are never read
+    assert json.loads((V1_ARTIFACT / "model.json").read_text())["schema_version"] == 1
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--model", str(V1_ARTIFACT / "model.json"),
+                 "--features", str(V1_ARTIFACT / "features.csv"), "--out", out]) == 0
+    assert (tmp_path / out).read_bytes() == (V1_ARTIFACT / out).read_bytes()
+    assert capsys.readouterr().out == (V1_ARTIFACT / f"{command}.out").read_text()
 
 
 @pytest.mark.parametrize("command", ["predict", "explain"])

@@ -17,6 +17,7 @@ from hyposcreen.ensemble import (fit_stacking_ensemble, run_cross_validation,
 from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
 from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams
+from hyposcreen.preprocess import fit_scaler
 from hyposcreen.util import sigmoid
 
 
@@ -193,13 +194,22 @@ def test_train_pipeline_restricts_artifact_to_selected_features():
     ensemble = train_pipeline(ds, _config(), seed=2)
     assert len(ensemble.feature_names) == 3
     assert set(ensemble.feature_names) <= set(ds.feature_names)
-    assert ensemble.scaler.feature_names == ensemble.feature_names
+    full = fit_scaler("minmax", ds.X, ds.feature_names)
+    columns = [ds.feature_names.index(nm) for nm in ensemble.feature_names]
+    assert ensemble.scaler.lo.tolist() == full.lo[columns].tolist()
+    assert ensemble.scaler.hi.tolist() == full.hi[columns].tolist()
     assert len(ensemble.base_models) == 2 and ensemble.threshold == 0.6
-    assert ensemble.to_dict()["m"] == 2
     prov = ensemble.provenance
     assert prov["selection"]["method"] == "lr_coef"
     assert prov["selection"]["selected"] == ensemble.feature_names
-    assert prov["scaler_kind"] == "minmax"
+    # each fact is stated once: no key restates another
+    doc = ensemble.to_dict()
+    assert "m" not in doc and "scaler_kind" not in prov
+    assert list(doc["scaler"]) == ["kind", "lo", "hi"]
+    assert "l2_strength" not in doc["meta"]
+    for model, info in zip(doc["base_models"], doc["base_info"]):
+        assert sorted(model) == ["base_score", "bins", "params", "trees"]
+        assert sorted(info) == ["candidate_index", "oof_auroc"]
     assert prov["train_rows"] == ds.n_rows
     assert prov["pipeline_seed"] == 2
 
@@ -306,7 +316,7 @@ def test_save_load_round_trip_preserves_predictions_exactly(tmp_path):
     assert np.array_equal(before, after)
 
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1 and doc["kind"] == "stacking_ensemble"
+    assert doc["schema_version"] == 2 and doc["kind"] == "stacking_ensemble"
     doc["schema_version"] = 3
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -389,9 +399,7 @@ def test_artifact_with_retired_booster_settings_predicts_identically(tmp_path):
     save_ensemble(ensemble, path)
     doc = json.loads(path.read_text())
     retired = {"max_depth": None, "l2_leaf": 1.0, "feature_fraction": 1.0}
-    params = [m["params"] for m in doc["base_models"]]
-    params += [info["params"] for info in doc["base_info"]]
-    for p in params:
+    for p in (m["params"] for m in doc["base_models"]):
         assert not set(retired) & set(p)
         p.update(retired)
     old = tmp_path / "old.json"

@@ -156,7 +156,8 @@ def test_bin_mapper_round_trip():
     rng = np.random.default_rng(52)
     X = rng.normal(size=(100, 3))
     mapper = fit_bins(X, max_bins=32)
-    back = BinMapper.from_dict(mapper.to_dict())
+    assert list(mapper.to_dict()) == ["thresholds"]  # max_bins is the booster's
+    back = BinMapper.from_dict(mapper.to_dict(), 32)
     assert np.array_equal(bin_matrix(back, X), bin_matrix(mapper, X))
 
 
@@ -466,11 +467,10 @@ def test_level_walk_equals_the_per_tree_walk_bit_for_bit():
             models.append((f"{n_trees} {kind}", BoostedModel(
                 params=BoostParams(n_trees=n_trees, learning_rate=float(rng.uniform(0.01, 1.0))),
                 mapper=fit_bins(X, max_bins), base_score=float(rng.normal()),
-                trees=[_random_tree(rng, leaves(), d, max_bins) for _ in range(n_trees)],
-                train_loss=[], n_features=d)))
+                trees=[_random_tree(rng, leaves(), d, max_bins) for _ in range(n_trees)])))
     checked = 0
     for name, model in models:
-        back = BoostedModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        back = BoostedModel.from_dict(json.loads(json.dumps(model.to_dict())), d)
         step = WALK_PAIRS // len(model.trees)
         for n in (0, 1, 40, 1200, step - 1, step, step + 1):
             X_test = rng.normal(size=(n, d)) * 1.5
@@ -519,7 +519,7 @@ def test_malformed_tree_fails_on_load(change, message):
     tree = doc["trees"][1]
     assert tree["feature"][0] >= 0 and tree["feature"][-1] < 0
     with pytest.raises(ArtifactError, match=message):
-        BoostedModel.from_dict(_break(doc, 1, **change(tree)))
+        BoostedModel.from_dict(_break(doc, 1, **change(tree)), 3)
 
 
 def test_tree_cycle_unreached_from_the_root_fails_on_load():
@@ -531,11 +531,11 @@ def test_tree_cycle_unreached_from_the_root_fails_on_load():
                        "right": [4, 5, 6, -1, -1, -1, -1],
                        "value": [0.0] * 7, "cover": [1] * 7}
     with pytest.raises(ArtifactError, match="tree 0: node 1 is not reached from the root"):
-        BoostedModel.from_dict(doc)
+        BoostedModel.from_dict(doc, 3)
     doc["trees"][0]["left"][1:3] = [5, 6]
     doc["trees"][0]["right"][1:3] = [1, 2]  # now each is its own right child
     with pytest.raises(ArtifactError, match="tree 0: node 1 is not reached from the root"):
-        BoostedModel.from_dict(doc)
+        BoostedModel.from_dict(doc, 3)
 
 
 def test_leaf_values_from_growth_equal_a_walk_of_the_training_rows():
@@ -557,9 +557,8 @@ def _tree_bytes(tree):
 
 
 def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
-    # _boost shares one sigmoid between a round's loss and the next round's
-    # gradients, writes them into one complex buffer and takes the loss from
-    # log(where(y == 1, p, 1 - p)); _grow_tree sums a node's totals from the
+    # _boost writes a round's gradients and hessians into one complex
+    # buffer; _grow_tree sums a node's totals from the
     # buffer's two lanes, scans with one complex prefix sum and builds no
     # sorted arrays for a child too small to split.  The oracle is the loop
     # before that, with the float two-lane scan.
@@ -580,9 +579,8 @@ def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
         codes = bin_matrix(fit_bins(X, params.max_bins), X)
         base = float(np.log(y.mean() / (1.0 - y.mean())))
         grown = histboost._boost(histboost._presort(codes), y, params, base)
-        trees, losses, stopped = boost_oracle(codes, y, params, base)
+        trees, stopped = boost_oracle(codes, y, params, base)
         assert [_tree_bytes(t) for t in grown.trees] == [_tree_bytes(t) for t in trees]
-        assert list(grown.losses) == losses
         assert grown.capped == stopped
         capped += stopped
         uncapped += not stopped
@@ -600,23 +598,38 @@ def test_growth_and_rounds_equal_the_two_array_oracle_bit_for_bit():
     assert tied >= 16 and capped >= 20 and uncapped >= 10 and at_band_edge >= 50
 
 
-def test_boosted_training_margins_equal_predict_raw_bit_for_bit():
+def _first_trees(model, k):
+    """``model`` cut to its first ``k`` trees: the model ``k`` rounds grew."""
+    return BoostedModel(params=model.params, mapper=model.mapper,
+                        base_score=model.base_score, trees=model.trees[:k])
+
+
+def _staged_losses(model, X, y) -> np.ndarray:
+    """The training log-loss after each round, from the truncated models."""
+    return np.array([log_loss(y, sigmoid(predict_raw(_first_trees(model, k), X)))
+                     for k in range(1, len(model.trees) + 1)])
+
+
+def test_boosted_training_margins_equal_predict_raw_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(63)
     for t in range(6):
         n, d = int(rng.integers(30, 200)), int(rng.integers(1, 5))
         X = rng.normal(size=(n, d))
         y = (rng.random(n) < sigmoid(2.0 * X[:, 0])).astype(float)
         y[:2] = [0.0, 1.0]
+        # round k takes its gradients from the margins of the first k trees,
+        # which _boost accumulated from the rows' leaf values
+        seen = []
+        monkeypatch.setattr(histboost, "sigmoid", lambda raw: seen.append(raw.copy())
+                            or sigmoid(raw))
         model = fit_histgbm(X, y, BoostParams(
-            n_trees=int(rng.integers(1, 12)), max_leaves=int(rng.integers(2, 16)),
+            n_trees=int(rng.integers(2, 12)), max_leaves=int(rng.integers(2, 16)),
             min_samples_leaf=int(rng.integers(1, 8)), max_bins=int(rng.integers(2, 64))))
-        # each round's loss is taken from the margins _boost accumulated
-        for k in range(1, len(model.trees) + 1):
-            first_k = BoostedModel(params=model.params, mapper=model.mapper,
-                                   base_score=model.base_score, trees=model.trees[:k],
-                                   train_loss=[], n_features=d)
-            margins = predict_raw(first_k, X)
-            assert log_loss(y, sigmoid(margins)) == model.train_loss[k - 1]
+        monkeypatch.undo()
+        assert len(seen) == len(model.trees)
+        assert np.all(seen[0] == model.base_score)
+        for k in range(1, len(model.trees)):
+            assert predict_raw(_first_trees(model, k), X).tobytes() == seen[k].tobytes()
 
 
 def test_memo_hit_bins_no_matrix(monkeypatch):
@@ -682,7 +695,7 @@ def test_training_log_loss_is_non_increasing():
     y = (rng.random(200) < sigmoid(0.8 * X[:, 0])).astype(float)
     model = fit_histgbm(X, y, BoostParams(n_trees=40, max_leaves=8,
                                           min_samples_leaf=5))
-    losses = np.array(model.train_loss)
+    losses = _staged_losses(model, X, y)
     assert losses.shape == (40,)
     assert np.all(np.diff(losses) <= 1e-9)
 
@@ -719,12 +732,15 @@ def test_save_load_round_trip():
     y = (rng.random(80) < sigmoid(X[:, 1])).astype(float)
     model = fit_histgbm(X, y, BoostParams(n_trees=4, min_samples_leaf=5))
     doc = json.loads(json.dumps(model.to_dict(), sort_keys=True))
-    back = BoostedModel.from_dict(doc)
+    back = BoostedModel.from_dict(doc, 3)
     assert np.array_equal(predict_raw(back, X), predict_raw(model, X))
-    assert doc["schema_version"] == 1 and doc["kind"] == "histgbm"
-    for key, bad in (("schema_version", 99), ("kind", "forest")):
-        with pytest.raises(ArtifactError):
-            BoostedModel.from_dict({**doc, key: bad})
+    # the artifact's schema_version covers its models, and the width is the
+    # artifact's feature count: neither is stored twice
+    assert list(doc) == ["base_score", "bins", "params", "trees"]
+    assert list(doc["bins"]) == ["thresholds"]
+    with pytest.raises(ArtifactError, match="bins.thresholds cover 3 features, "
+                                            "not the 4 the artifact names"):
+        BoostedModel.from_dict(doc, 4)
 
 
 def test_fit_errors_and_param_validation():
