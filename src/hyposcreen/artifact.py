@@ -26,6 +26,12 @@ from .util import open_output
 SCHEMA_VERSION = 2
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ArtifactError(f"{name} holds {float(values[~np.isfinite(values)][0])}, "
+                            f"not a finite number")
+
+
 @dataclass(eq=False)
 class TrainedEnsemble:
     scaler: FittedScaler          # restricted to the selected features
@@ -51,7 +57,9 @@ class TrainedEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedEnsemble":
-        """The ensemble saved as ``d``, schema 1 or 2."""
+        """The ensemble saved as ``d``, schema 1 or 2.  Every number it
+        scores with is checked: unchecked, a NaN or overflowing parameter
+        scores every row alike with exit 0."""
         if d.get("schema_version") not in (1, SCHEMA_VERSION):
             raise ArtifactError(
                 f"unsupported schema_version {d.get('schema_version')!r}")
@@ -75,15 +83,20 @@ class TrainedEnsemble:
         if ensemble.scaler.kind not in SCALER_KINDS:
             raise ArtifactError(f"unknown scaler kind {ensemble.scaler.kind!r}")
         for name in ("lo", "hi"):
-            shape = getattr(ensemble.scaler, name).shape
-            if shape != (width,):
-                raise ArtifactError(f"scaler.{name} has shape {shape}, not one "
+            values = getattr(ensemble.scaler, name)
+            if values.shape != (width,):
+                raise ArtifactError(f"scaler.{name} has shape {values.shape}, not one "
                                     f"value for each of the {width} features")
+            _require_finite(values, f"scaler.{name}")
         if not m:
             raise ArtifactError("no base models")
         if ensemble.meta.weights.shape != (m,):
             raise ArtifactError(f"meta.weights has shape {ensemble.meta.weights.shape}, "
                                 f"not one weight for each of the {m} base models")
+        _require_finite(ensemble.meta.weights, "meta.weights")
+        _require_finite(np.array([ensemble.meta.intercept]), "meta.intercept")
+        if not 0.0 <= ensemble.threshold <= 1.0:  # also false for nan
+            raise ArtifactError(f"threshold must be in [0, 1], got {ensemble.threshold!r}")
         if len(ensemble.base_info) != m or not all(
                 isinstance(info, dict) and type(info.get("candidate_index")) is int
                 for info in ensemble.base_info):

@@ -23,8 +23,10 @@ every column.  A cell that is not converted is not checked.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from importlib import import_module
 
@@ -69,11 +71,21 @@ _LAZY = {
     for name in names
 }
 
-# The handlers reach those names through this module object, never as bare
-# globals: a global lookup does not consult ``__getattr__``, and a wrapper
-# set on the module (a tracer, a test spy) must intercept the call.  Under
-# ``python -m`` this module is ``__main__``.
-_cli = sys.modules[__name__]
+
+class _Names:
+    """This module's names, read at call time.  The handlers reach the lazy
+    names through ``_cli``, never as bare globals: a global lookup does not
+    consult the module's ``__getattr__``, and a wrapper set on the module (a
+    tracer, a test spy) must intercept the call.  It reads ``globals()``
+    rather than ``sys.modules[__name__]``, which under ``python -m cProfile
+    -m`` is not this module."""
+
+    def __getattr__(self, name):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+_cli = _Names()
 
 
 def __getattr__(name):
@@ -568,6 +580,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_outputs(args) -> None:
+    """Raise :class:`DataError` before any work when an output flag names a
+    path that cannot be written: a directory, or a file in a directory that
+    does not exist.  The message is the one ``open_output`` gives."""
+    for flag in ("out", "roc_out", "roc_svg", "audit_log"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        raise DataError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -575,6 +605,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         _emit_error("UsageError", exc)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, EmptyMatrix, WidthMismatch
+from ..errors import ArtifactError, DataError, EmptyMatrix, WidthMismatch
 from ..util import require_finite
 
 
@@ -29,8 +29,19 @@ class BinMapper:
 
     @classmethod
     def from_dict(cls, d: dict, max_bins: int) -> "BinMapper":
-        return cls(thresholds=[np.array(t, dtype=float) for t in d["thresholds"]],
-                   max_bins=max_bins)
+        """The mapper of a loaded artifact.  Each feature's thresholds must
+        be finite, rise strictly and number fewer than ``max_bins``, or
+        :class:`ArtifactError` is raised: a NaN or a descending pair bins
+        rows where no training row went, and a 255th threshold wraps the
+        uint8 codes."""
+        thresholds = [np.array(t, dtype=float) for t in d["thresholds"]]
+        for f, t in enumerate(thresholds):
+            if t.ndim != 1 or t.size >= max_bins or not (
+                    np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+                raise ArtifactError(f"bins.thresholds[{f}] must be fewer than "
+                                    f"max_bins={max_bins} finite numbers in strictly "
+                                    f"increasing order")
+        return cls(thresholds=thresholds, max_bins=max_bins)
 
 
 def fit_bins(X, max_bins: int) -> BinMapper:

@@ -67,11 +67,14 @@ and split bin, a compare, and a gather of the child.  The walk runs over
 blocks of at most ``WALK_PAIRS`` pairs, so its arrays stay small at any row
 count, and the tree outputs are added to the margins in tree order, so every
 margin has the bits of a tree-by-tree walk.  A grown model's trees are
-packed once, for every fit the memo serves from them.  A loaded model's
-trees are packed on load and checked first (children in range, every node
-reached exactly once from the root, leaves without children), so a
-malformed artifact raises :class:`ArtifactError` instead of reading out of
-range or walking a cycle.
+packed once, for every fit the memo serves from them.  A loaded model is
+checked on load: its parameters are in their declared ranges, its
+``base_score``, leaf values and bin thresholds are finite, each feature's
+thresholds rise strictly and are fewer than ``max_bins``, and its trees are
+packed and checked first (children in range, every node reached exactly
+once from the root, leaves without children).  A malformed artifact raises
+:class:`ArtifactError` instead of reading out of range, walking a cycle or
+scoring every row alike.
 """
 
 from __future__ import annotations
@@ -183,6 +186,7 @@ class BoostedModel:
     def from_dict(cls, d: dict, width: int) -> "BoostedModel":
         """The model saved as ``d``, which must bin ``width`` features."""
         params = BoostParams.from_dict(d["params"])
+        check_fields(params, "params.", ArtifactError)
         model = cls(params=params,
                     mapper=BinMapper.from_dict(d["bins"], params.max_bins),
                     base_score=float(d["base_score"]),
@@ -190,6 +194,8 @@ class BoostedModel:
         if model.n_features != width:
             raise ArtifactError(f"bins.thresholds cover {model.n_features} features, "
                                 f"not the {width} the artifact names")
+        if not np.isfinite(model.base_score):
+            raise ArtifactError(f"base_score is {model.base_score!r}, not finite")
         # checked on load: a malformed tree fails here, not on its first walk
         model._nodes = _node_table(model.trees, width)
         return model
@@ -220,7 +226,7 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
     one of the ``width`` features and has both children in range, a leaf has
     no children, and every node is reached exactly once from the root.  A
     tree that fails raises :class:`ArtifactError`, so no walk reads out of
-    range or follows a cycle."""
+    range or follows a cycle, and so does a non-finite node value."""
     sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
     if width is not None:
         for i, t in enumerate(trees):
@@ -253,6 +259,8 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
             fail(~internal & ((left != -1) | (right != -1)), "is a leaf with children")
         if (feature >= width).any():
             fail(feature >= width, f"splits on a feature outside the model's {width}")
+        if not np.isfinite(value).all():
+            fail(~np.isfinite(value), "has a value that is not finite")
     left = np.where(internal, left + start, ids)
     right = np.where(internal, right + start, ids)
     if width is not None:

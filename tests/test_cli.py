@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyposcreen.cli as cli
 from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table, write_feature_table
 from hyposcreen.errors import DataError
@@ -226,6 +230,33 @@ def test_scoring_commands_reject_an_artifact_whose_width_disagrees(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "explain"])
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: {**d, "meta": {**d["meta"], "intercept": float("nan")}},
+     "meta.intercept holds nan, not a finite number"),
+    (lambda d: {**d, "threshold": 7.0}, "threshold must be in [0, 1], got 7.0"),
+    (lambda d: {**d, "base_models": [{**d["base_models"][0], "params": {
+        **d["base_models"][0]["params"], "learning_rate": float("nan")}}]},
+     "params.learning_rate must be in (0, 1], got nan"),
+], ids=["nan-intercept", "threshold-7", "nan-learning-rate"])
+def test_scoring_commands_reject_an_artifact_with_a_number_out_of_range(
+        sim_table, tmp_path, fast_config_path, capsys, command, damage, message):
+    # unchecked, each scored every row alike (nan, or label 0) with exit 0
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config", fast_config_path,
+                 "--out", str(model_path), "--seed", "5"]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(damage(json.loads(model_path.read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main([command, "--model", str(bad), "--features", sim_table,
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ArtifactError",
+                   "message": f"cannot load model artifact: {message}"}
+    assert not out.exists()
+
+
 V1_ARTIFACT = Path(__file__).parent / "data" / "artifact_v1"
 
 
@@ -241,6 +272,51 @@ def test_a_version_1_artifact_scores_byte_identically(tmp_path, monkeypatch, cap
                  "--features", str(V1_ARTIFACT / "features.csv"), "--out", out]) == 0
     assert (tmp_path / out).read_bytes() == (V1_ARTIFACT / out).read_bytes()
     assert capsys.readouterr().out == (V1_ARTIFACT / f"{command}.out").read_text()
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--out"), ("cv", "--roc-out"),
+                                           ("sweep", "--out")])
+@pytest.mark.parametrize("bad", ["missing/out", "."])
+def test_an_unwritable_output_fails_before_any_training(
+        sim_table, tmp_path, fast_config_path, monkeypatch, capsys, command, flag, bad):
+    # unchecked, cv trained every fold and wrote cv.json before --roc-out failed
+    calls = []
+    for module in (cli, ensemble_module):
+        real = getattr(module, "train_pipeline")
+        monkeypatch.setattr(module, "train_pipeline",
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    grid = tmp_path / "grid.json"
+    grid.write_text("[{}]")
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "train": ["--features", sim_table, "--config", fast_config_path],
+        "cv": ["--features", sim_table, "--config", fast_config_path, *FAST_COUNTS,
+               "--out", "cv.json"],
+        "sweep": ["--features", sim_table, "--config", fast_config_path,
+                  "--grid", str(grid), *FAST_COUNTS],
+    }[command]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main([command, *argv, flag, bad]) == 3
+    reason = "No such file or directory" if bad != "." else "Is a directory"
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DataError", "message": f"cannot write {bad}: {reason}"}
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_the_cli_runs_under_cprofile(tmp_path):
+    # the handlers find their lazily imported names although cProfile runs
+    # the module as __main__ under a namespace of its own
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile.out"),
+         "-m", "hyposcreen.cli", "simulate", "--n", "5", "--dims", "2",
+         "--out", str(tmp_path / "table.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read_feature_table(tmp_path / "table.csv").n_rows == 10
 
 
 @pytest.mark.parametrize("command", ["predict", "explain"])

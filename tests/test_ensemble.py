@@ -345,6 +345,37 @@ _BASE_INFO = ("base_info must hold an object with an integer candidate_index "
               "for each of the 2 base models")
 
 
+def _model(d, **fields):
+    """``d`` with ``fields`` set on its first base model."""
+    return {**d, "base_models": [{**d["base_models"][0], **fields}] + d["base_models"][1:]}
+
+
+def _params(d, **fields):
+    return _model(d, params={**d["base_models"][0]["params"], **fields})
+
+
+def _thresholds(d, first):
+    """``d`` with ``first`` as its first base model's first feature's thresholds."""
+    bins = d["base_models"][0]["bins"]
+    return _model(d, bins={**bins, "thresholds": [first] + bins["thresholds"][1:]})
+
+
+def _leaf_value(d, value):
+    trees = json.loads(json.dumps(d["base_models"][0]["trees"]))
+    trees[0]["value"][-1] = value  # a leaf: a tree's last node is one
+    return _model(d, trees=trees)
+
+
+def _huge_intercept(d):
+    # 1e400 parses as inf: the text of the edit seen at the command line
+    text = json.dumps({**d, "meta": {**d["meta"], "intercept": 0.5}})
+    return text.replace('"intercept": 0.5', '"intercept": 1e400').encode()
+
+
+def _scaler(d, name, value):
+    return {**d, "scaler": {**d["scaler"], name: [value] + d["scaler"][name][1:]}}
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda d: b"\xff\xfe", "UnicodeDecodeError"),
     (lambda d: [], "AttributeError"),
@@ -369,10 +400,39 @@ _BASE_INFO = ("base_info must hold an object with an integer candidate_index "
                                    for info in d["base_info"]]}, _BASE_INFO),
     (lambda d: {**d, "base_info": [info["candidate_index"] for info in d["base_info"]]},
      _BASE_INFO),
+    (lambda d: _scaler(d, "lo", float("nan")), "scaler.lo holds nan, not a finite number"),
+    (lambda d: _scaler(d, "hi", float("inf")), "scaler.hi holds inf, not a finite number"),
+    (lambda d: {**d, "meta": {**d["meta"], "weights": [float("nan")] + d["meta"]["weights"][1:]}},
+     "meta.weights holds nan, not a finite number"),
+    (lambda d: {**d, "meta": {**d["meta"], "intercept": float("nan")}},
+     "meta.intercept holds nan, not a finite number"),
+    (_huge_intercept, "meta.intercept holds inf, not a finite number"),
+    (lambda d: _model(d, base_score=float("-inf")), "base_score is -inf, not finite"),
+    (lambda d: _leaf_value(d, float("nan")), "has a value that is not finite"),
+    (lambda d: {**d, "threshold": float("nan")}, "threshold must be in [0, 1], got nan"),
+    (lambda d: {**d, "threshold": 7}, "threshold must be in [0, 1], got 7.0"),
+    (lambda d: {**d, "threshold": -0.5}, "threshold must be in [0, 1], got -0.5"),
+    (lambda d: _params(d, learning_rate=float("nan")),
+     "params.learning_rate must be in (0, 1], got nan"),
+    (lambda d: _params(d, n_trees=0), "params.n_trees must be in [1, inf), got 0"),
+    (lambda d: _params(d, max_bins=256), "params.max_bins must be in [2, 255], got 256"),
+    (lambda d: _params(d, min_samples_leaf=2.5),
+     "params.min_samples_leaf must be an integer, got 2.5"),
+    (lambda d: _thresholds(d, [float("nan")]), "bins.thresholds[0] must be fewer than"),
+    (lambda d: _thresholds(d, [0.5, 0.25]), "bins.thresholds[0] must be fewer than"),
+    (lambda d: _thresholds(d, [0.5, 0.5]), "bins.thresholds[0] must be fewer than"),
+    (lambda d: _thresholds(d, [i / 300 for i in range(300)]),
+     "bins.thresholds[0] must be fewer than max_bins=255 finite numbers in strictly "
+     "increasing order"),
 ], ids=["not-utf8", "a-list", "no-sections", "tree-feature-text", "no-meta-weights",
         "no-base-models", "short-scaler-lo", "long-scaler-hi", "short-meta-weights",
         "unknown-scaler-kind", "empty-base-info", "short-base-info",
-        "no-candidate-index", "bool-candidate-index", "base-info-not-objects"])
+        "no-candidate-index", "bool-candidate-index", "base-info-not-objects",
+        "nan-scaler-lo", "inf-scaler-hi", "nan-meta-weight", "nan-intercept",
+        "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-threshold",
+        "threshold-above-1", "threshold-below-0", "nan-learning-rate", "no-trees",
+        "max-bins-256", "fractional-min-samples-leaf", "nan-bin-threshold",
+        "descending-bin-thresholds", "repeated-bin-threshold", "300-bin-thresholds"])
 def test_load_ensemble_rejects_a_malformed_document(saved_doc, tmp_path, damage, message):
     # unchecked, a short scaler.lo broadcasts over the rows and scores them,
     # and the other documents raise outside DataError (exit 4)
