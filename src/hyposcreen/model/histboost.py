@@ -69,7 +69,8 @@ count, and the tree outputs are added to the margins in tree order, so every
 margin has the bits of a tree-by-tree walk.  A grown model's trees are
 packed once, for every fit the memo serves from them.  A loaded model is
 checked on load: its parameters are in their declared ranges, its
-``base_score``, leaf values and bin thresholds are finite, each feature's
+``base_score``, node values and bin thresholds are finite, each node's
+cover is a finite count of at least 1, each feature's
 thresholds rise strictly and are fewer than ``max_bins``, and its trees are
 packed and checked first (children in range, every node reached exactly
 once from the root, leaves without children).  A malformed artifact raises
@@ -226,7 +227,8 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
     one of the ``width`` features and has both children in range, a leaf has
     no children, and every node is reached exactly once from the root.  A
     tree that fails raises :class:`ArtifactError`, so no walk reads out of
-    range or follows a cycle, and so does a non-finite node value."""
+    range or follows a cycle, and so does a non-finite node value or a
+    cover below 1."""
     sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
     if width is not None:
         for i, t in enumerate(trees):
@@ -261,6 +263,10 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
             fail(feature >= width, f"splits on a feature outside the model's {width}")
         if not np.isfinite(value).all():
             fail(~np.isfinite(value), "has a value that is not finite")
+        cover = cat("cover")  # explain divides by it
+        if not ((cover >= 1) & np.isfinite(cover)).all():
+            fail(~((cover >= 1) & np.isfinite(cover)),
+                 "has a cover that is not a finite count of at least 1")
     left = np.where(internal, left + start, ids)
     right = np.where(internal, right + start, ids)
     if width is not None:

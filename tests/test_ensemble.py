@@ -360,9 +360,9 @@ def _thresholds(d, first):
     return _model(d, bins={**bins, "thresholds": [first] + bins["thresholds"][1:]})
 
 
-def _leaf_value(d, value):
+def _leaf(d, key, value):
     trees = json.loads(json.dumps(d["base_models"][0]["trees"]))
-    trees[0]["value"][-1] = value  # a leaf: a tree's last node is one
+    trees[0][key][-1] = value  # a leaf: a tree's last node is one
     return _model(d, trees=trees)
 
 
@@ -408,7 +408,10 @@ def _scaler(d, name, value):
      "meta.intercept holds nan, not a finite number"),
     (_huge_intercept, "meta.intercept holds inf, not a finite number"),
     (lambda d: _model(d, base_score=float("-inf")), "base_score is -inf, not finite"),
-    (lambda d: _leaf_value(d, float("nan")), "has a value that is not finite"),
+    (lambda d: _leaf(d, "value", float("nan")), "has a value that is not finite"),
+    (lambda d: _leaf(d, "cover", float("nan")),
+     "has a cover that is not a finite count of at least 1"),
+    (lambda d: _leaf(d, "cover", 0), "has a cover that is not a finite count of at least 1"),
     (lambda d: {**d, "threshold": float("nan")}, "threshold must be in [0, 1], got nan"),
     (lambda d: {**d, "threshold": 7}, "threshold must be in [0, 1], got 7.0"),
     (lambda d: {**d, "threshold": -0.5}, "threshold must be in [0, 1], got -0.5"),
@@ -429,7 +432,8 @@ def _scaler(d, name, value):
         "unknown-scaler-kind", "empty-base-info", "short-base-info",
         "no-candidate-index", "bool-candidate-index", "base-info-not-objects",
         "nan-scaler-lo", "inf-scaler-hi", "nan-meta-weight", "nan-intercept",
-        "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-threshold",
+        "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-leaf-cover",
+        "zero-leaf-cover", "nan-threshold",
         "threshold-above-1", "threshold-below-0", "nan-learning-rate", "no-trees",
         "max-bins-256", "fractional-min-samples-leaf", "nan-bin-threshold",
         "descending-bin-thresholds", "repeated-bin-threshold", "300-bin-thresholds"])
