@@ -32,8 +32,8 @@ class BinMapper:
         """The mapper of a loaded artifact.  Each feature's thresholds must
         be finite, rise strictly and number fewer than ``max_bins``, or
         :class:`ArtifactError` is raised: a NaN or a descending pair bins
-        rows where no training row went, and a 255th threshold wraps the
-        uint8 codes."""
+        rows where no training row went, and past 255 thresholds the uint8
+        codes wrap."""
         thresholds = [np.array(t, dtype=float) for t in d["thresholds"]]
         for f, t in enumerate(thresholds):
             if t.ndim != 1 or t.size >= max_bins or not (
