@@ -70,10 +70,10 @@ margin has the bits of a tree-by-tree walk.  A grown model's trees are
 packed once, for every fit the memo serves from them.  A loaded model is
 checked on load: its parameters are in their declared ranges, its
 ``base_score``, node values and bin thresholds are finite, each node's
-cover is a finite count of at least 1, each feature's
-thresholds rise strictly and are fewer than ``max_bins``, and its trees are
-packed and checked first (children in range, every node reached exactly
-once from the root, leaves without children).  A malformed artifact raises
+cover is a finite count of at least 1, each feature's thresholds rise
+strictly and are fewer than ``max_bins``, and its trees are packed and
+checked first (children in range, every node reached exactly once from the
+root, leaves without children).  A malformed artifact raises
 :class:`ArtifactError` instead of reading out of range, walking a cycle or
 scoring every row alike.
 """
@@ -261,12 +261,12 @@ def _node_table(trees: list, width: int | None = None) -> _NodeTable:
             fail(~internal & ((left != -1) | (right != -1)), "is a leaf with children")
         if (feature >= width).any():
             fail(feature >= width, f"splits on a feature outside the model's {width}")
-        if not np.isfinite(value).all():
-            fail(~np.isfinite(value), "has a value that is not finite")
         cover = cat("cover")  # explain divides by it
-        if not ((cover >= 1) & np.isfinite(cover)).all():
-            fail(~((cover >= 1) & np.isfinite(cover)),
-                 "has a cover that is not a finite count of at least 1")
+        for bad, what in ((~np.isfinite(value), "has a value that is not finite"),
+                          (~(np.isfinite(cover) & (cover >= 1)),
+                           "has a cover that is not a finite count of at least 1")):
+            if bad.any():
+                fail(bad, what)
     left = np.where(internal, left + start, ids)
     right = np.where(internal, right + start, ids)
     if width is not None:
@@ -316,8 +316,9 @@ def build_histograms(binned: np.ndarray, idx: np.ndarray, g: np.ndarray,
 
 @dataclass(frozen=True)
 class _Grown:
-    """The trees of one fit, with what decides which leaf caps they serve: the cap they were grown with, the most leaves in any tree,
-    and whether some tree stopped at the cap with splits left to make."""
+    """The trees of one fit, with what decides which leaf caps they serve:
+    the cap they were grown with, the most leaves in any tree, and whether
+    some tree stopped at the cap with splits left to make."""
 
     trees: tuple
     cap: int
