@@ -313,9 +313,14 @@ def test_digests_name_a_flipped_bit_and_a_swapped_row(smoke_run):
 
 if __name__ == "__main__":
     # records the digests of this tree's smoke outputs in tests/golden.json
+    # and names the ones that differ from the digests it replaces
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         digests = _digests(root, _run_smoke(root))
+    changed = _mismatches(json.loads(GOLDEN.read_text())["digests"], digests)
     GOLDEN.write_text(json.dumps({**_build(), "digests": digests}, indent=1,
                                  sort_keys=True) + "\n")
-    print(f"recorded {len(digests)} digests in {GOLDEN}")
+    print(f"recorded {len(digests)} digests in {GOLDEN}; "
+          f"{len(changed)} changed{':' if changed else ''}")
+    for name in changed:
+        print(f"  {name}")
