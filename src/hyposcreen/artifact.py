@@ -1,13 +1,13 @@
 """The saved ensemble: its JSON form, and scoring without training code.
 
-The artifact states each fact once.  Schema 2 holds ``schema_version``,
+The artifact states each fact once.  Schema 3 holds ``schema_version``,
 ``kind``, the ``scaler`` (``kind``, ``lo``, ``hi``: one value of each per
 feature), the selected ``feature_names``, the ``base_models`` (each
-``params``, ``bins``, ``base_score`` and ``trees``), ``base_info`` (each
-kept model's ``candidate_index`` and ``oof_auroc``), the ``meta`` layer,
-the ``threshold`` and the ``provenance``.  A version-1 artifact holds
-every one of these keys and some that restate them; the loader reads only
-the keys both versions hold, so it loads either through one path.
+``params``, ``bins``, ``base_score`` and ``trees``), the ``meta`` layer,
+the ``threshold`` and the ``provenance``, whose ``kept`` names the
+candidate each base model was refit from.  Versions 1 and 2 hold every one
+of these keys and some that restate them; the loader reads only the keys
+all three versions hold, so it loads any of them through one path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .model.logistic import LogisticModel, predict_proba_logistic
 from .preprocess import SCALER_KINDS, FittedScaler, apply_scaler
 from .util import open_output
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:
@@ -37,7 +37,6 @@ class TrainedEnsemble:
     scaler: FittedScaler          # restricted to the selected features
     feature_names: list           # selected features, training-table order
     base_models: list
-    base_info: list               # candidate index and oof auroc per kept model
     meta: LogisticModel
     threshold: float
     provenance: dict = field(default_factory=dict)
@@ -49,7 +48,6 @@ class TrainedEnsemble:
             "scaler": self.scaler.to_dict(),
             "feature_names": list(self.feature_names),
             "base_models": [m.to_dict() for m in self.base_models],
-            "base_info": list(self.base_info),
             "meta": self.meta.to_dict(),
             "threshold": float(self.threshold),
             "provenance": self.provenance,
@@ -57,10 +55,10 @@ class TrainedEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedEnsemble":
-        """The ensemble saved as ``d``, schema 1 or 2.  Every number it
+        """The ensemble saved as ``d``, schema 1, 2 or 3.  Every number it
         scores with is checked: unchecked, a NaN or overflowing parameter
         scores every row alike with exit 0."""
-        if d.get("schema_version") not in (1, SCHEMA_VERSION):
+        if d.get("schema_version") not in (1, 2, SCHEMA_VERSION):
             raise ArtifactError(
                 f"unsupported schema_version {d.get('schema_version')!r}")
         if d.get("kind") != "stacking_ensemble":
@@ -71,14 +69,13 @@ class TrainedEnsemble:
             scaler=scaler,
             feature_names=feature_names,
             base_models=[BoostedModel.from_dict(m, width) for m in d["base_models"]],
-            base_info=list(d["base_info"]),
             meta=LogisticModel.from_dict(d["meta"]),
             threshold=float(d["threshold"]),
             provenance=dict(d.get("provenance", {})),
         )
         # unchecked, a short scaler broadcasts over the rows and scores them,
-        # an unknown kind scales as "standard" does, and explain reads the
-        # lead model's candidate_index from base_info
+        # an unknown kind scales as "standard" does, and explain names the
+        # lead model's candidate from provenance.kept
         m = len(ensemble.base_models)
         if ensemble.scaler.kind not in SCALER_KINDS:
             raise ArtifactError(f"unknown scaler kind {ensemble.scaler.kind!r}")
@@ -97,11 +94,11 @@ class TrainedEnsemble:
         _require_finite(np.array([ensemble.meta.intercept]), "meta.intercept")
         if not 0.0 <= ensemble.threshold <= 1.0:  # also false for nan
             raise ArtifactError(f"threshold must be in [0, 1], got {ensemble.threshold!r}")
-        if len(ensemble.base_info) != m or not all(
-                isinstance(info, dict) and type(info.get("candidate_index")) is int
-                for info in ensemble.base_info):
-            raise ArtifactError(f"base_info must hold an object with an integer "
-                                f"candidate_index for each of the {m} base models")
+        kept = ensemble.provenance.get("kept")
+        if not (isinstance(kept, list) and len(kept) == m
+                and all(type(ci) is int for ci in kept)):
+            raise ArtifactError(f"provenance.kept must hold an integer candidate "
+                                f"index for each of the {m} base models")
         return ensemble
 
 

@@ -365,7 +365,7 @@ def _cmd_explain(args) -> int:
     share = f"{weights[0] / weights.sum():.1%}" if weights.sum() else "none"
     print(f"explained {n_rows} rows x {len(ensemble.feature_names)} features with "
           f"the lead base model alone, not the ensemble: candidate "
-          f"{ensemble.base_info[0]['candidate_index']}, {share} of the meta-layer's "
+          f"{ensemble.provenance['kept'][0]}, {share} of the meta-layer's "
           f"sum |w| -> {args.out}")
     return 0
 

@@ -61,17 +61,19 @@ def fit_stacking_ensemble(X, y, config, seed: int):
     so the later folds and the final refit, which has a memo of its own,
     run without them.
 
-    Returns ``(base_models, base_info, meta, provenance)`` where the base
-    models are full-data refits of the kept candidates.
+    Returns ``(base_models, meta, provenance)`` where the base models are
+    full-data refits of the candidates ``provenance["kept"]`` names, in that
+    order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n = y.shape[0]
     candidates = config.candidates()
-    m, inner_folds, smote = config.ensemble.m, config.ensemble.inner_folds, config.smote
+    m, smote = config.ensemble.m, config.smote
     if m > len(candidates):
         raise MTooLarge(m, len(candidates))
-    plan = stratified_kfold(y, inner_folds, seed=child_seed(seed, "stack-folds"))
+    plan = stratified_kfold(y, config.ensemble.inner_folds,
+                            seed=child_seed(seed, "stack-folds"))
 
     def training_set(Xt, yt, *key):
         if not smote.enabled:
@@ -103,18 +105,15 @@ def fit_stacking_ensemble(X, y, config, seed: int):
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")
     base_models = fit_all(Xf, yf, [candidates[ci] for ci in kept])
-    base_info = [{"candidate_index": int(ci), "oof_auroc": float(scores[ci])}
-                 for ci in kept]
     provenance = {
         "candidate_aurocs": [float(s) for s in scores],
         "kept": [int(ci) for ci in kept],
-        "inner_folds": inner_folds,
         "inner_fold_assignments": [int(a) for a in plan.assignments],
         "inner_synthetic_counts": inner_synthetic,
         "final_synthetic_count": int(n_syn_final),
         "seed": int(seed),
     }
-    return base_models, base_info, meta, provenance
+    return base_models, meta, provenance
 
 
 def require_classes(labels, counts, setting: str, k: int, split: str) -> None:
@@ -158,7 +157,11 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
 
     The declared order is scale -> select -> oversample; the scaler stored in
     the artifact is restricted to the selected features, and its provenance
-    records the training rows and the synthetic rows of the final refit.
+    records each training row's inner fold and the synthetic rows of every
+    fit.  It states no fact that another key of the artifact states: the
+    selected features are ``feature_names``, the training rows and inner
+    folds are the lengths of ``inner_fold_assignments`` and
+    ``inner_synthetic_counts``.
     """
     require_fold_plans(ds.y, config, None)
     names = ds.feature_names
@@ -170,17 +173,16 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     columns = [names.index(nm) for nm in selected]
     Xsel = Xs[:, columns]
 
-    base_models, base_info, meta, prov = fit_stacking_ensemble(
+    base_models, meta, prov = fit_stacking_ensemble(
         Xsel, ds.y, config, child_seed(seed, "stack"))
-    prov["selection"] = ranking.to_dict()
+    prov["selection"] = {"method": ranking.method, "scores": ranking.scores,
+                         "trace": ranking.trace}
     prov["smote"] = asdict(config.smote)
-    prov["train_rows"] = int(ds.n_rows)
     prov["pipeline_seed"] = int(seed)
     return TrainedEnsemble(
         scaler=scaler_full.restrict(columns),
         feature_names=list(selected),
         base_models=base_models,
-        base_info=base_info,
         meta=meta,
         threshold=config.threshold,
         provenance=prov,

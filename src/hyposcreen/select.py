@@ -8,7 +8,7 @@ addition walks a one-shot global importance ranking best-first.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class FeatureRanking:
     selected: list
     scores: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def rank_features_lr(X, y, feature_names, n_target: int) -> FeatureRanking:

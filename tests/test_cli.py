@@ -320,30 +320,41 @@ def test_the_cli_runs_under_cprofile(tmp_path):
     assert read_feature_table(tmp_path / "table.csv").n_rows == 10
 
 
+def _train_two_models(table, tmp_path) -> Path:
+    """The artifact of a 2-model training on ``table``."""
+    doc = json.loads(json.dumps(FAST_CONFIG))
+    doc["ensemble"]["m"] = 2
+    doc["ensemble"]["grid"].append({**doc["ensemble"]["grid"][0], "learning_rate": 0.1})
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", table, "--config",
+                 _write_config(tmp_path, doc, "two_models.json"), "--out", str(model)]) == 0
+    return model
+
+
 @pytest.mark.parametrize("command", ["predict", "explain"])
-def test_scoring_commands_reject_an_artifact_with_empty_base_info(
-        sim_table, tmp_path, fast_config_path, capsys, command):
-    # unchecked, predict scored with exit 0 and explain read base_info[0]
-    # (an IndexError, exit 4)
-    model_path = tmp_path / "model.json"
-    assert main(["train", "--features", sim_table, "--config", fast_config_path,
-                 "--out", str(model_path), "--seed", "5"]) == 0
-    doc = json.loads(model_path.read_text())
-    doc["base_info"] = []
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    capsys.readouterr()
+def test_scoring_commands_reject_an_artifact_with_a_malformed_kept(
+        sim_table, tmp_path, capsys, command):
+    # unchecked, predict scored with exit 0 and explain named the lead
+    # candidate from whatever provenance.kept held: "candidate True", or an
+    # IndexError or KeyError (exit 4)
+    doc = json.loads(_train_two_models(sim_table, tmp_path).read_text())
+    kept = doc["provenance"]["kept"]
     out = tmp_path / "out.csv"
-    assert main([command, "--model", str(bad), "--features", sim_table,
-                 "--out", str(out)]) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "ArtifactError"
-    assert err["message"] == ("cannot load model artifact: base_info must hold an object "
-                              "with an integer candidate_index for each of the 1 base "
-                              "models")
-    assert not out.exists()
+    for name, bad_kept in [("empty", []), ("short", kept[:1]), ("bool", [True, False]),
+                           ("float", [float(ci) for ci in kept]), ("missing", None)]:
+        prov = {**doc["provenance"], "kept": bad_kept}
+        if bad_kept is None:
+            del prov["kept"]
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps({**doc, "provenance": prov}))
+        capsys.readouterr()
+        assert main([command, "--model", str(bad), "--features", sim_table,
+                     "--out", str(out)]) == 3, name
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [{
+            "error": "ArtifactError",
+            "message": "cannot load model artifact: provenance.kept must hold an integer "
+                       "candidate index for each of the 2 base models"}], name
+        assert not out.exists()
 
 
 def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
@@ -1579,18 +1590,13 @@ def test_an_n_target_above_the_feature_count_warns_once_per_training_config(
 
 def test_explain_names_the_lead_base_model_and_its_meta_weight_share(
         sim_table, tmp_path, capsys):
-    doc = json.loads(json.dumps(FAST_CONFIG))
-    doc["ensemble"]["m"] = 2
-    doc["ensemble"]["grid"].append({**doc["ensemble"]["grid"][0], "learning_rate": 0.1})
-    model = tmp_path / "model.json"
-    assert main(["train", "--features", sim_table, "--config",
-                 _write_config(tmp_path, doc), "--out", str(model)]) == 0
+    model = _train_two_models(sim_table, tmp_path)
     capsys.readouterr()
     assert main(["explain", "--model", str(model), "--features", sim_table,
                  "--max-rows", "2", "--out", str(tmp_path / "shap.csv")]) == 0
     artifact = json.loads(model.read_text())
     weights = np.abs(artifact["meta"]["weights"])
-    lead = artifact["base_info"][0]["candidate_index"]
+    lead = artifact["provenance"]["kept"][0]
     assert (f"the lead base model alone, not the ensemble: candidate {lead}, "
             f"{weights[0] / weights.sum():.1%} of the meta-layer's sum |w|"
             in capsys.readouterr().out)

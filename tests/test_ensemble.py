@@ -53,9 +53,9 @@ def _stacking(candidates, m, smote):
 
 def test_fit_stacking_ensemble_output_shapes_and_provenance():
     X, y = _planted()
-    base_models, base_info, meta, prov = fit_stacking_ensemble(
+    base_models, meta, prov = fit_stacking_ensemble(
         X, y, _stacking(CANDIDATES, 2, SmoteConfig(k_neighbors=3)), seed=4)
-    assert len(base_models) == 2 and len(base_info) == 2
+    assert len(base_models) == 2
     assert meta.weights.shape == (2,)
 
     assert len(prov["candidate_aurocs"]) == 3
@@ -67,9 +67,7 @@ def test_fit_stacking_ensemble_output_shapes_and_provenance():
     # 18 vs 30 rows leaves a gap in every inner training split
     assert all(c > 0 for c in prov["inner_synthetic_counts"])
     assert prov["final_synthetic_count"] == 12
-    for info, ci in zip(base_info, prov["kept"]):
-        assert info["candidate_index"] == ci
-        assert info["oof_auroc"] == prov["candidate_aurocs"][ci]
+    assert [m.params for m in base_models] == [CANDIDATES[ci] for ci in prov["kept"]]
     with pytest.raises(MTooLarge):
         fit_stacking_ensemble(X, y, _stacking(CANDIDATES, 4, SmoteConfig()), seed=0)
 
@@ -96,7 +94,7 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
         return fit_stacking_ensemble(X, y, _stacking(grid, 4, SmoteConfig(enabled=False)),
                                      seed=5)
 
-    base_models, base_info, meta, prov = run()
+    base_models, meta, prov = run()
     inner_grown = sum(rows < y.size for rows in grown_rows)  # refits see every row
     assert len(predicted) == inner_grown and 3 < inner_grown < len(grid) * 3
 
@@ -106,11 +104,10 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
             model, trees=[dataclasses.replace(t) for t in model.trees])
 
     monkeypatch.setattr(ensemble, "fit_histgbm", own_trees)
-    want_models, want_info, want_meta, want_prov = run()
+    want_models, want_meta, want_prov = run()
     assert len(predicted) == len(grid) * 3
     assert ([json.dumps(m.to_dict()) for m in base_models]
             == [json.dumps(m.to_dict()) for m in want_models])
-    assert base_info == want_info
     assert meta.weights.tobytes() == want_meta.weights.tobytes()
     assert meta.intercept == want_meta.intercept
     assert prov == want_prov
@@ -143,7 +140,7 @@ def test_grown_fits_on_one_matrix_share_one_binning_and_presort(monkeypatch):
                         lambda codes: presorted.append(fitting[-1]) or real_presort(codes))
     monkeypatch.setattr(histboost, "bin_matrix",  # predictions bin outside any fit
                         lambda *a: binned.append(bool(fitting)) or real_bin(*a))
-    base_models, base_info, meta, prov = fit_stacking_ensemble(X, y, config, seed=6)
+    base_models, meta, prov = fit_stacking_ensemble(X, y, config, seed=6)
     assert presorted == list(dict.fromkeys(grown))
     assert len(presorted) == 4 * 2  # 3 inner folds and the refit set, 2 max_bins
     assert sum(binned) == len(presorted) < len(grown)
@@ -154,12 +151,10 @@ def test_grown_fits_on_one_matrix_share_one_binning_and_presort(monkeypatch):
                         lambda X, y, params, memo=None: fit(X, y, params))
     for calls in (grown, presorted, binned):
         calls.clear()
-    want_models, want_info, want_meta, want_prov = fit_stacking_ensemble(X, y, config,
-                                                                         seed=6)
+    want_models, want_meta, want_prov = fit_stacking_ensemble(X, y, config, seed=6)
     assert len(grown) == len(presorted) == sum(binned) == len(grid) * 3 + 3
     assert ([json.dumps(m.to_dict()) for m in base_models]
             == [json.dumps(m.to_dict()) for m in want_models])
-    assert base_info == want_info
     assert meta.weights.tobytes() == want_meta.weights.tobytes()
     assert meta.intercept == want_meta.intercept
     assert prov == want_prov
@@ -201,16 +196,23 @@ def test_train_pipeline_restricts_artifact_to_selected_features():
     assert len(ensemble.base_models) == 2 and ensemble.threshold == 0.6
     prov = ensemble.provenance
     assert prov["selection"]["method"] == "lr_coef"
-    assert prov["selection"]["selected"] == ensemble.feature_names
-    # each fact is stated once: no key restates another
+    # each fact is stated once: no key restates another.  base_info restated
+    # kept and candidate_aurocs, selection.selected restated feature_names,
+    # and train_rows and inner_folds the lengths of two lists
     doc = ensemble.to_dict()
-    assert "m" not in doc and "scaler_kind" not in prov
+    assert doc["schema_version"] == 3
+    assert sorted(doc) == ["base_models", "feature_names", "kind", "meta", "provenance",
+                           "scaler", "schema_version", "threshold"]
+    assert sorted(prov) == ["candidate_aurocs", "final_synthetic_count",
+                            "inner_fold_assignments", "inner_synthetic_counts", "kept",
+                            "pipeline_seed", "seed", "selection", "smote"]
+    assert sorted(prov["selection"]) == ["method", "scores", "trace"]
     assert list(doc["scaler"]) == ["kind", "lo", "hi"]
     assert "l2_strength" not in doc["meta"]
-    for model, info in zip(doc["base_models"], doc["base_info"]):
+    for model in doc["base_models"]:
         assert sorted(model) == ["base_score", "bins", "params", "trees"]
-        assert sorted(info) == ["candidate_index", "oof_auroc"]
-    assert prov["train_rows"] == ds.n_rows
+    assert len(prov["inner_fold_assignments"]) == ds.n_rows
+    assert len(prov["inner_synthetic_counts"]) == 3
     assert prov["pipeline_seed"] == 2
 
     again = train_pipeline(ds, _config(), seed=2)
@@ -295,7 +297,7 @@ def test_each_training_setting_reaches_the_component_that_uses_it(monkeypatch, m
             for c in calls.get(f"select.{method}", [])] == [(2, 4, 0.25)] * boosted
     assert [c["k"] for c in calls["select.stratified_kfold"]] == [4] * boosted
     assert [c["k"] for c in calls["ensemble.stratified_kfold"]] == [2]
-    assert prov["inner_folds"] == 2 and len(trained.base_models) == 1
+    assert len(prov["inner_synthetic_counts"]) == 2 and len(trained.base_models) == 1
     # one oversampling per inner fold and one for the refit
     assert [c["k_neighbors"] for c in calls["ensemble.balance_training_set"]] == \
         [2] * (3 * smote_enabled)
@@ -316,8 +318,8 @@ def test_save_load_round_trip_preserves_predictions_exactly(tmp_path):
     assert np.array_equal(before, after)
 
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 2 and doc["kind"] == "stacking_ensemble"
-    doc["schema_version"] = 3
+    assert doc["schema_version"] == 3 and doc["kind"] == "stacking_ensemble"
+    doc["schema_version"] = 4
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(ArtifactError):
@@ -341,8 +343,13 @@ def _text_tree_feature(doc):
     return doc
 
 
-_BASE_INFO = ("base_info must hold an object with an integer candidate_index "
-              "for each of the 2 base models")
+_KEPT = "provenance.kept must hold an integer candidate index for each of the 2 base models"
+
+
+def _provenance(d, **fields):
+    """``d`` with ``fields`` set in its provenance; a field set to None is removed."""
+    prov = {**d["provenance"], **fields}
+    return {**d, "provenance": {k: v for k, v in prov.items() if v is not None}}
 
 
 def _model(d, **fields):
@@ -392,14 +399,11 @@ def _scaler(d, name, value):
      "meta.weights has shape (1,), not one weight for each of the 2 base models"),
     (lambda d: {**d, "scaler": {**d["scaler"], "kind": "robust"}},
      "unknown scaler kind 'robust'"),
-    (lambda d: {**d, "base_info": []}, _BASE_INFO),
-    (lambda d: {**d, "base_info": d["base_info"][:1]}, _BASE_INFO),
-    (lambda d: {**d, "base_info": [{k: v for k, v in info.items() if k != "candidate_index"}
-                                   for info in d["base_info"]]}, _BASE_INFO),
-    (lambda d: {**d, "base_info": [{**info, "candidate_index": True}
-                                   for info in d["base_info"]]}, _BASE_INFO),
-    (lambda d: {**d, "base_info": [info["candidate_index"] for info in d["base_info"]]},
-     _BASE_INFO),
+    (lambda d: _provenance(d, kept=[]), _KEPT),
+    (lambda d: _provenance(d, kept=d["provenance"]["kept"][:1]), _KEPT),
+    (lambda d: _provenance(d, kept=None), _KEPT),
+    (lambda d: _provenance(d, kept=[True, False]), _KEPT),
+    (lambda d: _provenance(d, kept=[float(ci) for ci in d["provenance"]["kept"]]), _KEPT),
     (lambda d: _scaler(d, "lo", float("nan")), "scaler.lo holds nan, not a finite number"),
     (lambda d: _scaler(d, "hi", float("inf")), "scaler.hi holds inf, not a finite number"),
     (lambda d: {**d, "meta": {**d["meta"], "weights": [float("nan")] + d["meta"]["weights"][1:]}},
@@ -429,8 +433,8 @@ def _scaler(d, name, value):
      "increasing order"),
 ], ids=["not-utf8", "a-list", "no-sections", "tree-feature-text", "no-meta-weights",
         "no-base-models", "short-scaler-lo", "long-scaler-hi", "short-meta-weights",
-        "unknown-scaler-kind", "empty-base-info", "short-base-info",
-        "no-candidate-index", "bool-candidate-index", "base-info-not-objects",
+        "unknown-scaler-kind", "empty-kept", "short-kept",
+        "no-kept", "bool-candidate-index", "float-candidate-index",
         "nan-scaler-lo", "inf-scaler-hi", "nan-meta-weight", "nan-intercept",
         "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-leaf-cover",
         "zero-leaf-cover", "nan-threshold",

@@ -5,7 +5,6 @@ from hyposcreen.config import SelectionConfig
 from hyposcreen.errors import DataError
 from hyposcreen.model.histboost import BoostParams
 from hyposcreen.select import (
-    FeatureRanking,
     boost_rfa,
     boost_rfe,
     rank_features_lr,
@@ -107,10 +106,10 @@ def test_selection_is_deterministic():
                     params=FAST_PARAMS)
     a = boost_rfa(X, y, names, **settings)
     b = boost_rfa(X, y, names, **settings)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     c = boost_rfe(X, y, names, **settings)
     d = boost_rfe(X, y, names, **settings)
-    assert c.to_dict() == d.to_dict()
+    assert c == d
 
 
 def test_select_features_dispatch():
@@ -126,11 +125,3 @@ def test_select_features_dispatch():
                   seed=0, params=FAST_PARAMS)
     with pytest.raises(DataError):
         rank_features_lr(X, y, names[:-1], n_target=2)
-
-
-def test_ranking_to_dict_is_json_shaped():
-    ranking = FeatureRanking(method="none", selected=["a"], scores={"a": 1.0},
-                             trace=[{"step": 0}])
-    doc = ranking.to_dict()
-    assert doc == {"method": "none", "selected": ["a"], "scores": {"a": 1.0},
-                   "trace": [{"step": 0}]}
