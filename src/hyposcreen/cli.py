@@ -429,7 +429,7 @@ def _cmd_sweep(args) -> int:
     base = _cli.load_config(args.config)
     if args.preset == "expressions":
         overrides = [{"expressions": list(sub)} for sub in EXPRESSION_SUBSETS]
-    elif args.grid:
+    else:
         doc = read_json(args.grid, "grid")
         overrides = doc.get("configs") if isinstance(doc, dict) else doc
         if not isinstance(overrides, list):
@@ -440,8 +440,6 @@ def _cmd_sweep(args) -> int:
                 raise DataError(f"grid entry {i} must be an object, got {over!r}")
         if not overrides:
             raise DataError("grid has no entries")
-    else:
-        raise UsageError("sweep needs --grid or --preset")
     ds_full = read_feature_table(args.features)
     _check_counts(args, ds_full.y)
 
@@ -570,8 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="leaderboard over config overrides")
     w.add_argument("--features", required=True)
     w.add_argument("--config", default=None)
-    w.add_argument("--grid", default=None, help="JSON list of overrides")
-    w.add_argument("--preset", choices=["expressions"], default=None)
+    entries = w.add_mutually_exclusive_group(required=True)
+    entries.add_argument("--grid", default=None, help="JSON list of overrides")
+    entries.add_argument("--preset", choices=["expressions"], default=None)
     w.add_argument("--folds", type=int, default=10)
     w.add_argument("--seeds", type=int, default=40)
     w.add_argument("--seed", type=int, default=0)
@@ -581,13 +580,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Raise :class:`DataError` before any work when an output flag names a
-    path that cannot be written: a directory, or a file in a directory that
-    does not exist.  The message is the one ``open_output`` gives."""
-    for flag in ("out", "roc_out", "roc_svg", "audit_log"):
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
+    """Before any work, raise :class:`UsageError` when two output flags name
+    one file, and :class:`DataError` when one names a path that cannot be
+    written: a directory, or a file in a directory that does not exist.  The
+    message of the latter is the one ``open_output`` gives."""
+    paths = {f"--{flag.replace('_', '-')}": getattr(args, flag)
+             for flag in ("out", "roc_out", "roc_svg", "audit_log")
+             if getattr(args, flag, None) is not None}
+    seen = {}
+    for flag, path in paths.items():
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise UsageError(f"{first} and {flag} both name {path}; "
+                             f"each output needs a file of its own")
+    for path in paths.values():
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             code = errno.EISDIR

@@ -82,7 +82,11 @@ class AuStats:
     variance: float
     entropy: float
     n_active: int
-    missing: bool  # no active frames; the three statistics default to 0
+
+    @property
+    def missing(self) -> bool:
+        """No active frames: the three statistics default to 0."""
+        return self.n_active == 0
 
 
 def au_statistics(intensity, activation) -> AuStats:
@@ -95,13 +99,12 @@ def au_statistics(intensity, activation) -> AuStats:
         raise EmptySeries("AU track")
     active = intensity[activation == 1]
     if active.size == 0:
-        return AuStats(0.0, 0.0, 0.0, 0, True)
+        return AuStats(0.0, 0.0, 0.0, 0)
     return AuStats(
         mean=float(np.mean(active)),
         variance=float(np.var(active)),
         entropy=shannon_entropy(active, domain=AU_DOMAIN),
         n_active=int(active.size),
-        missing=False,
     )
 
 

@@ -306,6 +306,33 @@ def test_an_unwritable_output_fails_before_any_training(
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("command, argv, message", [
+    ("cv", ["--out", "./x.json", "--roc-out", "x.json"],
+     "--out and --roc-out both name x.json; each output needs a file of its own"),
+    ("cv", ["--out", "same.json", "--audit-log", "same.json"],
+     "--out and --audit-log both name same.json; each output needs a file of its own"),
+    ("sweep", ["--grid", "no_such_grid.json", "--preset", "expressions", "--out", "b.csv"],
+     "argument --preset: not allowed with argument --grid"),
+], ids=["out-and-roc-out", "out-and-audit-log", "grid-and-preset"])
+def test_conflicting_flags_are_a_usage_error_before_any_training(
+        sim_table, tmp_path, fast_config_path, monkeypatch, capsys, command, argv, message):
+    # unchecked, cv trained every fold and its later writer replaced cv.json,
+    # and sweep ran the preset without reading the grid, each with exit 0
+    calls = []
+    for module in (cli, ensemble_module):
+        real = getattr(module, "train_pipeline")
+        monkeypatch.setattr(module, "train_pipeline",
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main([command, "--features", sim_table, "--config", fast_config_path,
+                 "--folds", "3", "--seeds", "1", *argv]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "UsageError", "message": message}
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_the_cli_runs_under_cprofile(tmp_path):
     # the handlers find their lazily imported names although cProfile runs
     # the module as __main__ under a namespace of its own
