@@ -434,7 +434,7 @@ def _scaler(d, name, value):
 ], ids=["not-utf8", "a-list", "no-sections", "tree-feature-text", "no-meta-weights",
         "no-base-models", "short-scaler-lo", "long-scaler-hi", "short-meta-weights",
         "unknown-scaler-kind", "empty-kept", "short-kept",
-        "no-kept", "bool-candidate-index", "float-candidate-index",
+        "no-candidate-index", "bool-candidate-index", "float-candidate-index",
         "nan-scaler-lo", "inf-scaler-hi", "nan-meta-weight", "nan-intercept",
         "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-leaf-cover",
         "zero-leaf-cover", "nan-threshold",
