@@ -18,6 +18,10 @@ and ``explain`` load ``artifact`` and no training module (``ensemble``,
 Of a feature table, ``predict`` and ``explain`` convert only the feature
 columns the artifact uses, and ``bias`` none; the other commands convert
 every column.  A cell that is not converted is not checked.
+
+``bias`` takes each row's decision from the ``predicted_label`` column that
+``predict`` writes at the artifact's threshold; the threshold is stated
+nowhere else.
 """
 
 from __future__ import annotations
@@ -154,15 +158,14 @@ def _apply_expression_filter(ds, config: PipelineConfig):
 _PREDICTIONS_SPEC = CsvSpec((
     Column("participant_id", number=False, unique="predictions row"),
     Column("score"),
-    Column("predicted_label", rule=is_binary, optional=True)))
+    Column("predicted_label", rule=is_binary)))
 
 
 def _read_predictions(path):
     """Participant ids, each listed once, finite scores, and the 0/1
-    ``predicted_label`` column (None when the file has none) of a
-    predictions csv."""
-    names, block, cells = read_columns(path, _PREDICTIONS_SPEC)
-    return cells["participant_id"], block[:, 0], block[:, 1] if len(names) > 1 else None
+    ``predicted_label`` column of a predictions csv."""
+    _, block, cells = read_columns(path, _PREDICTIONS_SPEC)
+    return cells["participant_id"], block[:, 0], block[:, 1]
 
 
 def _parse_float_list(text: str) -> list:
@@ -298,19 +301,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:  # also false for nan
-        raise UsageError(f"--threshold must be a number in [0, 1], "
-                         f"got {args.threshold}")
-    ids, scores, predicted = _read_predictions(args.preds)
-    if predicted is not None:
-        differs = (predicted != (scores >= args.threshold)).nonzero()[0]
-        if differs.size:
-            r = int(differs[0])
-            raise DataError(f"predictions row {r} ({ids[r]!r}) has predicted_label "
-                            f"{int(predicted[r])}, but its score {float(scores[r])!r} "
-                            f"gives {1 - int(predicted[r])} at --threshold "
-                            f"{args.threshold}; pass the --threshold the "
-                            f"predictions were made at")
+    ids, _, predicted = _read_predictions(args.preds)
     ds = read_feature_table(args.features, features=())
     index = {pid: i for i, pid in enumerate(ds.participant_ids)}
     rows = []
@@ -331,8 +322,8 @@ def _cmd_bias(args) -> int:
                                  and all(a < b for a, b in zip(bins, bins[1:]))):
         raise UsageError(f"--bins must hold at least 2 strictly increasing edges, "
                          f"got {args.bins!r}")
-    report = _cli.build_bias_report(labels, scores, demographics, args.group,
-                                    threshold=args.threshold, bin_edges=bins)
+    report = _cli.build_bias_report(labels, predicted, demographics, args.group,
+                                    bin_edges=bins)
     write_json(report.to_dict(), args.out)
     flagged = sum(1 for c in report.comparisons
                   if c["result"].get("p_value") is not None
@@ -538,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated edges for continuous columns; a list "
                         "that starts with '-' needs the = form, "
                         "e.g. --bins=-inf,60,inf")
-    b.add_argument("--threshold", type=float, default=0.5)
     b.set_defaults(func=_cmd_bias)
 
     e = sub.add_parser("explain", help="per-row SHAP attributions")

@@ -6,8 +6,10 @@ test (exact over every placement of the flags up to n = 9, its tie-corrected
 normal tail above), chi-square homogeneity with its exact upper tail at
 integer degrees of freedom, and 95% Wald rate intervals.
 
-:func:`build_bias_report` makes one pass per rate type: it counts each
-subgroup's rows and errors once, then fills that rate's group entries, its
+:func:`build_bias_report` takes each row's 0/1 decision as given, so the
+threshold that made it is the caller's; a row is an error where its
+decision differs from its label.  It makes one pass per rate type: it
+counts each subgroup's rows and errors once, then fills that rate's group entries, its
 pairwise comparisons, its homogeneity test and, for a binned column, its
 rank-sum test.
 """
@@ -350,21 +352,24 @@ def _compare(e1: int, n1: int, e2: int, n2: int) -> dict:
     return record
 
 
-def build_bias_report(labels, scores, demographics: dict, group: str,
-                      threshold: float, bin_edges=None) -> BiasReport:
+def build_bias_report(labels, predicted, demographics: dict, group: str,
+                      bin_edges=None) -> BiasReport:
     """Subgroup error rates with CIs, pairwise tests, and homogeneity checks.
 
-    Categorical columns are grouped by value; continuous columns require
-    ``bin_edges``.  One pass per rate type counts each subgroup's rows and
-    errors once and fills that rate's group entries, its pairwise
+    A row is an error where its 0/1 decision in ``predicted`` differs from
+    its label.  Categorical columns are grouped by value; continuous columns
+    require ``bin_edges``.  One pass per rate type counts each subgroup's
+    rows and errors once and fills that rate's group entries, its pairwise
     comparisons (see :func:`_compare`), its chi-square homogeneity entry
     and, for a binned column, its rank-sum test of the error indicator
     against the raw value.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    scores = np.asarray(scores, dtype=float)
-    if labels.shape[0] != scores.shape[0]:
-        raise DataError("labels and scores differ in length")
+    predicted = np.asarray(predicted)
+    if labels.shape[0] != predicted.shape[0]:
+        raise DataError("labels and predicted differ in length")
+    if np.any((predicted != 0) & (predicted != 1)):
+        raise DataError("predicted must be 0 or 1")
     if group not in demographics:
         raise UnknownColumn(group)
     values = demographics[group]
@@ -372,7 +377,7 @@ def build_bias_report(labels, scores, demographics: dict, group: str,
         raise DataError(f"column {group!r} has wrong length")
     # a row's error indicator is the same for every rate that counts the row:
     # underdiagnosis counts the cases (label 1), overdiagnosis the controls
-    wrong = (scores >= threshold) != labels
+    wrong = predicted != labels
     names, masks, numeric, notes = _subgroups(values, group, bin_edges)
     groups = {name: {"n": int(np.sum(mask)), "rates": {}}
               for name, mask in zip(names, masks)}

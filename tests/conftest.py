@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: tiny on-disk recording corpora, dataset
-builders, the csv writers of parsed recordings, and the rate form of the
-two-proportion z-test."""
+builders, the csv writers of parsed recordings and of predictions, and the
+rate form of the two-proportion z-test."""
 
 import csv
 import json
@@ -88,6 +88,13 @@ def write_landmark_csv(series: RecordingSeries, path) -> None:
                                 for ax in ("x", "y", "z")])
         for r in range(series.frame_count):
             w.writerow([r] + [repr(float(v)) for v in flat[r]])
+
+
+def write_predictions(path, ids) -> None:
+    """A predictions csv that scores the ``i``-th of ``ids`` 0.(i % 10), with
+    the decision ``predict`` writes at threshold 0.5."""
+    path.write_text("participant_id,score,predicted_label\n" + "".join(
+        f"{pid},0.{i % 10},{int(i % 10 >= 5)}\n" for i, pid in enumerate(ids)))
 
 
 def z_two_proportions_from_rates(rate1: float, n1: float, rate2: float,

@@ -762,11 +762,13 @@ def _clean_table_lines(rng, n):
 
 
 def _clean_prediction_lines(rng, n):
-    header = ["participant_id", "score"] + ["label", "note"][:int(rng.integers(3))]
+    header = (["participant_id", "score", "predicted_label"]
+              + ["label", "note"][:int(rng.integers(3))])
     rng.shuffle(header)
     lines = [header]
     for r, score in enumerate(_plain_texts(rng.random(n), rng)):
-        cells = {"participant_id": f"p{r:03d}", "score": score, "label": str(r % 2),
+        cells = {"participant_id": f"p{r:03d}", "score": score,
+                 "predicted_label": str(int(float(score) >= 0.5)), "label": str(r % 2),
                  "note": "case b"}
         lines.append([cells[h] for h in header])
     return lines
@@ -823,9 +825,9 @@ def test_c_pass_alone_serves_clean_au_table_and_prediction_files(tmp_path,
                       b"\r\n"
                       b" p 003,1,male,, 58 ,+7\r\n")
     preds = tmp_path / "padded_preds.csv"
-    preds.write_bytes(b"note,participant_id,score\r\n"
-                      b" x ,  p001 ,0.25\r\n"
-                      b",p002,1\r\n")
+    preds.write_bytes(b"note,participant_id,score,predicted_label\r\n"
+                      b" x ,  p001 ,0.25,0\r\n"
+                      b",p002,1, 1.0\r\n")
     checks = ((read_feature_table, table, _same_table_reads),
               (cli._read_predictions, preds, _same_predictions))
     bulk_reads = [read(path) for read, path, _ in checks]
@@ -1301,32 +1303,40 @@ def test_au_parse_equals_cell_reference(tmp_path):
           f"cell as the reference)")
 
 
+_PREDICTION_COLUMNS = ("participant_id", "score", "predicted_label")
+
+
 def _reference_predictions(path):
     header, data = _csv_data(path)
-    for name in ("participant_id", "score"):
+    for name in _PREDICTION_COLUMNS:
         if name not in header:
             raise MissingColumn(name)
     where = {h: i for i, h in enumerate(header)}
-    ids, scores = [], []
+    ids, scores, predicted = [], [], []
     for r, row in enumerate(data):
         if len(row) > len(header):
             raise WideRow(r, len(row), len(header))
-        for name in ("participant_id", "score"):
+        for name in _PREDICTION_COLUMNS:
             if where[name] >= len(row):
                 raise MissingCell(r, name)
-        ids.append(row[where["participant_id"]])
-        scores.append(_checked_float(row[where["score"]], r, "score"))
+            if name == "participant_id":
+                ids.append(row[where[name]])
+                continue
+            value = _checked_float(row[where[name]], r, name)
+            if name == "predicted_label" and value not in (0.0, 1.0):
+                raise OutOfRange(r, name, value)
+            (scores if name == "score" else predicted).append(value)
     seen = set()
     for pid in ids:
         if pid in seen:
             raise DuplicateEntry(pid, "predictions row")
         seen.add(pid)
-    return ids, np.array(scores)
+    return ids, np.array(scores), np.array(predicted)
 
 
 def _same_predictions(got, ref):
-    return (got[0] == ref[0] and got[1].dtype == ref[1].dtype
-            and np.array_equal(got[1], ref[1]))
+    return got[0] == ref[0] and all(g.dtype == f.dtype and np.array_equal(g, f)
+                                    for g, f in zip(got[1:], ref[1:]))
 
 
 def test_predictions_read_equals_cell_reference(tmp_path):
@@ -1338,7 +1348,7 @@ def test_predictions_read_equals_cell_reference(tmp_path):
     for i in range(120):
         n = int(rng.integers(1, 8))
         extra = ["label", "fold", "note"][:int(rng.integers(4))]
-        header = ["participant_id", "score"] + extra
+        header = list(_PREDICTION_COLUMNS) + extra
         rng.shuffle(header)
         data = []
         for r in range(n):
@@ -1347,6 +1357,7 @@ def test_predictions_read_equals_cell_reference(tmp_path):
             score = rng.random()
             score *= 10.0 ** float(rng.integers(-3, 3))
             cells["score"] = _cell_texts([score], rng)[0]
+            cells["predicted_label"] = _cell_texts([float(score >= 0.5)], rng)[0]
             data.append([cells[h] for h in header])
         quote_rate = 0.1 if i % 2 else 0.0
         path = tmp_path / f"preds{i}.csv"
@@ -1359,8 +1370,8 @@ def test_predictions_read_equals_cell_reference(tmp_path):
             col = header.index("participant_id")
             data[again][col] = data[first][col]
         else:
-            _corrupt(header, data, ["participant_id", "score"], rng,
-                     ("oops", "", "1.2.3", "0x1"))
+            _corrupt(header, data, list(_PREDICTION_COLUMNS), rng,
+                     ("oops", "", "1.2.3", "0x1", "0.5"))
         bad = tmp_path / f"preds{i}_bad.csv"
         _write_messy_csv(bad, [header] + data, rng, quote_rate)
         outcomes.append(_check_against_reference(cli._read_predictions,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_predictions
 
 import hyposcreen.cli as cli
 from hyposcreen.cli import _config_id, main
@@ -637,8 +638,7 @@ def test_bias_command_categorical_and_binned(sim_table, tmp_path,
 def _bias_inputs(sim_table, tmp_path):
     ids = read_feature_table(sim_table).participant_ids
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n" + "".join(
-        f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    write_predictions(preds, ids)
     return ["bias", "--preds", str(preds), "--features", sim_table]
 
 
@@ -962,8 +962,7 @@ def test_project_rejects_feature_table_naming_a_column_twice(tmp_path, capsys):
 def test_bias_rejects_predictions_naming_a_column_twice(sim_table, tmp_path, capsys):
     ids = read_feature_table(sim_table).participant_ids[:4]
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n"
-                     + "".join(f"{pid},0.{i}\n" for i, pid in enumerate(ids)))
+    write_predictions(preds, ids)
     _repeat_column(preds, "score", "0.9")
     rc = main(["bias", "--preds", str(preds), "--features", sim_table,
                "--group", "sex", "--out", str(tmp_path / "bias.json")])
@@ -1020,8 +1019,7 @@ def scoring_setup(sim_table, tmp_path):
         csv.writer(fh).writerows([row[j] for j in order] for row in rows)
     ids = read_feature_table(table).participant_ids
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n" + "".join(
-        f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    write_predictions(preds, ids)
     return {"model": str(model), "config": str(config), "table": table,
             "preds": str(preds), "used": used, "unused": unused}
 
@@ -1121,7 +1119,7 @@ def test_feature_table_and_predictions_reject_a_wide_row(scoring_setup, tmp_path
     err = capsys.readouterr().err.splitlines()[-1]
     assert rc == 3 and not (tmp_path / "bias.json").exists()
     assert json.loads(err) == {"error": "WideRow",
-                               "message": "row 3 has 3 cells, more than the header's 2"}
+                               "message": "row 3 has 4 cells, more than the header's 3"}
     for code, out, err in got.values():
         assert code == 3 and out is None
         assert json.loads(err) == {"error": "WideRow", "message": message}
@@ -1147,17 +1145,20 @@ def test_table_commands_reject_a_bad_cell_in_any_feature_column(
 
 
 @pytest.mark.parametrize("bad_row, error, column", [
-    ("p03,high", "NonNumericCell", "score"),
+    pytest.param("p03,high,0", "NonNumericCell", "score",
+                 id="p03,high-NonNumericCell-score"),
     ("p03", "MissingCell", "score"),
-    ("p03,nan", "OutOfRange", "score"),
+    pytest.param("p03,nan,0", "OutOfRange", "score", id="p03,nan-OutOfRange-score"),
+    ("p03,0.3", "MissingCell", "predicted_label"),
+    ("p03,0.3,0.5", "OutOfRange", "predicted_label"),
 ])
 def test_bias_rejects_bad_prediction_rows(sim_table, tmp_path, capsys, bad_row,
                                           error, column):
     ids = read_feature_table(sim_table).participant_ids[:6]
-    rows = [f"{pid},0.{i}" for i, pid in enumerate(ids)]
+    rows = [f"{pid},0.{i},{int(i >= 5)}" for i, pid in enumerate(ids)]
     rows[3] = bad_row.replace("p03", ids[3])
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n" + "\n".join(rows) + "\n")
+    preds.write_text("participant_id,score,predicted_label\n" + "\n".join(rows) + "\n")
     rc = main(["bias", "--preds", str(preds), "--features", sim_table,
                "--group", "sex", "--out", str(tmp_path / "bias.json")])
     assert rc == 3
@@ -1169,9 +1170,9 @@ def test_bias_rejects_bad_prediction_rows(sim_table, tmp_path, capsys, bad_row,
 
 def test_bias_rejects_participant_listed_twice(sim_table, tmp_path, capsys):
     ids = read_feature_table(sim_table).participant_ids[:4]
-    rows = [f"{pid},0.{i}" for i, pid in enumerate(ids)] + [f"{ids[2]},0.9"]
+    rows = [f"{pid},0.{i},0" for i, pid in enumerate(ids)] + [f"{ids[2]},0.9,1"]
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n" + "\n".join(rows) + "\n")
+    preds.write_text("participant_id,score,predicted_label\n" + "\n".join(rows) + "\n")
     rc = main(["bias", "--preds", str(preds), "--features", sim_table,
                "--group", "sex", "--out", str(tmp_path / "bias.json")])
     assert rc == 3
@@ -1181,25 +1182,20 @@ def test_bias_rejects_participant_listed_twice(sim_table, tmp_path, capsys):
     assert not (tmp_path / "bias.json").exists()
 
 
-def test_bias_rejects_threshold_outside_unit_interval_and_seed(sim_table,
-                                                               tmp_path,
-                                                               capsys):
-    ids = read_feature_table(sim_table).participant_ids[:6]
+def test_bias_rejects_a_threshold_and_a_seed(sim_table, tmp_path, capsys):
+    # the decisions are the predictions file's, made at the artifact's threshold
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n" + "\n".join(
-        f"{pid},0.{i}" for i, pid in enumerate(ids)) + "\n")
+    write_predictions(preds, read_feature_table(sim_table).participant_ids[:6])
     out = tmp_path / "bias.json"
     args = ["bias", "--preds", str(preds), "--features", sim_table,
             "--group", "sex", "--out", str(out)]
-    for flags in (["--threshold", "nan"], ["--threshold", "2"],
-                  ["--threshold", "-1"], ["--threshold", "inf"],
-                  ["--threshold", "1.0001"], ["--seed", "3"]):
+    for flags in (["--threshold", "0.5"], ["--seed", "3"]):
         assert main(args + flags) == 2, flags
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"] == "UsageError" and flags[0] in err["message"]
+        assert err == {"error": "UsageError",
+                       "message": f"unrecognized arguments: {' '.join(flags)}"}
         assert not out.exists()
-    for edge in ("0", "1"):
-        assert main(args + ["--threshold", edge]) == 0
+    assert main(args) == 0
 
 
 def test_explain_rejects_max_rows_below_one(sim_table, tmp_path,
@@ -1509,25 +1505,28 @@ def test_bias_reads_decisions_at_the_threshold_predict_used(tmp_path, capsys):
     with open(preds, newline="") as fh:
         rows = list(csv.DictReader(fh))
     wrong = sum(r["predicted_label"] != r["label"] for r in rows)
-    first = next(i for i, r in enumerate(rows)
-                 if (float(r["score"]) >= 0.5) != (r["predicted_label"] == "1"))
+    # some decision differs from the one a threshold of 0.5 would give
+    assert any((float(r["score"]) >= 0.5) != (r["predicted_label"] == "1") for r in rows)
     capsys.readouterr()
 
     out = tmp_path / "bias.json"
-    args = ["bias", "--preds", str(preds), "--features", table, "--group", "sex",
-            "--out", str(out)]
-    assert main(args + ["--threshold", "0.3"]) == 0
+    assert main(["bias", "--preds", str(preds), "--features", table, "--group", "sex",
+                 "--out", str(out)]) == 0
     groups = json.loads(out.read_text())["groups"].values()
     assert sum(g["rates"]["misclassification"]["events"] for g in groups) == wrong
-    out.unlink()
-    # at the default 0.5 some decisions differ from the file's
-    assert main(args) == 3
+
+
+def test_bias_rejects_predictions_without_decisions(sim_table, tmp_path, capsys):
+    # the file a scorer that writes no decisions would leave
+    ids = read_feature_table(sim_table).participant_ids
+    preds = tmp_path / "preds.csv"
+    preds.write_text("participant_id,score\n" + "".join(
+        f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    out = tmp_path / "bias.json"
+    assert main(["bias", "--preds", str(preds), "--features", sim_table,
+                 "--group", "sex", "--out", str(out)]) == 3
     err = _last_error(capsys)
-    assert err["error"] == "DataError"
-    assert err["message"].startswith(
-        f"predictions row {first} ({rows[first]['participant_id']!r}) has "
-        f"predicted_label {rows[first]['predicted_label']}")
-    assert "--threshold 0.5" in err["message"]
+    assert err["error"] == "MissingColumn" and "'predicted_label'" in err["message"]
     assert not out.exists()
 
 
@@ -1640,9 +1639,7 @@ def test_an_output_path_in_a_missing_directory_exits_3(
     if command in ("predict", "explain"):
         assert main(["train", "--features", sim_table, "--config", fast_config_path,
                      "--out", str(model)]) == 0
-    preds.write_text("participant_id,score\n" + "".join(
-        f"{pid},0.{i % 10}\n"
-        for i, pid in enumerate(read_feature_table(sim_table).participant_ids)))
+    write_predictions(preds, read_feature_table(sim_table).participant_ids)
     grid.write_text("[{}]")
     counts = ["--folds", "2", "--seeds", "1"]
     argv = {

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import write_predictions
 
 import hyposcreen
 import hyposcreen.cli as cli
@@ -127,9 +128,7 @@ def test_bias_calls_the_name_set_on_the_cli_module(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--n", "12", "--dims", "3", "--seed", "1",
                      "--out", table]) == 0
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n" + "".join(
-        f"{pid},0.{i % 10}\n"
-        for i, pid in enumerate(read_feature_table(table).participant_ids)))
+    write_predictions(preds, read_feature_table(table).participant_ids)
     real = cli.build_bias_report
     calls = []
 

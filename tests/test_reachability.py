@@ -165,9 +165,9 @@ def _write_inputs(root: Path) -> None:
     # rows keep the rank test of each rate exact
     with open(root / "few_preds.csv", "w", newline="") as fh:
         w = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
-        w.writerow(["participant_id", "score"])
+        w.writerow(["participant_id", "score", "predicted_label"])
         for i in range(8):
-            w.writerow([f"s{i:02d}", (i + 1) / 10])
+            w.writerow([f"s{i:02d}", (i + 1) / 10, int((i + 1) / 10 >= 0.5)])
     # the table of the smoke set's ``fresh.csv`` with every fifth age blank,
     # so that a binned report notes missing and out-of-range rows
     fresh = generate_synthetic_dataset(n_per_class=10, delta=1.0, dims=4, seed=4)

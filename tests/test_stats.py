@@ -376,7 +376,7 @@ def _planted_two_group_data():
 
 def test_bias_report_detects_planted_rate_gap():
     labels, scores, demo = _planted_two_group_data()
-    report = build_bias_report(labels, scores, demo, "sex", 0.5)
+    report = build_bias_report(labels, scores >= 0.5, demo, "sex")
     assert report.group_kind == "categorical"
     a = report.groups["a"]["rates"]["misclassification"]
     b = report.groups["b"]["rates"]["misclassification"]
@@ -397,7 +397,7 @@ def test_bias_report_missing_values_become_unknown_group():
     labels = np.array([0, 0, 1, 1, 0, 1])
     scores = np.array([0.1, 0.9, 0.8, 0.2, 0.1, 0.9])
     demo = {"ethnicity": ["x", "x", None, "y", "y", None]}
-    report = build_bias_report(labels, scores, demo, "ethnicity", 0.5)
+    report = build_bias_report(labels, scores >= 0.5, demo, "ethnicity")
     assert set(report.groups) == {"unknown", "x", "y"}
     assert report.groups["unknown"]["n"] == 2
 
@@ -407,7 +407,7 @@ def test_bias_report_fisher_fallback_on_small_groups():
     scores = np.zeros(12)
     scores[0] = 0.9
     demo = {"site": ["a"] * 6 + ["b"] * 6}
-    report = build_bias_report(labels, scores, demo, "site", 0.5)
+    report = build_bias_report(labels, scores >= 0.5, demo, "site")
     mis = [c for c in report.comparisons if c["rate"] == "misclassification"]
     assert mis[0]["method"] == "fisher_exact"
     assert mis[0]["result"]["test"] == "fisher_exact"
@@ -419,7 +419,7 @@ def test_bias_report_binned_continuous_column():
     labels = rng.integers(0, 2, size=n)
     scores = rng.random(n)
     age = list(np.linspace(40.0, 80.0, n - 2)) + [39.0, None]
-    report = build_bias_report(labels, scores, {"age": age}, "age", 0.5,
+    report = build_bias_report(labels, scores >= 0.5, {"age": age}, "age",
                                bin_edges=[40, 60, 80])
     assert report.group_kind == "binned"
     assert set(report.groups) == {"[40, 60)", "[60, 80]"}
@@ -435,14 +435,13 @@ def test_bias_report_binned_continuous_column():
 def test_bias_rank_note_names_the_constant_input():
     labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     scores = np.array([0.9, 0.1, 0.2, 0.8, 0.7, 0.3, 0.1, 0.9])
-    same_age = build_bias_report(labels, scores, {"age": [50.0] * 8}, "age", 0.5,
+    same_age = build_bias_report(labels, scores >= 0.5, {"age": [50.0] * 8}, "age",
                                  bin_edges=[40, 60])
     assert same_age.rank_association == {
         rt: {"note": "column 'age' is constant"} for rt in RATE_TYPES}
     # every row right: the error indicator is constant, the ages are not
     ages = {"age": [41.0 + i for i in range(8)]}
-    no_errors = build_bias_report(labels, labels.astype(float), ages, "age", 0.5,
-                                  bin_edges=[40, 60])
+    no_errors = build_bias_report(labels, labels, ages, "age", bin_edges=[40, 60])
     assert no_errors.rank_association == {
         rt: {"note": "error indicator is constant"} for rt in RATE_TYPES}
 
@@ -452,17 +451,20 @@ def test_bias_report_bin_validation_and_errors():
     scores = np.array([0.1, 0.9, 0.2, 0.8])
     demo = {"age": [41.0, 42.0, 43.0, 44.0]}
     with pytest.raises(DataError):
-        build_bias_report(labels, scores, demo, "age", 0.5, bin_edges=[60, 40])
+        build_bias_report(labels, scores >= 0.5, demo, "age", bin_edges=[60, 40])
     with pytest.raises(DataError):
-        build_bias_report(labels, scores, demo, "age", 0.5, bin_edges=[40])
+        build_bias_report(labels, scores >= 0.5, demo, "age", bin_edges=[40])
     with pytest.raises(EmptySubgroup):
-        build_bias_report(labels, scores, demo, "age", 0.5,
+        build_bias_report(labels, scores >= 0.5, demo, "age",
                           bin_edges=[40, 50, 60])
     with pytest.raises(UnknownColumn):
-        build_bias_report(labels, scores, demo, "height", 0.5)
+        build_bias_report(labels, scores >= 0.5, demo, "height")
     with pytest.raises(DataError):
-        build_bias_report(labels, scores, {"age": [1.0]}, "age", 0.5,
+        build_bias_report(labels, scores >= 0.5, {"age": [1.0]}, "age",
                           bin_edges=[0, 2])
+    # a score in place of a decision is not read as one
+    with pytest.raises(DataError, match="predicted must be 0 or 1"):
+        build_bias_report(labels, scores, demo, "age", bin_edges=[40, 50])
 
 
 def test_bias_report_rejects_nan_edges_and_text_values_when_binned():
@@ -472,11 +474,12 @@ def test_bias_report_rejects_nan_edges_and_text_values_when_binned():
     for edges in ([35, math.nan, 86], [math.nan, 50], [35, math.nan],
                   [35, 50, math.nan, 86]):
         with pytest.raises(DataError, match="strictly increasing") as info:
-            build_bias_report(labels, scores, demo, "age", 0.5, bin_edges=edges)
+            build_bias_report(labels, scores >= 0.5, demo, "age", bin_edges=edges)
         assert type(info.value) is DataError, edges
-    report = build_bias_report(labels, scores, demo, "age", 0.5,
+    report = build_bias_report(labels, scores >= 0.5, demo, "age",
                                bin_edges=[-math.inf, 42.5, math.inf])
     assert [g["n"] for g in report.groups.values()] == [2, 2]
     with pytest.raises(DataError, match="not numeric"):
-        build_bias_report(labels, scores, {"ethnicity": ["a", "b", "a", None]},
-                          "ethnicity", 0.5, bin_edges=[1, 2])
+        build_bias_report(labels, scores >= 0.5,
+                          {"ethnicity": ["a", "b", "a", None]}, "ethnicity",
+                          bin_edges=[1, 2])

@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from conftest import write_predictions
 from hyposcreen.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,8 +73,7 @@ def test_trace_cli_records_every_layer_of_cv_and_featurize(tmp_path,
             "ingest.landmark_parse"} <= featurize.keys()
     ids = [line.split(",")[0] for line in Path(table).read_text().splitlines()[1:]]
     preds = tmp_path / "preds.csv"
-    preds.write_text("participant_id,score\n"
-                     + "".join(f"{pid},0.{i % 10}\n" for i, pid in enumerate(ids)))
+    write_predictions(preds, ids)
     bias = _traced(tmp_path, "bias", [
         "bias", "--preds", str(preds), "--features", table, "--group", "sex",
         "--out", str(tmp_path / "bias.json")])
