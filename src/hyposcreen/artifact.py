@@ -58,9 +58,9 @@ class TrainedEnsemble:
         """The ensemble saved as ``d``, schema 1, 2 or 3.  Every number it
         scores with is checked: unchecked, a NaN or overflowing parameter
         scores every row alike with exit 0."""
-        if d.get("schema_version") not in (1, 2, SCHEMA_VERSION):
-            raise ArtifactError(
-                f"unsupported schema_version {d.get('schema_version')!r}")
+        version = d.get("schema_version")
+        if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
+            raise ArtifactError(f"unsupported schema_version {version!r}")
         if d.get("kind") != "stacking_ensemble":
             raise ArtifactError(f"unexpected artifact kind {d.get('kind')!r}")
         scaler, feature_names = FittedScaler.from_dict(d["scaler"]), list(d["feature_names"])
@@ -70,7 +70,7 @@ class TrainedEnsemble:
             feature_names=feature_names,
             base_models=[BoostedModel.from_dict(m, width) for m in d["base_models"]],
             meta=LogisticModel.from_dict(d["meta"]),
-            threshold=float(d["threshold"]),
+            threshold=d["threshold"],
             provenance=dict(d.get("provenance", {})),
         )
         # unchecked, a short scaler broadcasts over the rows and scores them,
@@ -92,6 +92,10 @@ class TrainedEnsemble:
                                 f"not one weight for each of the {m} base models")
         _require_finite(ensemble.meta.weights, "meta.weights")
         _require_finite(np.array([ensemble.meta.intercept]), "meta.intercept")
+        # JSON true is a Python int: read as 1.0, it would label every row 0
+        if type(ensemble.threshold) not in (int, float):
+            raise ArtifactError(f"threshold must be a number, got {ensemble.threshold!r}")
+        ensemble.threshold = float(ensemble.threshold)
         if not 0.0 <= ensemble.threshold <= 1.0:  # also false for nan
             raise ArtifactError(f"threshold must be in [0, 1], got {ensemble.threshold!r}")
         kept = ensemble.provenance.get("kept")

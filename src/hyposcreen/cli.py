@@ -569,17 +569,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _flag_paths(args, names) -> dict:
+    """Flag -> path of the flags ``names`` that ``args`` sets."""
+    return {f"--{name.replace('_', '-')}": getattr(args, name)
+            for name in names if getattr(args, name, None) is not None}
+
+
 def _check_outputs(args) -> None:
-    """Before any work, raise :class:`UsageError` when two output flags name
-    one file, and :class:`DataError` when one names a path that cannot be
-    written: a directory, or a file in a directory that does not exist.  The
-    message of the latter is the one ``open_output`` gives."""
-    paths = {f"--{flag.replace('_', '-')}": getattr(args, flag)
-             for flag in ("out", "roc_out", "roc_svg", "audit_log")
-             if getattr(args, flag, None) is not None}
+    """Before any work, raise :class:`UsageError` when an output flag names
+    an input file or the file of another output flag, and :class:`DataError`
+    when one names a path that cannot be written: a directory, or a file in
+    a directory that does not exist.  The message of the latter is the one
+    ``open_output`` gives."""
+    paths = _flag_paths(args, ("out", "roc_out", "roc_svg", "audit_log"))
+    inputs = {os.path.realpath(path): flag for flag, path in _flag_paths(
+        args, ("features", "model", "config", "preds", "grid", "manifest",
+               "index_map")).items()}
     seen = {}
     for flag, path in paths.items():
-        first = seen.setdefault(os.path.realpath(path), flag)
+        real = os.path.realpath(path)
+        if real in inputs:
+            raise UsageError(f"{flag} names {path}, the {inputs[real]} input; "
+                             f"an output must not overwrite an input")
+        first = seen.setdefault(real, flag)
         if first != flag:
             raise UsageError(f"{first} and {flag} both name {path}; "
                              f"each output needs a file of its own")

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -239,7 +241,8 @@ def test_scoring_commands_reject_an_artifact_whose_width_disagrees(
     (lambda d: {**d, "base_models": [{**d["base_models"][0], "params": {
         **d["base_models"][0]["params"], "learning_rate": float("nan")}}]},
      "params.learning_rate must be in (0, 1], got nan"),
-], ids=["nan-intercept", "threshold-7", "nan-learning-rate"])
+    (lambda d: {**d, "threshold": True}, "threshold must be a number, got True"),
+], ids=["nan-intercept", "threshold-7", "nan-learning-rate", "bool-threshold"])
 def test_scoring_commands_reject_an_artifact_with_a_number_out_of_range(
         sim_table, tmp_path, fast_config_path, capsys, command, damage, message):
     # unchecked, each scored every row alike (nan, or label 0) with exit 0
@@ -332,6 +335,72 @@ def test_conflicting_flags_are_a_usage_error_before_any_training(
     assert json.loads(capsys.readouterr().err) == {"error": "UsageError", "message": message}
     assert calls == []
     assert sorted(os.listdir(tmp_path)) == before
+
+
+_INPUT_FLAGS = {
+    "featurize": ["--manifest", "--index-map"],
+    "train": ["--features", "--config"],
+    "cv": ["--features", "--config"],
+    "predict": ["--model", "--features"],
+    "bias": ["--preds", "--features"],
+    "explain": ["--model", "--features"],
+    "project": ["--features"],
+    "sweep": ["--features", "--config", "--grid"],
+}
+
+
+@pytest.mark.parametrize("command, flag, output", [
+    (command, flag, "--out") for command, flags in _INPUT_FLAGS.items() for flag in flags
+] + [("cv", "--features", "--roc-svg"), ("cv", "--config", "--audit-log")])
+def test_an_output_that_names_an_input_is_a_usage_error_before_any_work(
+        manifest_corpus, tmp_path, monkeypatch, capsys, command, flag, output):
+    # unchecked, ``predict --features t.csv --out t.csv`` replaced the table by
+    # its predictions with exit 0
+    data = Path(__file__).parent / "data" / "artifact_v2"
+    inputs = {"--features": "features.csv", "--model": "model.json",
+              "--config": "cfg.json", "--preds": "preds.csv", "--grid": "grid.json",
+              "--manifest": manifest_corpus.name, "--index-map": "index_map.json"}
+    for name in ("features.csv", "model.json", "cfg.json", "preds.csv"):
+        (tmp_path / name).write_bytes((data / name).read_bytes())
+    (tmp_path / "grid.json").write_text("[{}]")
+    _write_index_map(tmp_path / "index_map.json")
+    calls = []
+    for module in (cli, ensemble_module):
+        real = getattr(module, "train_pipeline")
+        monkeypatch.setattr(module, "train_pipeline",
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + [x for f in _INPUT_FLAGS[command] for x in (f, str(tmp_path / inputs[f]))]
+    argv += {"bias": ["--group", "sex"], "cv": FAST_COUNTS,
+             "sweep": FAST_COUNTS}.get(command, [])
+    if output != "--out":
+        argv += ["--out", "out.json"]
+    target = f"./{inputs[flag]}"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert main(argv + [output, target]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "UsageError",
+        "message": f"{output} names {target}, the {flag} input; "
+                   f"an output must not overwrite an input"}
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_readme_names_every_flag_and_no_other():
+    parser = cli.build_parser()
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options.update(o for a in sub._actions for o in a.option_strings
+                               if o.startswith("--"))
+    options.discard("--help")
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", readme))
+    assert sorted(options - named) == []  # a flag the README never names
+    # the one flag the README names that is not the cli's is pip's
+    assert sorted(named - options) == ["--no-build-isolation"]
 
 
 def test_the_cli_runs_under_cprofile(tmp_path):

@@ -419,6 +419,8 @@ def _scaler(d, name, value):
     (lambda d: {**d, "threshold": float("nan")}, "threshold must be in [0, 1], got nan"),
     (lambda d: {**d, "threshold": 7}, "threshold must be in [0, 1], got 7.0"),
     (lambda d: {**d, "threshold": -0.5}, "threshold must be in [0, 1], got -0.5"),
+    (lambda d: {**d, "threshold": True}, "threshold must be a number, got True"),
+    (lambda d: {**d, "schema_version": True}, "unsupported schema_version True"),
     (lambda d: _params(d, learning_rate=float("nan")),
      "params.learning_rate must be in (0, 1], got nan"),
     (lambda d: _params(d, n_trees=0), "params.n_trees must be in [1, inf), got 0"),
@@ -438,7 +440,8 @@ def _scaler(d, name, value):
         "nan-scaler-lo", "inf-scaler-hi", "nan-meta-weight", "nan-intercept",
         "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-leaf-cover",
         "zero-leaf-cover", "nan-threshold",
-        "threshold-above-1", "threshold-below-0", "nan-learning-rate", "no-trees",
+        "threshold-above-1", "threshold-below-0", "bool-threshold",
+        "bool-schema-version", "nan-learning-rate", "no-trees",
         "max-bins-256", "fractional-min-samples-leaf", "nan-bin-threshold",
         "descending-bin-thresholds", "repeated-bin-threshold", "300-bin-thresholds"])
 def test_load_ensemble_rejects_a_malformed_document(saved_doc, tmp_path, damage, message):
