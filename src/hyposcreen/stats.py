@@ -9,9 +9,9 @@ integer degrees of freedom, and 95% Wald rate intervals.
 :func:`build_bias_report` takes each row's 0/1 decision as given, so the
 threshold that made it is the caller's; a row is an error where its
 decision differs from its label.  It makes one pass per rate type: it
-counts each subgroup's rows and errors once, then fills that rate's group entries, its
-pairwise comparisons, its homogeneity test and, for a binned column, its
-rank-sum test.
+counts each subgroup's rows and errors once, then fills that rate's group
+entries, its pairwise comparisons, its homogeneity test and, for a binned
+column, its rank-sum test.
 """
 
 from __future__ import annotations

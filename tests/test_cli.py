@@ -370,12 +370,12 @@ def test_an_output_that_names_an_input_is_a_usage_error_before_any_work(
         monkeypatch.setattr(module, "train_pipeline",
                             lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
     monkeypatch.chdir(tmp_path)
-    argv = [command] + [x for f in _INPUT_FLAGS[command] for x in (f, str(tmp_path / inputs[f]))]
+    argv = [command] + [x for f in _INPUT_FLAGS[command] for x in (f, f"./{inputs[f]}")]
     argv += {"bias": ["--group", "sex"], "cv": FAST_COUNTS,
              "sweep": FAST_COUNTS}.get(command, [])
     if output != "--out":
         argv += ["--out", "out.json"]
-    target = f"./{inputs[flag]}"
+    target = str(tmp_path / inputs[flag])
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     capsys.readouterr()
     assert main(argv + [output, target]) == 2
