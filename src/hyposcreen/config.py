@@ -41,8 +41,6 @@ def _assign(target, doc, unknown: str) -> None:
 class SelectionConfig:
     method: str = field(default="lr_coef", metadata={"one_of": SELECTION_METHODS})
     n_target: int = field(default=30, metadata={"range": "[1, inf)"})
-    inner_folds: int = field(default=3, metadata={"range": "[2, inf)"})
-    improvement_eps: float = field(default=1e-4, metadata={"range": "[0, inf)"})
 
 
 @dataclass

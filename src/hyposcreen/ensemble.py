@@ -17,7 +17,8 @@ since selection never sees an outer evaluation row.
 
 ``train_pipeline`` and ``fit_stacking_ensemble`` take the whole
 ``PipelineConfig`` and read their settings from it; ``select_features``
-takes its ``selection`` section.  Every default lives in ``config.py``.
+takes its ``selection`` section and ``ensemble.inner_folds``.  Every default
+lives in ``config.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .model.histboost import fit_histgbm, predict_columns
 from .model.logistic import fit_logistic
 from .preprocess import (FoldPlan, apply_scaler, balance_training_set, fit_scaler,
                          stratified_kfold, train_counts)
-from .select import FOLDED_METHODS, select_features
+from .select import select_features
 from .util import child_seed
 
 
@@ -129,20 +130,16 @@ def require_fold_plans(y, config, k) -> None:
     """Fail before anything trains when an inner fold plan cannot be made or
     oversampled on ``y`` (``k`` None) or on the training split of any of
     ``k`` outer folds over ``y`` (``k`` an integer).  A class must have as
-    many rows as the ``selection.inner_folds`` of a method that reads it and
-    as ``ensemble.inner_folds`` (:class:`ClassTooSmall`); with SMOTE on, no
+    many rows as ``ensemble.inner_folds`` (:class:`ClassTooSmall`), the folds
+    of the stacking and of a boosted selection search; with SMOTE on, no
     inner training split may hold unequal class counts with a single row in
     the smaller class (:class:`TooFewMinority`).  Each split's class counts
     come from :func:`train_counts`, so no plan is dealt."""
     labels, counts = np.unique(y, return_counts=True)
     inner = config.ensemble.inner_folds
-    plans = [("ensemble.inner_folds", inner)]
-    if config.selection.method in FOLDED_METHODS:
-        plans.insert(0, ("selection.inner_folds", config.selection.inner_folds))
     for fold, c in enumerate([counts] if k is None else train_counts(counts, k)):
         split = "" if k is None else f" in the training split of outer fold {fold}"
-        for setting, n in plans:
-            require_classes(labels, c, setting, n, split)
+        require_classes(labels, c, "ensemble.inner_folds", inner, split)
         if config.smote.enabled:
             for j, train in enumerate(train_counts(c, inner)):
                 if train.min() == 1 and train.max() > 1:
@@ -168,7 +165,7 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     scaler_full = fit_scaler(config.scaler, ds.X, names)
     Xs = apply_scaler(scaler_full, ds.X)
     ranking = select_features(Xs, ds.y, names, config.selection,
-                              child_seed(seed, "select"))
+                              config.ensemble.inner_folds, child_seed(seed, "select"))
     selected = ranking.selected
     columns = [names.index(nm) for nm in selected]
     Xsel = Xs[:, columns]

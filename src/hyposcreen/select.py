@@ -24,8 +24,9 @@ from .util import child_seed
 SELECTION_PARAMS = BoostParams(n_trees=40, learning_rate=0.2, max_leaves=7,
                                min_samples_leaf=5)
 SHAP_ROW_CAP = 128
-# the methods that score subsets on a plan of selection.inner_folds folds
-FOLDED_METHODS = ("boost_rfe", "boost_rfa")
+# the AUROC slack of a subset step: a drop may lose this much, an addition
+# must gain more
+IMPROVEMENT_EPS = 1e-4
 
 
 @dataclass
@@ -78,11 +79,10 @@ def _importance(X, y, cols, params, seed) -> np.ndarray:
     return mean_abs_shap(model, rows)
 
 
-def boost_rfe(X, y, feature_names, n_target: int, inner_folds: int,
-              improvement_eps: float, seed: int,
+def boost_rfe(X, y, feature_names, n_target: int, inner_folds: int, seed: int,
               params: BoostParams = SELECTION_PARAMS) -> FeatureRanking:
     """Recursive elimination: repeatedly drop the least important feature as
-    long as out-of-fold AUROC does not fall by more than ``improvement_eps``;
+    long as out-of-fold AUROC does not fall by more than ``IMPROVEMENT_EPS``;
     stop at ``n_target`` features or at the first rejected drop."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -100,7 +100,7 @@ def boost_rfe(X, y, feature_names, n_target: int, inner_folds: int,
                        key=lambda j: (imps[j], feature_names[current[j]]))
         candidate = current[:drop_pos] + current[drop_pos + 1:]
         cand_score = _subset_auroc(X, y, candidate, params, plan)
-        accepted = cand_score >= score - improvement_eps
+        accepted = cand_score >= score - IMPROVEMENT_EPS
         trace.append({"step": step, "action": "drop",
                       "feature": feature_names[current[drop_pos]],
                       "auroc_before": score, "auroc_after": cand_score,
@@ -121,12 +121,11 @@ def boost_rfe(X, y, feature_names, n_target: int, inner_folds: int,
     )
 
 
-def boost_rfa(X, y, feature_names, n_target: int, inner_folds: int,
-              improvement_eps: float, seed: int,
+def boost_rfa(X, y, feature_names, n_target: int, inner_folds: int, seed: int,
               params: BoostParams = SELECTION_PARAMS) -> FeatureRanking:
     """Recursive addition: start from the most important feature of a single
     global ranking and add candidates best-first while each addition improves
-    out-of-fold AUROC by more than ``improvement_eps``."""
+    out-of-fold AUROC by more than ``IMPROVEMENT_EPS``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if n_target < 1:
@@ -146,7 +145,7 @@ def boost_rfa(X, y, feature_names, n_target: int, inner_folds: int,
             break
         candidate = current + [cand]
         cand_score = _subset_auroc(X, y, candidate, params, plan)
-        accepted = cand_score > score + improvement_eps
+        accepted = cand_score > score + IMPROVEMENT_EPS
         trace.append({"step": step, "action": "add",
                       "feature": feature_names[cand],
                       "auroc_before": score, "auroc_after": cand_score,
@@ -162,10 +161,11 @@ def boost_rfa(X, y, feature_names, n_target: int, inner_folds: int,
     )
 
 
-def select_features(X, y, feature_names, selection, seed: int) -> FeatureRanking:
+def select_features(X, y, feature_names, selection, inner_folds: int,
+                    seed: int) -> FeatureRanking:
     """Run the ``SelectionConfig`` ``selection``: dispatch on its ``method``
-    (``none`` keeps every feature) with its ``n_target``, ``inner_folds``
-    and ``improvement_eps``."""
+    (``none`` keeps every feature) with its ``n_target``; the boosted
+    searches score subsets on ``inner_folds`` folds."""
     method = selection.method
     if method == "none":
         return FeatureRanking(method="none", selected=list(feature_names))
@@ -177,5 +177,4 @@ def select_features(X, y, feature_names, selection, seed: int) -> FeatureRanking
         search = boost_rfa
     else:
         raise DataError(f"unknown selection method {method!r}")
-    return search(X, y, feature_names, selection.n_target, selection.inner_folds,
-                  selection.improvement_eps, seed)
+    return search(X, y, feature_names, selection.n_target, inner_folds, seed)

@@ -590,6 +590,26 @@ def test_fold_count_seed_count_and_seed_are_flags_not_config_keys(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("inner_folds", 3), ("improvement_eps", 0.001)])
+def test_retired_selection_keys_exit_3_before_anything_trains(
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch, key, value):
+    # boost_rfe and boost_rfa score subsets on ensemble.inner_folds folds and
+    # stop on select.IMPROVEMENT_EPS; neither is a setting
+    selection = {"method": "boost_rfe", "n_target": 2, key: value}
+    config = _write_config(tmp_path, {**FAST_CONFIG, "selection": selection},
+                           "bad_config.json")
+    grid = _write_config(tmp_path, [{"selection": selection}], "grid.json")
+    monkeypatch.setattr(ensemble_module, "fit_scaler", _never_called)
+    out = tmp_path / "out"
+    for argv, where in ((["train", "--config", config], ""),
+                        (["sweep", "--config", fast_config_path, "--grid", grid]
+                         + FAST_COUNTS, "sweep entry 0: ")):
+        assert main(argv + ["--features", sim_table, "--out", str(out)]) == 3
+        assert _last_error(capsys) == {
+            "error": "DataError", "message": f"{where}unknown selection keys ['{key}']"}
+        assert not out.exists()
+
+
 def test_train_and_cv_reject_an_inner_training_split_smote_cannot_oversample(
         sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
     # ensemble.inner_folds 2 deals 3 cases as 2 + 1, so inner fold 0 trains
@@ -1381,14 +1401,8 @@ def test_an_input_file_that_is_a_directory_or_not_utf8_exits_3(
 
 
 TRAIN_RANGE_CASES = [
-    ("selection", "improvement_eps", float("nan")),
-    ("selection", "improvement_eps", float("inf")),
-    ("selection", "improvement_eps", float("-inf")),
-    ("selection", "improvement_eps", -5.0),
     ("smote", "k_neighbors", 0),
     ("smote", "k_neighbors", -3),
-    ("selection", "inner_folds", 0),
-    ("selection", "inner_folds", 1),
     ("ensemble", "inner_folds", 0),
     ("ensemble", "inner_folds", 1),
     ("selection", "n_target", 0),
@@ -1398,20 +1412,16 @@ TRAIN_RANGE_CASES = [
 
 
 @pytest.mark.parametrize("section, key, value", TRAIN_RANGE_CASES, ids=[
-    "eps-nan", "eps-inf", "eps-minus-inf", "eps-negative", "k-zero",
-    "k-negative", "selection-folds-zero", "selection-folds-one",
-    "ensemble-folds-zero", "ensemble-folds-one", "n-target-zero",
-    "method-unknown", "m-zero"])
+    "k-zero", "k-negative", "ensemble-folds-zero", "ensemble-folds-one",
+    "n-target-zero", "method-unknown", "m-zero"])
 def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
         sim_table, tmp_path, capsys, section, key, value):
     # each of these trained and exited 0 when only the component that reads
-    # the setting checked it (boost_rfe kept every feature; SMOTE never ran on
-    # the balanced table), or failed only once training ran without naming
-    # the key (ensemble.inner_folds 1); selection.inner_folds is tested with
-    # lr_coef, which never reads it
+    # the setting checked it (SMOTE never ran on the balanced table), or
+    # failed only once training ran without naming the key
+    # (ensemble.inner_folds 1)
     doc = json.loads(json.dumps(FAST_CONFIG))
-    doc["selection"] = {"method": "lr_coef" if key == "inner_folds" else "boost_rfe",
-                        "n_target": 2}
+    doc["selection"] = {"method": "boost_rfe", "n_target": 2}
     doc[section][key] = value
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))  # NaN and Infinity literals, as json reads them

@@ -187,9 +187,9 @@ def test_readme_settings_table_matches_the_declared_settings():
 
 
 @pytest.mark.parametrize("doc, named", [
-    ({"selection": {"inner_folds": "3"}}, "selection.inner_folds must be an integer"),
-    ({"selection": {"inner_folds": 3.0}}, "selection.inner_folds must be an integer"),
-    ({"selection": {"inner_folds": True}}, "selection.inner_folds must be an integer"),
+    ({"ensemble": {"inner_folds": "3"}}, "ensemble.inner_folds must be an integer"),
+    ({"ensemble": {"inner_folds": 3.0}}, "ensemble.inner_folds must be an integer"),
+    ({"ensemble": {"inner_folds": True}}, "ensemble.inner_folds must be an integer"),
     ({"threshold": "0.5"}, "threshold must be a number"),
     ({"threshold": False}, "threshold must be a number"),
     ({"scaler": 5}, "scaler must be a string"),
@@ -197,8 +197,7 @@ def test_readme_settings_table_matches_the_declared_settings():
     ({"selection": 5}, "selection must be an object"),
     ({"smote": [True]}, "smote must be an object"),
     ({"selection": {"n_target": "30"}}, "selection.n_target must be an integer"),
-    ({"selection": {"improvement_eps": None}},
-     "selection.improvement_eps must be a number"),
+    ({"threshold": None}, "threshold must be a number"),
     ({"smote": {"enabled": 1}}, "smote.enabled must be a boolean"),
     ({"ensemble": {"grid": 5}}, "ensemble.grid must be a list"),
     ({"ensemble": {"m": 1, "grid": [5]}}, "ensemble.grid entries must be objects"),
@@ -214,21 +213,20 @@ def test_values_of_the_wrong_json_type_are_rejected_by_key(doc, named):
 
 def test_number_fields_accept_integers():
     cfg = PipelineConfig.from_dict({
-        "threshold": 1, "selection": {"improvement_eps": 0},
-        "ensemble": {"m": 1, "grid": [{"learning_rate": 1}]}})
+        "threshold": 1, "ensemble": {"m": 1, "grid": [{"learning_rate": 1}]}})
     assert cfg.threshold == 1
     assert cfg.candidates()[0].learning_rate == 1
 
 
 @pytest.mark.parametrize("doc", [
     {"threshold": 0, "expressions": ["surprise"],
-     "selection": {"n_target": 1, "inner_folds": 2, "improvement_eps": 0},
+     "selection": {"n_target": 1},
      "smote": {"k_neighbors": 1},
      "ensemble": {"m": 1, "inner_folds": 2, "grid": [
          {"n_trees": 1, "learning_rate": 5e-324, "max_leaves": 2,
           "min_samples_leaf": 1, "max_bins": 2}]}},
     {"threshold": 1, "expressions": ["surprise", "smile", "disgust"],
-     "selection": {"improvement_eps": 1e308},
+     "selection": {"n_target": 10**6},
      "ensemble": {"m": 2, "grid": [{"learning_rate": 1, "max_bins": 255},
                                    {"n_trees": 10**6, "max_leaves": 10**6,
                                     "min_samples_leaf": 10**6}]}},

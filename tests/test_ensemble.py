@@ -276,12 +276,13 @@ def test_each_training_setting_reaches_the_component_that_uses_it(monkeypatch, m
     # every value but the method differs from its default in config.py, so a
     # default restated anywhere between the config and its component would show
     config = PipelineConfig(
-        selection=SelectionConfig(method=method, n_target=2, inner_folds=4,
-                                  improvement_eps=0.25),
+        selection=SelectionConfig(method=method, n_target=2),
         smote=SmoteConfig(enabled=smote_enabled, k_neighbors=2),
         ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
             {"n_trees": 4, "max_leaves": 3, "min_samples_leaf": 4},
             {"n_trees": 6, "max_leaves": 4, "min_samples_leaf": 4}]))
+    # a slack this wide lets a boosted search walk to n_target or one short of it
+    monkeypatch.setattr(select, "IMPROVEMENT_EPS", 0.25)
     calls = {}
     for module, name in ((select, "stratified_kfold"), (select, "boost_rfe"),
                          (select, "boost_rfa"), (ensemble, "stratified_kfold"),
@@ -293,9 +294,10 @@ def test_each_training_setting_reaches_the_component_that_uses_it(monkeypatch, m
     assert prov["selection"]["method"] == method
     boosted = method.startswith("boost_")
     assert len(trained.feature_names) in {"none": [5], "lr_coef": [2]}.get(method, [1, 2])
-    assert [(c["n_target"], c["inner_folds"], c["improvement_eps"])
-            for c in calls.get(f"select.{method}", [])] == [(2, 4, 0.25)] * boosted
-    assert [c["k"] for c in calls["select.stratified_kfold"]] == [4] * boosted
+    assert [(c["n_target"], c["inner_folds"])
+            for c in calls.get(f"select.{method}", [])] == [(2, 2)] * boosted
+    # a boosted search deals its own plan of ensemble.inner_folds folds
+    assert [c["k"] for c in calls["select.stratified_kfold"]] == [2] * boosted
     assert [c["k"] for c in calls["ensemble.stratified_kfold"]] == [2]
     assert len(prov["inner_synthetic_counts"]) == 2 and len(trained.base_models) == 1
     # one oversampling per inner fold and one for the refit

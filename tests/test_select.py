@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyposcreen import select
 from hyposcreen.config import SelectionConfig
 from hyposcreen.errors import DataError
 from hyposcreen.model.histboost import BoostParams
@@ -54,8 +55,8 @@ def test_lr_ranking_breaks_magnitude_ties_by_name():
 
 def test_rfe_recovers_planted_signal():
     X, y, names = _planted_problem(seed=112)
-    ranking = boost_rfe(X, y, names, n_target=2, inner_folds=3,
-                        improvement_eps=1e-4, seed=3, params=FAST_PARAMS)
+    ranking = boost_rfe(X, y, names, n_target=2, inner_folds=3, seed=3,
+                        params=FAST_PARAMS)
     assert ranking.method == "boost_rfe"
     assert {"signal_0", "signal_1"} <= set(ranking.selected)
     assert len(ranking.selected) <= 4
@@ -67,20 +68,22 @@ def test_rfe_recovers_planted_signal():
     assert all(rec["accepted"] for rec in ranking.trace[:-1])
 
 
-def test_rfe_eps_extremes():
+def test_rfe_eps_extremes(monkeypatch):
     X, y, names = _planted_problem(seed=113)
-    keep_all = boost_rfe(X, y, names, n_target=1, inner_folds=3,
-                         improvement_eps=-np.inf, seed=0, params=FAST_PARAMS)
+    monkeypatch.setattr(select, "IMPROVEMENT_EPS", -np.inf)
+    keep_all = boost_rfe(X, y, names, n_target=1, inner_folds=3, seed=0,
+                         params=FAST_PARAMS)
     assert keep_all.selected == names  # every drop is rejected immediately
-    drop_all = boost_rfe(X, y, names, n_target=1, inner_folds=3,
-                         improvement_eps=np.inf, seed=0, params=FAST_PARAMS)
+    monkeypatch.setattr(select, "IMPROVEMENT_EPS", np.inf)
+    drop_all = boost_rfe(X, y, names, n_target=1, inner_folds=3, seed=0,
+                         params=FAST_PARAMS)
     assert len(drop_all.selected) == 1  # every drop is accepted
 
 
 def test_rfa_recovers_planted_signal():
     X, y, names = _planted_problem(seed=114)
-    ranking = boost_rfa(X, y, names, n_target=3, inner_folds=3,
-                        improvement_eps=1e-4, seed=3, params=FAST_PARAMS)
+    ranking = boost_rfa(X, y, names, n_target=3, inner_folds=3, seed=3,
+                        params=FAST_PARAMS)
     assert ranking.method == "boost_rfa"
     assert ranking.trace[0]["action"] == "seed"
     assert ranking.trace[0]["feature"] in {"signal_0", "signal_1"}
@@ -90,20 +93,21 @@ def test_rfa_recovers_planted_signal():
     assert len(ranking.trace) >= 2
 
 
-def test_rfa_eps_extremes():
+def test_rfa_eps_extremes(monkeypatch):
     X, y, names = _planted_problem(seed=115)
-    seed_only = boost_rfa(X, y, names, n_target=6, inner_folds=3,
-                          improvement_eps=np.inf, seed=0, params=FAST_PARAMS)
+    monkeypatch.setattr(select, "IMPROVEMENT_EPS", np.inf)
+    seed_only = boost_rfa(X, y, names, n_target=6, inner_folds=3, seed=0,
+                          params=FAST_PARAMS)
     assert len(seed_only.selected) == 1  # nothing clears an infinite bar
-    fill = boost_rfa(X, y, names, n_target=4, inner_folds=3,
-                     improvement_eps=-np.inf, seed=0, params=FAST_PARAMS)
+    monkeypatch.setattr(select, "IMPROVEMENT_EPS", -np.inf)
+    fill = boost_rfa(X, y, names, n_target=4, inner_folds=3, seed=0,
+                     params=FAST_PARAMS)
     assert len(fill.selected) == 4  # every addition is accepted up to target
 
 
 def test_selection_is_deterministic():
     X, y, names = _planted_problem(seed=116)
-    settings = dict(n_target=3, inner_folds=3, improvement_eps=1e-4, seed=9,
-                    params=FAST_PARAMS)
+    settings = dict(n_target=3, inner_folds=3, seed=9, params=FAST_PARAMS)
     a = boost_rfa(X, y, names, **settings)
     b = boost_rfa(X, y, names, **settings)
     assert a == b
@@ -114,14 +118,14 @@ def test_selection_is_deterministic():
 
 def test_select_features_dispatch():
     X, y, names = _planted_problem(seed=117)
-    kept = select_features(X, y, names, SelectionConfig(method="none", n_target=2), 0)
+    kept = select_features(X, y, names, SelectionConfig(method="none", n_target=2), 3, 0)
     assert kept.selected == names and kept.method == "none"
-    lr = select_features(X, y, names, SelectionConfig(method="lr_coef", n_target=2), 0)
+    lr = select_features(X, y, names, SelectionConfig(method="lr_coef", n_target=2), 3, 0)
     assert len(lr.selected) == 2
     with pytest.raises(DataError):
-        select_features(X, y, names, SelectionConfig(method="pick_best", n_target=2), 0)
+        select_features(X, y, names, SelectionConfig(method="pick_best", n_target=2),
+                        3, 0)
     with pytest.raises(DataError):
-        boost_rfe(X, y, names, n_target=0, inner_folds=3, improvement_eps=1e-4,
-                  seed=0, params=FAST_PARAMS)
+        boost_rfe(X, y, names, n_target=0, inner_folds=3, seed=0, params=FAST_PARAMS)
     with pytest.raises(DataError):
         rank_features_lr(X, y, names[:-1], n_target=2)
