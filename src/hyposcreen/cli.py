@@ -39,8 +39,7 @@ import numpy as np
 from . import dataset
 from .dataset import CONTINUOUS_DEMOGRAPHICS, read_feature_table, write_feature_table
 from .errors import DataError, HyposcreenError, UsageError
-from .featurize import feature_names as canonical_feature_names
-from .ingest import EXPRESSIONS, Column, CsvSpec, is_binary, parse_manifest, read_columns
+from .ingest import Column, CsvSpec, is_binary, parse_manifest, read_columns
 from .reports import (
     write_json,
     write_json_lines,
@@ -127,34 +126,6 @@ class _Parser(argparse.ArgumentParser):
 
 # --- shared helpers --------------------------------------------------------------
 
-def _expression_columns(feature_cols) -> dict:
-    """Map expression -> its columns, for tables with canonical names."""
-    out = {}
-    for expr in EXPRESSIONS:
-        cols = [c for c in feature_cols if c.startswith(expr + "_")]
-        if cols:
-            out[expr] = cols
-    return out
-
-
-def _apply_expression_filter(ds, config: PipelineConfig):
-    """Reduce a canonical table to the configured expressions.  A table
-    without canonical names passes through untouched when all three are
-    configured; with fewer, there is nothing to subset, and it raises."""
-    by_expr = _expression_columns(ds.feature_names)
-    if not by_expr:
-        if set(config.expressions) != set(EXPRESSIONS):
-            raise DataError(f"expressions {config.expressions} select columns by "
-                            f"their expression prefix, but no feature column of "
-                            f"the table starts with one of {list(EXPRESSIONS)}")
-        return ds
-    wanted = canonical_feature_names(config.expressions)
-    missing = [c for c in wanted if c not in ds.feature_names]
-    if missing:
-        raise DataError(f"table lacks expected feature columns {missing[:3]}...")
-    return ds.column_subset(wanted)
-
-
 _PREDICTIONS_SPEC = CsvSpec((
     Column("participant_id", number=False, unique="predictions row"),
     Column("score"),
@@ -229,6 +200,12 @@ def _cmd_featurize(args) -> int:
     if confidence is not None and not 0.0 <= confidence <= 1.0:  # also false for nan
         raise UsageError(f"--min-confidence must be a number in [0, 1], got {confidence}")
     manifest = parse_manifest(args.manifest)
+    out = os.path.realpath(args.out)
+    for i, entry in enumerate(manifest.entries):
+        for field in ("au_path", "landmark_path"):
+            if os.path.realpath(manifest.base_dir / getattr(entry, field)) == out:
+                raise UsageError(f"--out names {args.out}, the {field} of manifest "
+                                 f"entry {i}; an output must not overwrite an input")
     expressions = args.expressions.split(",") if args.expressions is not None else None
     ds = dataset.build_feature_table(manifest, expressions=expressions,
                                      index_map_path=args.index_map,
@@ -241,7 +218,7 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _cli.load_config(args.config)
-    ds = _apply_expression_filter(read_feature_table(args.features), cfg)
+    ds = dataset.select_expressions(read_feature_table(args.features), cfg.expressions)
     _warn_n_target(cfg, ds, "")
     ensemble = _cli.train_pipeline(ds, cfg, seed=args.seed)
     _cli.save_ensemble(ensemble, args.out)
@@ -257,7 +234,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_cv(args) -> int:
     cfg = _cli.load_config(args.config)
-    ds = _apply_expression_filter(read_feature_table(args.features), cfg)
+    ds = dataset.select_expressions(read_feature_table(args.features), cfg.expressions)
     _warn_n_target(cfg, ds, "")
     _check_counts(args, ds.y)
     results, summary = _repeated_cv(ds, cfg, args)
@@ -374,7 +351,7 @@ def _cmd_project(args) -> int:
             return f"undefined ({type(exc).__name__})"
 
     print(f"silhouette all: {sil(ds.X)}")
-    for expr, cols in _expression_columns(ds.feature_names).items():
+    for expr, cols in dataset.expression_columns(ds.feature_names).items():
         idx = [ds.feature_names.index(c) for c in cols]
         print(f"silhouette {expr}: {sil(ds.X[:, idx])}")
     print(f"explained variance: "
@@ -439,7 +416,7 @@ def _cmd_sweep(args) -> int:
     for i, over in enumerate(overrides):
         try:
             cfg = _cli.PipelineConfig.from_dict(_merged(base.to_dict(), over))
-            ds = _apply_expression_filter(ds_full, cfg)
+            ds = dataset.select_expressions(ds_full, cfg.expressions)
             _warn_n_target(cfg, ds, f"sweep entry {i}: ")
             _cli.require_fold_plans(ds.y, cfg, args.folds)
         except DataError as exc:

@@ -16,6 +16,7 @@ from .featurize import (
     used_points,
 )
 from .ingest import (
+    EXPRESSIONS,
     Column,
     CsvSpec,
     Manifest,
@@ -89,6 +90,36 @@ class LabeledDataset:
             participant_ids=list(self.participant_ids),
             demographics={k: list(v) for k, v in self.demographics.items()},
         )
+
+
+def expression_columns(feature_cols) -> dict:
+    """Map expression -> its columns, for tables with canonical names."""
+    out = {}
+    for expr in EXPRESSIONS:
+        cols = [c for c in feature_cols if c.startswith(expr + "_")]
+        if cols:
+            out[expr] = cols
+    return out
+
+
+def select_expressions(ds: LabeledDataset, expressions) -> LabeledDataset:
+    """``ds`` reduced to the canonical columns of ``expressions``, or ``ds``
+    itself when it holds exactly those.  A table without canonical names
+    passes through untouched when all three are listed; with fewer, there
+    is nothing to subset, and it raises :class:`DataError`."""
+    wanted = feature_names(expressions)
+    if ds.feature_names == wanted:
+        return ds
+    if not expression_columns(ds.feature_names):
+        if set(expressions) != set(EXPRESSIONS):
+            raise DataError(f"expressions {expressions} select columns by their "
+                            f"expression prefix, but no feature column of the "
+                            f"table starts with one of {list(EXPRESSIONS)}")
+        return ds
+    missing = [c for c in wanted if c not in ds.feature_names]
+    if missing:
+        raise DataError(f"table lacks expected feature columns {missing[:3]}...")
+    return ds.column_subset(wanted)
 
 
 def build_feature_table(manifest: Manifest, expressions=None,

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifact import TrainedEnsemble, ensemble_predict
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, select_expressions
 from .errors import ClassTooSmall, MTooLarge, TooFewMinority
 from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
 from .model.histboost import fit_histgbm, predict_columns
@@ -149,7 +149,8 @@ def require_fold_plans(y, config, k) -> None:
 
 
 def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble:
-    """Scale, select, oversample, and fit the stacked ensemble on ``ds``
+    """Scale, select, oversample, and fit the stacked ensemble on the
+    ``config.expressions`` columns of ``ds`` (:func:`select_expressions`)
     under a ``PipelineConfig``.
 
     The declared order is scale -> select -> oversample; the scaler stored in
@@ -160,6 +161,7 @@ def train_pipeline(ds: LabeledDataset, config, seed: int = 0) -> TrainedEnsemble
     folds are the lengths of ``inner_fold_assignments`` and
     ``inner_synthetic_counts``.
     """
+    ds = select_expressions(ds, config.expressions)
     require_fold_plans(ds.y, config, None)
     names = ds.feature_names
     scaler_full = fit_scaler(config.scaler, ds.X, names)

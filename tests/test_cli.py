@@ -17,6 +17,7 @@ from hyposcreen.cli import _config_id, main
 from hyposcreen.dataset import META_COLUMNS, read_feature_table, write_feature_table
 from hyposcreen.errors import DataError
 from hyposcreen.artifact import ensemble_predict, load_ensemble, save_ensemble
+from hyposcreen import dataset as dataset_module
 from hyposcreen import ensemble as ensemble_module
 from hyposcreen.ensemble import train_pipeline
 from hyposcreen.config import (EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig,
@@ -385,6 +386,31 @@ def test_an_output_that_names_an_input_is_a_usage_error_before_any_work(
                    f"an output must not overwrite an input"}
     assert calls == []
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize("field, name", [("au_path", "p01_smile_au.csv"),
+                                         ("landmark_path", "p02_surprise_lm.csv")])
+def test_featurize_out_that_names_a_manifest_recording_is_a_usage_error(
+        manifest_corpus, monkeypatch, capsys, field, name):
+    # unchecked, the feature table replaced the recording with exit 0, and the
+    # next featurize of the manifest exited 3 on the missing 'frame' column
+    entries = json.loads(manifest_corpus.read_text())["entries"]
+    entry = next(i for i, e in enumerate(entries) if e[field] == name)
+    recording = manifest_corpus.parent / name
+    before = recording.read_bytes()
+    calls = []
+    real = dataset_module.build_feature_table
+    monkeypatch.setattr(dataset_module, "build_feature_table",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    out = f"{manifest_corpus.parent}/./{name}"  # equal to the entry's path by realpath only
+    capsys.readouterr()
+    assert main(["featurize", "--manifest", str(manifest_corpus), "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "UsageError",
+        "message": f"--out names {out}, the {field} of manifest entry {entry}; "
+                   f"an output must not overwrite an input"}
+    assert calls == []
+    assert recording.read_bytes() == before
 
 
 def test_readme_names_every_flag_and_no_other():

@@ -186,6 +186,20 @@ def test_readme_settings_table_matches_the_declared_settings():
             assert allowed_text == "one or more of those, each once", key
 
 
+# keys README names only to say they are no settings any more
+RETIRED_KEYS = {"selection.inner_folds", "selection.improvement_eps"}
+
+
+def test_readme_names_no_section_key_that_is_not_a_setting():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.sub(r"```.*?```", "", text, flags=re.S)  # a fence is no code span
+    named = {span for span in re.findall(r"`([^`]+)`", text)
+             if re.fullmatch(r"(selection|smote|ensemble)\.[\w.\[\]]+", span)}
+    declared = set(_declared_settings())
+    assert sorted(named - declared - RETIRED_KEYS) == []
+    assert RETIRED_KEYS <= named and not RETIRED_KEYS & declared
+
+
 @pytest.mark.parametrize("doc, named", [
     ({"ensemble": {"inner_folds": "3"}}, "ensemble.inner_folds must be an integer"),
     ({"ensemble": {"inner_folds": 3.0}}, "ensemble.inner_folds must be an integer"),

@@ -97,6 +97,21 @@ def test_subset_and_column_subset():
     assert np.array_equal(cols.y, ds.y)
 
 
+def test_select_expressions_copies_only_a_table_it_narrows():
+    rng = np.random.default_rng(21)
+    names = feature_names()
+    ds = LabeledDataset(feature_names=names, X=rng.normal(size=(4, len(names))),
+                        y=np.array([1, 0, 1, 0]), participant_ids=list("abcd"))
+    # a table that holds exactly the listed columns comes back as it is
+    assert dataset.select_expressions(ds, ["smile", "disgust", "surprise"]) is ds
+    smile = dataset.select_expressions(ds, ["smile"])
+    assert smile.feature_names == feature_names(["smile"])
+    assert np.array_equal(smile.X, ds.X[:, :len(smile.feature_names)])
+    assert dataset.select_expressions(smile, ["smile"]) is smile
+    with pytest.raises(DataError, match="lacks expected feature columns"):
+        dataset.select_expressions(smile, ["smile", "surprise"])
+
+
 def test_build_feature_table_from_manifest(manifest_corpus):
     manifest = parse_manifest(manifest_corpus)
     ds = build_feature_table(manifest)

@@ -15,6 +15,7 @@ from hyposcreen.dataset import LabeledDataset
 from hyposcreen.ensemble import (fit_stacking_ensemble, run_cross_validation,
                                  select_top_models, train_pipeline)
 from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
+from hyposcreen.featurize import feature_names
 from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams
 from hyposcreen.preprocess import fit_scaler
@@ -182,6 +183,27 @@ def _dataset(seed=121):
     names = [f"f{j}" for j in range(X.shape[1])]
     ids = [f"p{i:02d}" for i in range(X.shape[0])]
     return LabeledDataset(feature_names=names, X=X, y=y, participant_ids=ids)
+
+
+def test_train_pipeline_trains_on_the_configured_expressions_only(monkeypatch):
+    # a library caller gets no command's preflight, so train_pipeline and
+    # the cross-validation through it apply config.expressions themselves
+    rng = np.random.default_rng(132)
+    names = feature_names()
+    X = rng.normal(size=(24, len(names)))
+    ds = LabeledDataset(feature_names=names, X=X, y=np.arange(24) % 2,
+                        participant_ids=[f"p{i:02d}" for i in range(24)])
+    config = PipelineConfig(
+        expressions=["smile"], selection=SelectionConfig(method="none"),
+        smote=SmoteConfig(enabled=False),
+        ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
+            {"n_trees": 3, "max_leaves": 3, "min_samples_leaf": 4}]))
+    smile = feature_names(["smile"])
+    assert train_pipeline(ds, config, seed=1).feature_names == smile
+    calls = {}
+    _spy(monkeypatch, ensemble, "select_features", calls)
+    run_cross_validation(ds, config, k=2, seed=1)
+    assert [c["feature_names"] for c in calls["ensemble.select_features"]] == [smile] * 2
 
 
 def test_train_pipeline_restricts_artifact_to_selected_features():
