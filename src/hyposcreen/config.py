@@ -13,8 +13,8 @@ from .util import check_fields, read_json
 
 SELECTION_METHODS = ("none", "lr_coef", "boost_rfe", "boost_rfa")
 
-# 3 learning rates x 3 leaf budgets x 2 leaf minima = 18 candidates,
-# matching the default ensemble width.
+# 3 learning rates x 3 leaf budgets x 2 leaf minima = 18 candidates, all of
+# which the ensemble stacks.
 DEFAULT_GRID = [
     {"learning_rate": lr, "max_leaves": ml, "min_samples_leaf": msl}
     for lr in (0.05, 0.1, 0.2)
@@ -51,7 +51,6 @@ class SmoteConfig:
 
 @dataclass
 class EnsembleConfig:
-    m: int = field(default=18, metadata={"range": "[1, inf)"})
     inner_folds: int = field(default=3, metadata={"range": "[2, inf)"})
     # each entry is checked as a BoostParams, by candidate_params
     grid: list = field(default_factory=lambda: [dict(g) for g in DEFAULT_GRID])
@@ -69,10 +68,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         check_fields(self, "", DataError)
-        if self.ensemble.m > len(self.ensemble.grid):
-            raise DataError(
-                f"ensemble.m={self.ensemble.m} exceeds the candidate grid "
-                f"({len(self.ensemble.grid)} entries)")
+        if not self.ensemble.grid:
+            raise DataError("ensemble.grid must hold one or more entries")
         self.candidates()  # checks every grid entry
 
     @staticmethod

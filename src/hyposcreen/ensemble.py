@@ -1,12 +1,12 @@
 """Training and the cross-validation driver: candidate boosters scored
-out-of-fold, top-m kept, logistic meta-layer fit on their out-of-fold
+out-of-fold and ranked, logistic meta-layer fit on all their out-of-fold
 probabilities; ``run_cross_validation`` repeats that on every outer fold.
 
 The meta-layer never sees a base prediction made by a model that trained on
 that row: candidates are scored on inner-fold held-out rows, and oversampling
 is refit inside each inner fold so synthetic rows cannot carry held-out
-information either.  The kept candidates are refit on the full training set
-for the deployable artifact.
+information either.  Every candidate is refit on the full training set for
+the deployable artifact.
 
 Feature selection is not refit inside the inner folds: ``train_pipeline``
 runs ``select_features`` once on every training row before the stacking
@@ -30,7 +30,7 @@ import numpy as np
 
 from .artifact import TrainedEnsemble, ensemble_predict
 from .dataset import LabeledDataset, select_expressions
-from .errors import ClassTooSmall, MTooLarge, TooFewMinority
+from .errors import ClassTooSmall, TooFewMinority
 from .evaluate import METRIC_KEYS, auroc, classification_metrics, confusion_counts, roc_curve
 from .model.histboost import fit_histgbm, predict_columns
 from .model.logistic import fit_logistic
@@ -40,16 +40,9 @@ from .select import select_features
 from .util import child_seed
 
 
-def select_top_models(scored, m: int) -> list:
-    """Indices of the m best (by score, descending); ties keep the earlier
-    candidate."""
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i], i))
-    return order[:m]
-
-
 def fit_stacking_ensemble(X, y, config, seed: int):
-    """Score the candidates of a ``PipelineConfig`` out-of-fold, keep the top
-    ``ensemble.m``, fit the meta-layer.
+    """Score the candidates of a ``PipelineConfig`` out-of-fold, rank them,
+    and fit the meta-layer on every one.
 
     The candidates are ``config.candidates()``, scored on
     ``ensemble.inner_folds`` inner folds; each training set is oversampled
@@ -63,16 +56,14 @@ def fit_stacking_ensemble(X, y, config, seed: int):
     run without them.
 
     Returns ``(base_models, meta, provenance)`` where the base models are
-    full-data refits of the candidates ``provenance["kept"]`` names, in that
-    order.
+    full-data refits of every candidate, in the order ``provenance["kept"]``
+    names: best inner-fold AUROC first, ties to the lower grid index.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n = y.shape[0]
     candidates = config.candidates()
-    m, smote = config.ensemble.m, config.smote
-    if m > len(candidates):
-        raise MTooLarge(m, len(candidates))
+    smote = config.smote
     plan = stratified_kfold(y, config.ensemble.inner_folds,
                             seed=child_seed(seed, "stack-folds"))
 
@@ -101,7 +92,8 @@ def fit_stacking_ensemble(X, y, config, seed: int):
         inner_synthetic.append(n_syn)
     scores = [auroc(column, y) for column in oof.T]
 
-    kept = select_top_models(scores, m)
+    # best first; the sort is stable, so tied candidates keep grid order
+    kept = sorted(range(len(scores)), key=lambda i: -scores[i])
     meta = fit_logistic(oof[:, kept], y)
 
     Xf, yf, n_syn_final = training_set(X, y, "final-smote")

@@ -171,13 +171,6 @@ class DegenerateParams(DataError):
         super().__init__(f"invalid model parameters: {detail}")
 
 
-class MTooLarge(DataError):
-    def __init__(self, m, n_candidates):
-        super().__init__(f"cannot keep top {m} of {n_candidates} candidates")
-        self.m = m
-        self.n_candidates = n_candidates
-
-
 class MissingFeature(DataError):
     def __init__(self, name):
         super().__init__(f"input rows lack required feature {name!r}")

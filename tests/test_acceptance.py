@@ -129,7 +129,7 @@ def test_separable_simulation_recovers_closed_form_auroc(tmp_path):
         scaler="minmax",
         selection=SelectionConfig(method="none"),
         smote=SmoteConfig(enabled=True, k_neighbors=5),
-        ensemble=EnsembleConfig(m=2, inner_folds=3, grid=[
+        ensemble=EnsembleConfig(inner_folds=3, grid=[
             {"n_trees": 60, "learning_rate": 0.1, "max_leaves": 4,
              "min_samples_leaf": 20},
             {"n_trees": 40, "learning_rate": 0.2, "max_leaves": 4,
@@ -154,7 +154,7 @@ def test_null_simulation_auroc_is_near_chance(tmp_path):
         scaler="minmax",
         selection=SelectionConfig(method="none"),
         smote=SmoteConfig(enabled=True, k_neighbors=5),
-        ensemble=EnsembleConfig(m=1, inner_folds=3, grid=[
+        ensemble=EnsembleConfig(inner_folds=3, grid=[
             {"n_trees": 25, "learning_rate": 0.2, "max_leaves": 4,
              "min_samples_leaf": 20},
         ]),
@@ -1488,7 +1488,7 @@ def test_no_leakage_over_fifty_seeded_runs():
         scaler="minmax",
         selection=SelectionConfig(method="none"),
         smote=SmoteConfig(enabled=True, k_neighbors=2),
-        ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
+        ensemble=EnsembleConfig(inner_folds=2, grid=[
             {"n_trees": 4, "learning_rate": 0.3, "max_leaves": 3,
              "min_samples_leaf": 3},
         ]),
@@ -1518,7 +1518,7 @@ def test_byte_identical_outputs_across_runs_and_worker_counts(tmp_path,
         "scaler": "minmax",
         "selection": {"method": "none"},
         "smote": {"enabled": True, "k_neighbors": 3},
-        "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+        "ensemble": {"inner_folds": 2, "grid": [
             {"n_trees": 8, "learning_rate": 0.2, "max_leaves": 4,
              "min_samples_leaf": 4}]},
     }))
@@ -1567,7 +1567,7 @@ def test_byte_identical_outputs_across_blas_thread_counts(tmp_path):
     config.write_text(json.dumps({
         "selection": {"method": "lr_coef", "n_target": 10},
         "smote": {"enabled": False},
-        "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+        "ensemble": {"inner_folds": 2, "grid": [
             {"n_trees": 3, "max_leaves": 4, "min_samples_leaf": 10}]}}))
     script = ("import sys\n"
               "from hyposcreen.cli import main\n"

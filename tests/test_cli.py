@@ -33,7 +33,7 @@ FAST_CONFIG = {
     "scaler": "minmax",
     "selection": {"method": "none"},
     "smote": {"enabled": True, "k_neighbors": 3},
-    "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+    "ensemble": {"inner_folds": 2, "grid": [
         {"n_trees": 10, "learning_rate": 0.2, "max_leaves": 4,
          "min_samples_leaf": 4},
     ]},
@@ -446,7 +446,6 @@ def test_the_cli_runs_under_cprofile(tmp_path):
 def _train_two_models(table, tmp_path) -> Path:
     """The artifact of a 2-model training on ``table``."""
     doc = json.loads(json.dumps(FAST_CONFIG))
-    doc["ensemble"]["m"] = 2
     doc["ensemble"]["grid"].append({**doc["ensemble"]["grid"][0], "learning_rate": 0.1})
     model = tmp_path / "model.json"
     assert main(["train", "--features", table, "--config",
@@ -633,6 +632,56 @@ def test_retired_selection_keys_exit_3_before_anything_trains(
         assert main(argv + ["--features", sim_table, "--out", str(out)]) == 3
         assert _last_error(capsys) == {
             "error": "DataError", "message": f"{where}unknown selection keys ['{key}']"}
+        assert not out.exists()
+
+
+# two fast candidates; every other setting keeps its default
+TWO_CANDIDATES = [{"n_trees": 5, "max_leaves": 4, "min_samples_leaf": 4},
+                  {"n_trees": 5, "learning_rate": 0.3, "max_leaves": 4,
+                   "min_samples_leaf": 4}]
+
+
+def test_a_config_that_sets_only_a_two_entry_grid_stacks_both(sim_table, tmp_path, capsys):
+    config = _write_config(tmp_path, {"ensemble": {"grid": TWO_CANDIDATES}})
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", sim_table, "--config", config,
+                 "--out", str(model)]) == 0
+    assert "kept 2 of 2 candidates" in capsys.readouterr().out
+    doc = json.loads(model.read_text())
+    assert sorted(doc["provenance"]["kept"]) == [0, 1]
+    assert [m["params"] for m in doc["base_models"]] == [
+        PipelineConfig.candidate_params(TWO_CANDIDATES[ci]).to_dict()
+        for ci in doc["provenance"]["kept"]]
+
+
+def test_a_sweep_entry_that_replaces_the_grid_with_two_entries_runs(sim_table, tmp_path):
+    grid = _write_config(tmp_path, [{"ensemble": {"grid": TWO_CANDIDATES}}], "grid.json")
+    out = tmp_path / "board.csv"
+    assert main(["sweep", "--features", sim_table, "--grid", grid, *FAST_COUNTS,
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["config_id"] == _config_id(
+        PipelineConfig.from_dict({"ensemble": {"grid": TWO_CANDIDATES}}).to_dict())
+
+
+@pytest.mark.parametrize("ensemble, message", [
+    ({"m": 2}, "unknown ensemble keys ['m']"),
+    ({"grid": []}, "ensemble.grid must hold one or more entries"),
+], ids=["retired-m", "empty-grid"])
+def test_a_retired_m_or_an_empty_grid_exits_3_before_anything_trains(
+        sim_table, tmp_path, fast_config_path, capsys, monkeypatch, ensemble, message):
+    # every candidate of ensemble.grid is stacked, so the grid must hold one
+    config = _write_config(tmp_path, {**FAST_CONFIG, "ensemble": ensemble},
+                           "bad_config.json")
+    grid = _write_config(tmp_path, [{"ensemble": ensemble}], "grid.json")
+    monkeypatch.setattr(ensemble_module, "fit_scaler", _never_called)
+    out = tmp_path / "out"
+    for argv, where in ((["train", "--config", config], ""),
+                        (["sweep", "--config", fast_config_path, "--grid", grid]
+                         + FAST_COUNTS, "sweep entry 0: ")):
+        assert main(argv + ["--features", sim_table, "--out", str(out)]) == 3
+        assert _last_error(capsys) == {"error": "DataError", "message": where + message}
         assert not out.exists()
 
 
@@ -1433,13 +1482,13 @@ TRAIN_RANGE_CASES = [
     ("ensemble", "inner_folds", 1),
     ("selection", "n_target", 0),
     ("selection", "method", "pick"),
-    ("ensemble", "m", 0),
+    ("ensemble", "grid", []),
 ]
 
 
 @pytest.mark.parametrize("section, key, value", TRAIN_RANGE_CASES, ids=[
     "k-zero", "k-negative", "ensemble-folds-zero", "ensemble-folds-one",
-    "n-target-zero", "method-unknown", "m-zero"])
+    "n-target-zero", "method-unknown", "grid-empty"])
 def test_train_rejects_a_setting_out_of_range_when_loading_the_config(
         sim_table, tmp_path, capsys, section, key, value):
     # each of these trained and exited 0 when only the component that reads
@@ -1558,7 +1607,7 @@ def test_sweep_override_merges_into_base_sections(sim_table, tmp_path):
 @pytest.mark.parametrize("override, key", [
     ({"cv_folds": "3"}, "cv_folds"),  # no longer a key: rejected as unknown
     ({"selection": 5}, "selection"),
-    ({"ensemble": {"m": 1, "grid": [{"n_trees": "5"}]}}, "n_trees"),
+    ({"ensemble": {"grid": [{"n_trees": "5"}]}}, "n_trees"),
 ])
 def test_train_rejects_config_value_of_wrong_type(sim_table, tmp_path, capsys,
                                                   override, key):

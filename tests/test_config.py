@@ -19,11 +19,11 @@ def save_config(cfg: PipelineConfig, path) -> None:
     path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def test_defaults_are_valid_and_grid_width_matches_m():
+def test_defaults_are_valid_and_stack_the_18_candidates_of_the_default_grid():
     cfg = PipelineConfig()
     cfg.validate()
     assert len(DEFAULT_GRID) == 18
-    assert cfg.ensemble.m == 18
+    assert cfg.ensemble.grid == DEFAULT_GRID
     assert cfg.scaler == "minmax"
     assert cfg.selection.method == "lr_coef"
     assert cfg.selection.n_target == 30
@@ -43,7 +43,6 @@ def test_round_trip_preserves_everything():
     cfg.threshold = 0.4
     cfg.selection.method = "boost_rfa"
     cfg.smote.k_neighbors = 3
-    cfg.ensemble.m = 2
     cfg.ensemble.grid = DEFAULT_GRID[:2]
     back = PipelineConfig.from_dict(cfg.to_dict())
     assert back.to_dict() == cfg.to_dict()
@@ -68,19 +67,17 @@ def test_validation_catches_bad_values():
         cfg.validate()
 
     cfg = PipelineConfig()
-    cfg.ensemble.m = 19
-    with pytest.raises(DataError):
+    cfg.ensemble.grid = []
+    with pytest.raises(DataError, match="ensemble.grid must hold one or more entries"):
         cfg.validate()
 
     cfg = PipelineConfig()
     cfg.ensemble.grid = [{"n_estimators": 100}]
-    cfg.ensemble.m = 1
     with pytest.raises(DataError):
         cfg.validate()
 
     cfg = PipelineConfig()
     cfg.ensemble.grid = [{"learning_rate": -0.1}]
-    cfg.ensemble.m = 1
     with pytest.raises(DataError):
         cfg.validate()
 
@@ -111,7 +108,7 @@ def test_candidate_params_fill_defaults():
 
 def test_load_save_files(tmp_path):
     cfg = PipelineConfig()
-    cfg.ensemble.m = 4
+    cfg.ensemble.grid = DEFAULT_GRID[:4]
     path = tmp_path / "config.json"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -168,7 +165,8 @@ def test_readme_settings_table_matches_the_declared_settings():
             assert default == DEFAULT_GRID
             assert default_text == f"the {len(DEFAULT_GRID)} entries of `DEFAULT_GRID`"
             assert len(fields(BoostParams)) == 5
-            assert allowed_text == "each entry sets some of the five keys below"
+            assert allowed_text == ("one or more entries, each setting some of the "
+                                    "five keys below")
             continue
         value = json.loads(default_text.strip("`"))
         assert type(value) is kind and value == default, key
@@ -187,7 +185,7 @@ def test_readme_settings_table_matches_the_declared_settings():
 
 
 # keys README names only to say they are no settings any more
-RETIRED_KEYS = {"selection.inner_folds", "selection.improvement_eps"}
+RETIRED_KEYS = {"selection.inner_folds", "selection.improvement_eps", "ensemble.m"}
 
 
 def test_readme_names_no_section_key_that_is_not_a_setting():
@@ -214,10 +212,10 @@ def test_readme_names_no_section_key_that_is_not_a_setting():
     ({"threshold": None}, "threshold must be a number"),
     ({"smote": {"enabled": 1}}, "smote.enabled must be a boolean"),
     ({"ensemble": {"grid": 5}}, "ensemble.grid must be a list"),
-    ({"ensemble": {"m": 1, "grid": [5]}}, "ensemble.grid entries must be objects"),
-    ({"ensemble": {"m": 1, "grid": [{"n_trees": "5"}]}},
+    ({"ensemble": {"grid": [5]}}, "ensemble.grid entries must be objects"),
+    ({"ensemble": {"grid": [{"n_trees": "5"}]}},
      "booster parameter n_trees must be an integer"),
-    ({"ensemble": {"m": 1, "grid": [{"learning_rate": True}]}},
+    ({"ensemble": {"grid": [{"learning_rate": True}]}},
      "booster parameter learning_rate must be a number"),
 ])
 def test_values_of_the_wrong_json_type_are_rejected_by_key(doc, named):
@@ -227,7 +225,7 @@ def test_values_of_the_wrong_json_type_are_rejected_by_key(doc, named):
 
 def test_number_fields_accept_integers():
     cfg = PipelineConfig.from_dict({
-        "threshold": 1, "ensemble": {"m": 1, "grid": [{"learning_rate": 1}]}})
+        "threshold": 1, "ensemble": {"grid": [{"learning_rate": 1}]}})
     assert cfg.threshold == 1
     assert cfg.candidates()[0].learning_rate == 1
 
@@ -236,14 +234,14 @@ def test_number_fields_accept_integers():
     {"threshold": 0, "expressions": ["surprise"],
      "selection": {"n_target": 1},
      "smote": {"k_neighbors": 1},
-     "ensemble": {"m": 1, "inner_folds": 2, "grid": [
+     "ensemble": {"inner_folds": 2, "grid": [
          {"n_trees": 1, "learning_rate": 5e-324, "max_leaves": 2,
           "min_samples_leaf": 1, "max_bins": 2}]}},
     {"threshold": 1, "expressions": ["surprise", "smile", "disgust"],
      "selection": {"n_target": 10**6},
-     "ensemble": {"m": 2, "grid": [{"learning_rate": 1, "max_bins": 255},
-                                   {"n_trees": 10**6, "max_leaves": 10**6,
-                                    "min_samples_leaf": 10**6}]}},
+     "ensemble": {"grid": [{"learning_rate": 1, "max_bins": 255},
+                           {"n_trees": 10**6, "max_leaves": 10**6,
+                            "min_samples_leaf": 10**6}]}},
 ], ids=["lowest", "highest"])
 def test_settings_at_their_allowed_bounds_load(doc):
     cfg = PipelineConfig.from_dict(doc)
@@ -254,7 +252,7 @@ def test_settings_at_their_allowed_bounds_load(doc):
 
 def test_a_booster_out_of_range_is_a_data_error_through_the_config_only():
     with pytest.raises(DataError) as err:
-        PipelineConfig.from_dict({"ensemble": {"m": 1, "grid": [
+        PipelineConfig.from_dict({"ensemble": {"grid": [
             {}, {"max_bins": 300}]}})
     assert type(err.value) is DataError
     assert str(err.value) == ("ensemble.grid[1]: booster parameter max_bins "

@@ -12,21 +12,13 @@ from hyposcreen.artifact import (TrainedEnsemble, ensemble_predict, load_ensembl
                                  save_ensemble)
 from hyposcreen.config import EnsembleConfig, PipelineConfig, SelectionConfig, SmoteConfig
 from hyposcreen.dataset import LabeledDataset
-from hyposcreen.ensemble import (fit_stacking_ensemble, run_cross_validation,
-                                 select_top_models, train_pipeline)
-from hyposcreen.errors import ArtifactError, MissingFeature, MTooLarge
+from hyposcreen.ensemble import fit_stacking_ensemble, run_cross_validation, train_pipeline
+from hyposcreen.errors import ArtifactError, MissingFeature
 from hyposcreen.featurize import feature_names
 from hyposcreen.model import histboost
 from hyposcreen.model.histboost import BoostParams
 from hyposcreen.preprocess import fit_scaler
 from hyposcreen.util import sigmoid
-
-
-def test_select_top_models_ordering_and_ties():
-    assert select_top_models([0.9, 0.8, 0.95], 2) == [2, 0]
-    assert select_top_models([0.5, 0.5, 0.5], 2) == [0, 1]
-    assert select_top_models([0.1, 0.9], 2) == [1, 0]
-    assert select_top_models([0.7], 1) == [0]
 
 
 def _planted(seed=120, n_pos=18, n_neg=30, d=5):
@@ -46,21 +38,22 @@ CANDIDATES = [
 ]
 
 
-def _stacking(candidates, m, smote):
-    """A config that stacks the top ``m`` of ``candidates`` on 3 inner folds."""
+def _stacking(candidates, smote):
+    """A config that stacks every one of ``candidates`` on 3 inner folds."""
     return PipelineConfig(smote=smote, ensemble=EnsembleConfig(
-        m=m, inner_folds=3, grid=[c.to_dict() for c in candidates]))
+        inner_folds=3, grid=[c.to_dict() for c in candidates]))
 
 
 def test_fit_stacking_ensemble_output_shapes_and_provenance():
     X, y = _planted()
     base_models, meta, prov = fit_stacking_ensemble(
-        X, y, _stacking(CANDIDATES, 2, SmoteConfig(k_neighbors=3)), seed=4)
+        X, y, _stacking(CANDIDATES[:2], SmoteConfig(k_neighbors=3)), seed=4)
     assert len(base_models) == 2
     assert meta.weights.shape == (2,)
 
-    assert len(prov["candidate_aurocs"]) == 3
-    assert prov["kept"] == select_top_models(prov["candidate_aurocs"], 2)
+    assert len(prov["candidate_aurocs"]) == 2
+    aurocs = prov["candidate_aurocs"]
+    assert prov["kept"] == sorted(range(2), key=lambda i: (-aurocs[i], i))
     kept_scores = [prov["candidate_aurocs"][i] for i in prov["kept"]]
     assert kept_scores == sorted(kept_scores, reverse=True)
     assert len(prov["inner_fold_assignments"]) == y.shape[0]
@@ -69,8 +62,42 @@ def test_fit_stacking_ensemble_output_shapes_and_provenance():
     assert all(c > 0 for c in prov["inner_synthetic_counts"])
     assert prov["final_synthetic_count"] == 12
     assert [m.params for m in base_models] == [CANDIDATES[ci] for ci in prov["kept"]]
-    with pytest.raises(MTooLarge):
-        fit_stacking_ensemble(X, y, _stacking(CANDIDATES, 4, SmoteConfig()), seed=0)
+
+
+@pytest.mark.parametrize("aurocs, kept", [
+    ([0.9, 0.8, 0.95], [2, 0, 1]),
+    ([0.5, 0.5, 0.5], [0, 1, 2]),
+    ([0.1, 0.9], [1, 0]),
+    ([0.7], [0]),
+    ([0.6, 0.8, 0.6, 0.8], [1, 3, 0, 2]),
+])
+def test_kept_ranks_every_candidate_by_inner_fold_auroc_ties_to_the_lower_index(
+        monkeypatch, aurocs, kept):
+    # the candidates' scores are set, so ties are exact; each base model is
+    # the refit of the candidate kept names at its position, and the meta
+    # layer weighs the out-of-fold columns in that order
+    X, y = _planted()
+    scores = iter(aurocs)
+    monkeypatch.setattr(ensemble, "auroc", lambda column, labels: next(scores))
+    grid = [BoostParams(n_trees=2 + i, max_leaves=3, min_samples_leaf=4)
+            for i in range(len(aurocs))]
+    base_models, meta, prov = fit_stacking_ensemble(
+        X, y, _stacking(grid, SmoteConfig(enabled=False)), seed=4)
+    assert prov["candidate_aurocs"] == aurocs
+    assert prov["kept"] == kept
+    assert [m.params for m in base_models] == [grid[ci] for ci in kept]
+    assert meta.weights.shape == (len(aurocs),)
+
+
+def test_identical_candidates_tie_and_are_kept_in_grid_order():
+    # equal parameters give equal out-of-fold columns, hence equal AUROCs
+    X, y = _planted()
+    grid = [CANDIDATES[2], CANDIDATES[0], CANDIDATES[2]]
+    _, _, prov = fit_stacking_ensemble(
+        X, y, _stacking(grid, SmoteConfig(k_neighbors=3)), seed=4)
+    aurocs = prov["candidate_aurocs"]
+    assert aurocs[0] == aurocs[2] != aurocs[1]
+    assert prov["kept"] == ([1, 0, 2] if aurocs[1] > aurocs[0] else [0, 2, 1])
 
 
 def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch):
@@ -92,7 +119,7 @@ def test_held_out_predictions_shared_by_served_fits_equal_their_own(monkeypatch)
 
     def run():
         predicted.clear()
-        return fit_stacking_ensemble(X, y, _stacking(grid, 4, SmoteConfig(enabled=False)),
+        return fit_stacking_ensemble(X, y, _stacking(grid, SmoteConfig(enabled=False)),
                                      seed=5)
 
     base_models, meta, prov = run()
@@ -122,7 +149,7 @@ def test_grown_fits_on_one_matrix_share_one_binning_and_presort(monkeypatch):
     grid = [BoostParams(n_trees=5, learning_rate=lr, max_leaves=4, min_samples_leaf=msl,
                         max_bins=bins)
             for lr in (0.1, 0.3) for msl in (3, 5) for bins in (255, 8)]
-    config = _stacking(grid, 3, SmoteConfig(k_neighbors=3))
+    config = _stacking(grid, SmoteConfig(k_neighbors=3))
     real_fit, real_boost, real_presort, real_bin = (
         ensemble.fit_histgbm, histboost._boost, histboost._presort, histboost.bin_matrix)
     fitting, grown, presorted, binned = [], [], [], []
@@ -153,7 +180,7 @@ def test_grown_fits_on_one_matrix_share_one_binning_and_presort(monkeypatch):
     for calls in (grown, presorted, binned):
         calls.clear()
     want_models, want_meta, want_prov = fit_stacking_ensemble(X, y, config, seed=6)
-    assert len(grown) == len(presorted) == sum(binned) == len(grid) * 3 + 3
+    assert len(grown) == len(presorted) == sum(binned) == len(grid) * (3 + 1)
     assert ([json.dumps(m.to_dict()) for m in base_models]
             == [json.dumps(m.to_dict()) for m in want_models])
     assert meta.weights.tobytes() == want_meta.weights.tobytes()
@@ -166,12 +193,10 @@ def _config():
         scaler="minmax",
         selection=SelectionConfig(method="lr_coef", n_target=3),
         smote=SmoteConfig(enabled=True, k_neighbors=3),
-        ensemble=EnsembleConfig(m=2, inner_folds=3, grid=[
+        ensemble=EnsembleConfig(inner_folds=3, grid=[
             {"n_trees": 8, "learning_rate": 0.3, "max_leaves": 4,
              "min_samples_leaf": 4},
             {"n_trees": 12, "learning_rate": 0.2, "max_leaves": 4,
-             "min_samples_leaf": 4},
-            {"n_trees": 6, "learning_rate": 0.1, "max_leaves": 3,
              "min_samples_leaf": 4},
         ]),
         threshold=0.6,
@@ -196,7 +221,7 @@ def test_train_pipeline_trains_on_the_configured_expressions_only(monkeypatch):
     config = PipelineConfig(
         expressions=["smile"], selection=SelectionConfig(method="none"),
         smote=SmoteConfig(enabled=False),
-        ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
+        ensemble=EnsembleConfig(inner_folds=2, grid=[
             {"n_trees": 3, "max_leaves": 3, "min_samples_leaf": 4}]))
     smile = feature_names(["smile"])
     assert train_pipeline(ds, config, seed=1).feature_names == smile
@@ -270,8 +295,8 @@ def test_a_finished_fold_holds_no_fit_when_the_next_fold_trains(monkeypatch):
     monkeypatch.setattr(ensemble, "fit_histgbm", fit)
     monkeypatch.setattr(ensemble, "train_pipeline", train)
     run_cross_validation(_dataset(seed=131), _config(), k=3, seed=7)
-    # 3 outer folds, each 3 inner folds of 3 candidates and a refit of 2
-    assert len(fits) == 3 * (3 * 3 + 2) and len(pipelines) == 3
+    # 3 outer folds, each 3 inner folds of 2 candidates and a refit of 2
+    assert len(fits) == 3 * (3 * 2 + 2) and len(pipelines) == 3
     assert len({matrix for matrix, *_ in fits}) == 3 * 4
     assert alive == []
 
@@ -300,7 +325,7 @@ def test_each_training_setting_reaches_the_component_that_uses_it(monkeypatch, m
     config = PipelineConfig(
         selection=SelectionConfig(method=method, n_target=2),
         smote=SmoteConfig(enabled=smote_enabled, k_neighbors=2),
-        ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
+        ensemble=EnsembleConfig(inner_folds=2, grid=[
             {"n_trees": 4, "max_leaves": 3, "min_samples_leaf": 4},
             {"n_trees": 6, "max_leaves": 4, "min_samples_leaf": 4}]))
     # a slack this wide lets a boosted search walk to n_target or one short of it
@@ -321,7 +346,8 @@ def test_each_training_setting_reaches_the_component_that_uses_it(monkeypatch, m
     # a boosted search deals its own plan of ensemble.inner_folds folds
     assert [c["k"] for c in calls["select.stratified_kfold"]] == [2] * boosted
     assert [c["k"] for c in calls["ensemble.stratified_kfold"]] == [2]
-    assert len(prov["inner_synthetic_counts"]) == 2 and len(trained.base_models) == 1
+    # every grid entry is stacked
+    assert len(prov["inner_synthetic_counts"]) == 2 and len(trained.base_models) == 2
     # one oversampling per inner fold and one for the refit
     assert [c["k_neighbors"] for c in calls["ensemble.balance_training_set"]] == \
         [2] * (3 * smote_enabled)

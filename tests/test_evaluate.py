@@ -252,7 +252,7 @@ def _tiny_config():
         scaler="minmax",
         selection=SelectionConfig(method="none"),
         smote=SmoteConfig(enabled=True, k_neighbors=3),
-        ensemble=EnsembleConfig(m=1, inner_folds=2, grid=[
+        ensemble=EnsembleConfig(inner_folds=2, grid=[
             {"n_trees": 10, "learning_rate": 0.2, "max_leaves": 4,
              "min_samples_leaf": 4},
         ]),

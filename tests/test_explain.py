@@ -148,7 +148,7 @@ def test_one_shap_memo_serves_ensemble_models_that_share_trees():
     candidates = [BoostParams(n_trees=6, learning_rate=0.3, max_leaves=leaves,
                               min_samples_leaf=8) for leaves in (8, 16, 31)]
     config = PipelineConfig(smote=SmoteConfig(k_neighbors=3), ensemble=EnsembleConfig(
-        m=3, inner_folds=3, grid=[c.to_dict() for c in candidates]))
+        inner_folds=3, grid=[c.to_dict() for c in candidates]))
     base_models, *_ = fit_stacking_ensemble(X, y, config, seed=2)
     trees = [t for m in base_models for t in m.trees]
     assert len({id(t) for t in trees}) < len(trees)

@@ -665,7 +665,7 @@ def test_predict_columns_equal_each_models_own_bit_for_bit(tmp_path, monkeypatch
             for bins in (8, 255) for cap in (31, 63)]
     config = PipelineConfig(selection=SelectionConfig(method="none"),
                             smote=SmoteConfig(k_neighbors=3),
-                            ensemble=EnsembleConfig(m=4, inner_folds=3, grid=grid))
+                            ensemble=EnsembleConfig(inner_folds=3, grid=grid))
     fitted = train_pipeline(ds, config, seed=7)
     save_ensemble(fitted, tmp_path / "model.json")
     loaded = load_ensemble(tmp_path / "model.json")

@@ -77,7 +77,7 @@ def test_score_side_commands_import_only_what_they_run(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "selection": {"method": "none"}, "smote": {"k_neighbors": 3},
-        "ensemble": {"m": 1, "inner_folds": 2,
+        "ensemble": {"inner_folds": 2,
                      "grid": [{"n_trees": 3, "min_samples_leaf": 4}]}}))
     model, preds = str(tmp_path / "model.json"), str(tmp_path / "preds.csv")
     # the model commands load the model layers, through ``__main__``
@@ -113,7 +113,7 @@ def test_training_commands_do_not_import_numpy_ma(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "selection": {"method": "none"}, "smote": {"k_neighbors": 3},
-        "ensemble": {"m": 1, "inner_folds": 2,
+        "ensemble": {"inner_folds": 2,
                      "grid": [{"n_trees": 3, "min_samples_leaf": 4}]}}))
     for args in (["cv", "--folds", "2", "--seeds", "2"], ["train"]):
         modules = _modules_after(tmp_path, args + [

@@ -134,7 +134,7 @@ BINS_GRID = [{**params, "max_bins": bins} for bins in (8, 255) for params in GRI
 FAST = {
     "selection": {"method": "none", "n_target": 2},
     "smote": {"k_neighbors": 3},
-    "ensemble": {"m": 2, "inner_folds": 2, "grid": GRID},
+    "ensemble": {"inner_folds": 2, "grid": GRID},
 }
 
 

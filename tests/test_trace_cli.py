@@ -36,7 +36,7 @@ def _traced(tmp_path, tag, args) -> Counter:
 # rows never reach, so the second can reuse the first's model; every fit must
 # still be a call of its own
 GRID = [{"n_trees": 3, "max_leaves": cap, "min_samples_leaf": 4} for cap in (4, 8)]
-M, INNER_FOLDS = 2, 2
+INNER_FOLDS = 2
 
 
 def _table_and_config(tmp_path):
@@ -47,7 +47,7 @@ def _table_and_config(tmp_path):
     config.write_text(json.dumps({
         "selection": {"method": "none"},
         "smote": {"k_neighbors": 3},
-        "ensemble": {"m": M, "inner_folds": INNER_FOLDS, "grid": GRID}}))
+        "ensemble": {"inner_folds": INNER_FOLDS, "grid": GRID}}))
     return str(table), str(config)
 
 
@@ -63,7 +63,7 @@ def test_trace_cli_records_every_layer_of_cv_and_featurize(tmp_path,
         "--out", str(tmp_path / "features.csv")])
     assert {"parallel.map", "evaluate.cv", "histboost.fit",
             "preprocess.scaler"} <= cv.keys()
-    fits = trainings * (len(GRID) * INNER_FOLDS + M)
+    fits = trainings * (len(GRID) * INNER_FOLDS + len(GRID))
     assert (cv["histboost.fit"], cv["binning.fit"]) == (fits, fits)
     # the driver calls the training and scoring names through its module, so
     # the wrappers set there see every fold
@@ -89,7 +89,7 @@ def test_trace_cli_records_every_layer_of_the_score_side_commands(tmp_path):
         "train", "--features", table, "--config", config, "--out", model,
         "--seed", "1"])
     assert {"ensemble.train", "ensemble.artifact_io", "dataset.read"} <= train.keys()
-    assert train["histboost.fit"] == len(GRID) * INNER_FOLDS + M
+    assert train["histboost.fit"] == len(GRID) * INNER_FOLDS + len(GRID)
     # ``ensemble`` and ``cli`` both carry a wrapper: one call, one span
     assert train["ensemble.train"] == 1
     predict = _traced(tmp_path, "predict", [
