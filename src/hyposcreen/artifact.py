@@ -26,6 +26,13 @@ from .util import open_output
 SCHEMA_VERSION = 3
 
 
+def _require_no_bool(value, name: str) -> None:
+    """JSON true and false load as bools, which ``float`` and numpy read as
+    1.0 and 0.0: a number, or a list of numbers, must hold neither."""
+    if bool in map(type, value if isinstance(value, list) else [value]):
+        raise ArtifactError(f"{name} holds true or false, not a number")
+
+
 def _require_finite(values: np.ndarray, name: str) -> None:
     if not np.isfinite(values).all():
         raise ArtifactError(f"{name} holds {float(values[~np.isfinite(values)][0])}, "
@@ -63,6 +70,12 @@ class TrainedEnsemble:
             raise ArtifactError(f"unsupported schema_version {version!r}")
         if d.get("kind") != "stacking_ensemble":
             raise ArtifactError(f"unexpected artifact kind {d.get('kind')!r}")
+        numbers = {"scaler.lo": d["scaler"]["lo"], "scaler.hi": d["scaler"]["hi"],
+                   "meta.weights": d["meta"]["weights"], "meta.intercept": d["meta"]["intercept"]}
+        numbers.update((f"base_models[{i}].base_score", m["base_score"])
+                       for i, m in enumerate(d["base_models"]))
+        for name, value in numbers.items():
+            _require_no_bool(value, name)
         scaler, feature_names = FittedScaler.from_dict(d["scaler"]), list(d["feature_names"])
         width = len(feature_names)
         ensemble = cls(
@@ -141,5 +154,5 @@ def load_ensemble(path) -> TrainedEnsemble:
         with open(path, encoding="utf-8") as fh:
             return TrainedEnsemble.from_dict(json.load(fh))
     except (OSError, ValueError, TypeError, KeyError, AttributeError, IndexError,
-            RecursionError) as exc:
+            OverflowError, RecursionError) as exc:
         raise ArtifactError(f"{type(exc).__name__}: {exc}") from exc

@@ -144,11 +144,17 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        return cls(feature=np.array(d["feature"], dtype=np.int64),
-                   split_bin=np.array(d["split_bin"], dtype=np.int64),
-                   left=np.array(d["left"], dtype=np.int64),
-                   right=np.array(d["right"], dtype=np.int64),
-                   value=np.array(d["value"], dtype=float),
+        """The tree saved as ``d``.  Its index arrays must hold JSON integers:
+        read as int64, a fraction would be truncated and 1e400 would overflow."""
+        index = {}
+        for name in ("feature", "split_bin", "left", "right"):
+            # numpy gives a list a signed integer dtype only if it holds integers
+            # that fit int64; an empty list is float, and _node_table rejects it
+            values = np.array(d[name])
+            if values.size and values.dtype.kind != "i":
+                raise ArtifactError(f"a tree's {name} must hold integers only")
+            index[name] = values.astype(np.int64, copy=False)
+        return cls(**index, value=np.array(d["value"], dtype=float),
                    cover=np.array(d["cover"], dtype=float))
 
 

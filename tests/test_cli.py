@@ -479,6 +479,51 @@ def test_scoring_commands_reject_an_artifact_with_a_malformed_kept(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "explain"])
+def test_scoring_commands_reject_an_artifact_number_of_the_wrong_kind(
+        sim_table, tmp_path, capsys, command):
+    # unchecked, each 1e400 raised OverflowError (exit 4), and a fraction in a
+    # tree's index arrays was truncated and true or false read as 1.0 or 0.0,
+    # each scoring with exit 0
+    doc = json.loads(_train_two_models(sim_table, tmp_path).read_text())
+    trees = doc["base_models"][0]["trees"]
+    t = next(i for i, tree in enumerate(trees) if tree["feature"][0] >= 0)
+    root = ("base_models", 0, "trees", t)
+    ints = "a tree's {} must hold integers only"
+    bools = "{} holds true or false, not a number"
+    cases = [
+        (("meta", "n_iterations"), "HUGE",
+         "OverflowError: cannot convert float infinity to integer"),
+        (root + ("feature", 0), "HUGE", ints.format("feature")),
+        (root + ("split_bin", 0), "HUGE", ints.format("split_bin")),
+        (root + ("left", 0), "HUGE", ints.format("left")),
+        (root + ("feature", 0), trees[t]["feature"][0] + 0.5, ints.format("feature")),
+        (root + ("split_bin", 0), trees[t]["split_bin"][0] + 0.6, ints.format("split_bin")),
+        (("base_models", 0, "base_score"), True, bools.format("base_models[0].base_score")),
+        (("meta", "intercept"), False, bools.format("meta.intercept")),
+        (("meta", "weights", 0), True, bools.format("meta.weights")),
+        (("scaler", "lo", 0), False, bools.format("scaler.lo")),
+        (("scaler", "hi", 0), True, bools.format("scaler.hi")),
+    ]
+    out = tmp_path / "out.csv"
+    for path, value, message in cases:
+        bad_doc = json.loads(json.dumps(doc))
+        parent = bad_doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        # "HUGE" becomes the JSON number 1e400, which parses as inf
+        bad.write_text(json.dumps(bad_doc).replace('"HUGE"', "1e400"))
+        capsys.readouterr()
+        assert main([command, "--model", str(bad), "--features", sim_table,
+                     "--out", str(out)]) == 3, path
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [{
+            "error": "ArtifactError",
+            "message": f"cannot load model artifact: {message}"}], path
+        assert not out.exists()
+
+
 def test_train_warns_on_stderr_when_the_meta_layer_does_not_converge(
         sim_table, tmp_path, fast_config_path, capsys, monkeypatch):
     def train(name):

@@ -386,11 +386,23 @@ def saved_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
-def _text_tree_feature(doc):
-    doc = json.loads(json.dumps(doc))
+def _split(d, key, change):
+    """``d`` with ``change(v)`` in place of the value ``v`` of ``key`` at the
+    root of its first base model's first tree that splits."""
+    doc = json.loads(json.dumps(d))
     tree = next(t for t in doc["base_models"][0]["trees"] if t["feature"][0] >= 0)
-    tree["feature"][0] = "x"
+    tree[key][0] = change(tree[key][0])
     return doc
+
+
+def _text_tree_feature(doc):
+    return _split(doc, "feature", lambda v: "x")
+
+
+def _1e400(doc):
+    """The text of ``doc`` with each string "HUGE" written as the JSON number
+    1e400, which parses as inf: the edit seen at the command line."""
+    return json.dumps(doc).replace('"HUGE"', "1e400").encode()
 
 
 _KEPT = "provenance.kept must hold an integer candidate index for each of the 2 base models"
@@ -423,12 +435,6 @@ def _leaf(d, key, value):
     return _model(d, trees=trees)
 
 
-def _huge_intercept(d):
-    # 1e400 parses as inf: the text of the edit seen at the command line
-    text = json.dumps({**d, "meta": {**d["meta"], "intercept": 0.5}})
-    return text.replace('"intercept": 0.5', '"intercept": 1e400').encode()
-
-
 def _scaler(d, name, value):
     return {**d, "scaler": {**d["scaler"], name: [value] + d["scaler"][name][1:]}}
 
@@ -437,7 +443,7 @@ def _scaler(d, name, value):
     (lambda d: b"\xff\xfe", "UnicodeDecodeError"),
     (lambda d: [], "AttributeError"),
     (lambda d: {"schema_version": 1, "kind": "stacking_ensemble"}, "KeyError: 'scaler'"),
-    (_text_tree_feature, "ValueError"),
+    (_text_tree_feature, "a tree's feature must hold integers only"),
     (lambda d: {**d, "meta": {k: v for k, v in d["meta"].items() if k != "weights"}},
      "KeyError: 'weights'"),
     (lambda d: {**d, "base_models": []}, "no base models"),
@@ -460,7 +466,27 @@ def _scaler(d, name, value):
      "meta.weights holds nan, not a finite number"),
     (lambda d: {**d, "meta": {**d["meta"], "intercept": float("nan")}},
      "meta.intercept holds nan, not a finite number"),
-    (_huge_intercept, "meta.intercept holds inf, not a finite number"),
+    (lambda d: _1e400({**d, "meta": {**d["meta"], "intercept": "HUGE"}}),
+     "meta.intercept holds inf, not a finite number"),
+    (lambda d: _1e400({**d, "meta": {**d["meta"], "n_iterations": "HUGE"}}),
+     "OverflowError: cannot convert float infinity to integer"),
+    (lambda d: _1e400(_split(d, "feature", lambda v: "HUGE")),
+     "a tree's feature must hold integers only"),
+    (lambda d: _1e400(_split(d, "split_bin", lambda v: "HUGE")),
+     "a tree's split_bin must hold integers only"),
+    (lambda d: _1e400(_split(d, "left", lambda v: "HUGE")),
+     "a tree's left must hold integers only"),
+    (lambda d: _split(d, "feature", lambda v: v + 0.5), "a tree's feature must hold integers only"),
+    (lambda d: _split(d, "split_bin", lambda v: v + 0.6),
+     "a tree's split_bin must hold integers only"),
+    (lambda d: _model(d, base_score=True),
+     "base_models[0].base_score holds true or false, not a number"),
+    (lambda d: {**d, "meta": {**d["meta"], "intercept": False}},
+     "meta.intercept holds true or false, not a number"),
+    (lambda d: {**d, "meta": {**d["meta"], "weights": [True] + d["meta"]["weights"][1:]}},
+     "meta.weights holds true or false, not a number"),
+    (lambda d: _scaler(d, "lo", False), "scaler.lo holds true or false, not a number"),
+    (lambda d: _scaler(d, "hi", True), "scaler.hi holds true or false, not a number"),
     (lambda d: _model(d, base_score=float("-inf")), "base_score is -inf, not finite"),
     (lambda d: _leaf(d, "value", float("nan")), "has a value that is not finite"),
     (lambda d: _leaf(d, "cover", float("nan")),
@@ -488,7 +514,10 @@ def _scaler(d, name, value):
         "unknown-scaler-kind", "empty-kept", "short-kept",
         "no-candidate-index", "bool-candidate-index", "float-candidate-index",
         "nan-scaler-lo", "inf-scaler-hi", "nan-meta-weight", "nan-intercept",
-        "huge-intercept", "inf-base-score", "nan-leaf-value", "nan-leaf-cover",
+        "huge-intercept", "huge-n-iterations", "huge-tree-feature", "huge-split-bin",
+        "huge-left", "fractional-feature", "fractional-split-bin", "bool-base-score",
+        "bool-intercept", "bool-meta-weight", "bool-scaler-lo", "bool-scaler-hi",
+        "inf-base-score", "nan-leaf-value", "nan-leaf-cover",
         "zero-leaf-cover", "nan-threshold",
         "threshold-above-1", "threshold-below-0", "bool-threshold",
         "bool-schema-version", "nan-learning-rate", "no-trees",
