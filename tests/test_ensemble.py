@@ -70,7 +70,7 @@ def test_fit_stacking_ensemble_output_shapes_and_provenance():
     ([0.1, 0.9], [1, 0]),
     ([0.7], [0]),
     ([0.6, 0.8, 0.6, 0.8], [1, 3, 0, 2]),
-])
+], ids=["distinct", "all-tied", "two", "one", "tied-pairs"])
 def test_kept_ranks_every_candidate_by_inner_fold_auroc_ties_to_the_lower_index(
         monkeypatch, aurocs, kept):
     # the candidates' scores are set, so ties are exact; each base model is
